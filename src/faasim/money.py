@@ -19,21 +19,26 @@ USD = Fraction
 FULL_PRECISION_PLACES = 12
 
 
+def decimal_literal(value: float | int | str | Decimal) -> Decimal:
+    """A number as the decimal literal the caller wrote: floats by their
+    shortest repr, not their binary value, so 0.1 + 0.2 equals 0.3."""
+    if isinstance(value, float):
+        return Decimal(repr(value))
+    return value if isinstance(value, Decimal) else Decimal(value)
+
+
 def usd(value) -> Fraction:
     """Convert a price-like value into an exact Fraction of dollars.
 
     Accepts int, str (plain, scientific, or "p/q" rational), Decimal and
-    Fraction. Floats are interpreted by their shortest decimal repr, i.e.
-    the literal the user wrote, not the binary approximation.
+    Fraction. Floats are read by `decimal_literal`.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
-    if isinstance(value, (int, Decimal)):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
+    if isinstance(value, (int, float, Decimal)):
+        return Fraction(decimal_literal(value))
     raise TypeError(f"cannot interpret {value!r} as a dollar amount")
 
 

@@ -12,22 +12,34 @@ absence of demand.
 
 Billing charges execution time only, rounded up to the accounting unit,
 scaled linearly with configured memory, plus an optional per-invocation
-request fee. Event ordering at equal timestamps is fixed (completions,
-then retirements, then arrivals in trace order) so results are
-deterministic and serialize byte-identically across runs.
+request fee. The charge depends only on (duration, memory), so a run
+prices each distinct pair once and totals count x price exactly. An
+entry over the run-time limit or outside the memory range goes to
+`rejected` with its reason, and the rest of the trace runs.
+
+Time is an exact integer clock: arrivals, durations, the cold-start
+components and the keep-alive are read as their decimal literals and
+scaled by one power of ten per run, so 0.1 + 0.2 s ends exactly at 0.3 s
+and busy and instance seconds are exact sums rounded once. Event order
+at equal timestamps is fixed (completions, then retirements, then
+arrivals in trace order) so results are deterministic and serialize
+byte-identically across runs.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
-from decimal import Decimal
+import math
+from collections import Counter
+from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import chain
 
 from .catalog import ComputeServiceSpec
-from .money import usd_json
-from .workloads import Invocation, InvocationTrace
+from .money import decimal_literal, usd_json
+from .workloads import InvocationTrace
 
 # Published price multiple of a function instance versus an always-on VM
 # of equal memory; not derivable from list prices, so it is an input with
@@ -52,8 +64,8 @@ class ColdStartModel:
     t_app_s: float = 0.0
 
     def __post_init__(self):
-        if min(self.t_schedule_s, self.t_env_s, self.t_app_s) < 0:
-            raise SimulationError("cold start components must be non-negative")
+        if not all(0 <= part < math.inf for part in (self.t_schedule_s, self.t_env_s, self.t_app_s)):
+            raise SimulationError("cold start components must be finite and non-negative")
 
     @property
     def full_s(self) -> float:
@@ -75,8 +87,8 @@ class PlatformConfig:
     def __post_init__(self):
         if self.compute.kind != "serverless-function":
             raise SimulationError("platform requires a serverless-function compute spec")
-        if self.keep_alive_s < 0:
-            raise SimulationError("keep-alive must be non-negative")
+        if not 0 <= self.keep_alive_s < math.inf:
+            raise SimulationError("keep-alive must be finite and non-negative")
         if self.warm_pool_prestarted < 0:
             raise SimulationError("prestarted count must be non-negative")
 
@@ -118,6 +130,9 @@ class SimResult:
         return self.busy_seconds / self.instance_seconds_running
 
     def to_json_dict(self) -> dict:
+        # Invocations of one billing key share one cost: render each once.
+        costs = {id(r.cost_usd): r.cost_usd for r in self.invocations}
+        rendered = {key: usd_json(cost) for key, cost in costs.items()}
         return {
             "invocations": [
                 {
@@ -126,7 +141,7 @@ class SimResult:
                     "duration_s": r.duration_s,
                     "cold": r.cold,
                     "billed_units": r.billed_units,
-                    "cost_usd": usd_json(r.cost_usd),
+                    "cost_usd": rendered[id(r.cost_usd)],
                 }
                 for r in self.invocations
             ],
@@ -148,13 +163,9 @@ class SimResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _decimal_seconds(value: float | int | str | Decimal) -> Decimal:
-    """Seconds as the decimal literal the caller wrote (repr of floats)."""
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, float):
-        return Decimal(repr(value))
-    return Decimal(value)
+def _ceil_units(seconds: Decimal, spec: ComputeServiceSpec) -> int:
+    """Whole accounting units covering a span, exactly: ceil(seconds / unit)."""
+    return math.ceil(Fraction(seconds) / spec.accounting_unit_s)
 
 
 def billed_units(duration_s, spec: ComputeServiceSpec) -> int:
@@ -163,183 +174,191 @@ def billed_units(duration_s, spec: ComputeServiceSpec) -> int:
     Durations are interpreted by their decimal literal, so 0.1 s on a
     0.1 s unit bills exactly one unit despite binary float rounding.
     """
-    duration = _decimal_seconds(duration_s)
+    duration = decimal_literal(duration_s)
     if duration <= 0:
         raise BillingError("duration must be positive")
-    unit = Decimal(spec.accounting_unit_s.numerator) / Decimal(spec.accounting_unit_s.denominator)
-    quotient, remainder = divmod(duration, unit)
-    return int(quotient) + (1 if remainder else 0)
+    return _ceil_units(duration, spec)
 
 
 def bill_invocation(duration_s, memory_gb, spec: ComputeServiceSpec) -> Fraction:
     """Dollar cost of one invocation at the given memory configuration."""
-    duration = _decimal_seconds(duration_s)
-    if spec.max_run_time_s is not None and Fraction(duration) > spec.max_run_time_s:
-        raise BillingError(
-            f"duration {duration}s exceeds the {spec.max_run_time_s}s run-time limit"
-        )
-    memory = Fraction(_decimal_seconds(memory_gb))
+    bill = _price(duration_s, memory_gb, spec)
+    if bill == _OVER_LIMIT:
+        raise BillingError(f"duration {duration_s}s exceeds the {spec.max_run_time_s}s run-time limit")
+    if bill == _BAD_MEMORY:
+        raise BillingError(f"memory {memory_gb} GiB outside [{spec.memory_min_gib}, {spec.memory_max_gib}]")
+    return bill[1]
+
+
+# Reasons an invocation is rejected, checked in this order.
+_OVER_LIMIT = "duration exceeds max run time"
+_BAD_MEMORY = "memory outside the configurable range"
+
+
+def _price(duration_s, memory_gb, spec: ComputeServiceSpec) -> tuple[int, Fraction] | str:
+    """(units, cost) of one invocation, or the reason the platform rejects it."""
+    duration = decimal_literal(duration_s)
+    if spec.max_run_time_s is not None and duration > spec.max_run_time_s:
+        return _OVER_LIMIT
+    memory = Fraction(decimal_literal(memory_gb))
     if not spec.memory_min_gib <= memory <= spec.memory_max_gib:
-        raise BillingError(
-            f"memory {memory_gb} GiB outside [{spec.memory_min_gib}, {spec.memory_max_gib}]"
-        )
-    units = billed_units(duration_s, spec)
-    return units * spec.price_usd_per_unit * (memory / spec.base_memory_gib) + spec.request_fee_usd
+        return _BAD_MEMORY
+    units = billed_units(duration, spec)
+    return units, units * spec.price_usd_per_unit * (memory / spec.base_memory_gib) + spec.request_fee_usd
+
+
+# Exact decimal arithmetic: no rounding at any precision or exponent.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _ticks(*groups) -> tuple[int, list[list[int]]]:
+    """(scale, groups of times as integer ticks) on one exact decimal clock.
+
+    Every time is read as its decimal literal and multiplied by `scale`,
+    the least power of ten that makes all of them whole, so sums and
+    comparisons of ticks are exact and 0.1 + 0.2 ticks equal 0.3.
+    """
+    literals = [list(map(decimal_literal, group)) for group in groups]
+    with localcontext(_EXACT):
+        # An exact sum carries the least exponent of its terms.
+        exponent = sum(chain.from_iterable(literals)).as_tuple().exponent
+        scale = 10 ** max(0, -exponent)
+        return scale, [[int(d * scale) for d in group] for group in literals]
 
 
 # Event kinds, in tie-breaking order at equal timestamps.
 _COMPLETE, _RETIRE, _ARRIVE = 0, 1, 2
 
 
-@dataclass
 class _Instance:
-    memory_gb: float
-    created_s: float
-    busy: bool = True
-    idle_since: float = 0.0
-    idle_token: int = 0
-    busy_seconds: float = 0.0
+    """A function instance: the idle pool of its memory class, and a token
+    that changes on every reuse so that a pending retirement is superseded."""
+
+    __slots__ = ("pool", "idle_token")
+
+    def __init__(self, pool: list):
+        self.pool = pool
+        self.idle_token = 0
 
 
 def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     """Run an invocation trace against the platform model.
 
     Deterministic: a given (trace, platform) pair always produces the
-    identical SimResult. Over-limit invocations are reported in
-    `rejected` rather than silently dropped.
+    identical SimResult. Entries over the run-time limit or outside the
+    memory range are reported in `rejected` rather than silently dropped.
     """
-    entries = trace.entries if isinstance(trace, InvocationTrace) else tuple(trace)
+    if not isinstance(trace, InvocationTrace):
+        trace = InvocationTrace(tuple(trace))  # validates order and finiteness
+    entries = trace.entries
     spec = platform.compute
     cold = platform.cold_start
+    n = len(entries)
 
-    events: list[tuple[float, int, int]] = []  # (time, kind, seq)
-    for seq, inv in enumerate(entries):
-        heapq.heappush(events, (inv.arrival_s, _ARRIVE, seq))
+    # Billing depends only on (duration, memory): price each key once.
+    keys = [(inv.duration_s, inv.memory_gb) for inv in entries]
+    counts = Counter(keys)
+    priced = {key: _price(*key, spec) for key in counts}
+    scale, (arrivals, durations, fixed) = _ticks(
+        [inv.arrival_s for inv in entries],
+        [duration for duration, _ in priced],
+        [cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s],
+    )
+    t_schedule, t_env, t_app, keep_alive = fixed
+    pools = {memory: [] for _, memory in priced}  # idle instances per memory, most recently idled last
+    bills = {  # key -> (units, cost, duration ticks, idle pool) for keys the platform runs
+        key: (*price, duration, pools[key[1]])
+        for (key, price), duration in zip(priced.items(), durations)
+        if not isinstance(price, str)
+    }
 
-    instances: dict[int, _Instance] = {}
-    idle_by_memory: dict[float, list[int]] = {}
-    prestarted_left = platform.warm_pool_prestarted
-    next_instance = 0
-    # Auxiliary payloads keyed by event seq for completions/retirements.
-    completion_payload: dict[int, int] = {}  # seq -> instance
-    retire_payload: dict[int, tuple[int, int]] = {}  # seq -> (instance, idle_token)
-    next_seq = len(entries)
-
-    results: list[InvocationResult | None] = [None] * len(entries)
+    # Arrivals enter the heap one at a time, in trace order; each event
+    # carries its own instance and the idle token it was issued for. A
+    # completion and its retirement keep their arrival's seq, so ties
+    # break in trace order and (time, kind, seq) never repeats.
+    events = [(arrivals[0], _ARRIVE, 0, None, 0)] if n else []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    results: list[InvocationResult | None] = [None] * n
     rejected: list[RejectedInvocation] = []
-    running = 0
-    peak = 0
-    total_units = 0
-    total_cost = Fraction(0)
-    cold_starts = 0
-    lifetime = 0.0
-    busy_total = 0.0
-
-    def mark_idle(inst_id: int, now: float):
-        nonlocal next_seq
-        inst = instances[inst_id]
-        inst.busy = False
-        inst.idle_since = now
-        inst.idle_token += 1
-        idle_by_memory.setdefault(inst.memory_gb, []).append(inst_id)
-        retire_payload[next_seq] = (inst_id, inst.idle_token)
-        heapq.heappush(events, (now + platform.keep_alive_s, _RETIRE, next_seq))
-        next_seq += 1
+    prestarted_left = platform.warm_pool_prestarted
+    full_ticks, full_s, prestarted_s = t_schedule + t_env + t_app, cold.full_s, cold.prestarted_s
+    running = peak = cold_starts = 0
+    lifetime = busy_total = 0  # ticks; lifetime is the sum of retire minus creation times
 
     while events:
-        now, kind, seq = heapq.heappop(events)
+        now, kind, seq, inst, token = heappop(events)
         if kind == _COMPLETE:
-            inst_id = completion_payload.pop(seq)
             running -= 1
-            mark_idle(inst_id, now)
-        elif kind == _RETIRE:
-            inst_id, token = retire_payload.pop(seq)
-            inst = instances.get(inst_id)
-            if inst is None or inst.busy or inst.idle_token != token:
-                continue  # reused since; retirement was superseded
-            idle_by_memory[inst.memory_gb].remove(inst_id)
-            lifetime += now - inst.created_s
-            busy_total += inst.busy_seconds
-            del instances[inst_id]
-        else:  # arrival
-            inv = entries[seq]
-            if spec.max_run_time_s is not None and Fraction(_decimal_seconds(inv.duration_s)) > spec.max_run_time_s:
-                rejected.append(
-                    RejectedInvocation(seq, inv.arrival_s, inv.duration_s, "duration exceeds max run time")
-                )
-                continue
-            pool = idle_by_memory.get(inv.memory_gb)
-            if pool:
-                inst_id = pool.pop()  # most recently idled first
-                inst = instances[inst_id]
-                inst.busy = True
-                latency = 0.0
-                was_cold = False
+            inst.pool.append(inst)
+            heappush(events, (now + keep_alive, _RETIRE, seq, inst, inst.idle_token))
+            continue
+        if kind == _RETIRE:
+            if inst.idle_token == token:  # otherwise reused since: superseded
+                inst.pool.remove(inst)
+                lifetime += now
+            continue
+        if seq + 1 < n:
+            heappush(events, (arrivals[seq + 1], _ARRIVE, seq + 1, None, 0))
+        inv = entries[seq]
+        bill = bills.get(keys[seq])
+        if bill is None:
+            rejected.append(RejectedInvocation(seq, inv.arrival_s, inv.duration_s, priced[keys[seq]]))
+            continue
+        units, cost, duration, pool = bill
+        if pool:
+            inst = pool.pop()  # most recently idled first
+            inst.idle_token += 1
+            latency, latency_s, was_cold = 0, 0.0, False
+        else:
+            if prestarted_left > 0:
+                prestarted_left -= 1
+                latency, latency_s = t_app, prestarted_s
             else:
-                if prestarted_left > 0:
-                    prestarted_left -= 1
-                    latency = cold.prestarted_s
-                else:
-                    latency = cold.full_s
-                inst_id = next_instance
-                next_instance += 1
-                instances[inst_id] = inst = _Instance(memory_gb=inv.memory_gb, created_s=now)
-                was_cold = True
-                cold_starts += 1
-            occupied = latency + inv.duration_s
-            inst.busy_seconds += occupied
-            running += 1
-            peak = max(peak, running)
-            cost = bill_invocation(inv.duration_s, inv.memory_gb, spec)
-            units = billed_units(inv.duration_s, spec)
-            total_units += units
-            total_cost += cost
-            results[seq] = InvocationResult(
-                arrival_s=inv.arrival_s,
-                start_latency_s=latency,
-                duration_s=inv.duration_s,
-                cold=was_cold,
-                billed_units=units,
-                cost_usd=cost,
-            )
-            completion_payload[next_seq] = inst_id
-            heapq.heappush(events, (now + occupied, _COMPLETE, next_seq))
-            next_seq += 1
+                latency, latency_s = full_ticks, full_s
+            inst = _Instance(pool)
+            lifetime -= now
+            cold_starts += 1
+            was_cold = True
+        occupied = latency + duration
+        busy_total += occupied
+        running += 1
+        if running > peak:
+            peak = running
+        results[seq] = InvocationResult(inv.arrival_s, latency_s, inv.duration_s, was_cold, units, cost)
+        heappush(events, (now + occupied, _COMPLETE, seq, inst, 0))
 
     # Scale-to-zero: once the event queue drains, every instance has retired.
-    assert not instances and running == 0
+    assert running == 0 and not any(pools.values())
 
     return SimResult(
         invocations=tuple(r for r in results if r is not None),
         rejected=tuple(rejected),
-        billed_units=total_units,
-        cost_usd=total_cost,
+        billed_units=sum(counts[key] * bill[0] for key, bill in bills.items()),
+        cost_usd=sum((counts[key] * bill[1] for key, bill in bills.items()), Fraction(0)),
         cold_starts=cold_starts,
         peak_concurrency=peak,
-        instances_created=next_instance,
-        instance_seconds_running=lifetime,
-        busy_seconds=busy_total,
+        instances_created=cold_starts,
+        instance_seconds_running=lifetime / scale,
+        busy_seconds=busy_total / scale,
     )
 
 
 def serverful_cost(span_s, spec: ComputeServiceSpec) -> Fraction:
     """Always-on instance cost for a wall-clock span (60 s minimum units)."""
-    span = _decimal_seconds(span_s)
+    span = decimal_literal(span_s)
     if span < 0:
         raise BillingError("span must be non-negative")
-    if span == 0:
-        return Fraction(0)
-    unit = Decimal(spec.accounting_unit_s.numerator) / Decimal(spec.accounting_unit_s.denominator)
-    quotient, remainder = divmod(span, unit)
-    units = int(quotient) + (1 if remainder else 0)
-    return units * spec.price_usd_per_unit
+    return _ceil_units(span, spec) * spec.price_usd_per_unit
 
 
 def breakeven_duty_cycle(per_minute_cost_ratio) -> Fraction:
     """Busy fraction below which functions beat an equal-memory VM: 1/ratio."""
-    ratio = Fraction(_decimal_seconds(per_minute_cost_ratio)) if not isinstance(
-        per_minute_cost_ratio, Fraction
-    ) else per_minute_cost_ratio
+    ratio = per_minute_cost_ratio
+    if not isinstance(ratio, Fraction):
+        ratio = decimal_literal(ratio)
+        if not ratio.is_finite():
+            raise ValueError("cost ratio must be finite")
+        ratio = Fraction(ratio)
     if ratio <= 0:
         raise ValueError("cost ratio must be positive")
     return 1 / ratio

@@ -375,8 +375,11 @@ class InvocationTrace:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        last = float("-inf")
+        isfinite = math.isfinite
+        last = -math.inf
         for inv in self.entries:
+            if not (isfinite(inv.arrival_s) and isfinite(inv.duration_s) and isfinite(inv.memory_gb)):
+                raise GraphError("trace arrivals, durations and memory must be finite numbers")
             if inv.arrival_s < last:
                 raise GraphError("trace arrivals must be sorted non-decreasing")
             if inv.duration_s <= 0:

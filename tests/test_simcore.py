@@ -1,5 +1,6 @@
 """Platform simulator: billing, cold starts, autoscaling, breakeven."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from faasim import catalog as cat
 from faasim import simcore as sim
 from faasim import workloads as wl
-from faasim.money import usd
+from faasim.money import usd, usd_json
+from test_cli import run as run_cli
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +213,123 @@ def test_warm_reuse_requires_matching_memory(fn_spec):
     assert result.cold_starts == 2
 
 
+def test_tie_rule_holds_on_decimal_literals(fn_spec):
+    # 0.1 + 0.2 is 0.30000000000000004 in binary floating point; on the
+    # decimal clock the first call ends exactly when the second arrives.
+    shifted = sim.simulate(trace((0.1, 0.2), (0.3, 1.0)), platform(fn_spec))
+    aligned = sim.simulate(trace((0.0, 0.3), (0.3, 1.0)), platform(fn_spec))
+    assert shifted.cold_starts == aligned.cold_starts == 1
+    assert not shifted.invocations[1].cold
+
+
+def test_busy_and_lifetime_are_exact(fn_spec):
+    # Ten back-to-back 0.1 s calls: a float sum would give 0.9999999999999999.
+    result = sim.simulate(trace(*((i / 10, 0.1) for i in range(10))), platform(fn_spec, keep_alive=0.1))
+    assert result.busy_seconds == 1.0
+    assert result.instance_seconds_running == 1.1
+    assert result.cold_starts == 1
+
+
+def test_bad_memory_rejected_without_aborting(fn_spec):
+    entries = wl.InvocationTrace(entries=(
+        wl.Invocation(0.0, 1.0, 0.125),
+        wl.Invocation(1.0, 1.0, 4.0),
+        wl.Invocation(2.0, 1.0, -1.0),
+        wl.Invocation(3.0, 901.0, 64.0),
+        wl.Invocation(4.0, 1.0, 0.125),
+    ))
+    result = sim.simulate(entries, platform(fn_spec))
+    assert [(r.index, r.reason) for r in result.rejected] == [
+        (1, "memory outside the configurable range"),
+        (2, "memory outside the configurable range"),
+        (3, "duration exceeds max run time"),
+    ]
+    assert len(result.invocations) == 2
+    assert result.cost_usd == 2 * sim.bill_invocation(1.0, 0.125, fn_spec)
+
+
+def test_plain_sequences_are_validated_like_traces(fn_spec):
+    with pytest.raises(wl.GraphError, match="sorted"):
+        sim.simulate([wl.Invocation(1.0, 1.0, 0.125), wl.Invocation(0.0, 1.0, 0.125)], platform(fn_spec))
+
+
+_MEMORIES = (0.125, 0.25, 0.5, 1.0, 3.0, 0.2, 0.05, 4.0, 0.0, -1.0)
+
+
+@given(st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5_000),
+        st.one_of(st.integers(min_value=1, max_value=3_000), st.sampled_from([900_000, 900_001, 1_000_000])),
+        st.sampled_from(_MEMORIES),
+    ),
+    max_size=40,
+))
+def test_grouped_billing_matches_per_invocation(fn_spec, rows):
+    """Per-key totals equal the per-invocation sum of bill_invocation."""
+    rows.sort(key=lambda row: row[0])
+    entries = tuple(wl.Invocation(a / 1000, d / 1000, m) for a, d, m in rows)
+    result = sim.simulate(wl.InvocationTrace(entries), platform(fn_spec, cold=(0.25, 0.0, 0.1), keep_alive=0.5))
+    expected_rejected = [
+        (i, "duration exceeds max run time" if inv.duration_s > 900 else "memory outside the configurable range")
+        for i, inv in enumerate(entries)
+        if inv.duration_s > 900 or not 0.125 <= inv.memory_gb <= 3
+    ]
+    assert [(r.index, r.reason) for r in result.rejected] == expected_rejected
+    rejected = {i for i, _ in expected_rejected}
+    kept = [inv for i, inv in enumerate(entries) if i not in rejected]
+    assert len(result.invocations) == len(kept)
+    costs = [sim.bill_invocation(inv.duration_s, inv.memory_gb, fn_spec) for inv in kept]
+    assert result.cost_usd == sum(costs, Fraction(0))
+    assert result.billed_units == sum(sim.billed_units(inv.duration_s, fn_spec) for inv in kept)
+    assert [r.cost_usd for r in result.invocations] == costs
+    assert [r["cost_usd"] for r in result.to_json_dict()["invocations"]] == [usd_json(c) for c in costs]
+
+
+# --- command line: non-finite input --------------------------------------------
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.fixture
+def good_trace(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps([{"arrival_s": 0.0, "duration_s": 1.0}]))
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", ["--keep-alive", "--t-schedule", "--t-env", "--t-app"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_platform_exits_2(good_trace, flag, value):
+    _assert_one_error_line(*run_cli("simulate", "--trace", good_trace, flag, value))
+
+
+@pytest.mark.parametrize("entry", [
+    '{"arrival_s": NaN, "duration_s": 1}',
+    '{"arrival_s": 0, "duration_s": 1e400}',
+    '{"arrival_s": 0, "duration_s": 1, "memory_gb": NaN}',
+])
+def test_cli_non_finite_trace_exits_2(tmp_path, entry):
+    path = tmp_path / "trace.json"
+    path.write_text(f"[{entry}]")
+    _assert_one_error_line(*run_cli("simulate", "--trace", str(path)))
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_cli_non_finite_breakeven_ratio_exits_2(ratio):
+    _assert_one_error_line(*run_cli("breakeven", "--ratio", ratio))
+
+
+def test_cli_non_finite_generated_trace_exits_2(tmp_path):
+    out = tmp_path / "trace.json"
+    _assert_one_error_line(*run_cli("workload", "trace", "--arrivals", "fixed", "--count", "3",
+                                     "--interval", "nan", "--duration", "1", "-o", str(out)))
+    assert not out.exists()
+
+
 # --- serverful + breakeven ----------------------------------------------------
 
 
@@ -254,3 +373,7 @@ def test_platform_validation(fn_spec, vm_spec):
         platform(fn_spec, keep_alive=-1)
     with pytest.raises(sim.SimulationError):
         sim.ColdStartModel(-0.1, 0, 0)
+    with pytest.raises(sim.SimulationError):
+        platform(fn_spec, keep_alive=float("nan"))
+    with pytest.raises(sim.SimulationError):
+        sim.ColdStartModel(0, float("inf"), 0)
