@@ -21,12 +21,13 @@ Pricing conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from . import jsontext
 from .money import usd
 
 SECONDS_PER_MONTH = 2_592_000  # 30 days
@@ -350,7 +351,7 @@ def dumps_catalog(catalog: ServiceCatalog) -> str:
             entry["read_usd_per_request"] = _number(spec.read_usd_per_request)
             entry["write_usd_per_request"] = _number(spec.write_usd_per_request)
         storage.append(entry)
-    return json.dumps({"compute": compute, "storage": storage}, indent=2) + "\n"
+    return jsontext.dumps({"compute": compute, "storage": storage}) + "\n"
 
 
 def default_catalog_path() -> Path:
@@ -407,11 +408,4 @@ def throughput_cost(service: StorageServiceSpec, mbps, months) -> Fraction:
         _quantity(mbps, "mbps")
         * _quantity(months, "months")
         * service.throughput_usd_per_mbps_month.mid
-    )
-
-
-def with_request_prices(service: StorageServiceSpec, read, write) -> StorageServiceSpec:
-    """Copy of a storage spec with overridden per-request prices."""
-    return replace(
-        service, read_usd_per_request=usd(read), write_usd_per_request=usd(write), iops_month_usd=None
     )

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from . import catalog as cat
 from . import commpatterns as comm
+from . import jsontext
 from . import placement as plc
 from . import repro as rp
 from . import shuffleplan as shp
@@ -84,7 +85,7 @@ class Report:
     def emit(self, fmt: str, out) -> None:
         if fmt == "json":
             doc = {"manifest": self.manifest, "result": self.result}
-            out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            out.write(jsontext.dumps(doc, sort_keys=True) + "\n")
         elif fmt == "table":
             rows: list[tuple[str, str]] = []
             _flatten("", self.result, rows)
@@ -290,7 +291,7 @@ def _cmd_shuffle_price(args, out) -> int:
 
 def _write_or_print(doc, args, out, subcommand, params, seed=None) -> None:
     if args.output:
-        Path(args.output).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        Path(args.output).write_text(jsontext.dumps(doc) + "\n", encoding="utf-8")
         result = {"written": args.output}
     else:
         result = doc

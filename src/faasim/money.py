@@ -12,8 +12,6 @@ from __future__ import annotations
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
-USD = Fraction
-
 # Quantization used when "full precision" is requested for a rational
 # whose decimal expansion does not terminate.
 FULL_PRECISION_PLACES = 12

@@ -16,9 +16,11 @@ that serves as the oracle the greedy is validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import NamedTuple
 
-from .workloads import TaskGraph, asap_levels
+from .workloads import TaskGraph, asap_levels  # noqa: F401  (asap_levels is re-exported)
 
 EXHAUSTIVE_TASK_LIMIT = 10
 
@@ -80,26 +82,41 @@ def evaluate(assignment: dict[str, tuple[int, int]] | Placement, graph: TaskGrap
     """
     if isinstance(assignment, Placement):
         assignment = assignment.assignment
-    level = asap_levels(graph)
-    cross_bytes = 0
-    messages: set[tuple[int, int, int]] = set()
-    for edge in graph.edges:
-        try:
-            src_inst = assignment[edge.src][0]
-            dst_inst = assignment[edge.dst][0]
-        except KeyError as exc:
-            raise PlacementError(f"task {exc.args[0]!r} is not assigned") from None
-        if src_inst != dst_inst:
-            cross_bytes += edge.bytes
-        messages.add((src_inst, dst_inst, level[edge.src]))
+    seats = list(map(assignment.get, graph.ids))
+    if None in seats:
+        for ends in zip(graph.src, graph.dst):
+            for end in ends:
+                if seats[end] is None:
+                    raise PlacementError(f"task {graph.ids[end]!r} is not assigned")
+    # A task without edges may be left unassigned; its -1 is never read.
+    instance = [seat[0] if seat is not None else -1 for seat in seats]
+    src_inst = list(map(instance.__getitem__, graph.src))
+    dst_inst = list(map(instance.__getitem__, graph.dst))
+    cross_bytes = sum(compress(graph.edge_bytes, map(ne, src_inst, dst_inst)))
+    messages = set(zip(src_inst, dst_inst, map(graph.levels.__getitem__, graph.src)))
     return CommCost(cross_bytes, len(messages))
 
 
 def _seat(groups: list[list[str]], n_instances: int, slots: int) -> dict[str, tuple[int, int]]:
-    """First-fit groups into instances; split any group that fits nowhere."""
+    """First-fit groups into instances; split any group that fits nowhere.
+
+    Free slots only shrink, so the first instance with room for a given
+    group size never moves left: one cursor per size keeps the whole scan
+    linear in groups plus instances times slots.
+    """
     free = [slots] * n_instances
+    cursor = [0] * (slots + 1)
     assignment: dict[str, tuple[int, int]] = {}
     leftovers: list[str] = []
+
+    def first_fit(size: int) -> int | None:
+        if size > slots:
+            return None
+        i = cursor[size]
+        while i < n_instances and free[i] < size:
+            i += 1
+        cursor[size] = i
+        return i if i < n_instances else None
 
     def put(instance: int, members: list[str]):
         for member in members:
@@ -107,14 +124,13 @@ def _seat(groups: list[list[str]], n_instances: int, slots: int) -> dict[str, tu
             free[instance] -= 1
 
     for group in groups:
-        target = next((i for i in range(n_instances) if free[i] >= len(group)), None)
+        target = first_fit(len(group))
         if target is None:
             leftovers.extend(group)
         else:
             put(target, group)
     for task_id in leftovers:
-        target = next(i for i in range(n_instances) if free[i] >= 1)
-        put(target, [task_id])
+        put(first_fit(1), [task_id])
     return assignment
 
 
@@ -127,27 +143,36 @@ def place_greedy(problem: PlacementProblem) -> Placement:
     longer fits falls back to task-at-a-time first fit.
     """
     graph, slots = problem.graph, problem.slots_per_instance
-    parent = {t.id: t.id for t in graph.tasks}
-    size = {t.id: 1 for t in graph.tasks}
+    ids, src, dst = graph.ids, graph.src, graph.dst
+    by_id = sorted(range(graph.task_count), key=ids.__getitem__)
+    rank = [0] * graph.task_count
+    for position, i in enumerate(by_id):
+        rank[i] = position
+    # Stable sorts, least significant key first: (-bytes, rank[src], rank[dst]).
+    order = sorted(range(graph.edge_count), key=list(map(rank.__getitem__, dst)).__getitem__)
+    order.sort(key=list(map(rank.__getitem__, src)).__getitem__)
+    order.sort(key=graph.edge_bytes.__getitem__, reverse=True)
 
-    def find(x: str) -> str:
+    parent = list(range(graph.task_count))
+    size = [1] * graph.task_count
+
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for edge in sorted(graph.edges, key=lambda e: (-e.bytes, e.src, e.dst)):
-        root_a, root_b = find(edge.src), find(edge.dst)
+    for a, b in zip(map(src.__getitem__, order), map(dst.__getitem__, order)):
+        root_a, root_b = find(a), find(b)
         if root_a != root_b and size[root_a] + size[root_b] <= slots:
             parent[root_b] = root_a
             size[root_a] += size[root_b]
 
-    members: dict[str, list[str]] = {}
-    for task in graph.tasks:
-        members.setdefault(find(task.id), []).append(task.id)
-    groups = sorted(members.values(), key=lambda g: (-len(g), min(g)))
-    for group in groups:
-        group.sort()
+    # Members are collected in id order, so each group is sorted and starts with its least id.
+    members: dict[int, list[str]] = {}
+    for i in by_id:
+        members.setdefault(find(i), []).append(ids[i])
+    groups = sorted(members.values(), key=lambda g: (-len(g), g[0]))
 
     assignment = _seat(groups, problem.n_instances, slots)
     cost = evaluate(assignment, graph)
@@ -166,10 +191,11 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
         raise PlacementError(
             f"exhaustive search is limited to {EXHAUSTIVE_TASK_LIMIT} tasks, got {graph.task_count}"
         )
-    task_ids = sorted(t.id for t in graph.tasks)
+    task_ids = sorted(graph.ids)
     n, slots = problem.n_instances, problem.slots_per_instance
-    level = asap_levels(graph)
-    edges = [(task_ids.index(e.src), task_ids.index(e.dst), e.bytes, level[e.src]) for e in graph.edges]
+    position = [task_ids.index(tid) for tid in graph.ids]
+    edges = [(position[a], position[b], nbytes, graph.levels[a])
+             for a, b, nbytes in zip(graph.src, graph.dst, graph.edge_bytes)]
 
     best_cost: CommCost | None = None
     best_vector: tuple[int, ...] | None = None
@@ -214,6 +240,6 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
 
 def singleton_placement(graph: TaskGraph) -> Placement:
     """Every task on its own instance: the no-co-location baseline."""
-    assignment = {tid: (i, 0) for i, tid in enumerate(sorted(t.id for t in graph.tasks))}
+    assignment = {tid: (i, 0) for i, tid in enumerate(sorted(graph.ids))}
     cost = evaluate(assignment, graph)
     return Placement(assignment, cost.cross_instance_bytes, cost.remote_message_count)

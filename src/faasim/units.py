@@ -1,4 +1,4 @@
-"""Parsing and formatting of byte and time quantities.
+"""Parsing and formatting of byte quantities.
 
 Byte suffixes follow decimal semantics (1 GB = 10^9 B) because all the
 shuffle arithmetic in this library is decimal: 100 TB / 3 GB must give
@@ -35,8 +35,6 @@ _EXPLICIT_BINARY = {
     "pib": 2**50,
 }
 
-_SECONDS = {"ms": Decimal("0.001"), "s": Decimal(1), "m": Decimal(60), "h": Decimal(3600)}
-
 _QUANTITY_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
 
@@ -65,21 +63,6 @@ def parse_bytes(text: str | int, binary: bool = False) -> int:
     if value != value.to_integral_value():
         raise UnitError(f"{text!r} is not a whole number of bytes")
     return int(value)
-
-
-def parse_seconds(text: str | float | int) -> float:
-    """Parse '900s', '1.5m', '250ms' or a bare number (seconds)."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    match = _QUANTITY_RE.match(text)
-    if not match:
-        raise UnitError(f"cannot parse duration {text!r}")
-    number, suffix = Decimal(match.group(1)), match.group(2).lower()
-    if not suffix:
-        return float(number)
-    if suffix not in _SECONDS:
-        raise UnitError(f"unknown duration suffix {suffix!r} in {text!r}")
-    return float(number * _SECONDS[suffix])
 
 
 def format_bytes(count: int) -> str:

@@ -16,7 +16,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable
 
 from .commpatterns import CommScenario, Deployment
 
@@ -45,69 +48,127 @@ class Edge:
     bytes: int
 
 
-@dataclass(frozen=True)
 class TaskGraph:
-    """A validated DAG of tasks with byte-weighted edges."""
+    """A validated DAG of tasks with byte-weighted edges.
 
-    tasks: tuple[Task, ...]
-    edges: tuple[Edge, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
+    The graph is held as columns indexed by position: task i is `ids[i]`,
+    with `durations[i]`, `memory[i]` and `kinds[i]`; edge j runs from task
+    `src[j]` to task `dst[j]` and carries `edge_bytes[j]`. `levels[i]` is
+    the ASAP level of task i, computed once when the graph is built. The
+    columns are tuples and must not be replaced. `tasks` and `edges` are
+    read-only views in object form.
+    """
 
-    def __post_init__(self):
-        ids = [t.id for t in self.tasks]
-        if len(set(ids)) != len(ids):
+    __slots__ = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes", "levels", "metadata")
+
+    def __init__(self, tasks: Iterable[Task], edges: Iterable[Edge], metadata: dict | None = None):
+        tasks, edges = tuple(tasks), tuple(edges)
+        ids = [t.id for t in tasks]
+        self._set_columns(
+            ids, [t.duration_s for t in tasks], [t.memory_gb for t in tasks], [t.kind for t in tasks],
+            *_endpoints(ids, [e.src for e in edges], [e.dst for e in edges]),
+            [e.bytes for e in edges], {} if metadata is None else metadata,
+        )
+
+    @classmethod
+    def _from_columns(cls, ids, durations, memory, kinds, src, dst, edge_bytes, metadata: dict) -> "TaskGraph":
+        graph = cls.__new__(cls)
+        graph._set_columns(ids, durations, memory, kinds, src, dst, edge_bytes, metadata)
+        return graph
+
+    def _set_columns(self, ids, durations, memory, kinds, src, dst, edge_bytes, metadata: dict) -> None:
+        self.ids, self.durations, self.memory, self.kinds = tuple(ids), tuple(durations), tuple(memory), tuple(kinds)
+        self.src, self.dst, self.edge_bytes = tuple(src), tuple(dst), tuple(edge_bytes)
+        self.metadata = metadata
+        if len(set(self.ids)) != len(self.ids):
             raise GraphError("duplicate task ids")
-        known = set(ids)
-        for task in self.tasks:
-            if task.duration_s <= 0:
-                raise GraphError(f"task {task.id!r} has non-positive duration")
-            if task.memory_gb < 0:
-                raise GraphError(f"task {task.id!r} has negative memory")
-        for edge in self.edges:
-            if edge.src not in known or edge.dst not in known:
-                raise GraphError(f"edge {edge.src!r}->{edge.dst!r} references unknown task")
-            if edge.bytes < 0:
-                raise GraphError(f"edge {edge.src!r}->{edge.dst!r} has negative bytes")
-        asap_levels(self)  # raises on cycles
+        isfinite = math.isfinite
+        for tid, duration, memory_gb in zip(self.ids, self.durations, self.memory):
+            if not (isfinite(duration) and isfinite(memory_gb)):
+                raise GraphError(f"task {tid!r} has a non-finite duration or memory")
+            if duration <= 0:
+                raise GraphError(f"task {tid!r} has non-positive duration")
+            if memory_gb < 0:
+                raise GraphError(f"task {tid!r} has negative memory")
+        if not set(map(type, self.edge_bytes)) <= {int}:
+            raise GraphError("edge bytes must be integers")
+        if self.edge_bytes and min(self.edge_bytes) < 0:
+            j = next(j for j, nbytes in enumerate(self.edge_bytes) if nbytes < 0)
+            raise GraphError(f"edge {self.ids[self.src[j]]!r}->{self.ids[self.dst[j]]!r} has negative bytes")
+        levels = asap_levels(self)  # raises on cycles
+        self.levels = tuple(map(levels.__getitem__, self.ids))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TaskGraph):
+            return NotImplemented
+        columns = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
+        return all(getattr(self, name) == getattr(other, name) for name in columns)
+
+    def __repr__(self) -> str:
+        return f"TaskGraph({self.task_count} tasks, {self.edge_count} edges, metadata={self.metadata!r})"
+
+    @property
+    def tasks(self) -> tuple[Task, ...]:
+        return tuple(map(Task, self.ids, self.durations, self.memory, self.kinds))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        ids = self.ids
+        return tuple(map(Edge, map(ids.__getitem__, self.src), map(ids.__getitem__, self.dst), self.edge_bytes))
 
     @property
     def task_count(self) -> int:
-        return len(self.tasks)
+        return len(self.ids)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.src)
 
     @property
     def total_edge_bytes(self) -> int:
-        return sum(e.bytes for e in self.edges)
+        return sum(self.edge_bytes)
 
     def to_json_dict(self) -> dict:
+        ids = self.ids
         return {
             "tasks": [
-                {"id": t.id, "duration_s": t.duration_s, "memory_gb": t.memory_gb, "kind": t.kind}
-                for t in self.tasks
+                {"id": tid, "duration_s": duration, "memory_gb": memory_gb, "kind": kind}
+                for tid, duration, memory_gb, kind in zip(ids, self.durations, self.memory, self.kinds)
             ],
-            "edges": [{"src": e.src, "dst": e.dst, "bytes": e.bytes} for e in self.edges],
+            "edges": [
+                {"src": src, "dst": dst, "bytes": nbytes}
+                for src, dst, nbytes in zip(map(ids.__getitem__, self.src), map(ids.__getitem__, self.dst),
+                                            self.edge_bytes)
+            ],
             "metadata": self.metadata,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TaskGraph":
         try:
-            tasks = tuple(
-                Task(
-                    id=str(t["id"]),
-                    duration_s=float(t["duration_s"]),
-                    memory_gb=float(t.get("memory_gb", 0.0)),
-                    kind=str(t.get("kind", "task")),
-                )
-                for t in doc["tasks"]
-            )
-            edges = tuple(Edge(str(e["src"]), str(e["dst"]), int(e["bytes"])) for e in doc.get("edges", []))
-        except (KeyError, TypeError, ValueError) as exc:
+            tasks = doc["tasks"]
+            ids = list(map(str, map(itemgetter("id"), tasks)))
+            durations = list(map(float, map(itemgetter("duration_s"), tasks)))
+            memory = [float(t.get("memory_gb", 0.0)) for t in tasks]
+            kinds = [str(t.get("kind", "task")) for t in tasks]
+            edges = doc.get("edges", [])
+            src = list(map(str, map(itemgetter("src"), edges)))
+            dst = list(map(str, map(itemgetter("dst"), edges)))
+            edge_bytes = list(map(int, map(itemgetter("bytes"), edges)))
+            metadata = dict(doc.get("metadata", {}))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed task graph document: {exc}") from exc
-        return cls(tasks=tasks, edges=edges, metadata=dict(doc.get("metadata", {})))
+        return cls._from_columns(ids, durations, memory, kinds, *_endpoints(ids, src, dst), edge_bytes, metadata)
+
+
+def _endpoints(ids, src, dst) -> tuple[list[int], list[int]]:
+    """Edge endpoints by task position; raises GraphError on an unknown id."""
+    index = dict(zip(ids, range(len(ids))))
+    try:
+        return list(map(index.__getitem__, src)), list(map(index.__getitem__, dst))
+    except KeyError:
+        a, b = next((a, b) for a, b in zip(src, dst) if a not in index or b not in index)
+        raise GraphError(f"edge {a!r}->{b!r} references unknown task") from None
 
 
 def load_task_graph(path: str | Path) -> TaskGraph:
@@ -116,25 +177,28 @@ def load_task_graph(path: str | Path) -> TaskGraph:
 
 def asap_levels(graph: TaskGraph) -> dict[str, int]:
     """Earliest level per task (Kahn order); raises GraphError on cycles."""
-    level = {t.id: 0 for t in graph.tasks}
-    indegree = {t.id: 0 for t in graph.tasks}
-    succs: dict[str, list[str]] = {t.id: [] for t in graph.tasks}
-    for edge in graph.edges:
-        indegree[edge.dst] += 1
-        succs[edge.src].append(edge.dst)
-    ready = [tid for tid, deg in indegree.items() if deg == 0]
+    n = graph.task_count
+    indegree = [0] * n
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for src, dst in zip(graph.src, graph.dst):
+        indegree[dst] += 1
+        succs[src].append(dst)
+    level = [0] * n
+    ready = [i for i in range(n) if not indegree[i]]
     seen = 0
     while ready:
-        tid = ready.pop()
+        i = ready.pop()
         seen += 1
-        for nxt in succs[tid]:
-            level[nxt] = max(level[nxt], level[tid] + 1)
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    if seen != len(graph.tasks):
+        after = level[i] + 1
+        for j in succs[i]:
+            if level[j] < after:
+                level[j] = after
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    if seen != n:
         raise GraphError("cycle detected in task graph")
-    return level
+    return dict(zip(graph.ids, level))
 
 
 @dataclass(frozen=True)
@@ -198,13 +262,11 @@ class ShuffleDagSpec:
 
 def _build_shuffle_graph(m: int, r: int, nbytes: int, duration_s: float, memory_gb: float) -> TaskGraph:
     width = max(len(str(m - 1)), len(str(r - 1)))
-    maps = [Task(f"m{i:0{width}d}", duration_s, memory_gb, "map") for i in range(m)]
-    reds = [Task(f"r{j:0{width}d}", duration_s, memory_gb, "reduce") for j in range(r)]
-    edges = tuple(Edge(mt.id, rt.id, nbytes) for mt in maps for rt in reds)
-    return TaskGraph(
-        tasks=tuple(maps + reds),
-        edges=edges,
-        metadata={"generator": "shuffle", "mappers": m, "reducers": r, "bytes_per_transfer": nbytes},
+    ids = [f"m{i:0{width}d}" for i in range(m)] + [f"r{j:0{width}d}" for j in range(r)]
+    return TaskGraph._from_columns(
+        ids, [duration_s] * (m + r), [memory_gb] * (m + r), ["map"] * m + ["reduce"] * r,
+        [i for i in range(m) for _ in range(r)], list(range(m, m + r)) * m, [nbytes] * (m * r),
+        {"generator": "shuffle", "mappers": m, "reducers": r, "bytes_per_transfer": nbytes},
     )
 
 
@@ -249,8 +311,8 @@ def gen_cholesky_dag(
     if blocks < 1:
         raise GraphError("need at least one block")
     tile_bytes = block_dim * block_dim * BYTES_PER_ELEMENT
-    tasks: list[Task] = []
-    edges: list[Edge] = []
+    tasks: list[tuple[str, float, str]] = []
+    edges: list[tuple[str, str]] = []
 
     def fid(k: int) -> str:
         return f"f{k}"
@@ -262,27 +324,28 @@ def gen_cholesky_dag(
         return f"u{k}.{i}.{j}"
 
     for k in range(blocks):
-        tasks.append(Task(fid(k), factorize_s, memory_gb, "factorize"))
+        tasks.append((fid(k), factorize_s, "factorize"))
         for i in range(k + 1, blocks):
-            tasks.append(Task(sid(k, i), solve_s, memory_gb, "triangular-solve"))
-            edges.append(Edge(fid(k), sid(k, i), tile_bytes))
+            tasks.append((sid(k, i), solve_s, "triangular-solve"))
+            edges.append((fid(k), sid(k, i)))
         for i in range(k + 1, blocks):
             for j in range(i, blocks):
-                tasks.append(Task(uid(k, i, j), update_s, memory_gb, "trailing-update"))
-                edges.append(Edge(sid(k, i), uid(k, i, j), tile_bytes))
+                tasks.append((uid(k, i, j), update_s, "trailing-update"))
+                edges.append((sid(k, i), uid(k, i, j)))
                 if j != i:
-                    edges.append(Edge(sid(k, j), uid(k, i, j), tile_bytes))
+                    edges.append((sid(k, j), uid(k, i, j)))
                 # Hand the updated tile to the step-(k+1) task that uses it.
                 if i == k + 1 and j == k + 1:
-                    edges.append(Edge(uid(k, i, j), fid(k + 1), tile_bytes))
+                    edges.append((uid(k, i, j), fid(k + 1)))
                 elif i == k + 1:
-                    edges.append(Edge(uid(k, i, j), sid(k + 1, j), tile_bytes))
+                    edges.append((uid(k, i, j), sid(k + 1, j)))
                 else:
-                    edges.append(Edge(uid(k, i, j), uid(k + 1, i, j), tile_bytes))
-    return TaskGraph(
-        tasks=tuple(tasks),
-        edges=tuple(edges),
-        metadata={"generator": "cholesky", "blocks": blocks, "block_dim": block_dim},
+                    edges.append((uid(k, i, j), uid(k + 1, i, j)))
+    ids, durations, kinds = zip(*tasks)
+    src, dst = zip(*edges) if edges else ((), ())
+    return TaskGraph._from_columns(
+        ids, durations, [memory_gb] * len(ids), kinds, *_endpoints(ids, src, dst), [tile_bytes] * len(edges),
+        {"generator": "cholesky", "blocks": blocks, "block_dim": block_dim},
     )
 
 
@@ -297,17 +360,21 @@ def parallelism_profile(graph: TaskGraph | ShuffleDagSpec) -> ParallelismProfile
         return ParallelismProfile(
             levels=(LevelStat(graph.mappers, 0), LevelStat(graph.reducers, crossing))
         )
-    level = asap_levels(graph)
-    n_levels = max(level.values(), default=-1) + 1
+    levels = graph.levels
+    n_levels = max(levels, default=-1) + 1
     if n_levels == 0:
         return ParallelismProfile(levels=())
     widths = [0] * n_levels
-    for tid, lvl in level.items():
+    for lvl in levels:
         widths[lvl] += 1
-    working = [0] * n_levels
-    for edge in graph.edges:
-        for lvl in range(level[edge.src] + 1, level[edge.dst] + 1):
-            working[lvl] += edge.bytes
+    # An edge crosses levels level[src]+1 through level[dst]: add its bytes
+    # where that run starts and take them off just after it ends.
+    change = [0] * (n_levels + 1)
+    for start, end, nbytes in zip(map(levels.__getitem__, graph.src), map(levels.__getitem__, graph.dst),
+                                  graph.edge_bytes):
+        change[start + 1] += nbytes
+        change[end + 1] -= nbytes
+    working = accumulate(change[:n_levels])
     return ParallelismProfile(
         levels=tuple(LevelStat(w, ws) for w, ws in zip(widths, working))
     )

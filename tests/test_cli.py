@@ -128,6 +128,23 @@ def test_place_compares_planners(tmp_path):
     assert comparison["singleton_baseline"]["cross_instance_bytes"] == 4 * 10**6
 
 
+@pytest.mark.parametrize("edit", [
+    ("edges", "bytes", "1e400"), ("edges", "bytes", "NaN"),
+    ("tasks", "duration_s", "NaN"), ("tasks", "duration_s", "Infinity"), ("tasks", "memory_gb", "NaN"),
+])
+@pytest.mark.parametrize("command", [("workload", "profile"), ("place", "--instances", "4", "--slots", "2")])
+def test_non_finite_graph_exits_2(tmp_path, edit, command):
+    section, field, literal = edit
+    doc = {"tasks": [{"id": "a", "duration_s": 1.0}, {"id": "b", "duration_s": 1.0}],
+           "edges": [{"src": "a", "dst": "b", "bytes": 5}]}
+    doc[section][0][field] = "LITERAL"
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc).replace('"LITERAL"', literal), encoding="utf-8")
+    code, out, err = run(*command, "--graph", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_repro_passes():
     doc = run_json("repro")
     assert doc["result"]["failed"] == 0

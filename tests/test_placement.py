@@ -1,6 +1,10 @@
 """Placement: evaluation semantics, greedy vs exhaustive oracle, grouping."""
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from faasim import placement as plc
 from faasim import workloads as wl
@@ -252,3 +256,88 @@ def test_placement_metrics_recomputable():
 def test_double_booked_slot_rejected():
     with pytest.raises(plc.PlacementError, match="double-booked"):
         plc.Placement({"a": (0, 0), "b": (0, 0)}, 0, 0)
+
+
+# --- integer graph core ------------------------------------------------------
+
+
+def naive_seat(groups, n_instances, slots):
+    """First fit by scanning every instance from the left for every group."""
+    free = [slots] * n_instances
+    assignment, leftovers = {}, []
+
+    def put(instance, members):
+        for member in members:
+            assignment[member] = (instance, slots - free[instance])
+            free[instance] -= 1
+
+    for group in groups:
+        target = next((i for i in range(n_instances) if free[i] >= len(group)), None)
+        if target is None:
+            leftovers.extend(group)
+        else:
+            put(target, group)
+    for member in leftovers:
+        put(next(i for i in range(n_instances) if free[i] >= 1), [member])
+    return assignment
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(0, 8), max_size=25))
+def test_seat_matches_naive_first_fit(n_instances, slots, sizes):
+    # Groups larger than `slots`, or arriving once no instance has room,
+    # fit nowhere and are split task by task.
+    capacity = n_instances * slots
+    groups, used = [], 0
+    for g, size in enumerate(sizes):
+        size = min(size, capacity - used)
+        groups.append([f"g{g}.{m}" for m in range(size)])
+        used += size
+    assert plc._seat(groups, n_instances, slots) == naive_seat(groups, n_instances, slots)
+
+
+def reference_greedy(problem):
+    """The greedy planner on string ids and dicts: the oracle for the integer-indexed one."""
+    graph, slots = problem.graph, problem.slots_per_instance
+    parent = {t.id: t.id for t in graph.tasks}
+    size = {t.id: 1 for t in graph.tasks}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in sorted(graph.edges, key=lambda e: (-e.bytes, e.src, e.dst)):
+        root_a, root_b = find(edge.src), find(edge.dst)
+        if root_a != root_b and size[root_a] + size[root_b] <= slots:
+            parent[root_b] = root_a
+            size[root_a] += size[root_b]
+    members = {}
+    for task in graph.tasks:
+        members.setdefault(find(task.id), []).append(task.id)
+    groups = sorted(members.values(), key=lambda g: (-len(g), min(g)))
+    for group in groups:
+        group.sort()
+    return naive_seat(groups, problem.n_instances, slots)
+
+
+def test_greedy_assignments_match_string_id_reference():
+    cases = bundled_fixtures() + [(random_graph(seed), 3, 2) for seed in range(50)]
+    cases += [(wl.gen_cholesky_dag(6), 10, 8), (wl.gen_shuffle_dag(8, 8, 3), 4, 8), (two_triangles(), 6, 1)]
+    for graph, n, k in cases:
+        problem = plc.PlacementProblem(graph, n, k)
+        assert plc.place_greedy(problem).assignment == reference_greedy(problem)
+
+
+def test_levels_computed_once_per_graph(tmp_path, monkeypatch):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(wl.gen_cholesky_dag(4).to_json_dict()), encoding="utf-8")
+    calls = []
+    original = wl.asap_levels
+    monkeypatch.setattr(wl, "asap_levels", lambda graph: calls.append(graph) or original(graph))
+    monkeypatch.setattr(plc, "asap_levels", wl.asap_levels)
+    graph = wl.load_task_graph(path)
+    plc.place_greedy(plc.PlacementProblem(graph, 4, 8))
+    plc.singleton_placement(graph)
+    wl.parallelism_profile(graph)
+    assert len(calls) == 1

@@ -183,6 +183,86 @@ def test_graph_validation():
         wl.TaskGraph(tasks=(wl.Task("a", 1, 0), wl.Task("a", 1, 0)), edges=())
 
 
+@pytest.mark.parametrize("field,value", [
+    ("duration_s", float("nan")), ("duration_s", float("inf")),
+    ("memory_gb", float("nan")), ("memory_gb", float("-inf")),
+])
+def test_non_finite_task_rejected(field, value):
+    doc = wl.gen_cholesky_dag(2).to_json_dict()
+    doc["tasks"][1][field] = value
+    with pytest.raises(wl.GraphError, match="non-finite"):
+        wl.TaskGraph.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("nbytes", [1e400, float("nan"), "many"])
+def test_non_finite_or_non_integer_edge_bytes_rejected(nbytes):
+    doc = wl.gen_cholesky_dag(2).to_json_dict()
+    doc["edges"][0]["bytes"] = nbytes
+    with pytest.raises(wl.GraphError, match="malformed"):
+        wl.TaskGraph.from_json_dict(doc)
+    with pytest.raises(wl.GraphError):
+        wl.TaskGraph(tasks=(wl.Task("a", 1, 0), wl.Task("b", 1, 0)), edges=(wl.Edge("a", "b", nbytes),))
+
+
+def test_malformed_metadata_rejected():
+    doc = wl.gen_cholesky_dag(2).to_json_dict()
+    doc["metadata"] = 5
+    with pytest.raises(wl.GraphError, match="malformed"):
+        wl.TaskGraph.from_json_dict(doc)
+
+
+def test_object_form_round_trips_through_columns():
+    graph = wl.gen_cholesky_dag(4)
+    again = wl.TaskGraph(tasks=graph.tasks, edges=graph.edges, metadata=graph.metadata)
+    assert again == graph
+    assert again.levels == graph.levels
+    assert [graph.ids[i] for i in graph.src] == [e.src for e in graph.edges]
+    assert wl.asap_levels(graph) == dict(zip(graph.ids, graph.levels))
+
+
+def naive_profile(graph: wl.TaskGraph) -> list[tuple[int, int]]:
+    """Width and working set per level, one edge and one level at a time."""
+    level = oracle_levels(graph)
+    depth = max(level.values()) + 1
+    widths = [sum(1 for t in graph.tasks if level[t.id] == lvl) for lvl in range(depth)]
+    working = [0] * depth
+    for edge in graph.edges:
+        for lvl in range(level[edge.src] + 1, level[edge.dst] + 1):
+            working[lvl] += edge.bytes
+    return list(zip(widths, working))
+
+
+@st.composite
+def random_dags(draw):
+    """Random DAG: edges only from a lower to a higher task number, ids shuffled."""
+    n = draw(st.integers(1, 12))
+    names = draw(st.permutations([f"t{i}" for i in range(n)]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    nbytes = draw(st.lists(st.integers(0, 10**6), min_size=len(chosen), max_size=len(chosen)))
+    return wl.TaskGraph(
+        tasks=tuple(wl.Task(name, 1.0, 0.0) for name in names),
+        edges=tuple(wl.Edge(names[i], names[j], b) for (i, j), b in zip(chosen, nbytes)),
+    )
+
+
+@given(random_dags())
+def test_profile_matches_per_level_loop(graph):
+    profile = wl.parallelism_profile(graph)
+    assert [(s.ready_task_count, s.working_set_bytes) for s in profile.levels] == naive_profile(graph)
+
+
+@pytest.mark.parametrize("length", [2, 50, 300])
+def test_profile_of_chain_with_skip_edges(length):
+    tasks = tuple(wl.Task(f"c{i}", 1.0, 0.0) for i in range(length))
+    edges = [wl.Edge(f"c{i}", f"c{i + 1}", i + 1) for i in range(length - 1)]
+    edges.append(wl.Edge("c0", f"c{length - 1}", 7))  # crosses every level
+    graph = wl.TaskGraph(tasks=tasks, edges=tuple(edges))
+    profile = wl.parallelism_profile(graph)
+    assert profile.widths == (1,) * length
+    assert [(s.ready_task_count, s.working_set_bytes) for s in profile.levels] == naive_profile(graph)
+
+
 def test_graph_json_round_trip():
     graph = wl.gen_cholesky_dag(3)
     doc = graph.to_json_dict()
