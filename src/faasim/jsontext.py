@@ -10,15 +10,14 @@ inside a string, so each raw newline in its output is a separator. Any
 other subtree (tuples, non-`str` keys, other types) is rendered by
 `json.dumps(indent=2)` and re-indented.
 
-Python 3.13 renders `indent=` in C and is faster than this shim, so there
-`dumps` calls `json.dumps` directly. Delete the shim once `requires-python`
-reaches 3.13.
+Python 3.13 renders `indent=` in C; once `requires-python` reaches 3.13,
+measure that against this writer and delete the writer if the standard
+library is faster.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from itertools import chain
 
 _INDENT = "  "
@@ -78,6 +77,4 @@ def _encode(obj, level: int, sort_keys: bool) -> str:
 
 def dumps(obj, sort_keys: bool = False) -> str:
     """`json.dumps(obj, indent=2, sort_keys=sort_keys)`, byte-identical."""
-    if sys.version_info >= (3, 13):
-        return json.dumps(obj, indent=2, sort_keys=sort_keys)
     return _encode(obj, 0, sort_keys)

@@ -55,11 +55,12 @@ class TaskGraph:
     with `durations[i]`, `memory[i]` and `kinds[i]`; edge j runs from task
     `src[j]` to task `dst[j]` and carries `edge_bytes[j]`. `levels[i]` is
     the ASAP level of task i, computed once when the graph is built. The
-    columns are tuples and must not be replaced. `tasks` and `edges` are
-    read-only views in object form.
+    columns are tuples and cannot be reassigned, so the levels always match
+    them. `tasks` and `edges` are read-only views in object form.
     """
 
-    __slots__ = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes", "levels", "metadata")
+    _COLUMNS = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
+    __slots__ = _COLUMNS + ("levels", "metadata")
 
     def __init__(self, tasks: Iterable[Task], edges: Iterable[Edge], metadata: dict | None = None):
         tasks, edges = tuple(tasks), tuple(edges)
@@ -77,9 +78,9 @@ class TaskGraph:
         return graph
 
     def _set_columns(self, ids, durations, memory, kinds, src, dst, edge_bytes, metadata: dict) -> None:
-        self.ids, self.durations, self.memory, self.kinds = tuple(ids), tuple(durations), tuple(memory), tuple(kinds)
-        self.src, self.dst, self.edge_bytes = tuple(src), tuple(dst), tuple(edge_bytes)
-        self.metadata = metadata
+        for name, column in zip(self._COLUMNS, (ids, durations, memory, kinds, src, dst, edge_bytes)):
+            object.__setattr__(self, name, tuple(column))
+        object.__setattr__(self, "metadata", metadata)
         if len(set(self.ids)) != len(self.ids):
             raise GraphError("duplicate task ids")
         isfinite = math.isfinite
@@ -96,13 +97,18 @@ class TaskGraph:
             j = next(j for j, nbytes in enumerate(self.edge_bytes) if nbytes < 0)
             raise GraphError(f"edge {self.ids[self.src[j]]!r}->{self.ids[self.dst[j]]!r} has negative bytes")
         levels = asap_levels(self)  # raises on cycles
-        self.levels = tuple(map(levels.__getitem__, self.ids))
+        object.__setattr__(self, "levels", tuple(map(levels.__getitem__, self.ids)))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"TaskGraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"TaskGraph is immutable; cannot delete {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TaskGraph):
             return NotImplemented
-        columns = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
-        return all(getattr(self, name) == getattr(other, name) for name in columns)
+        return all(getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
 
     def __repr__(self) -> str:
         return f"TaskGraph({self.task_count} tasks, {self.edge_count} edges, metadata={self.metadata!r})"

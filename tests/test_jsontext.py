@@ -49,5 +49,3 @@ def test_matches_stdlib_indent_2(value, sort_keys):
             jsontext.dumps(value, sort_keys=sort_keys)
         return
     assert jsontext.dumps(value, sort_keys=sort_keys) == expected
-    # The C-encoder path itself, also where `dumps` defers to the stdlib.
-    assert jsontext._encode(value, 0, sort_keys) == expected

@@ -220,6 +220,16 @@ def test_object_form_round_trips_through_columns():
     assert wl.asap_levels(graph) == dict(zip(graph.ids, graph.levels))
 
 
+@pytest.mark.parametrize("name", ["ids", "src", "edge_bytes", "levels", "metadata"])
+def test_graph_columns_cannot_be_replaced(name):
+    graph = wl.gen_cholesky_dag(3)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(graph, name, ())
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(graph, name)
+    assert graph == wl.gen_cholesky_dag(3)
+
+
 def naive_profile(graph: wl.TaskGraph) -> list[tuple[int, int]]:
     """Width and working set per level, one edge and one level at a time."""
     level = oracle_levels(graph)
