@@ -210,32 +210,29 @@ def _check_fields(entry: dict, allowed: set, where: str) -> None:
         raise CatalogError(f"{where}: unknown field(s) {sorted(unknown)}")
     if "name" not in entry:
         raise CatalogError(f"{where}: missing required field 'name'")
+    if not isinstance(entry["name"], str):
+        raise CatalogError(f"{where}: name must be a string")
 
 
-def _parse_compute(entry: dict) -> ComputeServiceSpec:
-    where = f"compute entry {entry.get('name', '<unnamed>')!r}"
+def _parse_compute(entry: dict, where: str) -> ComputeServiceSpec:
     _check_fields(entry, _COMPUTE_FIELDS, where)
-    try:
-        run_time = entry.get("max_run_time_s")
-        return ComputeServiceSpec(
-            name=entry["name"],
-            kind=entry["kind"],
-            memory_min_gib=usd(entry["memory_min_gib"]),
-            memory_max_gib=usd(entry["memory_max_gib"]),
-            max_local_storage_gib=usd(entry.get("max_local_storage_gib", 0)),
-            accounting_unit_s=usd(entry["accounting_unit_s"]),
-            price_usd_per_unit=usd(entry["price_usd_per_unit_at_base_memory"]),
-            base_memory_gib=usd(entry["base_memory_gib"]),
-            memory_price_scaling=entry.get("memory_price_scaling", "linear"),
-            max_run_time_s=None if run_time is None else usd(run_time),
-            request_fee_usd=usd(entry.get("request_fee_usd_per_invocation", 0)),
-        )
-    except KeyError as exc:
-        raise CatalogError(f"{where}: missing required field {exc.args[0]!r}") from None
+    run_time = entry.get("max_run_time_s")
+    return ComputeServiceSpec(
+        name=entry["name"],
+        kind=entry["kind"],
+        memory_min_gib=usd(entry["memory_min_gib"]),
+        memory_max_gib=usd(entry["memory_max_gib"]),
+        max_local_storage_gib=usd(entry.get("max_local_storage_gib", 0)),
+        accounting_unit_s=usd(entry["accounting_unit_s"]),
+        price_usd_per_unit=usd(entry["price_usd_per_unit_at_base_memory"]),
+        base_memory_gib=usd(entry["base_memory_gib"]),
+        memory_price_scaling=entry.get("memory_price_scaling", "linear"),
+        max_run_time_s=None if run_time is None else usd(run_time),
+        request_fee_usd=usd(entry.get("request_fee_usd_per_invocation", 0)),
+    )
 
 
-def _parse_storage(entry: dict) -> StorageServiceSpec:
-    where = f"storage entry {entry.get('name', '<unnamed>')!r}"
+def _parse_storage(entry: dict, where: str) -> StorageServiceSpec:
     _check_fields(entry, _STORAGE_FIELDS, where)
     has_explicit = "read_usd_per_request" in entry or "write_usd_per_request" in entry
     has_blended = "iops_month_usd" in entry
@@ -252,23 +249,20 @@ def _parse_storage(entry: dict) -> StorageServiceSpec:
     else:
         blended = _band(entry["iops_month_usd"], where)
         read_price = write_price = blended.mid / SECONDS_PER_MONTH
-    try:
-        return StorageServiceSpec(
-            name=entry["name"],
-            storage_class=entry["class"],
-            function_accessible=bool(entry["function_accessible"]),
-            provisioning=entry["provisioning"],
-            persistence=entry["persistence"],
-            latency_ms=_band(entry["latency_ms"], where),
-            capacity_usd_per_gb_month=_band(entry["capacity_usd_per_gb_month"], where),
-            throughput_usd_per_mbps_month=_band(entry["throughput_usd_per_mbps_month"], where),
-            read_usd_per_request=read_price,
-            write_usd_per_request=write_price,
-            iops_month_usd=blended,
-            min_transfer_kb=usd(entry.get("min_transfer_kb", 4)),
-        )
-    except KeyError as exc:
-        raise CatalogError(f"{where}: missing required field {exc.args[0]!r}") from None
+    return StorageServiceSpec(
+        name=entry["name"],
+        storage_class=entry["class"],
+        function_accessible=bool(entry["function_accessible"]),
+        provisioning=entry["provisioning"],
+        persistence=entry["persistence"],
+        latency_ms=_band(entry["latency_ms"], where),
+        capacity_usd_per_gb_month=_band(entry["capacity_usd_per_gb_month"], where),
+        throughput_usd_per_mbps_month=_band(entry["throughput_usd_per_mbps_month"], where),
+        read_usd_per_request=read_price,
+        write_usd_per_request=write_price,
+        iops_month_usd=blended,
+        min_transfer_kb=usd(entry.get("min_transfer_kb", 4)),
+    )
 
 
 def loads_catalog(text: str) -> ServiceCatalog:
@@ -282,19 +276,25 @@ def loads_catalog(text: str) -> ServiceCatalog:
     unknown = set(doc) - {"compute", "storage"}
     if unknown:
         raise CatalogError(f"unknown top-level field(s) {sorted(unknown)}")
-    compute: dict[str, ComputeServiceSpec] = {}
-    storage: dict[str, StorageServiceSpec] = {}
-    for entry in doc.get("compute", []):
-        spec = _parse_compute(entry)
-        if spec.name in compute:
-            raise CatalogError(f"duplicate service name {spec.name!r}")
-        compute[spec.name] = spec
-    for entry in doc.get("storage", []):
-        spec = _parse_storage(entry)
-        if spec.name in compute or spec.name in storage:
-            raise CatalogError(f"duplicate service name {spec.name!r}")
-        storage[spec.name] = spec
-    return ServiceCatalog(compute=compute, storage=storage)
+    sections = {"compute": {}, "storage": {}}
+    for section, parse in (("compute", _parse_compute), ("storage", _parse_storage)):
+        entries = doc.get(section, [])
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise CatalogError(f"{section!r} must be a list of objects")
+        for entry in entries:
+            where = f"{section} entry {entry.get('name', '<unnamed>')!r}"
+            try:
+                spec = parse(entry, where)
+            except KeyError as exc:
+                raise CatalogError(f"{where}: missing required field {exc.args[0]!r}") from None
+            except CatalogError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise CatalogError(f"{where}: {exc}") from None
+            if spec.name in sections["compute"] or spec.name in sections["storage"]:
+                raise CatalogError(f"duplicate service name {spec.name!r}")
+            sections[section][spec.name] = spec
+    return ServiceCatalog(**sections)
 
 
 def load_catalog(path: str | Path) -> ServiceCatalog:

@@ -2,11 +2,13 @@
 
 Every subcommand emits a report in one of three formats: `json` (an
 envelope with a run manifest and the result), `table` (aligned
-key/value or grid output), or `csv`. Validation problems print a single
-`error: ...` line and exit with status 2; unexpected failures exit 1.
+key/value or grid output), or `csv`. Any bad input (an invalid value, a
+malformed or unreadable file, an unwritable output path) prints a single
+`error: ...` line and exits with status 2. Exit status 1 means a bug.
 
 The catalog is resolved from --catalog, then the FAASIM_CATALOG
-environment variable, then the bundled default.
+environment variable, then the bundled default, which the manifest
+records as `bundled:default_catalog.json`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from .money import usd_json, usd_str
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
 
-
-class CliError(ValueError):
-    """Input or validation problem; reported as `error:` with exit 2."""
+# Manifest name of the bundled catalog; its sha256 identifies the bytes.
+BUNDLED_CATALOG = "bundled:default_catalog.json"
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +91,17 @@ class Report:
             rows: list[tuple[str, str]] = []
             _flatten("", self.result, rows)
             _render_table(rows, out)
-        elif fmt == "csv":
+        else:
             rows = []
             _flatten("", self.result, rows)
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["key", "value"])
             writer.writerows(rows)
-        else:
-            raise CliError(f"unknown format {fmt!r}")
 
 
 def _money_out(amount: Fraction, args) -> float | str:
     """Currency for a report: 6-dp JSON number, or full precision on request."""
-    if getattr(args, "full_precision", False):
+    if args.full_precision:
         return usd_str(amount, None)
     return usd_json(amount)
 
@@ -111,33 +110,18 @@ def _money_out(amount: Fraction, args) -> float | str:
 # Catalog resolution
 
 
-def _catalog_path(args) -> Path:
-    if getattr(args, "catalog", None):
-        return Path(args.catalog)
-    env = os.environ.get("FAASIM_CATALOG")
-    if env:
-        return Path(env)
-    return cat.default_catalog_path()
-
-
-def _load_catalog(args) -> tuple[cat.ServiceCatalog, Path, str]:
-    path = _catalog_path(args)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CliError(f"cannot read catalog {path}: {exc}") from exc
-    try:
-        catalog = cat.loads_catalog(data.decode("utf-8"))
-    except cat.CatalogError as exc:
-        raise CliError(str(exc)) from exc
-    return catalog, path, hashlib.sha256(data).hexdigest()
+def _load_catalog(args) -> tuple[cat.ServiceCatalog, str, str]:
+    """The catalog, the name the manifest records for it, and its sha256."""
+    source = args.catalog or os.environ.get("FAASIM_CATALOG")
+    if source:
+        name, data = str(Path(source)), Path(source).read_bytes()
+    else:
+        name, data = BUNDLED_CATALOG, cat.default_catalog_path().read_bytes()
+    return cat.loads_catalog(data.decode("utf-8")), name, hashlib.sha256(data).hexdigest()
 
 
 def _parse_bytes(text: str, args) -> int:
-    try:
-        return units.parse_bytes(text, binary=getattr(args, "binary_units", False))
-    except units.UnitError as exc:
-        raise CliError(str(exc)) from exc
+    return units.parse_bytes(text, binary=args.binary_units)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +129,10 @@ def _parse_bytes(text: str, args) -> int:
 
 
 def _cmd_catalog_show(args, out) -> int:
-    catalog, path, digest = _load_catalog(args)
+    catalog, source, digest = _load_catalog(args)
     if args.format == "json":
         result = json.loads(cat.dumps_catalog(catalog))
-        Report("catalog show", {}, result, [str(path)], digest).emit("json", out)
+        Report("catalog show", {}, result, [source], digest).emit("json", out)
         return EXIT_OK
     headers = ["service", "class", "fn access", "provisioning", "persistence",
                "latency ms", "$/GB-mo", "$/MBps-mo", "$/IOPS-mo"]
@@ -181,7 +165,7 @@ def _cmd_catalog_show(args, out) -> int:
 
 
 def _cmd_catalog_cost(args, out) -> int:
-    catalog, path, digest = _load_catalog(args)
+    catalog, source, digest = _load_catalog(args)
     service = catalog.storage_service(args.service)
     result: dict = {"service": args.service}
     params: dict = {"service": args.service}
@@ -199,11 +183,11 @@ def _cmd_catalog_cost(args, out) -> int:
         else:
             costs["iops_usd_per_month"] = cat.iops_month_cost(service, args.iops)
     if not costs:
-        raise CliError("nothing to price: give --capacity-gb, --iops, or --reads/--writes")
+        raise ValueError("nothing to price: give --capacity-gb, --iops, or --reads/--writes")
     total = sum(costs.values(), Fraction(0))
     result |= {key: _money_out(value, args) for key, value in costs.items()}
     result["total_usd"] = _money_out(total, args)
-    Report("catalog cost", params, result, [str(path)], digest).emit(args.format, out)
+    Report("catalog cost", params, result, [source], digest).emit(args.format, out)
     return EXIT_OK
 
 
@@ -256,8 +240,7 @@ def _breakdown_result(breakdown: shp.ShuffleCostBreakdown, args) -> dict:
 
 
 def _cmd_shuffle_price(args, out) -> int:
-    catalog, path, digest = _load_catalog(args)
-    inputs = [str(path)]
+    catalog, source, digest = _load_catalog(args)
     if args.preset:
         preset = shp.load_preset(args.preset)
         plan, breakdown = shp.run_preset(preset, catalog)
@@ -270,7 +253,7 @@ def _cmd_shuffle_price(args, out) -> int:
         }
     else:
         if args.data is None:
-            raise CliError("give --preset or --data/--block/--stages")
+            raise ValueError("give --preset or --data/--block/--stages")
         data = _parse_bytes(args.data, args)
         block = _parse_bytes(args.block, args)
         plan = shp.plan(shp.ShuffleProblem(data, block, args.stages))
@@ -285,7 +268,7 @@ def _cmd_shuffle_price(args, out) -> int:
                   "gb_seconds": args.gb_seconds, "gb_hours": args.gb_hours,
                   "write_fraction": args.write_fraction, "slow_ops": args.slow_ops}
         result = {"plan": _plan_result(plan), "cost": _breakdown_result(breakdown, args)}
-    Report("shuffle price", params, result, inputs, digest).emit(args.format, out)
+    Report("shuffle price", params, result, [source], digest).emit(args.format, out)
     return EXIT_OK
 
 
@@ -312,21 +295,16 @@ def _cmd_workload_gen(args, out) -> int:
         graph = wl.gen_cholesky_dag(args.blocks, block_dim=args.block_dim)
         params = {"kind": "cholesky", "blocks": args.blocks, "block_dim": args.block_dim}
         doc = graph.to_json_dict()
-    elif args.kind == "paramserver":
+    else:
         scenarios = wl.gen_paramserver(args.workers, args.rounds, _parse_bytes(args.gradient, args))
         params = {"kind": "paramserver", "workers": args.workers, "rounds": args.rounds}
         doc = [comm.scenario_report(s) for s in scenarios]
-    else:
-        raise CliError(f"unknown workload kind {args.kind!r}")
     _write_or_print(doc, args, out, "workload gen", params)
     return EXIT_OK
 
 
 def _cmd_workload_profile(args, out) -> int:
-    try:
-        graph = wl.load_task_graph(args.graph)
-    except (OSError, json.JSONDecodeError, wl.GraphError) as exc:
-        raise CliError(f"cannot load task graph: {exc}") from exc
+    graph = wl.load_task_graph(args.graph)
     profile = wl.parallelism_profile(graph)
     params = {"graph": args.graph}
     Report("workload profile", params, profile.to_json_dict(), [args.graph]).emit(args.format, out)
@@ -344,38 +322,25 @@ def _cmd_workload_trace(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    catalog, path, digest = _load_catalog(args)
-    try:
-        trace = wl.load_trace(args.trace)
-    except (OSError, json.JSONDecodeError, wl.GraphError) as exc:
-        raise CliError(f"cannot load trace: {exc}") from exc
-    spec = catalog.compute_service(args.service)
-    try:
-        platform = sim.PlatformConfig(
-            compute=spec,
-            cold_start=sim.ColdStartModel(args.t_schedule, args.t_env, args.t_app),
-            keep_alive_s=args.keep_alive,
-            warm_pool_prestarted=args.prestarted,
-        )
-        result = sim.simulate(trace, platform)
-    except (sim.SimulationError, sim.BillingError) as exc:
-        raise CliError(str(exc)) from exc
+    catalog, source, digest = _load_catalog(args)
+    trace = wl.load_trace(args.trace)
+    platform = sim.PlatformConfig(
+        compute=catalog.compute_service(args.service),
+        cold_start=sim.ColdStartModel(args.t_schedule, args.t_env, args.t_app),
+        keep_alive_s=args.keep_alive,
+        warm_pool_prestarted=args.prestarted,
+    )
+    result = sim.simulate(trace, platform)
     params = {"service": args.service, "t_schedule": args.t_schedule, "t_env": args.t_env,
               "t_app": args.t_app, "keep_alive": args.keep_alive, "prestarted": args.prestarted}
-    Report("simulate", params, result.to_json_dict(), [args.trace, str(path)], digest).emit(args.format, out)
+    Report("simulate", params, result.to_json_dict(), [args.trace, source], digest).emit(args.format, out)
     return EXIT_OK
 
 
 def _cmd_place(args, out) -> int:
-    try:
-        graph = wl.load_task_graph(args.graph)
-    except (OSError, json.JSONDecodeError, wl.GraphError) as exc:
-        raise CliError(f"cannot load task graph: {exc}") from exc
-    try:
-        problem = plc.PlacementProblem(graph, args.instances, args.slots)
-        greedy = plc.place_greedy(problem)
-    except plc.PlacementError as exc:
-        raise CliError(str(exc)) from exc
+    graph = wl.load_task_graph(args.graph)
+    problem = plc.PlacementProblem(graph, args.instances, args.slots)
+    greedy = plc.place_greedy(problem)
     singleton = plc.singleton_placement(graph)
     comparison = {
         "greedy": {"cross_instance_bytes": greedy.cross_instance_bytes,
@@ -394,10 +359,7 @@ def _cmd_place(args, out) -> int:
 
 
 def _cmd_breakeven(args, out) -> int:
-    try:
-        duty = sim.breakeven_duty_cycle(args.ratio)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    duty = sim.breakeven_duty_cycle(args.ratio)
     result = {
         "per_minute_cost_ratio": args.ratio,
         "breakeven_duty_cycle": round(float(duty), 6),
@@ -408,7 +370,7 @@ def _cmd_breakeven(args, out) -> int:
 
 
 def _cmd_repro(args, out) -> int:
-    catalog, path, digest = _load_catalog(args)
+    catalog, source, digest = _load_catalog(args)
     checks = rp.run_all(catalog)
     failed = [c for c in checks if c.status == rp.FAIL]
     if args.format == "json":
@@ -418,7 +380,7 @@ def _cmd_repro(args, out) -> int:
             "failed": len(failed),
             "external": sum(1 for c in checks if c.status == rp.EXTERNAL),
         }
-        Report("repro", {}, result, [str(path)], digest).emit("json", out)
+        Report("repro", {}, result, [source], digest).emit("json", out)
     else:
         rows = [[c.status.upper(), c.location, c.check_id, c.claim] for c in checks]
         _render_grid(["status", "location", "check", "claim"], rows, out)
@@ -555,11 +517,9 @@ def main(argv=None, out=None, err=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, out)
-    except CliError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (cat.CatalogError, comm.ScenarioError, shp.PlanError, wl.GraphError,
-            plc.PlacementError, sim.SimulationError, sim.BillingError, ValueError) as exc:
+    # Every domain error subclasses ValueError, as do JSON and UTF-8 decode
+    # errors; OSError messages name the file.
+    except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -9,7 +9,8 @@ cents by default, six decimal places in JSON reports.
 
 from __future__ import annotations
 
-from decimal import Decimal, ROUND_HALF_UP
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 # Quantization used when "full precision" is requested for a rational
@@ -29,28 +30,39 @@ def usd(value) -> Fraction:
     """Convert a price-like value into an exact Fraction of dollars.
 
     Accepts int, str (plain, scientific, or "p/q" rational), Decimal and
-    Fraction. Floats are read by `decimal_literal`.
+    Fraction. Floats are read by `decimal_literal`. NaN and infinities
+    raise ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, (int, float, Decimal)):
-        return Fraction(decimal_literal(value))
+        literal = decimal_literal(value)
+        if not literal.is_finite():
+            raise ValueError(f"{value!r} is not a finite dollar amount")
+        return Fraction(literal)
     raise TypeError(f"cannot interpret {value!r} as a dollar amount")
 
 
 def usd_decimal(amount: Fraction, places: int = 6) -> Decimal:
-    """Quantize an exact dollar amount to a Decimal, rounding half-up."""
-    quantum = Decimal(1).scaleb(-places)
-    return (Decimal(amount.numerator) / Decimal(amount.denominator)).quantize(
-        quantum, rounding=ROUND_HALF_UP
-    )
+    """Round an exact dollar amount to `places` decimals, ties away from zero.
+
+    Exact at any magnitude: floor(|amount| * 10^places + 1/2), signed.
+    """
+    numerator, denominator = abs(amount.numerator), amount.denominator
+    digits = (2 * numerator * 10**places + denominator) // (2 * denominator)
+    return Decimal((amount < 0, tuple(map(int, str(digits))), -places))
 
 
 def usd_json(amount: Fraction, places: int = 6) -> float:
-    """Dollar amount as a JSON number at report precision."""
-    return float(usd_decimal(amount, places))
+    """Dollar amount as a JSON number at report precision; ValueError if
+    it is too large for a double."""
+    rounded = usd_decimal(amount, places)
+    value = float(rounded)
+    if not math.isfinite(value):
+        raise ValueError(f"dollar amount {rounded:.3e} is too large to report")
+    return value
 
 
 def usd_str(amount: Fraction, places: int | None = 2) -> str:

@@ -179,29 +179,34 @@ def load_preset(name_or_path: str | Path) -> ShufflePreset:
     if not path.exists():
         raise PlanError(f"no such preset {name_or_path!r}")
     doc = json.loads(path.read_text(encoding="utf-8"), parse_float=Decimal)
-    prob = doc["problem"]
-    ex = doc["exec"]
-    duration = ex.get("duration_s")
-    return ShufflePreset(
-        name=doc.get("name", path.stem),
-        problem=ShuffleProblem(
-            data_bytes=int(prob["data_bytes"]),
-            function_memory_cap=int(prob.get("function_memory_cap_bytes", DEFAULT_FUNCTION_MEMORY_CAP)),
-            stages=int(prob.get("stages", 1)),
-        ),
-        exec_inputs=ShuffleExec(
-            function_gb_seconds=usd(ex.get("function_gb_seconds", 0)),
-            fast_store_gb_hours=usd(ex.get("fast_store_gb_hours", 0)),
-            slow_store_write_fraction=usd(ex.get("slow_store_write_fraction", "1/2")),
-            slow_store_ops=None if ex.get("slow_store_ops") is None else int(ex["slow_store_ops"]),
-            duration_s=None if duration is None else float(duration),
-            compute_service=ex.get("compute_service", "serverless"),
-            slow_store_service=ex.get("slow_store_service", "object"),
-            fast_store_service=ex.get("fast_store_service", "memory"),
-        ),
-        expected_usd={key: usd(value) for key, value in doc.get("expected_usd", {}).items()},
-        notes=tuple(doc.get("notes", [])),
-    )
+    try:
+        prob = doc["problem"]
+        ex = doc["exec"]
+        duration = ex.get("duration_s")
+        return ShufflePreset(
+            name=doc.get("name", path.stem),
+            problem=ShuffleProblem(
+                data_bytes=int(prob["data_bytes"]),
+                function_memory_cap=int(prob.get("function_memory_cap_bytes", DEFAULT_FUNCTION_MEMORY_CAP)),
+                stages=int(prob.get("stages", 1)),
+            ),
+            exec_inputs=ShuffleExec(
+                function_gb_seconds=usd(ex.get("function_gb_seconds", 0)),
+                fast_store_gb_hours=usd(ex.get("fast_store_gb_hours", 0)),
+                slow_store_write_fraction=usd(ex.get("slow_store_write_fraction", "1/2")),
+                slow_store_ops=None if ex.get("slow_store_ops") is None else int(ex["slow_store_ops"]),
+                duration_s=None if duration is None else float(duration),
+                compute_service=ex.get("compute_service", "serverless"),
+                slow_store_service=ex.get("slow_store_service", "object"),
+                fast_store_service=ex.get("fast_store_service", "memory"),
+            ),
+            expected_usd={key: usd(value) for key, value in doc.get("expected_usd", {}).items()},
+            notes=tuple(doc.get("notes", [])),
+        )
+    except KeyError as exc:
+        raise PlanError(f"preset {str(path)!r} is missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise PlanError(f"malformed preset {str(path)!r}: {exc}") from None
 
 
 def run_preset(preset: ShufflePreset, catalog: ServiceCatalog) -> tuple[ShufflePlan, ShuffleCostBreakdown]:

@@ -260,21 +260,6 @@ class ShuffleDagSpec:
     def total_edge_bytes(self) -> int:
         return self.edge_count * self.bytes_per_transfer
 
-    def materialize(self, duration_s: float = 1.0, memory_gb: float = 0.125) -> TaskGraph:
-        if self.edge_count > MATERIALIZE_EDGE_LIMIT:
-            raise GraphError(f"refusing to materialize {self.edge_count} edges")
-        return _build_shuffle_graph(self.mappers, self.reducers, self.bytes_per_transfer, duration_s, memory_gb)
-
-
-def _build_shuffle_graph(m: int, r: int, nbytes: int, duration_s: float, memory_gb: float) -> TaskGraph:
-    width = max(len(str(m - 1)), len(str(r - 1)))
-    ids = [f"m{i:0{width}d}" for i in range(m)] + [f"r{j:0{width}d}" for j in range(r)]
-    return TaskGraph._from_columns(
-        ids, [duration_s] * (m + r), [memory_gb] * (m + r), ["map"] * m + ["reduce"] * r,
-        [i for i in range(m) for _ in range(r)], list(range(m, m + r)) * m, [nbytes] * (m * r),
-        {"generator": "shuffle", "mappers": m, "reducers": r, "bytes_per_transfer": nbytes},
-    )
-
 
 def gen_shuffle_dag(
     mappers: int,
@@ -282,21 +267,27 @@ def gen_shuffle_dag(
     bytes_per_transfer: int,
     duration_s: float = 1.0,
     memory_gb: float = 0.125,
-    edge_limit: int = MATERIALIZE_EDGE_LIMIT,
 ) -> TaskGraph | ShuffleDagSpec:
     """Bipartite M-mapper, R-reducer shuffle graph with M*R edges.
 
-    Graphs beyond `edge_limit` edges come back in implicit counting form
-    (the 100 TB case has 1.1e9 edges); both forms expose the same count
-    accessors and `parallelism_profile` accepts either.
+    Graphs beyond MATERIALIZE_EDGE_LIMIT edges come back in implicit
+    counting form (the 100 TB case has 1.1e9 edges); both forms expose the
+    same count accessors and `parallelism_profile` accepts either.
     """
     if mappers < 1 or reducers < 1:
         raise GraphError("need at least one mapper and one reducer")
     if bytes_per_transfer < 0:
         raise GraphError("bytes per transfer must be non-negative")
-    if mappers * reducers > edge_limit:
-        return ShuffleDagSpec(mappers, reducers, bytes_per_transfer)
-    return _build_shuffle_graph(mappers, reducers, bytes_per_transfer, duration_s, memory_gb)
+    m, r, nbytes = mappers, reducers, bytes_per_transfer
+    if m * r > MATERIALIZE_EDGE_LIMIT:
+        return ShuffleDagSpec(m, r, nbytes)
+    width = max(len(str(m - 1)), len(str(r - 1)))
+    ids = [f"m{i:0{width}d}" for i in range(m)] + [f"r{j:0{width}d}" for j in range(r)]
+    return TaskGraph._from_columns(
+        ids, [duration_s] * (m + r), [memory_gb] * (m + r), ["map"] * m + ["reduce"] * r,
+        [i for i in range(m) for _ in range(r)], list(range(m, m + r)) * m, [nbytes] * (m * r),
+        {"generator": "shuffle", "mappers": m, "reducers": r, "bytes_per_transfer": nbytes},
+    )
 
 
 def gen_cholesky_dag(
@@ -469,19 +460,17 @@ class InvocationTrace:
         ]
 
     @classmethod
-    def from_json(cls, doc) -> "InvocationTrace":
-        metadata = {}
-        if isinstance(doc, dict):
-            metadata = dict(doc.get("metadata", {}))
-            doc = doc["entries"]
+    def from_json(cls, doc: list) -> "InvocationTrace":
+        if not isinstance(doc, list):
+            raise GraphError("malformed trace document: the top level must be a list of entries")
         try:
             entries = tuple(
                 Invocation(float(e["arrival_s"]), float(e["duration_s"]), float(e.get("memory_gb", 0.125)))
                 for e in doc
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed trace document: {exc}") from exc
-        return cls(entries=entries, metadata=metadata)
+        return cls(entries=entries)
 
 
 def load_trace(path: str | Path) -> InvocationTrace:

@@ -1,14 +1,20 @@
 """End-to-end CLI behavior: formats, exit codes, manifests, schemas."""
 
+import copy
 import csv
 import io
 import json
+import os
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faasim import catalog as cat
 from faasim import cli
+from faasim import workloads as wl
 
 
 def run(*argv):
@@ -23,11 +29,13 @@ def run_json(*argv):
     return json.loads(out)
 
 
+def load_schema(name):
+    return json.loads((resources.files("faasim") / "data" / "schemas" / name).read_text())
+
+
 @pytest.fixture(scope="module")
 def report_schema():
-    return json.loads(
-        (resources.files("faasim") / "data" / "schemas" / "report.schema.json").read_text()
-    )
+    return load_schema("report.schema.json")
 
 
 def table_values(text):
@@ -244,3 +252,169 @@ def test_identical_runs_identical_output():
     a = run_json("comm", "--pattern", "aggregation", "--n", "4", "--k", "3")
     b = run_json("comm", "--pattern", "aggregation", "--n", "4", "--k", "3")
     assert a == b
+
+
+def test_bundled_catalog_recorded_by_fixed_name(monkeypatch):
+    monkeypatch.delenv("FAASIM_CATALOG", raising=False)
+    code, out, err = run("catalog", "cost", "--service", "object", "--capacity-gb", "1")
+    assert code == 0, err
+    inputs = json.loads(out)["manifest"]["inputs"]
+    assert inputs == [cli.BUNDLED_CATALOG]
+    assert not any(os.path.isabs(name) for name in inputs)
+    assert str(cat.default_catalog_path()) not in out
+
+
+def test_catalog_cost_beyond_28_digits():
+    doc = run_json("catalog", "cost", "--service", "object", "--capacity-gb", "1e30")
+    assert doc["result"]["capacity_usd"] == 2.3e28
+
+
+@pytest.mark.parametrize("argv,artifact,schema", [
+    (("workload", "gen", "--kind", "cholesky", "--blocks", "4"), "graph.json", "taskgraph.schema.json"),
+    (("workload", "gen", "--kind", "shuffle", "--mappers", "3", "--reducers", "5"), "graph.json",
+     "taskgraph.schema.json"),
+    (("workload", "trace", "--count", "50", "--seed", "4"), "trace.json", "trace.schema.json"),
+    (("workload", "trace", "--arrivals", "fixed", "--count", "5"), "trace.json", "trace.schema.json"),
+], ids=["cholesky", "shuffle", "poisson-trace", "fixed-trace"])
+def test_generated_artifacts_match_shipped_schemas(tmp_path, argv, artifact, schema):
+    path = tmp_path / artifact
+    code, _, err = run(*argv, "-o", str(path))
+    assert code == 0, err
+    jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), load_schema(schema))
+
+
+# --- every bad input: one `error:` line, exit 2 ---------------------------------
+
+
+def _catalog_text(edit):
+    doc = json.loads(cat.default_catalog_path().read_text(encoding="utf-8"))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set_compute(field, value):
+    return lambda doc: doc["compute"][0].__setitem__(field, value)
+
+
+def _preset_with(field, value=None):
+    """The bundled preset with `field` set to `value`, or removed when `value` is None."""
+    doc = json.loads((resources.files("faasim") / "data" / "presets" / "cloudsort100tb.json").read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    return json.dumps(doc)
+
+
+TRACE = '[{"arrival_s": 0, "duration_s": 1}]'
+SIMULATE = ("simulate", "--trace", "input.json")
+SHOW_CATALOG = ("catalog", "show", "--catalog", "input.json")
+COST = ("catalog", "cost", "--service", "object")
+PRICE_PRESET = ("shuffle", "price", "--preset", "input.json")
+
+# (id, contents of input.json or None, argv); paths are relative to tmp_path.
+BAD_INPUTS = [
+    ("trace-entries-object", '{"entries": %s}' % TRACE, SIMULATE),
+    ("trace-metadata-only", '{"metadata": {}}', SIMULATE),
+    ("trace-metadata-list", '{"entries": %s, "metadata": [1]}' % TRACE, SIMULATE),
+    ("trace-huge-arrival", '[{"arrival_s": 1%s, "duration_s": 1}]' % ("0" * 400), SIMULATE),
+    ("trace-not-json", "[{", SIMULATE),
+    ("trace-not-utf8", b"\xff\xfe[]", SIMULATE),
+    ("trace-missing", None, ("simulate", "--trace", "missing.json")),
+    ("graph-missing", None, ("place", "--graph", "missing.json", "--instances", "1", "--slots", "1")),
+    ("profile-missing", None, ("workload", "profile", "--graph", "missing.json")),
+    ("catalog-compute-int", '{"compute": 5}', SHOW_CATALOG),
+    ("catalog-storage-object", '{"storage": {}}', SHOW_CATALOG),
+    ("catalog-entry-list", '{"compute": [[1]]}', SHOW_CATALOG),
+    ("catalog-memory-null", _catalog_text(_set_compute("memory_min_gib", None)), SHOW_CATALOG),
+    ("catalog-kind-list", _catalog_text(_set_compute("kind", ["x"])), SHOW_CATALOG),
+    ("catalog-memory-infinite", _catalog_text(_set_compute("memory_max_gib", float("inf"))), SHOW_CATALOG),
+    ("catalog-name-list", _catalog_text(_set_compute("name", ["x"])), SHOW_CATALOG),
+    ("catalog-directory", None, ("catalog", "show", "--catalog", ".")),
+    ("preset-without-exec", _preset_with("exec"), PRICE_PRESET),
+    ("preset-without-problem", _preset_with("problem"), PRICE_PRESET),
+    ("preset-exec-list", _preset_with("exec", []), PRICE_PRESET),
+    ("capacity-inf", None, COST + ("--capacity-gb", "inf")),
+    ("months-inf", None, COST + ("--capacity-gb", "1", "--months", "inf")),
+    ("mix-inf", None, COST + ("--iops", "1", "--per", "minute", "--mix", "inf")),
+    ("cost-beyond-double", None, COST + ("--capacity-gb", "1e300", "--months", "1e300")),
+    ("trace-output-dir-missing", None, ("workload", "trace", "-o", "/nonexistent/dir/x.json")),
+    ("gen-output-dir-missing", None, ("workload", "gen", "--kind", "cholesky", "-o", "/nonexistent/dir/x.json")),
+]
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("contents,argv", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, contents, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FAASIM_CATALOG", raising=False)
+    if contents is not None:
+        data = contents if isinstance(contents, bytes) else contents.encode("utf-8")
+        (tmp_path / "input.json").write_bytes(data)
+    assert_one_error_line(*run(*argv))
+
+
+# --- any JSON document: the documented result or one `error:` line ------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+VALID_TRACE = wl.fixed_interval_trace(3, 1.0, 0.5).to_json_list()
+VALID_GRAPH = wl.gen_shuffle_dag(2, 3, 100).to_json_dict()
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one value, at any depth, replaced by arbitrary JSON or removed."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        elif draw(st.booleans()):
+            del node[key]
+            return doc
+        else:
+            node[key] = draw(json_values)
+            return doc
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs") / "doc.json"
+
+
+def assert_result_or_error(doc, path, *commands):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in commands:
+        code, out, err = run(*argv)
+        if code == 0:
+            assert err == ""
+        else:
+            assert_one_error_line(code, out, err)
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(doc=json_values | mutated(VALID_TRACE))
+def test_any_trace_document_runs_or_errors(doc_path, doc):
+    assert_result_or_error(doc, doc_path, ("simulate", "--trace", str(doc_path)))
+
+
+@PROPERTY_SETTINGS
+@given(doc=json_values | mutated(VALID_GRAPH))
+def test_any_graph_document_runs_or_errors(doc_path, doc):
+    assert_result_or_error(doc, doc_path, ("place", "--graph", str(doc_path), "--instances", "3", "--slots", "2"),
+                           ("workload", "profile", "--graph", str(doc_path)))

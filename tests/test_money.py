@@ -1,0 +1,66 @@
+"""Exact money: rounding at report precision and rejection of non-finite amounts."""
+
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from faasim.money import usd, usd_decimal, usd_json
+
+HALF_MICRO = Fraction(5, 10**7)
+TINY = Fraction(1, 10**40)
+
+
+def check_rounding(amount: Fraction, places: int) -> None:
+    """The result has `places` decimals, lies within half a unit of `amount`,
+    and on an exact tie lies further from zero than `amount`."""
+    got = usd_decimal(amount, places)
+    assert got.as_tuple().exponent == -places
+    assert got.is_signed() == (amount < 0)
+    error = abs(Fraction(got) - amount)
+    half_unit = Fraction(1, 2 * 10**places)
+    assert error <= half_unit
+    if error == half_unit:
+        assert abs(Fraction(got)) > abs(amount)
+
+
+@given(
+    st.fractions(max_denominator=10**45),
+    st.sampled_from([0, 2, 4, 6, 12]),
+)
+@example(HALF_MICRO - TINY, 6)
+@example(HALF_MICRO + TINY, 6)
+@example(HALF_MICRO, 6)
+@example(-HALF_MICRO, 6)
+@example(Fraction(10**30) + HALF_MICRO - TINY, 6)
+@example(Fraction(23 * 10**27), 6)
+@example(Fraction(-7 * 10**40, 3), 6)
+def test_usd_decimal_matches_exact_rounding(amount, places):
+    check_rounding(amount, places)
+
+
+@given(st.integers(min_value=30, max_value=80), st.integers(min_value=-10**12, max_value=10**12))
+def test_usd_decimal_exact_beyond_28_digits(exponent, micro):
+    amount = Fraction(10**exponent) + Fraction(micro, 10**6) + Fraction(1, 2 * 10**6)
+    check_rounding(amount, 6)
+    check_rounding(amount - TINY, 6)
+
+
+def test_usd_decimal_no_double_rounding():
+    assert usd_decimal(HALF_MICRO - TINY) == Decimal("0.000000")
+    assert usd_decimal(HALF_MICRO) == Decimal("0.000001")
+    assert str(usd_decimal(Fraction(23 * 10**28))) == "230000000000000000000000000000.000000"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), Decimal("Infinity"), Decimal("NaN")])
+def test_usd_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        usd(value)
+
+
+def test_usd_json_rejects_amounts_beyond_a_double():
+    assert usd_json(Fraction(10**300)) == 1e300
+    with pytest.raises(ValueError):
+        usd_json(Fraction(10**400))

@@ -53,8 +53,6 @@ def test_shuffle_dag_large_is_implicit():
     assert isinstance(graph, wl.ShuffleDagSpec)
     assert graph.edge_count == 33_334**2
     assert 1_100_000_000 <= graph.edge_count <= 1_120_000_000
-    with pytest.raises(wl.GraphError):
-        graph.materialize()
 
 
 def test_shuffle_dag_edges_match_planner_transfers():
@@ -68,7 +66,7 @@ def test_shuffle_dag_edges_match_planner_transfers():
 
 def test_implicit_profile_matches_materialized():
     implicit = wl.ShuffleDagSpec(3, 4, 100)
-    explicit = implicit.materialize()
+    explicit = wl.gen_shuffle_dag(3, 4, 100)
     assert wl.parallelism_profile(implicit) == wl.parallelism_profile(explicit)
 
 
