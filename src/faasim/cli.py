@@ -32,7 +32,7 @@ from . import shuffleplan as shp
 from . import simcore as sim
 from . import units
 from . import workloads as wl
-from .money import usd_json, usd_str
+from .money import usd, usd_json, usd_str
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
 
@@ -258,9 +258,9 @@ def _cmd_shuffle_price(args, out) -> int:
         block = _parse_bytes(args.block, args)
         plan = shp.plan(shp.ShuffleProblem(data, block, args.stages))
         exec_inputs = shp.ShuffleExec(
-            function_gb_seconds=Fraction(args.gb_seconds),
-            fast_store_gb_hours=Fraction(args.gb_hours),
-            slow_store_write_fraction=Fraction(args.write_fraction),
+            function_gb_seconds=usd(args.gb_seconds),
+            fast_store_gb_hours=usd(args.gb_hours),
+            slow_store_write_fraction=usd(args.write_fraction),
             slow_store_ops=args.slow_ops,
         )
         breakdown = shp.price_plan(plan, catalog, exec_inputs)

@@ -10,12 +10,17 @@ cents by default, six decimal places in JSON reports.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 # Quantization used when "full precision" is requested for a rational
 # whose decimal expansion does not terminate.
 FULL_PRECISION_PLACES = 12
+
+# Largest decimal exponent `usd` reads. Fraction expands 10**exponent in
+# full, so "1e9999999" would cost seconds of CPU; prices and quantities sit
+# far inside this bound.
+MAX_EXPONENT = 1000
 
 
 def decimal_literal(value: float | int | str | Decimal) -> Decimal:
@@ -27,22 +32,28 @@ def decimal_literal(value: float | int | str | Decimal) -> Decimal:
 
 
 def usd(value) -> Fraction:
-    """Convert a price-like value into an exact Fraction of dollars.
+    """Convert a price or quantity into an exact Fraction.
 
     Accepts int, str (plain, scientific, or "p/q" rational), Decimal and
-    Fraction. Floats are read by `decimal_literal`. NaN and infinities
-    raise ValueError.
+    Fraction. Floats are read by `decimal_literal`. NaN, infinities and
+    decimal exponents beyond +-MAX_EXPONENT raise ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, float, Decimal)):
+        try:
+            literal = Decimal(value)
+        except InvalidOperation:
+            return Fraction(value)  # "p/q", or ValueError
+    elif isinstance(value, (int, float, Decimal)):
         literal = decimal_literal(value)
-        if not literal.is_finite():
-            raise ValueError(f"{value!r} is not a finite dollar amount")
-        return Fraction(literal)
-    raise TypeError(f"cannot interpret {value!r} as a dollar amount")
+    else:
+        raise TypeError(f"cannot interpret {value!r} as a dollar amount")
+    if not literal.is_finite():
+        raise ValueError(f"{value!r} is not a finite dollar amount")
+    if abs(literal.as_tuple().exponent) > MAX_EXPONENT:
+        raise ValueError(f"{value!r} has a decimal exponent beyond +-{MAX_EXPONENT}")
+    return Fraction(literal)
 
 
 def usd_decimal(amount: Fraction, places: int = 6) -> Decimal:

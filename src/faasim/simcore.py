@@ -12,30 +12,40 @@ absence of demand.
 
 Billing charges execution time only, rounded up to the accounting unit,
 scaled linearly with configured memory, plus an optional per-invocation
-request fee. The charge depends only on (duration, memory), so a run
-prices each distinct pair once and totals count x price exactly. An
-entry over the run-time limit or outside the memory range goes to
-`rejected` with its reason, and the rest of the trace runs.
+request fee. Units are an integer ceiling on the run's tick clock; the
+memory range check and the per-unit rate are worked out once per memory
+class and the cost once per (units, memory), and totals are count x
+price, exactly. `bill_invocation` and `billed_units` use the same
+helpers. An entry over the run-time limit or outside the memory range
+goes to `rejected` with its reason, and the rest of the trace runs.
 
 Time is an exact integer clock: arrivals, durations, the cold-start
 components and the keep-alive are read as their decimal literals and
 scaled by one power of ten per run, so 0.1 + 0.2 s ends exactly at 0.3 s
-and busy and instance seconds are exact sums rounded once. Event order
-at equal timestamps is fixed (completions, then retirements, then
-arrivals in trace order) so results are deterministic and serialize
-byte-identically across runs.
+and busy and instance seconds are exact sums rounded once.
+
+A run is one pass over the trace columns in arrival order. A heap holds
+the running invocations only; each memory class keeps the ticks at which
+its idle instances went idle, oldest first, and reuses the newest. An
+idle instance retires keep-alive after it went idle: retirements are
+applied lazily, oldest first, when its pool is next used, and the rest
+when the run ends. Events at equal timestamps thus take effect in a
+fixed order (completions, then retirements, then arrivals in trace
+order), so results are deterministic and serialize byte-identically.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, localcontext
 from fractions import Fraction
-from itertools import chain
+from heapq import heappop, heappush
+from itertools import chain, count, repeat
+from operator import mul
+from typing import NamedTuple
 
 from .catalog import ComputeServiceSpec
 from .money import decimal_literal, usd_json
@@ -93,8 +103,7 @@ class PlatformConfig:
             raise SimulationError("prestarted count must be non-negative")
 
 
-@dataclass(frozen=True)
-class InvocationResult:
+class InvocationResult(NamedTuple):
     arrival_s: float
     start_latency_s: float
     duration_s: float
@@ -136,14 +145,14 @@ class SimResult:
         return {
             "invocations": [
                 {
-                    "arrival_s": r.arrival_s,
-                    "start_latency_s": r.start_latency_s,
-                    "duration_s": r.duration_s,
-                    "cold": r.cold,
-                    "billed_units": r.billed_units,
-                    "cost_usd": rendered[id(r.cost_usd)],
+                    "arrival_s": arrival_s,
+                    "start_latency_s": latency_s,
+                    "duration_s": duration_s,
+                    "cold": cold,
+                    "billed_units": units,
+                    "cost_usd": rendered[id(cost)],
                 }
-                for r in self.invocations
+                for arrival_s, latency_s, duration_s, cold, units, cost in self.invocations
             ],
             "rejected": [
                 {"index": r.index, "arrival_s": r.arrival_s, "duration_s": r.duration_s, "reason": r.reason}
@@ -163,9 +172,23 @@ class SimResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _ceil_units(seconds: Decimal, spec: ComputeServiceSpec) -> int:
-    """Whole accounting units covering a span, exactly: ceil(seconds / unit)."""
-    return math.ceil(Fraction(seconds) / spec.accounting_unit_s)
+def _units(ticks: int, scale: int, spec: ComputeServiceSpec) -> int:
+    """Whole accounting units covering ticks / scale seconds, exactly."""
+    unit = spec.accounting_unit_s
+    return -(-ticks * unit.denominator // (scale * unit.numerator))
+
+
+def _over_limit(ticks: int, scale: int, spec: ComputeServiceSpec) -> bool:
+    limit = spec.max_run_time_s
+    return limit is not None and ticks * limit.denominator > limit.numerator * scale
+
+
+def _rate(memory_gb, spec: ComputeServiceSpec) -> Fraction | None:
+    """Dollars per accounting unit at this memory; None outside the configurable range."""
+    memory = Fraction(decimal_literal(memory_gb))
+    if spec.memory_min_gib <= memory <= spec.memory_max_gib:
+        return spec.price_usd_per_unit * memory / spec.base_memory_gib
+    return None
 
 
 def billed_units(duration_s, spec: ComputeServiceSpec) -> int:
@@ -174,38 +197,26 @@ def billed_units(duration_s, spec: ComputeServiceSpec) -> int:
     Durations are interpreted by their decimal literal, so 0.1 s on a
     0.1 s unit bills exactly one unit despite binary float rounding.
     """
-    duration = decimal_literal(duration_s)
+    duration = Fraction(decimal_literal(duration_s))
     if duration <= 0:
         raise BillingError("duration must be positive")
-    return _ceil_units(duration, spec)
+    return _units(duration.numerator, duration.denominator, spec)
 
 
 def bill_invocation(duration_s, memory_gb, spec: ComputeServiceSpec) -> Fraction:
     """Dollar cost of one invocation at the given memory configuration."""
-    bill = _price(duration_s, memory_gb, spec)
-    if bill == _OVER_LIMIT:
+    duration = Fraction(decimal_literal(duration_s))
+    if _over_limit(duration.numerator, duration.denominator, spec):
         raise BillingError(f"duration {duration_s}s exceeds the {spec.max_run_time_s}s run-time limit")
-    if bill == _BAD_MEMORY:
+    rate = _rate(memory_gb, spec)
+    if rate is None:
         raise BillingError(f"memory {memory_gb} GiB outside [{spec.memory_min_gib}, {spec.memory_max_gib}]")
-    return bill[1]
+    return billed_units(duration_s, spec) * rate + spec.request_fee_usd
 
 
 # Reasons an invocation is rejected, checked in this order.
 _OVER_LIMIT = "duration exceeds max run time"
 _BAD_MEMORY = "memory outside the configurable range"
-
-
-def _price(duration_s, memory_gb, spec: ComputeServiceSpec) -> tuple[int, Fraction] | str:
-    """(units, cost) of one invocation, or the reason the platform rejects it."""
-    duration = decimal_literal(duration_s)
-    if spec.max_run_time_s is not None and duration > spec.max_run_time_s:
-        return _OVER_LIMIT
-    memory = Fraction(decimal_literal(memory_gb))
-    if not spec.memory_min_gib <= memory <= spec.memory_max_gib:
-        return _BAD_MEMORY
-    units = billed_units(duration, spec)
-    return units, units * spec.price_usd_per_unit * (memory / spec.base_memory_gib) + spec.request_fee_usd
-
 
 # Exact decimal arithmetic: no rounding at any precision or exponent.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -223,22 +234,7 @@ def _ticks(*groups) -> tuple[int, list[list[int]]]:
         # An exact sum carries the least exponent of its terms.
         exponent = sum(chain.from_iterable(literals)).as_tuple().exponent
         scale = 10 ** max(0, -exponent)
-        return scale, [[int(d * scale) for d in group] for group in literals]
-
-
-# Event kinds, in tie-breaking order at equal timestamps.
-_COMPLETE, _RETIRE, _ARRIVE = 0, 1, 2
-
-
-class _Instance:
-    """A function instance: the idle pool of its memory class, and a token
-    that changes on every reuse so that a pending retirement is superseded."""
-
-    __slots__ = ("pool", "idle_token")
-
-    def __init__(self, pool: list):
-        self.pool = pool
-        self.idle_token = 0
+        return scale, [list(map(int, map(mul, group, repeat(scale)))) for group in literals]
 
 
 def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
@@ -249,65 +245,55 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     memory range are reported in `rejected` rather than silently dropped.
     """
     if not isinstance(trace, InvocationTrace):
-        trace = InvocationTrace(tuple(trace))  # validates order and finiteness
-    entries = trace.entries
-    spec = platform.compute
-    cold = platform.cold_start
-    n = len(entries)
-
-    # Billing depends only on (duration, memory): price each key once.
-    keys = [(inv.duration_s, inv.memory_gb) for inv in entries]
-    counts = Counter(keys)
-    priced = {key: _price(*key, spec) for key in counts}
+        trace = InvocationTrace(trace)  # validates order and finiteness
+    spec, cold = platform.compute, platform.cold_start
+    counts = Counter(zip(trace.durations, trace.memory))
     scale, (arrivals, durations, fixed) = _ticks(
-        [inv.arrival_s for inv in entries],
-        [duration for duration, _ in priced],
-        [cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s],
-    )
+        trace.arrivals, [duration for duration, _ in counts],
+        [cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s])
     t_schedule, t_env, t_app, keep_alive = fixed
-    pools = {memory: [] for _, memory in priced}  # idle instances per memory, most recently idled last
-    bills = {  # key -> (units, cost, duration ticks, idle pool) for keys the platform runs
-        key: (*price, duration, pools[key[1]])
-        for (key, price), duration in zip(priced.items(), durations)
-        if not isinstance(price, str)
-    }
 
-    # Arrivals enter the heap one at a time, in trace order; each event
-    # carries its own instance and the idle token it was issued for. A
-    # completion and its retirement keep their arrival's seq, so ties
-    # break in trace order and (time, kind, seq) never repeats.
-    events = [(arrivals[0], _ARRIVE, 0, None, 0)] if n else []
-    heappush, heappop = heapq.heappush, heapq.heappop
-    results: list[InvocationResult | None] = [None] * n
+    # Price each (duration, memory) key once; its cost is shared by every
+    # key with the same (units, memory).
+    rates = {memory: _rate(memory, spec) for memory in {memory for _, memory in counts}}
+    pools = {memory: deque() for memory in rates}  # idle-since ticks per memory class, oldest first
+    costs: dict[tuple[int, float], Fraction] = {}
+    tally: Counter = Counter()  # invocations per (units, memory)
+    bills = {}  # key -> (units, cost, duration ticks, idle pool), or the reason it is rejected
+    for (key, n), ticks in zip(counts.items(), durations):
+        memory = key[1]
+        if _over_limit(ticks, scale, spec):
+            bills[key] = _OVER_LIMIT
+        elif rates[memory] is None:
+            bills[key] = _BAD_MEMORY
+        else:
+            units = _units(ticks, scale, spec)
+            if (units, memory) not in costs:
+                costs[units, memory] = units * rates[memory] + spec.request_fee_usd
+            tally[units, memory] += n
+            bills[key] = (units, costs[units, memory], ticks, pools[memory])
+
+    events: list[tuple[int, int, deque]] = []  # running invocations: (end tick, seq, idle pool)
+    results: list[InvocationResult] = []
     rejected: list[RejectedInvocation] = []
     prestarted_left = platform.warm_pool_prestarted
     full_ticks, full_s, prestarted_s = t_schedule + t_env + t_app, cold.full_s, cold.prestarted_s
-    running = peak = cold_starts = 0
+    peak = cold_starts = 0
     lifetime = busy_total = 0  # ticks; lifetime is the sum of retire minus creation times
 
-    while events:
-        now, kind, seq, inst, token = heappop(events)
-        if kind == _COMPLETE:
-            running -= 1
-            inst.pool.append(inst)
-            heappush(events, (now + keep_alive, _RETIRE, seq, inst, inst.idle_token))
-            continue
-        if kind == _RETIRE:
-            if inst.idle_token == token:  # otherwise reused since: superseded
-                inst.pool.remove(inst)
-                lifetime += now
-            continue
-        if seq + 1 < n:
-            heappush(events, (arrivals[seq + 1], _ARRIVE, seq + 1, None, 0))
-        inv = entries[seq]
-        bill = bills.get(keys[seq])
-        if bill is None:
-            rejected.append(RejectedInvocation(seq, inv.arrival_s, inv.duration_s, priced[keys[seq]]))
+    for seq, now, arrival_s, key in zip(count(), arrivals, trace.arrivals, zip(trace.durations, trace.memory)):
+        while events and events[0][0] <= now:
+            end, _, pool = heappop(events)
+            pool.append(end)
+        bill = bills[key]
+        if isinstance(bill, str):
+            rejected.append(RejectedInvocation(seq, arrival_s, key[0], bill))
             continue
         units, cost, duration, pool = bill
+        while pool and pool[0] + keep_alive <= now:
+            lifetime += pool.popleft() + keep_alive
         if pool:
-            inst = pool.pop()  # most recently idled first
-            inst.idle_token += 1
+            pool.pop()  # most recently idled first
             latency, latency_s, was_cold = 0, 0.0, False
         else:
             if prestarted_left > 0:
@@ -315,26 +301,25 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
                 latency, latency_s = t_app, prestarted_s
             else:
                 latency, latency_s = full_ticks, full_s
-            inst = _Instance(pool)
             lifetime -= now
             cold_starts += 1
             was_cold = True
         occupied = latency + duration
         busy_total += occupied
-        running += 1
-        if running > peak:
-            peak = running
-        results[seq] = InvocationResult(inv.arrival_s, latency_s, inv.duration_s, was_cold, units, cost)
-        heappush(events, (now + occupied, _COMPLETE, seq, inst, 0))
+        heappush(events, (now + occupied, seq, pool))
+        if len(events) > peak:
+            peak = len(events)
+        results.append(InvocationResult(arrival_s, latency_s, key[0], was_cold, units, cost))
 
-    # Scale-to-zero: once the event queue drains, every instance has retired.
-    assert running == 0 and not any(pools.values())
+    # Scale-to-zero: every running instance completes, then every idle one retires.
+    idle = [end for end, _, _ in events] + list(chain.from_iterable(pools.values()))
+    lifetime += sum(idle) + len(idle) * keep_alive
 
     return SimResult(
-        invocations=tuple(r for r in results if r is not None),
+        invocations=tuple(results),
         rejected=tuple(rejected),
-        billed_units=sum(counts[key] * bill[0] for key, bill in bills.items()),
-        cost_usd=sum((counts[key] * bill[1] for key, bill in bills.items()), Fraction(0)),
+        billed_units=sum(n * units for (units, _), n in tally.items()),
+        cost_usd=sum((n * costs[key] for key, n in tally.items()), Fraction(0)),
         cold_starts=cold_starts,
         peak_concurrency=peak,
         instances_created=cold_starts,
@@ -345,10 +330,10 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
 
 def serverful_cost(span_s, spec: ComputeServiceSpec) -> Fraction:
     """Always-on instance cost for a wall-clock span (60 s minimum units)."""
-    span = decimal_literal(span_s)
+    span = Fraction(decimal_literal(span_s))
     if span < 0:
         raise BillingError("span must be non-negative")
-    return _ceil_units(span, spec) * spec.price_usd_per_unit
+    return _units(span.numerator, span.denominator, spec) * spec.price_usd_per_unit
 
 
 def breakeven_duty_cycle(per_minute_cost_ratio) -> Fraction:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import itemgetter
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import itemgetter, le
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .commpatterns import CommScenario, Deployment
 
@@ -48,7 +48,19 @@ class Edge:
     bytes: int
 
 
-class TaskGraph:
+class _Immutable:
+    """Slots set once, through `object.__setattr__`; assignment and deletion raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class TaskGraph(_Immutable):
     """A validated DAG of tasks with byte-weighted edges.
 
     The graph is held as columns indexed by position: task i is `ids[i]`,
@@ -98,12 +110,6 @@ class TaskGraph:
             raise GraphError(f"edge {self.ids[self.src[j]]!r}->{self.ids[self.dst[j]]!r} has negative bytes")
         levels = asap_levels(self)  # raises on cycles
         object.__setattr__(self, "levels", tuple(map(levels.__getitem__, self.ids)))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"TaskGraph is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"TaskGraph is immutable; cannot delete {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TaskGraph):
@@ -426,37 +432,62 @@ def flops_comm_ratio(n: int) -> float:
 # Invocation traces.
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(NamedTuple):
     arrival_s: float
     duration_s: float
     memory_gb: float
 
 
-@dataclass(frozen=True)
-class InvocationTrace:
-    entries: tuple[Invocation, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
+class InvocationTrace(_Immutable):
+    """A validated invocation trace held as three float columns.
 
-    def __post_init__(self):
-        isfinite = math.isfinite
-        last = -math.inf
-        for inv in self.entries:
-            if not (isfinite(inv.arrival_s) and isfinite(inv.duration_s) and isfinite(inv.memory_gb)):
-                raise GraphError("trace arrivals, durations and memory must be finite numbers")
-            if inv.arrival_s < last:
-                raise GraphError("trace arrivals must be sorted non-decreasing")
-            if inv.duration_s <= 0:
-                raise GraphError("trace durations must be positive")
-            last = inv.arrival_s
+    Entry i arrives at `arrivals[i]`, runs `durations[i]` seconds and is
+    configured with `memory[i]` GB. Arrivals are finite and non-decreasing,
+    durations finite and positive, memory finite. `entries` is a read-only
+    view in object form; equality compares the columns, not `metadata`.
+    """
+
+    _COLUMNS = ("arrivals", "durations", "memory")
+    __slots__ = _COLUMNS + ("metadata",)
+
+    def __init__(self, entries: Iterable[Invocation], metadata: dict | None = None):
+        entries = tuple(entries)
+        self._set_columns(*([getattr(e, name) for e in entries] for name in Invocation._fields), metadata)
+
+    @classmethod
+    def _from_columns(cls, arrivals, durations, memory, metadata: dict | None = None) -> "InvocationTrace":
+        trace = cls.__new__(cls)
+        trace._set_columns(arrivals, durations, memory, metadata)
+        return trace
+
+    def _set_columns(self, arrivals, durations, memory, metadata: dict | None) -> None:
+        for name, column in zip(self._COLUMNS, (arrivals, durations, memory)):
+            object.__setattr__(self, name, tuple(map(float, column)))
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        arrivals, durations = self.arrivals, self.durations
+        if not all(map(math.isfinite, chain(arrivals, durations, self.memory))):
+            raise GraphError("trace arrivals, durations and memory must be finite numbers")
+        if not all(map(le, arrivals, arrivals[1:])):
+            raise GraphError("trace arrivals must be sorted non-decreasing")
+        if durations and min(durations) <= 0:
+            raise GraphError("trace durations must be positive")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InvocationTrace):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.arrivals)
+
+    @property
+    def entries(self) -> tuple[Invocation, ...]:
+        return tuple(map(Invocation, self.arrivals, self.durations, self.memory))
 
     def to_json_list(self) -> list[dict]:
         return [
-            {"arrival_s": e.arrival_s, "duration_s": e.duration_s, "memory_gb": e.memory_gb}
-            for e in self.entries
+            {"arrival_s": arrival, "duration_s": duration, "memory_gb": memory_gb}
+            for arrival, duration, memory_gb in zip(self.arrivals, self.durations, self.memory)
         ]
 
     @classmethod
@@ -464,13 +495,12 @@ class InvocationTrace:
         if not isinstance(doc, list):
             raise GraphError("malformed trace document: the top level must be a list of entries")
         try:
-            entries = tuple(
-                Invocation(float(e["arrival_s"]), float(e["duration_s"]), float(e.get("memory_gb", 0.125)))
-                for e in doc
-            )
+            arrivals = list(map(float, map(itemgetter("arrival_s"), doc)))
+            durations = list(map(float, map(itemgetter("duration_s"), doc)))
+            memory = [float(e.get("memory_gb", 0.125)) for e in doc]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed trace document: {exc}") from exc
-        return cls(entries=entries)
+        return cls._from_columns(arrivals, durations, memory)
 
 
 def load_trace(path: str | Path) -> InvocationTrace:
@@ -512,11 +542,8 @@ def fixed_interval_trace(
     """Evenly spaced arrivals."""
     if count < 0:
         raise GraphError("count must be non-negative")
-    entries = tuple(
-        Invocation(start_s + i * interval_s, duration_s, memory_gb) for i in range(count)
-    )
-    return InvocationTrace(
-        entries=entries,
+    return InvocationTrace._from_columns(
+        [start_s + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
         metadata={"generator": "fixed-interval", "count": count, "interval_s": interval_s,
                   "duration_s": duration_s, "memory_gb": memory_gb},
     )
@@ -539,13 +566,9 @@ def poisson_trace(
     if rate_per_s <= 0:
         raise GraphError("arrival rate must be positive")
     rng = SplitMix64(seed)
-    entries = []
-    now = 0.0
-    for _ in range(count):
-        now += -math.log(1.0 - rng.uniform()) / rate_per_s
-        entries.append(Invocation(now, duration_s, memory_gb))
-    return InvocationTrace(
-        entries=tuple(entries),
+    gaps = (-math.log(1.0 - rng.uniform()) / rate_per_s for _ in range(count))
+    return InvocationTrace._from_columns(
+        list(accumulate(gaps, initial=0.0))[1:], [duration_s] * count, [memory_gb] * count,
         metadata={"generator": "poisson", "count": count, "rate_per_s": rate_per_s,
                   "duration_s": duration_s, "memory_gb": memory_gb, "seed": seed},
     )

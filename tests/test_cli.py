@@ -311,6 +311,7 @@ SIMULATE = ("simulate", "--trace", "input.json")
 SHOW_CATALOG = ("catalog", "show", "--catalog", "input.json")
 COST = ("catalog", "cost", "--service", "object")
 PRICE_PRESET = ("shuffle", "price", "--preset", "input.json")
+PRICE_DATA = ("shuffle", "price", "--data", "1GB")
 
 # (id, contents of input.json or None, argv); paths are relative to tmp_path.
 BAD_INPUTS = [
@@ -338,6 +339,12 @@ BAD_INPUTS = [
     ("months-inf", None, COST + ("--capacity-gb", "1", "--months", "inf")),
     ("mix-inf", None, COST + ("--iops", "1", "--per", "minute", "--mix", "inf")),
     ("cost-beyond-double", None, COST + ("--capacity-gb", "1e300", "--months", "1e300")),
+    # Exponents Fraction would expand in full: seconds of CPU before the bound.
+    ("gb-seconds-huge-exponent", None, PRICE_DATA + ("--gb-seconds", "1e9999999")),
+    ("gb-hours-huge-exponent", None, PRICE_DATA + ("--gb-hours", "1e2000000")),
+    ("write-fraction-tiny-exponent", None, PRICE_DATA + ("--write-fraction", "1e-9999999")),
+    ("catalog-price-huge-exponent", cat.default_catalog_path().read_text(encoding="utf-8").replace(
+        "2e-07", "2e-9999999"), SHOW_CATALOG),
     ("trace-output-dir-missing", None, ("workload", "trace", "-o", "/nonexistent/dir/x.json")),
     ("gen-output-dir-missing", None, ("workload", "gen", "--kind", "cholesky", "-o", "/nonexistent/dir/x.json")),
 ]

@@ -10,6 +10,7 @@ change is intended, update the digests in the same commit and say why.
 import hashlib
 import io
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,10 @@ GOLDEN = [
     ("trace", ("workload", "trace", "--count", "200", "--seed", "1", "-o", "trace.json"), "trace.json"),
     ("simulate", ("simulate", "--trace", "trace.json", "--catalog", "catalog.json"), None),
     ("catalog show", ("catalog", "show", "--catalog", "catalog.json"), None),
+    # Bursty, four memory classes, equal-timestamp ties, prestarted pool,
+    # over-limit and bad-memory rows.
+    ("simulate bursty", ("simulate", "--trace", "bursty_trace.json", "--catalog", "catalog.json",
+                         "--keep-alive", "10", "--t-env", "2", "--t-app", "0.3", "--prestarted", "5"), None),
 ]
 
 DIGESTS = {
@@ -78,6 +83,10 @@ DIGESTS = {
         "55169645afc4a6fc125d65dea1c5dcabe7155913b339df96ffd84805edc1c73a",
         None,
     ),
+    "simulate bursty": (
+        "471338766d95ed0ce7a2d69b00ffc441aeaa2818df22a4deb9dd96cf680912f2",
+        None,
+    ),
 }
 
 
@@ -90,6 +99,7 @@ def golden_outputs(tmp_path_factory):
     """Run every command in order in one directory; name -> (stdout, file) digests."""
     directory = tmp_path_factory.mktemp("golden")
     shutil.copyfile(cat.default_catalog_path(), directory / "catalog.json")
+    shutil.copyfile(Path(__file__).parent / "data" / "bursty_trace.json", directory / "bursty_trace.json")
     results = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(directory)

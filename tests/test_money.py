@@ -1,4 +1,4 @@
-"""Exact money: rounding at report precision and rejection of non-finite amounts."""
+"""Exact money: rounding at report precision and rejection of non-finite amounts and huge exponents."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from faasim.money import usd, usd_decimal, usd_json
+from faasim.money import MAX_EXPONENT, usd, usd_decimal, usd_json
 
 HALF_MICRO = Fraction(5, 10**7)
 TINY = Fraction(1, 10**40)
@@ -64,3 +64,19 @@ def test_usd_json_rejects_amounts_beyond_a_double():
     assert usd_json(Fraction(10**300)) == 1e300
     with pytest.raises(ValueError):
         usd_json(Fraction(10**400))
+
+
+def test_usd_reads_every_literal_form():
+    assert usd("2.5e-3") == usd(Decimal("0.0025")) == usd(0.0025) == Fraction(1, 400)
+    assert usd("1/2") == Fraction(1, 2)
+    assert usd(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    for bad in ("nan", "-inf", "abc", "1/0x"):
+        with pytest.raises(ValueError):
+            usd(bad)
+
+
+@pytest.mark.parametrize("value", ["1e9999999", "-1E+2000000", "1e-9999999", "0e9999999", f"1e{MAX_EXPONENT + 1}",
+                                   Decimal("2e-9999999")])
+def test_usd_refuses_huge_exponents(value):
+    with pytest.raises(ValueError, match="exponent"):
+        usd(value)

@@ -1,10 +1,12 @@
 """Platform simulator: billing, cold starts, autoscaling, breakeven."""
 
 import json
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faasim import catalog as cat
@@ -283,6 +285,135 @@ def test_grouped_billing_matches_per_invocation(fn_spec, rows):
     assert result.billed_units == sum(sim.billed_units(inv.duration_s, fn_spec) for inv in kept)
     assert [r.cost_usd for r in result.invocations] == costs
     assert [r["cost_usd"] for r in result.to_json_dict()["invocations"]] == [usd_json(c) for c in costs]
+
+
+# --- differential oracle -------------------------------------------------------
+
+
+def literal(value) -> Fraction:
+    return Fraction(Decimal(repr(float(value))))
+
+
+class RefInstance:
+    def __init__(self, memory, created):
+        self.memory, self.created = memory, created
+        self.idle_since = self.idle_order = self.retired = None
+
+
+def reference_simulate(entries, config):
+    """Deliberately naive simulator: a Fraction clock, one explicit event list
+    sorted by (time, kind, seq) before every step, instance objects, and a
+    retire event per idle period that fires only if the instance is still
+    idle since then. Returns the SimResult fields plus the instances."""
+    spec, cold, keep_alive = config.compute, config.cold_start, literal(config.keep_alive_s)
+    full = literal(cold.t_schedule_s) + literal(cold.t_env_s) + literal(cold.t_app_s)
+    complete, retire, arrive = 0, 1, 2
+    events = [(literal(e.arrival_s), arrive, i, None) for i, e in enumerate(entries)]
+    instances, invocations, rejected = [], [], []
+    running = peak = idled = 0
+    prestarted_left = config.warm_pool_prestarted
+    while events:
+        events.sort(key=lambda event: event[:3])
+        now, kind, seq, payload = events.pop(0)
+        if kind == complete:
+            running -= 1
+            payload.idle_since, payload.idle_order, idled = now, idled, idled + 1
+            events.append((now + keep_alive, retire, seq, (payload, now)))
+            continue
+        if kind == retire:
+            inst, since = payload
+            if inst.idle_since == since:
+                inst.idle_since, inst.retired = None, now
+            continue
+        entry = entries[seq]
+        duration, memory = literal(entry.duration_s), literal(entry.memory_gb)
+        if duration > spec.max_run_time_s:
+            rejected.append(sim.RejectedInvocation(seq, entry.arrival_s, entry.duration_s,
+                                                   "duration exceeds max run time"))
+            continue
+        if not spec.memory_min_gib <= memory <= spec.memory_max_gib:
+            rejected.append(sim.RejectedInvocation(seq, entry.arrival_s, entry.duration_s,
+                                                   "memory outside the configurable range"))
+            continue
+        idle = [i for i in instances if i.memory == memory and i.idle_since is not None]
+        if idle:
+            inst = max(idle, key=lambda i: i.idle_order)
+            inst.idle_since, latency, latency_s = None, Fraction(0), 0.0
+        else:
+            inst = RefInstance(memory, now)
+            instances.append(inst)
+            if prestarted_left:
+                prestarted_left -= 1
+                latency, latency_s = literal(cold.t_app_s), cold.prestarted_s
+            else:
+                latency, latency_s = full, cold.full_s
+        running += 1
+        peak = max(peak, running)
+        units = math.ceil(duration / spec.accounting_unit_s)
+        cost = units * spec.price_usd_per_unit * memory / spec.base_memory_gib + spec.request_fee_usd
+        invocations.append((entry.arrival_s, latency_s, entry.duration_s, not idle, units, cost, latency + duration))
+        events.append((now + latency + duration, complete, seq, inst))
+    fields = dict(
+        invocations=tuple(sim.InvocationResult(*inv[:6]) for inv in invocations),
+        rejected=tuple(rejected),
+        billed_units=sum(inv[4] for inv in invocations),
+        cost_usd=sum((inv[5] for inv in invocations), Fraction(0)),
+        cold_starts=len(instances),
+        peak_concurrency=peak,
+        instances_created=len(instances),
+        instance_seconds_running=float(sum((i.retired - i.created for i in instances), Fraction(0))),
+        busy_seconds=float(sum((inv[6] for inv in invocations), Fraction(0))),
+    )
+    return fields, instances
+
+
+# Few distinct times in tenths of a second, so completions and retirements
+# land on arrival instants; durations off the 0.1 s unit, and two over the
+# 900 s limit; three memory classes and two out of range.
+tenths = st.integers(min_value=0, max_value=30).map(lambda n: n / 10)
+small_traces = st.lists(
+    st.tuples(
+        tenths,
+        st.sampled_from((0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 1.35, 900.1, 1000.0)),
+        st.sampled_from((0.125, 0.25, 1.0, 4.0, 0.05)),
+    ),
+    max_size=30,
+).map(lambda rows: wl.InvocationTrace(wl.Invocation(*row) for row in sorted(rows, key=lambda row: row[0])))
+platforms = st.tuples(
+    st.tuples(*[st.sampled_from((0.0, 0.1, 0.2, 0.5))] * 3),
+    st.sampled_from((0.0, 0.1, 0.2, 0.5, 1.0, 600.0)),
+    st.integers(min_value=0, max_value=3),
+)
+ORACLE_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+@ORACLE_SETTINGS
+@given(small_traces, platforms)
+def test_simulate_matches_naive_reference(fn_spec, trace, params):
+    cold, keep_alive, prestarted = params
+    config = platform(fn_spec, cold=cold, keep_alive=keep_alive, prestarted=prestarted)
+    expected, instances = reference_simulate(trace.entries, config)
+    assert all(inst.retired is not None for inst in instances)  # the reference scales to zero too
+    result = sim.simulate(trace, config)
+    assert {name: getattr(result, name) for name in expected} == expected
+
+
+@ORACLE_SETTINGS
+@given(small_traces, platforms)
+def test_units_conserved_and_scale_to_zero(fn_spec, trace, params):
+    cold, keep_alive, prestarted = params
+    result = sim.simulate(trace, platform(fn_spec, cold=cold, keep_alive=keep_alive, prestarted=prestarted))
+    assert sum(r.billed_units for r in result.invocations) == result.billed_units
+    assert sum((r.cost_usd for r in result.invocations), Fraction(0)) == result.cost_usd
+    assert result.instance_seconds_running >= result.busy_seconds
+    # Every created instance retires one keep-alive after it last went idle,
+    # so it lives at least its busy time plus one keep-alive.
+    busy = Fraction(0)
+    for r in result.invocations:
+        busy += literal(r.duration_s)
+        if r.cold:  # application start alone when prestarted, else all three parts
+            busy += literal(cold[2]) if r.start_latency_s == cold[2] else sum(map(literal, cold))
+    assert result.instance_seconds_running >= float(busy + result.instances_created * literal(keep_alive))
 
 
 # --- command line: non-finite input --------------------------------------------

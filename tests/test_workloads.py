@@ -372,6 +372,15 @@ def test_trace_validation():
         wl.InvocationTrace(entries=(wl.Invocation(0, 0, 0.1),))
 
 
+@pytest.mark.parametrize("name", ["arrivals", "durations", "memory", "metadata", "entries"])
+def test_trace_columns_cannot_be_replaced(name):
+    trace = wl.poisson_trace(5, 1.0, 0.5, seed=1)
+    with pytest.raises(AttributeError):
+        setattr(trace, name, ())
+    assert trace == wl.InvocationTrace(trace.entries)
+    assert trace.entries == tuple(map(wl.Invocation, trace.arrivals, trace.durations, trace.memory))
+
+
 def test_trace_json_round_trip(tmp_path):
     import json
 
