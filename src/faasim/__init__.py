@@ -1,6 +1,7 @@
 """faasim: cost and performance modeling for serverless vs serverful deployments.
 
-Subpackages by concern:
+The package exports nothing itself: import names from the submodules,
+e.g. `from faasim.simcore import simulate`. By concern:
 
 * `catalog` — priced compute/storage service models and unit-cost arithmetic
 * `commpatterns` — message/traffic counts for broadcast, aggregation, shuffle
@@ -8,45 +9,8 @@ Subpackages by concern:
 * `workloads` — task-DAG and invocation-trace generators, parallelism profiles
 * `simcore` — discrete-event function-platform simulator and breakeven analysis
 * `placement` — communication-minimizing assignment of tasks to instances
+* `money`, `units` — exact dollar amounts, byte quantities
 * `cli` — the `faasim` command
 """
 
 __version__ = "0.1.0"
-
-from .catalog import (  # noqa: F401
-    ServiceCatalog,
-    ComputeServiceSpec,
-    StorageServiceSpec,
-    load_catalog,
-    load_default_catalog,
-    capacity_cost,
-    request_cost,
-    iops_month_cost,
-    sustained_iops_rate_cost,
-)
-from .commpatterns import (  # noqa: F401
-    CommScenario,
-    Deployment,
-    remote_messages,
-    remote_traffic_bytes,
-    traffic_overhead_ratio,
-)
-from .shuffleplan import ShuffleProblem, ShufflePlan, ShuffleExec, block_count, plan, price_plan  # noqa: F401
-from .simcore import (  # noqa: F401
-    ColdStartModel,
-    PlatformConfig,
-    SimResult,
-    bill_invocation,
-    breakeven_duty_cycle,
-    serverful_cost,
-    simulate,
-)
-from .workloads import (  # noqa: F401
-    InvocationTrace,
-    TaskGraph,
-    gen_cholesky_dag,
-    gen_paramserver,
-    gen_shuffle_dag,
-    parallelism_profile,
-)
-from .placement import Placement, PlacementProblem, evaluate, place_exhaustive, place_greedy  # noqa: F401

@@ -59,10 +59,6 @@ class Band:
     def mid(self) -> Fraction:
         return (self.low + self.high) / 2
 
-    @property
-    def is_point(self) -> bool:
-        return self.low == self.high
-
 
 @dataclass(frozen=True)
 class ComputeServiceSpec:
@@ -147,8 +143,6 @@ class ServiceCatalog:
 
     compute: dict[str, ComputeServiceSpec]
     storage: dict[str, StorageServiceSpec]
-
-    seconds_per_month = SECONDS_PER_MONTH
 
     def compute_service(self, name: str) -> ComputeServiceSpec:
         try:
@@ -308,13 +302,13 @@ def _number(value: Fraction):
 
 
 def _band_json(band: Band):
-    if band.is_point:
+    if band.low == band.high:
         return _number(band.low)
     return [_number(band.low), _number(band.high)]
 
 
-def dumps_catalog(catalog: ServiceCatalog) -> str:
-    """Serialize a catalog back to its JSON schema (round-trips equal)."""
+def catalog_json_dict(catalog: ServiceCatalog) -> dict:
+    """The catalog as a document of its JSON schema."""
     compute = []
     for spec in catalog.compute.values():
         entry = {
@@ -351,7 +345,12 @@ def dumps_catalog(catalog: ServiceCatalog) -> str:
             entry["read_usd_per_request"] = _number(spec.read_usd_per_request)
             entry["write_usd_per_request"] = _number(spec.write_usd_per_request)
         storage.append(entry)
-    return jsontext.dumps({"compute": compute, "storage": storage}) + "\n"
+    return {"compute": compute, "storage": storage}
+
+
+def dumps_catalog(catalog: ServiceCatalog) -> str:
+    """Serialize a catalog back to its JSON schema (round-trips equal)."""
+    return jsontext.dumps(catalog_json_dict(catalog)) + "\n"
 
 
 def default_catalog_path() -> Path:
@@ -400,12 +399,3 @@ def sustained_iops_rate_cost(service: StorageServiceSpec, iops, write_mix) -> Fr
         raise ValueError(f"write mix must be in [0, 1], got {write_mix}")
     per_request = mix * service.write_usd_per_request + (1 - mix) * service.read_usd_per_request
     return _quantity(iops, "iops") * 60 * per_request
-
-
-def throughput_cost(service: StorageServiceSpec, mbps, months) -> Fraction:
-    """Dollar cost of sustaining `mbps` MB/s of throughput for `months`."""
-    return (
-        _quantity(mbps, "mbps")
-        * _quantity(months, "months")
-        * service.throughput_usd_per_mbps_month.mid
-    )

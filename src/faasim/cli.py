@@ -131,8 +131,7 @@ def _parse_bytes(text: str, args) -> int:
 def _cmd_catalog_show(args, out) -> int:
     catalog, source, digest = _load_catalog(args)
     if args.format == "json":
-        result = json.loads(cat.dumps_catalog(catalog))
-        Report("catalog show", {}, result, [source], digest).emit("json", out)
+        Report("catalog show", {}, cat.catalog_json_dict(catalog), [source], digest).emit("json", out)
         return EXIT_OK
     headers = ["service", "class", "fn access", "provisioning", "persistence",
                "latency ms", "$/GB-mo", "$/MBps-mo", "$/IOPS-mo"]

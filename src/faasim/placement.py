@@ -64,9 +64,6 @@ class Placement:
         if len(set(seats)) != len(seats):
             raise PlacementError("slot double-booked")
 
-    def instance_of(self, task_id: str) -> int:
-        return self.assignment[task_id][0]
-
     def to_json_dict(self) -> dict:
         return {
             "assignment": {tid: list(seat) for tid, seat in sorted(self.assignment.items())},
@@ -75,13 +72,11 @@ class Placement:
         }
 
 
-def evaluate(assignment: dict[str, tuple[int, int]] | Placement, graph: TaskGraph) -> CommCost:
+def evaluate(assignment: dict[str, tuple[int, int]], graph: TaskGraph) -> CommCost:
     """Communication cost of an assignment over a graph.
 
     Raises PlacementError if an edge references an unassigned task.
     """
-    if isinstance(assignment, Placement):
-        assignment = assignment.assignment
     seats = list(map(assignment.get, graph.ids))
     if None in seats:
         for ends in zip(graph.src, graph.dst):
@@ -89,11 +84,16 @@ def evaluate(assignment: dict[str, tuple[int, int]] | Placement, graph: TaskGrap
                 if seats[end] is None:
                     raise PlacementError(f"task {graph.ids[end]!r} is not assigned")
     # A task without edges may be left unassigned; its -1 is never read.
-    instance = [seat[0] if seat is not None else -1 for seat in seats]
-    src_inst = list(map(instance.__getitem__, graph.src))
-    dst_inst = list(map(instance.__getitem__, graph.dst))
+    return _score([seat[0] if seat is not None else -1 for seat in seats], graph)
+
+
+def _score(instance: list[int], graph: TaskGraph) -> CommCost:
+    """Communication cost when task i (by position) runs on `instance[i]`."""
+    levels = graph.levels
+    src_inst = [instance[i] for i in graph.src]
+    dst_inst = [instance[i] for i in graph.dst]
     cross_bytes = sum(compress(graph.edge_bytes, map(ne, src_inst, dst_inst)))
-    messages = set(zip(src_inst, dst_inst, map(graph.levels.__getitem__, graph.src)))
+    messages = {(a, b, levels[i]) for a, b, i in zip(src_inst, dst_inst, graph.src)}
     return CommCost(cross_bytes, len(messages))
 
 
@@ -191,50 +191,40 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
         raise PlacementError(
             f"exhaustive search is limited to {EXHAUSTIVE_TASK_LIMIT} tasks, got {graph.task_count}"
         )
-    task_ids = sorted(graph.ids)
+    # Labels are given in task-id order; `instance` holds them by task position.
+    by_id = sorted(range(graph.task_count), key=graph.ids.__getitem__)
     n, slots = problem.n_instances, problem.slots_per_instance
-    position = [task_ids.index(tid) for tid in graph.ids]
-    edges = [(position[a], position[b], nbytes, graph.levels[a])
-             for a, b, nbytes in zip(graph.src, graph.dst, graph.edge_bytes)]
 
     best_cost: CommCost | None = None
-    best_vector: tuple[int, ...] | None = None
-    labels = [0] * len(task_ids)
-    counts = [0] * (len(task_ids) + 1)
-
-    def cost_of(vector: list[int]) -> CommCost:
-        cross = 0
-        messages = set()
-        for src, dst, nbytes, lvl in edges:
-            if vector[src] != vector[dst]:
-                cross += nbytes
-            messages.add((vector[src], vector[dst], lvl))
-        return CommCost(cross, len(messages))
+    best_instance: list[int] | None = None
+    instance = [0] * graph.task_count
+    counts = [0] * (graph.task_count + 1)
 
     def recurse(index: int, used: int):
-        nonlocal best_cost, best_vector
-        if index == len(task_ids):
-            cost = cost_of(labels)
+        nonlocal best_cost, best_instance
+        if index == len(by_id):
+            cost = _score(instance, graph)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
-                best_vector = tuple(labels)
+                best_instance = instance.copy()
             return
         for label in range(min(used + 1, n)):
             if counts[label] >= slots:
                 continue
-            labels[index] = label
+            instance[by_id[index]] = label
             counts[label] += 1
             recurse(index + 1, max(used, label + 1))
             counts[label] -= 1
 
     recurse(0, 0)
-    if best_vector is None:
+    if best_instance is None:
         raise PlacementError("no feasible placement")
     slot_counter = [0] * n
     assignment: dict[str, tuple[int, int]] = {}
-    for task_id, instance in zip(task_ids, best_vector):
-        assignment[task_id] = (instance, slot_counter[instance])
-        slot_counter[instance] += 1
+    for i in by_id:
+        label = best_instance[i]
+        assignment[graph.ids[i]] = (label, slot_counter[label])
+        slot_counter[label] += 1
     return Placement(assignment, best_cost.cross_instance_bytes, best_cost.remote_message_count)
 
 

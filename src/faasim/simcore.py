@@ -22,7 +22,9 @@ goes to `rejected` with its reason, and the rest of the trace runs.
 Time is an exact integer clock: arrivals, durations, the cold-start
 components and the keep-alive are read as their decimal literals and
 scaled by one power of ten per run, so 0.1 + 0.2 s ends exactly at 0.3 s
-and busy and instance seconds are exact sums rounded once.
+and cold-start latencies, busy and instance seconds are exact sums
+rounded once. Every other number (durations and memory to bill, spans,
+cost ratios) is read by `money.usd`.
 
 A run is one pass over the trace columns in arrival order. A heap holds
 the running invocations only; each memory class keeps the ticks at which
@@ -36,7 +38,6 @@ order), so results are deterministic and serialize byte-identically.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .catalog import ComputeServiceSpec
-from .money import decimal_literal, usd_json
+from .money import decimal_literal, usd, usd_json
 from .workloads import InvocationTrace
 
 # Published price multiple of a function instance versus an always-on VM
@@ -76,15 +77,6 @@ class ColdStartModel:
     def __post_init__(self):
         if not all(0 <= part < math.inf for part in (self.t_schedule_s, self.t_env_s, self.t_app_s)):
             raise SimulationError("cold start components must be finite and non-negative")
-
-    @property
-    def full_s(self) -> float:
-        return self.t_schedule_s + self.t_env_s + self.t_app_s
-
-    @property
-    def prestarted_s(self) -> float:
-        """A pre-started environment skips scheduling and env download."""
-        return self.t_app_s
 
 
 @dataclass(frozen=True)
@@ -168,9 +160,6 @@ class SimResult:
             "utilization": self.utilization,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def _units(ticks: int, scale: int, spec: ComputeServiceSpec) -> int:
     """Whole accounting units covering ticks / scale seconds, exactly."""
@@ -185,7 +174,7 @@ def _over_limit(ticks: int, scale: int, spec: ComputeServiceSpec) -> bool:
 
 def _rate(memory_gb, spec: ComputeServiceSpec) -> Fraction | None:
     """Dollars per accounting unit at this memory; None outside the configurable range."""
-    memory = Fraction(decimal_literal(memory_gb))
+    memory = usd(memory_gb)
     if spec.memory_min_gib <= memory <= spec.memory_max_gib:
         return spec.price_usd_per_unit * memory / spec.base_memory_gib
     return None
@@ -197,7 +186,7 @@ def billed_units(duration_s, spec: ComputeServiceSpec) -> int:
     Durations are interpreted by their decimal literal, so 0.1 s on a
     0.1 s unit bills exactly one unit despite binary float rounding.
     """
-    duration = Fraction(decimal_literal(duration_s))
+    duration = usd(duration_s)
     if duration <= 0:
         raise BillingError("duration must be positive")
     return _units(duration.numerator, duration.denominator, spec)
@@ -205,13 +194,13 @@ def billed_units(duration_s, spec: ComputeServiceSpec) -> int:
 
 def bill_invocation(duration_s, memory_gb, spec: ComputeServiceSpec) -> Fraction:
     """Dollar cost of one invocation at the given memory configuration."""
-    duration = Fraction(decimal_literal(duration_s))
+    duration = usd(duration_s)
     if _over_limit(duration.numerator, duration.denominator, spec):
         raise BillingError(f"duration {duration_s}s exceeds the {spec.max_run_time_s}s run-time limit")
     rate = _rate(memory_gb, spec)
     if rate is None:
         raise BillingError(f"memory {memory_gb} GiB outside [{spec.memory_min_gib}, {spec.memory_max_gib}]")
-    return billed_units(duration_s, spec) * rate + spec.request_fee_usd
+    return billed_units(duration, spec) * rate + spec.request_fee_usd
 
 
 # Reasons an invocation is rejected, checked in this order.
@@ -277,7 +266,10 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     results: list[InvocationResult] = []
     rejected: list[RejectedInvocation] = []
     prestarted_left = platform.warm_pool_prestarted
-    full_ticks, full_s, prestarted_s = t_schedule + t_env + t_app, cold.full_s, cold.prestarted_s
+    # Cold-start latencies: the exact tick sums, rounded once. A pre-started
+    # environment skips scheduling and environment initialization.
+    full_ticks = t_schedule + t_env + t_app
+    full_s, prestarted_s = full_ticks / scale, t_app / scale
     peak = cold_starts = 0
     lifetime = busy_total = 0  # ticks; lifetime is the sum of retire minus creation times
 
@@ -330,7 +322,7 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
 
 def serverful_cost(span_s, spec: ComputeServiceSpec) -> Fraction:
     """Always-on instance cost for a wall-clock span (60 s minimum units)."""
-    span = Fraction(decimal_literal(span_s))
+    span = usd(span_s)
     if span < 0:
         raise BillingError("span must be non-negative")
     return _units(span.numerator, span.denominator, spec) * spec.price_usd_per_unit
@@ -338,12 +330,7 @@ def serverful_cost(span_s, spec: ComputeServiceSpec) -> Fraction:
 
 def breakeven_duty_cycle(per_minute_cost_ratio) -> Fraction:
     """Busy fraction below which functions beat an equal-memory VM: 1/ratio."""
-    ratio = per_minute_cost_ratio
-    if not isinstance(ratio, Fraction):
-        ratio = decimal_literal(ratio)
-        if not ratio.is_finite():
-            raise ValueError("cost ratio must be finite")
-        ratio = Fraction(ratio)
+    ratio = usd(per_minute_cost_ratio)
     if ratio <= 0:
         raise ValueError("cost ratio must be positive")
     return 1 / ratio

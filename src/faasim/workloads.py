@@ -49,9 +49,22 @@ class Edge:
 
 
 class _Immutable:
-    """Slots set once, through `object.__setattr__`; assignment and deletion raise."""
+    """A record of `_COLUMNS`: slots set once by the subclass's `_set_columns`,
+    through `object.__setattr__`; assignment and deletion raise, and equality
+    compares the columns."""
 
     __slots__ = ()
+
+    @classmethod
+    def _from_columns(cls, *columns, **named):
+        record = cls.__new__(cls)
+        record._set_columns(*columns, **named)
+        return record
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -83,12 +96,6 @@ class TaskGraph(_Immutable):
             [e.bytes for e in edges], {} if metadata is None else metadata,
         )
 
-    @classmethod
-    def _from_columns(cls, ids, durations, memory, kinds, src, dst, edge_bytes, metadata: dict) -> "TaskGraph":
-        graph = cls.__new__(cls)
-        graph._set_columns(ids, durations, memory, kinds, src, dst, edge_bytes, metadata)
-        return graph
-
     def _set_columns(self, ids, durations, memory, kinds, src, dst, edge_bytes, metadata: dict) -> None:
         for name, column in zip(self._COLUMNS, (ids, durations, memory, kinds, src, dst, edge_bytes)):
             object.__setattr__(self, name, tuple(column))
@@ -108,13 +115,7 @@ class TaskGraph(_Immutable):
         if self.edge_bytes and min(self.edge_bytes) < 0:
             j = next(j for j, nbytes in enumerate(self.edge_bytes) if nbytes < 0)
             raise GraphError(f"edge {self.ids[self.src[j]]!r}->{self.ids[self.dst[j]]!r} has negative bytes")
-        levels = asap_levels(self)  # raises on cycles
-        object.__setattr__(self, "levels", tuple(map(levels.__getitem__, self.ids)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TaskGraph):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
+        object.__setattr__(self, "levels", tuple(asap_levels(self)))  # raises on cycles
 
     def __repr__(self) -> str:
         return f"TaskGraph({self.task_count} tasks, {self.edge_count} edges, metadata={self.metadata!r})"
@@ -187,8 +188,8 @@ def load_task_graph(path: str | Path) -> TaskGraph:
     return TaskGraph.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def asap_levels(graph: TaskGraph) -> dict[str, int]:
-    """Earliest level per task (Kahn order); raises GraphError on cycles."""
+def asap_levels(graph: TaskGraph) -> list[int]:
+    """Earliest level of each task, by position (Kahn order); raises GraphError on cycles."""
     n = graph.task_count
     indegree = [0] * n
     succs: list[list[int]] = [[] for _ in range(n)]
@@ -210,7 +211,7 @@ def asap_levels(graph: TaskGraph) -> dict[str, int]:
                 ready.append(j)
     if seen != n:
         raise GraphError("cycle detected in task graph")
-    return dict(zip(graph.ids, level))
+    return level
 
 
 @dataclass(frozen=True)
@@ -384,12 +385,9 @@ def parallelism_profile(graph: TaskGraph | ShuffleDagSpec) -> ParallelismProfile
 
 
 def cholesky_task_count(blocks: int) -> int:
-    """Closed form: sum over steps of 1 + solves + updates."""
-    total = 0
-    for k in range(blocks):
-        below = blocks - k - 1
-        total += 1 + below + below * (below + 1) // 2
-    return total
+    """Closed form: n factorizations, n(n-1)/2 solves, (n-1)n(n+1)/6 updates."""
+    n = max(blocks, 0)
+    return n + n * (n - 1) // 2 + (n - 1) * n * (n + 1) // 6
 
 
 def gen_paramserver(
@@ -454,13 +452,7 @@ class InvocationTrace(_Immutable):
         entries = tuple(entries)
         self._set_columns(*([getattr(e, name) for e in entries] for name in Invocation._fields), metadata)
 
-    @classmethod
-    def _from_columns(cls, arrivals, durations, memory, metadata: dict | None = None) -> "InvocationTrace":
-        trace = cls.__new__(cls)
-        trace._set_columns(arrivals, durations, memory, metadata)
-        return trace
-
-    def _set_columns(self, arrivals, durations, memory, metadata: dict | None) -> None:
+    def _set_columns(self, arrivals, durations, memory, metadata: dict | None = None) -> None:
         for name, column in zip(self._COLUMNS, (arrivals, durations, memory)):
             object.__setattr__(self, name, tuple(map(float, column)))
         object.__setattr__(self, "metadata", {} if metadata is None else metadata)
@@ -471,11 +463,6 @@ class InvocationTrace(_Immutable):
             raise GraphError("trace arrivals must be sorted non-decreasing")
         if durations and min(durations) <= 0:
             raise GraphError("trace durations must be positive")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InvocationTrace):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
 
     def __len__(self) -> int:
         return len(self.arrivals)

@@ -139,13 +139,7 @@ def test_elastic_db_uses_midpoints(default_catalog):
     edb = default_catalog.storage_service("elastic-db")
     assert cat.capacity_cost(edb, 1, 1) == (usd("0.18") + usd("0.25")) / 2
     assert cat.iops_month_cost(edb, 1) == (usd(1) + usd("3.15")) / 2
-    assert cat.throughput_cost(edb, 1, 1) == (usd("3.15") + usd("255.1")) / 2
-
-
-def test_throughput_cost(default_catalog):
-    obj = default_catalog.storage_service("object")
-    assert cat.throughput_cost(obj, 1, 1) == usd("0.0071")
-    assert cat.throughput_cost(obj, 10, 2) == 20 * usd("0.0071")
+    assert edb.throughput_usd_per_mbps_month.mid == (usd("3.15") + usd("255.1")) / 2
 
 
 @given(scale=quantities, amount=quantities)

@@ -1,12 +1,17 @@
 """Exact money: rounding at report precision and rejection of non-finite amounts and huge exponents."""
 
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import faasim
 from faasim.money import MAX_EXPONENT, usd, usd_decimal, usd_json
 
 HALF_MICRO = Fraction(5, 10**7)
@@ -80,3 +85,12 @@ def test_usd_reads_every_literal_form():
 def test_usd_refuses_huge_exponents(value):
     with pytest.raises(ValueError, match="exponent"):
         usd(value)
+
+
+@pytest.mark.parametrize("module", ["faasim.money", "faasim.units"])
+def test_leaf_module_imports_no_other_faasim_module(module):
+    src = str(Path(faasim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = f"import sys, {module}; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'faasim')))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout.split() == ["faasim", module]

@@ -248,7 +248,7 @@ def test_planners_are_deterministic():
 def test_placement_metrics_recomputable():
     graph = random_graph(3)
     placement = plc.place_greedy(plc.PlacementProblem(graph, 3, 2))
-    cost = plc.evaluate(placement, graph)
+    cost = plc.evaluate(placement.assignment, graph)
     assert cost.cross_instance_bytes == placement.cross_instance_bytes
     assert cost.remote_message_count == placement.remote_message_count
 

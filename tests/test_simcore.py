@@ -75,6 +75,17 @@ def test_billing_rejects_memory_out_of_range(fn_spec):
         sim.bill_invocation(1, 4.0, fn_spec)
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: sim.bill_invocation(float("inf"), 0.125, spec),
+    lambda spec: sim.serverful_cost(float("nan"), spec),
+    lambda spec: sim.serverful_cost(float("inf"), spec),
+    lambda spec: sim.billed_units("1e2000", spec),
+], ids=["bill-inf", "serverful-nan", "serverful-inf", "units-huge-exponent"])
+def test_billing_reads_numbers_through_usd(fn_spec, call):
+    with pytest.raises(ValueError, match="not a finite|decimal exponent"):
+        call(fn_spec)
+
+
 def test_billing_memory_scaling(fn_spec):
     assert sim.bill_invocation(0.1, 0.25, fn_spec) == 2 * usd("2e-7")
     assert sim.bill_invocation(0.1, 3.0, fn_spec) == 24 * usd("2e-7")
@@ -168,7 +179,7 @@ def test_determinism_byte_identical(fn_spec):
     config = platform(fn_spec, cold=(0.5, 1.0, 0.25), keep_alive=2.0)
     first = sim.simulate(poisson, config)
     second = sim.simulate(poisson, config)
-    assert first.to_json() == second.to_json()
+    assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(second.to_json_dict(), sort_keys=True)
 
 
 def test_conservation_and_utilization(fn_spec):
@@ -338,20 +349,20 @@ def reference_simulate(entries, config):
         idle = [i for i in instances if i.memory == memory and i.idle_since is not None]
         if idle:
             inst = max(idle, key=lambda i: i.idle_order)
-            inst.idle_since, latency, latency_s = None, Fraction(0), 0.0
+            inst.idle_since, latency = None, Fraction(0)
         else:
             inst = RefInstance(memory, now)
             instances.append(inst)
             if prestarted_left:
                 prestarted_left -= 1
-                latency, latency_s = literal(cold.t_app_s), cold.prestarted_s
+                latency = literal(cold.t_app_s)
             else:
-                latency, latency_s = full, cold.full_s
+                latency = full
         running += 1
         peak = max(peak, running)
         units = math.ceil(duration / spec.accounting_unit_s)
         cost = units * spec.price_usd_per_unit * memory / spec.base_memory_gib + spec.request_fee_usd
-        invocations.append((entry.arrival_s, latency_s, entry.duration_s, not idle, units, cost, latency + duration))
+        invocations.append((entry.arrival_s, float(latency), entry.duration_s, not idle, units, cost, latency + duration))
         events.append((now + latency + duration, complete, seq, inst))
     fields = dict(
         invocations=tuple(sim.InvocationResult(*inv[:6]) for inv in invocations),
@@ -447,6 +458,19 @@ def test_cli_non_finite_trace_exits_2(tmp_path, entry):
     path = tmp_path / "trace.json"
     path.write_text(f"[{entry}]")
     _assert_one_error_line(*run_cli("simulate", "--trace", str(path)))
+
+
+@pytest.mark.parametrize("t_app,prestarted,latencies", [
+    ("0", "0", [0.3, 0.3]),
+    ("0.3", "1", [0.3, 0.6]),  # pre-started: t_app alone; then the full cold start
+])
+def test_cli_cold_start_latency_is_exact_sum(tmp_path, t_app, prestarted, latencies):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps([{"arrival_s": 0.0, "duration_s": 0.25}] * 2))
+    code, out, err = run_cli("simulate", "--trace", str(path), "--t-schedule", "0.1", "--t-env", "0.2",
+                             "--t-app", t_app, "--prestarted", prestarted)
+    assert code == 0, err
+    assert [r["start_latency_s"] for r in json.loads(out)["result"]["invocations"]] == latencies
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf"])

@@ -147,6 +147,11 @@ def test_profile_single_task():
     assert wl.parallelism_profile(graph).widths == (1,)
 
 
+def test_cholesky_task_count_closed_form():
+    assert [wl.cholesky_task_count(b) for b in range(1, 41)] == [
+        wl.gen_cholesky_dag(b).task_count for b in range(1, 41)]
+
+
 def test_profile_widths_sum_to_task_count():
     for tiles in (2, 5, 7):
         graph = wl.gen_cholesky_dag(tiles)
@@ -157,7 +162,7 @@ def test_profile_widths_sum_to_task_count():
 def test_profile_levels_match_longest_path_oracle(tiles):
     graph = wl.gen_cholesky_dag(tiles)
     expected = oracle_levels(graph)
-    assert wl.asap_levels(graph) == expected
+    assert dict(zip(graph.ids, wl.asap_levels(graph))) == expected
 
 
 def test_cycle_detected():
@@ -215,7 +220,7 @@ def test_object_form_round_trips_through_columns():
     assert again == graph
     assert again.levels == graph.levels
     assert [graph.ids[i] for i in graph.src] == [e.src for e in graph.edges]
-    assert wl.asap_levels(graph) == dict(zip(graph.ids, graph.levels))
+    assert wl.asap_levels(graph) == list(graph.levels)
 
 
 @pytest.mark.parametrize("name", ["ids", "src", "edge_bytes", "levels", "metadata"])
