@@ -21,7 +21,6 @@ Pricing conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
@@ -29,6 +28,7 @@ from pathlib import Path
 
 from . import jsontext
 from .money import usd
+from .record import Record
 
 SECONDS_PER_MONTH = 2_592_000  # 30 days
 HOURS_PER_MONTH = 720
@@ -44,8 +44,7 @@ class CatalogError(ValueError):
     """Malformed or inconsistent catalog content."""
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(Record):
     """A published low/high range; single-valued cells have low == high."""
 
     low: Fraction
@@ -60,8 +59,7 @@ class Band:
         return (self.low + self.high) / 2
 
 
-@dataclass(frozen=True)
-class ComputeServiceSpec:
+class ComputeServiceSpec(Record):
     """A priced compute offering (function platform or VM family)."""
 
     name: str
@@ -96,8 +94,7 @@ class ComputeServiceSpec:
             raise CatalogError(f"{where}: max run time must be positive")
 
 
-@dataclass(frozen=True)
-class StorageServiceSpec:
+class StorageServiceSpec(Record):
     """A priced storage offering with access/provisioning characteristics."""
 
     name: str
@@ -137,8 +134,7 @@ class StorageServiceSpec:
             raise CatalogError(f"{where}: negative min transfer")
 
 
-@dataclass(frozen=True)
-class ServiceCatalog:
+class ServiceCatalog(Record):
     """Immutable named map of compute and storage services."""
 
     compute: dict[str, ComputeServiceSpec]

@@ -9,29 +9,20 @@ malformed or unreadable file, an unwritable output path) prints a single
 The catalog is resolved from --catalog, then the FAASIM_CATALOG
 environment variable, then the bundled default, which the manifest
 records as `bundled:default_catalog.json`.
+
+Each handler imports the modules it runs, so a command compiles only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from . import catalog as cat
-from . import commpatterns as comm
-from . import jsontext
-from . import placement as plc
-from . import repro as rp
-from . import shuffleplan as shp
-from . import simcore as sim
-from . import units
-from . import workloads as wl
+from . import __version__, jsontext
 from .money import usd, usd_json, usd_str
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
@@ -87,13 +78,13 @@ class Report:
         if fmt == "json":
             doc = {"manifest": self.manifest, "result": self.result}
             out.write(jsontext.dumps(doc, sort_keys=True) + "\n")
-        elif fmt == "table":
-            rows: list[tuple[str, str]] = []
-            _flatten("", self.result, rows)
+            return
+        rows: list[tuple[str, str]] = []
+        _flatten("", self.result, rows)
+        if fmt == "table":
             _render_table(rows, out)
         else:
-            rows = []
-            _flatten("", self.result, rows)
+            import csv
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["key", "value"])
             writer.writerows(rows)
@@ -110,8 +101,10 @@ def _money_out(amount: Fraction, args) -> float | str:
 # Catalog resolution
 
 
-def _load_catalog(args) -> tuple[cat.ServiceCatalog, str, str]:
+def _load_catalog(args):
     """The catalog, the name the manifest records for it, and its sha256."""
+    import hashlib
+    from . import catalog as cat
     source = args.catalog or os.environ.get("FAASIM_CATALOG")
     if source:
         name, data = str(Path(source)), Path(source).read_bytes()
@@ -121,7 +114,8 @@ def _load_catalog(args) -> tuple[cat.ServiceCatalog, str, str]:
 
 
 def _parse_bytes(text: str, args) -> int:
-    return units.parse_bytes(text, binary=args.binary_units)
+    from .units import parse_bytes
+    return parse_bytes(text, binary=args.binary_units)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +123,7 @@ def _parse_bytes(text: str, args) -> int:
 
 
 def _cmd_catalog_show(args, out) -> int:
+    from . import catalog as cat
     catalog, source, digest = _load_catalog(args)
     if args.format == "json":
         Report("catalog show", {}, cat.catalog_json_dict(catalog), [source], digest).emit("json", out)
@@ -164,6 +159,7 @@ def _cmd_catalog_show(args, out) -> int:
 
 
 def _cmd_catalog_cost(args, out) -> int:
+    from . import catalog as cat
     catalog, source, digest = _load_catalog(args)
     service = catalog.storage_service(args.service)
     result: dict = {"service": args.service}
@@ -191,6 +187,7 @@ def _cmd_catalog_cost(args, out) -> int:
 
 
 def _cmd_comm(args, out) -> int:
+    from . import commpatterns as comm
     granularity = {"vm": "vm-grouped", "function": "function-grained"}.get(args.granularity, args.granularity)
     payload = _parse_bytes(args.payload, args)
     scenario = comm.CommScenario(
@@ -206,7 +203,8 @@ def _cmd_comm(args, out) -> int:
     return EXIT_OK
 
 
-def _plan_result(plan: shp.ShufflePlan) -> dict:
+def _plan_result(plan) -> dict:
+    from .units import format_bytes
     return {
         "mappers": plan.mappers,
         "reducers": plan.reducers,
@@ -215,11 +213,12 @@ def _plan_result(plan: shp.ShufflePlan) -> dict:
         "stages": plan.stages,
         "per_stage_transfers": plan.per_stage_transfers,
         "fast_storage_bytes": plan.fast_storage_bytes,
-        "fast_storage_human": units.format_bytes(plan.fast_storage_bytes),
+        "fast_storage_human": format_bytes(plan.fast_storage_bytes),
     }
 
 
 def _cmd_shuffle_plan(args, out) -> int:
+    from . import shuffleplan as shp
     data = _parse_bytes(args.data, args)
     block = _parse_bytes(args.block, args)
     plan = shp.plan(shp.ShuffleProblem(data, block, args.stages))
@@ -228,7 +227,7 @@ def _cmd_shuffle_plan(args, out) -> int:
     return EXIT_OK
 
 
-def _breakdown_result(breakdown: shp.ShuffleCostBreakdown, args) -> dict:
+def _breakdown_result(breakdown, args) -> dict:
     return {
         "compute_usd": _money_out(breakdown.compute_usd, args),
         "slow_store_request_usd": _money_out(breakdown.slow_store_request_usd, args),
@@ -239,6 +238,7 @@ def _breakdown_result(breakdown: shp.ShuffleCostBreakdown, args) -> dict:
 
 
 def _cmd_shuffle_price(args, out) -> int:
+    from . import shuffleplan as shp
     catalog, source, digest = _load_catalog(args)
     if args.preset:
         preset = shp.load_preset(args.preset)
@@ -281,6 +281,7 @@ def _write_or_print(doc, args, out, subcommand, params, seed=None) -> None:
 
 
 def _cmd_workload_gen(args, out) -> int:
+    from . import commpatterns as comm, workloads as wl
     if args.kind == "shuffle":
         graph = wl.gen_shuffle_dag(args.mappers, args.reducers, _parse_bytes(args.bytes, args))
         params = {"kind": "shuffle", "mappers": args.mappers, "reducers": args.reducers}
@@ -303,6 +304,7 @@ def _cmd_workload_gen(args, out) -> int:
 
 
 def _cmd_workload_profile(args, out) -> int:
+    from . import workloads as wl
     graph = wl.load_task_graph(args.graph)
     profile = wl.parallelism_profile(graph)
     params = {"graph": args.graph}
@@ -311,6 +313,7 @@ def _cmd_workload_profile(args, out) -> int:
 
 
 def _cmd_workload_trace(args, out) -> int:
+    from . import workloads as wl
     if args.arrivals == "poisson":
         trace = wl.poisson_trace(args.count, args.rate, args.duration, args.memory, args.seed)
     else:
@@ -321,6 +324,7 @@ def _cmd_workload_trace(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    from . import simcore as sim, workloads as wl
     catalog, source, digest = _load_catalog(args)
     trace = wl.load_trace(args.trace)
     platform = sim.PlatformConfig(
@@ -337,6 +341,7 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_place(args, out) -> int:
+    from . import placement as plc, workloads as wl
     graph = wl.load_task_graph(args.graph)
     problem = plc.PlacementProblem(graph, args.instances, args.slots)
     greedy = plc.place_greedy(problem)
@@ -358,35 +363,32 @@ def _cmd_place(args, out) -> int:
 
 
 def _cmd_breakeven(args, out) -> int:
-    duty = sim.breakeven_duty_cycle(args.ratio)
+    from . import simcore as sim
+    ratio = sim.FALLACY_COST_RATIO if args.ratio is None else args.ratio
+    duty = sim.breakeven_duty_cycle(ratio)
     result = {
-        "per_minute_cost_ratio": args.ratio,
+        "per_minute_cost_ratio": ratio,
         "breakeven_duty_cycle": round(float(duty), 6),
         "breakeven_percent": f"{float(duty) * 100:.2f}%",
     }
-    Report("breakeven", {"ratio": args.ratio}, result).emit(args.format, out)
+    Report("breakeven", {"ratio": ratio}, result).emit(args.format, out)
     return EXIT_OK
 
 
 def _cmd_repro(args, out) -> int:
+    from . import repro as rp
     catalog, source, digest = _load_catalog(args)
     checks = rp.run_all(catalog)
-    failed = [c for c in checks if c.status == rp.FAIL]
+    passed, failed, external = (sum(c.status == status for c in checks) for status in (rp.PASS, rp.FAIL, rp.EXTERNAL))
     if args.format == "json":
-        result = {
-            "checks": [c.to_json_dict() for c in checks],
-            "passed": sum(1 for c in checks if c.status == rp.PASS),
-            "failed": len(failed),
-            "external": sum(1 for c in checks if c.status == rp.EXTERNAL),
-        }
+        result = {"checks": [c.to_json_dict() for c in checks], "passed": passed, "failed": failed,
+                  "external": external}
         Report("repro", {}, result, [source], digest).emit("json", out)
     else:
         rows = [[c.status.upper(), c.location, c.check_id, c.claim] for c in checks]
         _render_grid(["status", "location", "check", "claim"], rows, out)
-        out.write(f"\n{sum(1 for c in checks if c.status == rp.PASS)} passed, "
-                  f"{len(failed)} failed, "
-                  f"{sum(1 for c in checks if c.status == rp.EXTERNAL)} external (not checked)\n")
-    return EXIT_OK if not failed else EXIT_INTERNAL
+        out.write(f"\n{passed} passed, {failed} failed, {external} external (not checked)\n")
+    return EXIT_INTERNAL if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.set_defaults(handler=_cmd_catalog_cost)
 
     p_comm = sub.add_parser("comm", parents=[common], help="count messages for a communication pattern")
-    p_comm.add_argument("--pattern", choices=sorted(comm.PATTERNS), required=True)
+    # commpatterns.PATTERNS, spelled out so that building the parser loads no model.
+    p_comm.add_argument("--pattern", choices=["aggregation", "broadcast", "shuffle"], required=True)
     p_comm.add_argument("--n", type=int, required=True, help="instance count")
     p_comm.add_argument("--k", type=int, default=1, help="functions per instance")
     p_comm.add_argument("--granularity", choices=["vm", "function", "vm-grouped", "function-grained"],
@@ -498,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_breakeven = sub.add_parser("breakeven", parents=[common],
                                  help="duty cycle at which functions and VMs cost the same")
-    p_breakeven.add_argument("--ratio", type=float, default=sim.FALLACY_COST_RATIO,
+    p_breakeven.add_argument("--ratio", type=float,
                              help="per-minute function/VM cost ratio")
     p_breakeven.set_defaults(handler=_cmd_breakeven)
 

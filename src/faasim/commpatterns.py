@@ -16,7 +16,7 @@ counts include a party's transfer to itself, giving exactly N^2 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 PATTERNS = frozenset({"broadcast", "aggregation", "shuffle"})
 GRANULARITIES = frozenset({"vm-grouped", "function-grained"})
@@ -26,8 +26,7 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Deployment:
+class Deployment(Record):
     """N instances, each hosting K functions, at a message granularity."""
 
     n_instances: int
@@ -50,8 +49,7 @@ class Deployment:
         return self.n_instances * self.functions_per_instance
 
 
-@dataclass(frozen=True)
-class CommScenario:
+class CommScenario(Record):
     pattern: str
     deployment: Deployment
     payload_bytes: int

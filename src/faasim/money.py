@@ -48,9 +48,9 @@ def usd(value) -> Fraction:
     elif isinstance(value, (int, float, Decimal)):
         literal = decimal_literal(value)
     else:
-        raise TypeError(f"cannot interpret {value!r} as a dollar amount")
+        raise TypeError(f"cannot interpret {value!r} as a number")
     if not literal.is_finite():
-        raise ValueError(f"{value!r} is not a finite dollar amount")
+        raise ValueError(f"{value!r} is not a finite number")
     if abs(literal.as_tuple().exponent) > MAX_EXPONENT:
         raise ValueError(f"{value!r} has a decimal exponent beyond +-{MAX_EXPONENT}")
     return Fraction(literal)

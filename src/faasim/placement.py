@@ -15,11 +15,12 @@ that serves as the oracle the greedy is validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from itertools import compress
 from operator import ne
 from typing import NamedTuple
 
+from .record import Record
 from .workloads import TaskGraph, asap_levels  # noqa: F401  (asap_levels is re-exported)
 
 EXHAUSTIVE_TASK_LIMIT = 10
@@ -29,8 +30,7 @@ class PlacementError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlacementProblem:
+class PlacementProblem(Record):
     graph: TaskGraph
     n_instances: int
     slots_per_instance: int
@@ -51,8 +51,7 @@ class CommCost(NamedTuple):
     remote_message_count: int
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(Record):
     """Task id -> (instance, slot), with its communication metrics."""
 
     assignment: dict[str, tuple[int, int]]
@@ -184,7 +183,9 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
 
     Partitions are generated as restricted-growth strings, so the first
     optimum found is the lexicographically smallest assignment vector;
-    cost compares (cross_instance_bytes, remote_message_count).
+    cost compares (cross_instance_bytes, remote_message_count). A task adds
+    its edges to earlier-labelled tasks to the cost, which never shrinks, so
+    a branch whose partial cost is no better than the best so far is cut.
     """
     graph = problem.graph
     if graph.task_count > EXHAUSTIVE_TASK_LIMIT:
@@ -194,31 +195,43 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
     # Labels are given in task-id order; `instance` holds them by task position.
     by_id = sorted(range(graph.task_count), key=graph.ids.__getitem__)
     n, slots = problem.n_instances, problem.slots_per_instance
+    labelled_at = {task: index for index, task in enumerate(by_id)}
+    # Each edge is scored when its later-labelled end is: (src, dst, bytes, message level).
+    closes: list[list[tuple[int, int, int, int]]] = [[] for _ in by_id]
+    for src, dst, nbytes in zip(graph.src, graph.dst, graph.edge_bytes):
+        closes[max(labelled_at[src], labelled_at[dst])].append((src, dst, nbytes, graph.levels[src]))
 
-    best_cost: CommCost | None = None
+    best_cost = CommCost(float("inf"), float("inf"))
     best_instance: list[int] | None = None
     instance = [0] * graph.task_count
     counts = [0] * (graph.task_count + 1)
+    messages: Counter = Counter()  # edges per (src instance, dst instance, level)
 
-    def recurse(index: int, used: int):
+    def recurse(index: int, used: int, cross_bytes: int, message_count: int):
         nonlocal best_cost, best_instance
         if index == len(by_id):
-            cost = _score(instance, graph)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_instance = instance.copy()
+            best_cost, best_instance = CommCost(cross_bytes, message_count), instance.copy()
             return
         for label in range(min(used + 1, n)):
             if counts[label] >= slots:
                 continue
             instance[by_id[index]] = label
-            counts[label] += 1
-            recurse(index + 1, max(used, label + 1))
-            counts[label] -= 1
+            cross, count = cross_bytes, message_count
+            for src, dst, nbytes, level in closes[index]:
+                key = (instance[src], instance[dst], level)
+                if key[0] != key[1]:
+                    cross += nbytes
+                if not messages[key]:
+                    count += 1
+                messages[key] += 1
+            if (cross, count) < best_cost:
+                counts[label] += 1
+                recurse(index + 1, max(used, label + 1), cross, count)
+                counts[label] -= 1
+            for src, dst, _, level in closes[index]:
+                messages[instance[src], instance[dst], level] -= 1
 
-    recurse(0, 0)
-    if best_instance is None:
-        raise PlacementError("no feasible placement")
+    recurse(0, 0, 0, 0)  # capacity covers every task, so some labelling completes
     slot_counter = [0] * n
     assignment: dict[str, tuple[int, int]] = {}
     for i in by_id:

@@ -9,7 +9,6 @@ checked; hiding them would overstate what desk-scale verification covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as cat
@@ -19,12 +18,12 @@ from . import shuffleplan as shp
 from . import simcore as sim
 from . import workloads as wl
 from .money import usd, usd_json
+from .record import Record
 
 PASS, FAIL, EXTERNAL = "pass", "fail", "external"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     check_id: str
     location: str
     claim: str

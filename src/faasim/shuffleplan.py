@@ -17,7 +17,6 @@ gives 33,334 blocks and 1.111e9 transfers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
@@ -25,6 +24,7 @@ from pathlib import Path
 
 from .catalog import HOURS_PER_MONTH, ServiceCatalog, request_cost
 from .money import usd
+from .record import Record
 
 DEFAULT_FUNCTION_MEMORY_CAP = 3 * 10**9  # largest function memory today
 
@@ -33,8 +33,7 @@ class PlanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ShuffleProblem:
+class ShuffleProblem(Record):
     data_bytes: int
     function_memory_cap: int = DEFAULT_FUNCTION_MEMORY_CAP
     stages: int = 1
@@ -48,8 +47,7 @@ class ShuffleProblem:
             raise PlanError("stage count must be at least 1")
 
 
-@dataclass(frozen=True)
-class ShufflePlan:
+class ShufflePlan(Record):
     mappers: int
     reducers: int
     transfers: int
@@ -59,8 +57,7 @@ class ShufflePlan:
     stages: int
 
 
-@dataclass(frozen=True)
-class ShuffleExec:
+class ShuffleExec(Record):
     """Execution-side inputs the planner does not predict.
 
     Durations and aggregate resource-time come from measurement or a
@@ -89,8 +86,7 @@ class ShuffleExec:
             raise PlanError("slow store op count must be non-negative")
 
 
-@dataclass(frozen=True)
-class ShuffleCostBreakdown:
+class ShuffleCostBreakdown(Record):
     compute_usd: Fraction
     slow_store_request_usd: Fraction
     fast_store_usd: Fraction
@@ -158,8 +154,7 @@ def price_plan(shuffle_plan: ShufflePlan, catalog: ServiceCatalog, exec_inputs: 
 # cost breakdown they must reproduce, for regression.
 
 
-@dataclass(frozen=True)
-class ShufflePreset:
+class ShufflePreset(Record):
     name: str
     problem: ShuffleProblem
     exec_inputs: ShuffleExec

@@ -40,17 +40,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, count, repeat
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .catalog import ComputeServiceSpec
 from .money import decimal_literal, usd, usd_json
-from .workloads import InvocationTrace
+from .record import Record
+
+if TYPE_CHECKING:
+    from .catalog import ComputeServiceSpec
+    from .workloads import InvocationTrace
 
 # Published price multiple of a function instance versus an always-on VM
 # of equal memory; not derivable from list prices, so it is an input with
@@ -66,8 +68,7 @@ class BillingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ColdStartModel:
+class ColdStartModel(Record):
     """Three additive cold-start components, all in seconds."""
 
     t_schedule_s: float = 0.5
@@ -79,8 +80,7 @@ class ColdStartModel:
             raise SimulationError("cold start components must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class PlatformConfig:
+class PlatformConfig(Record):
     compute: ComputeServiceSpec
     cold_start: ColdStartModel = ColdStartModel()
     keep_alive_s: float = 600.0
@@ -104,16 +104,14 @@ class InvocationResult(NamedTuple):
     cost_usd: Fraction
 
 
-@dataclass(frozen=True)
-class RejectedInvocation:
+class RejectedInvocation(Record):
     index: int
     arrival_s: float
     duration_s: float
     reason: str
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(Record):
     invocations: tuple[InvocationResult, ...]
     rejected: tuple[RejectedInvocation, ...]
     billed_units: int
@@ -233,6 +231,7 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     identical SimResult. Entries over the run-time limit or outside the
     memory range are reported in `rejected` rather than silently dropped.
     """
+    from .workloads import InvocationTrace
     if not isinstance(trace, InvocationTrace):
         trace = InvocationTrace(trace)  # validates order and finiteness
     spec, cold = platform.compute, platform.cold_start

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter, le
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .commpatterns import CommScenario, Deployment
+from .record import Record
 
-# Above this many edges a shuffle graph is returned in implicit form.
+# Above this many edges a shuffle graph is returned in implicit form; no
+# other generator makes more tasks, trace entries or scenarios than this.
 MATERIALIZE_EDGE_LIMIT = 10**7
 
 BYTES_PER_ELEMENT = 8  # dense double precision
@@ -33,27 +34,30 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Task:
+def _check_budget(elements: int, what: str) -> None:
+    if elements > MATERIALIZE_EDGE_LIMIT:
+        raise GraphError(f"{elements} {what} exceed the generator limit of {MATERIALIZE_EDGE_LIMIT} elements")
+
+
+class Task(Record):
     id: str
     duration_s: float
     memory_gb: float
     kind: str = "task"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     src: str
     dst: str
     bytes: int
 
 
-class _Immutable:
-    """A record of `_COLUMNS`: slots set once by the subclass's `_set_columns`,
-    through `object.__setattr__`; assignment and deletion raise, and equality
-    compares the columns."""
+class _Columns(Record):
+    """Column tuples set by the subclass's `_set_columns`; compared by column, not hashable."""
 
     __slots__ = ()
+    __hash__ = None
+    __repr__ = object.__repr__
 
     @classmethod
     def _from_columns(cls, *columns, **named):
@@ -61,19 +65,8 @@ class _Immutable:
         record._set_columns(*columns, **named)
         return record
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
 
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
-
-
-class TaskGraph(_Immutable):
+class TaskGraph(_Columns):
     """A validated DAG of tasks with byte-weighted edges.
 
     The graph is held as columns indexed by position: task i is `ids[i]`,
@@ -84,8 +77,8 @@ class TaskGraph(_Immutable):
     them. `tasks` and `edges` are read-only views in object form.
     """
 
-    _COLUMNS = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
-    __slots__ = _COLUMNS + ("levels", "metadata")
+    _FIELDS = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
+    __slots__ = _FIELDS + ("levels", "metadata")
 
     def __init__(self, tasks: Iterable[Task], edges: Iterable[Edge], metadata: dict | None = None):
         tasks, edges = tuple(tasks), tuple(edges)
@@ -97,7 +90,7 @@ class TaskGraph(_Immutable):
         )
 
     def _set_columns(self, ids, durations, memory, kinds, src, dst, edge_bytes, metadata: dict) -> None:
-        for name, column in zip(self._COLUMNS, (ids, durations, memory, kinds, src, dst, edge_bytes)):
+        for name, column in zip(self._FIELDS, (ids, durations, memory, kinds, src, dst, edge_bytes)):
             object.__setattr__(self, name, tuple(column))
         object.__setattr__(self, "metadata", metadata)
         if len(set(self.ids)) != len(self.ids):
@@ -214,14 +207,12 @@ def asap_levels(graph: TaskGraph) -> list[int]:
     return level
 
 
-@dataclass(frozen=True)
-class LevelStat:
+class LevelStat(Record):
     ready_task_count: int
     working_set_bytes: int
 
 
-@dataclass(frozen=True)
-class ParallelismProfile:
+class ParallelismProfile(Record):
     levels: tuple[LevelStat, ...]
 
     @property
@@ -247,8 +238,7 @@ class ParallelismProfile:
         }
 
 
-@dataclass(frozen=True)
-class ShuffleDagSpec:
+class ShuffleDagSpec(Record):
     """Implicit form of a bipartite shuffle graph too large to materialize."""
 
     mappers: int
@@ -314,37 +304,30 @@ def gen_cholesky_dag(
     """
     if blocks < 1:
         raise GraphError("need at least one block")
+    _check_budget(cholesky_task_count(blocks), "Cholesky tasks")
     tile_bytes = block_dim * block_dim * BYTES_PER_ELEMENT
     tasks: list[tuple[str, float, str]] = []
     edges: list[tuple[str, str]] = []
-
-    def fid(k: int) -> str:
-        return f"f{k}"
-
-    def sid(k: int, i: int) -> str:
-        return f"s{k}.{i}"
-
-    def uid(k: int, i: int, j: int) -> str:
-        return f"u{k}.{i}.{j}"
-
+    # Task ids: f<k> factorizes, s<k>.<i> solves and u<k>.<i>.<j> updates at step k.
     for k in range(blocks):
-        tasks.append((fid(k), factorize_s, "factorize"))
+        tasks.append((f"f{k}", factorize_s, "factorize"))
         for i in range(k + 1, blocks):
-            tasks.append((sid(k, i), solve_s, "triangular-solve"))
-            edges.append((fid(k), sid(k, i)))
+            tasks.append((f"s{k}.{i}", solve_s, "triangular-solve"))
+            edges.append((f"f{k}", f"s{k}.{i}"))
         for i in range(k + 1, blocks):
             for j in range(i, blocks):
-                tasks.append((uid(k, i, j), update_s, "trailing-update"))
-                edges.append((sid(k, i), uid(k, i, j)))
+                update = f"u{k}.{i}.{j}"
+                tasks.append((update, update_s, "trailing-update"))
+                edges.append((f"s{k}.{i}", update))
                 if j != i:
-                    edges.append((sid(k, j), uid(k, i, j)))
+                    edges.append((f"s{k}.{j}", update))
                 # Hand the updated tile to the step-(k+1) task that uses it.
                 if i == k + 1 and j == k + 1:
-                    edges.append((uid(k, i, j), fid(k + 1)))
+                    edges.append((update, f"f{k + 1}"))
                 elif i == k + 1:
-                    edges.append((uid(k, i, j), sid(k + 1, j)))
+                    edges.append((update, f"s{k + 1}.{j}"))
                 else:
-                    edges.append((uid(k, i, j), uid(k + 1, i, j)))
+                    edges.append((update, f"u{k + 1}.{i}.{j}"))
     ids, durations, kinds = zip(*tasks)
     src, dst = zip(*edges) if edges else ((), ())
     return TaskGraph._from_columns(
@@ -360,10 +343,7 @@ def parallelism_profile(graph: TaskGraph | ShuffleDagSpec) -> ParallelismProfile
     it, i.e. produced at a level before L and consumed at or after L.
     """
     if isinstance(graph, ShuffleDagSpec):
-        crossing = graph.edge_count * graph.bytes_per_transfer
-        return ParallelismProfile(
-            levels=(LevelStat(graph.mappers, 0), LevelStat(graph.reducers, crossing))
-        )
+        return ParallelismProfile((LevelStat(graph.mappers, 0), LevelStat(graph.reducers, graph.total_edge_bytes)))
     levels = graph.levels
     n_levels = max(levels, default=-1) + 1
     if n_levels == 0:
@@ -379,9 +359,7 @@ def parallelism_profile(graph: TaskGraph | ShuffleDagSpec) -> ParallelismProfile
         change[start + 1] += nbytes
         change[end + 1] -= nbytes
     working = accumulate(change[:n_levels])
-    return ParallelismProfile(
-        levels=tuple(LevelStat(w, ws) for w, ws in zip(widths, working))
-    )
+    return ParallelismProfile(tuple(map(LevelStat, widths, working)))
 
 
 def cholesky_task_count(blocks: int) -> int:
@@ -408,15 +386,14 @@ def gen_paramserver(
         raise GraphError("need at least one worker and one round")
     if gradient_bytes < 0:
         raise GraphError("gradient size must be non-negative")
+    _check_budget(2 * rounds, "parameter-server scenarios")
     if deployment is None:
         deployment = Deployment(n_instances=workers, functions_per_instance=1, granularity="function-grained")
     elif deployment.n_instances * deployment.functions_per_instance != workers:
         raise GraphError("deployment capacity must equal the worker count")
-    scenarios = []
-    for _ in range(rounds):
-        scenarios.append(CommScenario("aggregation", deployment, gradient_bytes))
-        scenarios.append(CommScenario("broadcast", deployment, gradient_bytes))
-    return scenarios
+    # Every round is the same two immutable scenarios.
+    return [CommScenario("aggregation", deployment, gradient_bytes),
+            CommScenario("broadcast", deployment, gradient_bytes)] * rounds
 
 
 def flops_comm_ratio(n: int) -> float:
@@ -436,7 +413,7 @@ class Invocation(NamedTuple):
     memory_gb: float
 
 
-class InvocationTrace(_Immutable):
+class InvocationTrace(_Columns):
     """A validated invocation trace held as three float columns.
 
     Entry i arrives at `arrivals[i]`, runs `durations[i]` seconds and is
@@ -445,15 +422,15 @@ class InvocationTrace(_Immutable):
     view in object form; equality compares the columns, not `metadata`.
     """
 
-    _COLUMNS = ("arrivals", "durations", "memory")
-    __slots__ = _COLUMNS + ("metadata",)
+    _FIELDS = ("arrivals", "durations", "memory")
+    __slots__ = _FIELDS + ("metadata",)
 
     def __init__(self, entries: Iterable[Invocation], metadata: dict | None = None):
         entries = tuple(entries)
         self._set_columns(*([getattr(e, name) for e in entries] for name in Invocation._fields), metadata)
 
     def _set_columns(self, arrivals, durations, memory, metadata: dict | None = None) -> None:
-        for name, column in zip(self._COLUMNS, (arrivals, durations, memory)):
+        for name, column in zip(self._FIELDS, (arrivals, durations, memory)):
             object.__setattr__(self, name, tuple(map(float, column)))
         object.__setattr__(self, "metadata", {} if metadata is None else metadata)
         arrivals, durations = self.arrivals, self.durations
@@ -529,6 +506,7 @@ def fixed_interval_trace(
     """Evenly spaced arrivals."""
     if count < 0:
         raise GraphError("count must be non-negative")
+    _check_budget(count, "trace entries")
     return InvocationTrace._from_columns(
         [start_s + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
         metadata={"generator": "fixed-interval", "count": count, "interval_s": interval_s,
@@ -550,6 +528,7 @@ def poisson_trace(
     """
     if count < 0:
         raise GraphError("count must be non-negative")
+    _check_budget(count, "trace entries")
     if rate_per_s <= 0:
         raise GraphError("arrival rate must be positive")
     rng = SplitMix64(seed)

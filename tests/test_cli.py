@@ -5,15 +5,20 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faasim
 from faasim import catalog as cat
 from faasim import cli
+from faasim import commpatterns as comm
 from faasim import workloads as wl
 
 
@@ -218,6 +223,24 @@ def test_bad_flags_exit_nonzero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["comm", "--pattern", "gossip", "--n", "1"], out=io.StringIO(), err=io.StringIO())
     assert exc.value.code == 2
+
+
+def test_pattern_choices_are_the_modelled_patterns(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["comm", "--help"])
+    assert "--pattern {" + ",".join(sorted(comm.PATTERNS)) + "}" in capsys.readouterr().out
+
+
+def test_breakeven_infinite_ratio_is_one_neutral_error_line():
+    code, out, err = run("breakeven", "--ratio", "inf")
+    assert_one_error_line(code, out, err)
+    assert err == "error: inf is not a finite number\n"
+
+
+def test_breakeven_default_ratio_is_recorded():
+    doc = run_json("breakeven")
+    assert doc["manifest"]["parameters"] == {"ratio": 7.5}
+    assert doc["result"]["per_minute_cost_ratio"] == 7.5
 
 
 def test_env_var_catalog(tmp_path, monkeypatch):
@@ -425,3 +448,67 @@ def test_any_trace_document_runs_or_errors(doc_path, doc):
 def test_any_graph_document_runs_or_errors(doc_path, doc):
     assert_result_or_error(doc, doc_path, ("place", "--graph", str(doc_path), "--instances", "3", "--slots", "2"),
                            ("workload", "profile", "--graph", str(doc_path)))
+
+
+# --- generator sizes: refused before anything is allocated ---------------------
+
+
+def faasim_env():
+    src = str(Path(faasim.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("workload", "gen", "--kind", "cholesky", "--blocks", "391"),  # 10,039,316 tasks
+    ("workload", "gen", "--kind", "paramserver", "--rounds", str(wl.MATERIALIZE_EDGE_LIMIT // 2 + 1)),
+    ("workload", "trace", "--count", str(wl.MATERIALIZE_EDGE_LIMIT + 1)),
+    ("workload", "trace", "--arrivals", "fixed", "--count", str(wl.MATERIALIZE_EDGE_LIMIT + 1)),
+])
+def test_generator_size_over_the_budget_is_one_error_line(argv):
+    """With 1 GiB of address space, allocating such an output would end in an internal error instead."""
+    assert wl.cholesky_task_count(390) <= wl.MATERIALIZE_EDGE_LIMIT < wl.cholesky_task_count(391)
+    proc = subprocess.run([sys.executable, "-m", "faasim", *argv], env=faasim_env(), capture_output=True, text=True,
+                          preexec_fn=limit_address_space, timeout=60)
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert f"limit of {wl.MATERIALIZE_EDGE_LIMIT} elements" in proc.stderr
+
+
+# --- import-light: each subcommand loads only the modules it runs --------------
+
+DESK_COMMANDS = {
+    "catalog show": ("catalog", "show"),
+    "catalog cost": ("catalog", "cost", "--service", "object", "--capacity-gb", "1"),
+    "comm": ("comm", "--pattern", "shuffle", "--n", "2", "--k", "2", "--granularity", "function"),
+    "shuffle plan": ("shuffle", "plan", "--data", "100TB", "--stages", "50"),
+    "breakeven": ("breakeven", "--ratio", "7.5"),
+    "shuffle price": ("shuffle", "price", "--preset", "cloudsort100tb"),
+    "repro": ("repro", "--format", "table"),
+    "workload gen": ("workload", "gen", "--kind", "paramserver"),
+}
+LIGHT_COMMANDS = {"catalog show", "catalog cost", "comm", "shuffle plan", "breakeven"}
+LOADED = """import io, json, sys
+before = set(sys.modules)
+from faasim import cli
+status = cli.main(sys.argv[1:], out=io.StringIO())
+print(json.dumps([status, sorted(set(sys.modules) - before)]))
+"""
+
+
+@pytest.mark.parametrize("name", DESK_COMMANDS)
+def test_desk_command_loads_only_what_it_runs(name):
+    proc = subprocess.run([sys.executable, "-c", LOADED, *DESK_COMMANDS[name]], env=faasim_env(),
+                          capture_output=True, text=True, check=True)
+    status, loaded = json.loads(proc.stdout)
+    assert status == 0, proc.stderr
+    assert "dataclasses" not in loaded
+    if name in LIGHT_COMMANDS:
+        assert not {"faasim.workloads", "faasim.placement", "faasim.repro"} & set(loaded)
+    if name == "breakeven":
+        assert {m for m in loaded if m.startswith("faasim.")} == {
+            "faasim.cli", "faasim.jsontext", "faasim.money", "faasim.record", "faasim.simcore"}

@@ -1,6 +1,8 @@
 """Placement: evaluation semantics, greedy vs exhaustive oracle, grouping."""
 
 import json
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -227,6 +229,39 @@ def test_greedy_never_beats_exhaustive(seed):
     greedy = plc.place_greedy(problem)
     best = plc.place_exhaustive(problem)
     assert best.cross_instance_bytes <= greedy.cross_instance_bytes
+
+
+def naive_exhaustive(problem):
+    """Every restricted-growth labelling in lexicographic order, each scored in full by
+    `evaluate`; the first with the least (cross bytes, messages) wins."""
+    ids = sorted(problem.graph.ids)
+    best = None
+    for labels in product(range(problem.n_instances), repeat=len(ids)):
+        if any(label > max(labels[:i], default=-1) + 1 for i, label in enumerate(labels)):
+            continue
+        if max(Counter(labels).values(), default=0) > problem.slots_per_instance:
+            continue
+        seats = Counter()
+        assignment = {}
+        for tid, label in zip(ids, labels):
+            assignment[tid] = (label, seats[label])
+            seats[label] += 1
+        cost = plc.evaluate(assignment, problem.graph)
+        if best is None or cost < best[0]:
+            best = (cost, assignment)
+    return plc.Placement(best[1], *best[0])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_exhaustive_matches_naive_enumeration(seed):
+    """The pruned incremental search returns the naive search's placement, ties included."""
+    graph = random_graph(seed, n_tasks=1 + seed % 7)
+    if seed % 4 == 0:  # free edges: only message counts tell placements apart
+        graph = TaskGraph(graph.tasks, [Edge(e.src, e.dst, 0) for e in graph.edges])
+    n_instances = 1 + seed % 3
+    slots = -(-graph.task_count // n_instances) + seed % 2
+    problem = plc.PlacementProblem(graph, n_instances, slots)
+    assert plc.place_exhaustive(problem) == naive_exhaustive(problem)
 
 
 def test_greedy_matches_optimum_on_bundled_fixtures():
