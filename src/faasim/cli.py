@@ -54,8 +54,8 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for key in value:
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, list):
-        rows.append((prefix, json.dumps(value)))
+    elif isinstance(value, (list, jsontext.Table)):
+        rows.append((prefix, json.dumps(value, default=list)))
     else:
         rows.append((prefix, str(value)))
 
@@ -76,8 +76,7 @@ class Report:
 
     def emit(self, fmt: str, out) -> None:
         if fmt == "json":
-            doc = {"manifest": self.manifest, "result": self.result}
-            out.write(jsontext.dumps(doc, sort_keys=True) + "\n")
+            jsontext.write(out, {"manifest": self.manifest, "result": self.result}, sort_keys=True)
             return
         rows: list[tuple[str, str]] = []
         _flatten("", self.result, rows)
@@ -273,7 +272,8 @@ def _cmd_shuffle_price(args, out) -> int:
 
 def _write_or_print(doc, args, out, subcommand, params, seed=None) -> None:
     if args.output:
-        Path(args.output).write_text(jsontext.dumps(doc) + "\n", encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as file:
+            jsontext.write(file, doc)
         result = {"written": args.output}
     else:
         result = doc

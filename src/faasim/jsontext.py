@@ -10,18 +10,52 @@ inside a string, so each raw newline in its output is a separator. Any
 other subtree (tuples, non-`str` keys, other types) is rendered by
 `json.dumps(indent=2)` and re-indented.
 
+A `Table`, a list of flat records held as columns, renders as its list of
+row dicts would, without building them: each column is encoded in one call,
+and one %-template of the pre-encoded keys is filled per row. A column of
+one type with fewer distinct values than half its length encodes each
+distinct value once; not a float column holding 0.0, which equals -0.0.
+`write` sends the text to a stream in pieces, a Table's rows a chunk at a
+time, so no string the size of the document is ever built.
+
 Python 3.13 renders `indent=` in C; once `requires-python` reaches 3.13,
 measure that against this writer and delete the writer if the standard
-library is faster.
+library is faster. The `Table` path stays either way: it never builds the
+row dicts.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 _INDENT = "  "
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+# Rows per piece of a Table's text: no piece, and no copy of one, holds the whole table.
+_CHUNK_ROWS = 2048
+
+
+class Table:
+    """A list of flat records as columns: row i maps `keys[k]` to `columns[k][i]`.
+
+    Keys are distinct and columns equal-length lists or tuples. A read-only
+    sequence of the row dicts (`len`, iteration); `json.dumps` serializes it
+    with `default=list`.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns):
+        self.keys, self.columns = tuple(keys), tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self):
+        keys = self.keys
+        return (dict(zip(keys, row)) for row in zip(*self.columns))
 
 
 def _flat(items) -> bool:
@@ -32,10 +66,56 @@ def _str_keys(keys) -> bool:
     return set(map(type, keys)) <= {str}
 
 
-def _encode(obj, level: int, sort_keys: bool) -> str:
+def _rows(obj):
+    """`default` for the standard encoder: a Table is its list of rows."""
+    if type(obj) is Table:
+        return list(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _column(values) -> list[str] | None:
+    """The JSON text of each value; None unless all are strings or all are other scalars."""
+    kinds = set(map(type, values))
+    if not kinds <= _SCALARS or str in kinds and len(kinds) > 1:
+        return None
+    if len(kinds) == 1:
+        distinct = set(values)
+        if len(distinct) * 2 < len(values) and not (kinds == {float} and 0.0 in distinct):
+            distinct = list(distinct)
+            return list(map(dict(zip(distinct, _column(distinct))).__getitem__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _table(table: Table, level: int, sort_keys: bool):
+    keys, columns = table.keys, table.columns
+    encodable = len(table) and _str_keys(keys)
+    if encodable and sort_keys:
+        keys, columns = zip(*sorted(zip(keys, columns), key=itemgetter(0)))
+    texts = list(map(_column, columns)) if encodable else [None]
+    if None in texts:
+        yield from _parts(list(table), level, sort_keys)
+        return
+    outer = "\n" + _INDENT * level
+    inner = outer + _INDENT
+    deeper = inner + _INDENT
+    fields = ("," + deeper).join(json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+    rows = map(("{" + deeper + fields + inner + "}").__mod__, zip(*texts))
+    head, sep = "[" + inner, "," + inner
+    while chunk := sep.join(islice(rows, _CHUNK_ROWS)):
+        yield head + chunk
+        head = sep
+    yield outer + "]"
+
+
+def _encode(obj, level: int, sort_keys: bool) -> str | None:
+    """The text of `obj` from one encoder call; None where `_parts` splits it."""
     kind = type(obj)
     if kind in _SCALARS:
         return json.dumps(obj)
+    if kind is Table:
+        return None
     outer = "\n" + _INDENT * level
     inner = outer + _INDENT
     if kind is dict and _str_keys(obj):
@@ -52,9 +132,7 @@ def _encode(obj, level: int, sort_keys: bool) -> str:
             text = json.dumps(obj, separators=("," + deeper, ":\n"), sort_keys=sort_keys)
             body = text[1:-2].replace("]," + deeper, inner + "]," + inner).replace(":\n[", ": [" + deeper)
             return "{" + inner + body + inner + "]" + outer + "}"
-        items = sorted(obj.items()) if sort_keys else obj.items()
-        parts = [json.dumps(key) + ": " + _encode(value, level + 1, sort_keys) for key, value in items]
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+        return None
     if kind is list:
         if not obj:
             return "[]"
@@ -70,11 +148,40 @@ def _encode(obj, level: int, sort_keys: bool) -> str:
             text = json.dumps(obj, separators=("," + deeper, ": "), sort_keys=sort_keys)
             body = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
             return "[" + inner + "{" + deeper + body + inner + "}" + outer + "]"
-        parts = [_encode(item, level + 1, sort_keys) for item in obj]
-        return "[" + inner + ("," + inner).join(parts) + outer + "]"
-    return json.dumps(obj, indent=2, sort_keys=sort_keys).replace("\n", outer)
+        return None
+    return json.dumps(obj, indent=2, sort_keys=sort_keys, default=_rows).replace("\n", outer)
+
+
+def _parts(obj, level: int, sort_keys: bool):
+    """The text of `obj` in pieces; a Table's rows come a chunk at a time."""
+    text = _encode(obj, level, sort_keys)
+    inner, outer = "\n" + _INDENT * (level + 1), "\n" + _INDENT * level
+    if text is not None:
+        yield text
+    elif type(obj) is Table:
+        yield from _table(obj, level, sort_keys)
+    elif type(obj) is dict:
+        head = "{" + inner
+        for key, value in sorted(obj.items()) if sort_keys else obj.items():
+            yield head + json.dumps(key) + ": "
+            yield from _parts(value, level + 1, sort_keys)
+            head = "," + inner
+        yield outer + "}"
+    else:
+        head = "[" + inner
+        for item in obj:
+            yield head
+            yield from _parts(item, level + 1, sort_keys)
+            head = "," + inner
+        yield outer + "]"
 
 
 def dumps(obj, sort_keys: bool = False) -> str:
     """`json.dumps(obj, indent=2, sort_keys=sort_keys)`, byte-identical."""
-    return _encode(obj, 0, sort_keys)
+    return "".join(_parts(obj, 0, sort_keys))
+
+
+def write(out, obj, sort_keys: bool = False) -> None:
+    """Write `dumps(obj, sort_keys)` and a newline to the text stream `out`, a piece at a time."""
+    out.writelines(_parts(obj, 0, sort_keys))
+    out.write("\n")

@@ -47,6 +47,7 @@ from itertools import chain, count, repeat
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
+from .jsontext import Table
 from .money import decimal_literal, usd, usd_json
 from .record import Record
 
@@ -129,25 +130,14 @@ class SimResult(Record):
         return self.busy_seconds / self.instance_seconds_running
 
     def to_json_dict(self) -> dict:
+        columns = [*zip(*self.invocations)] or [()] * len(InvocationResult._fields)
         # Invocations of one billing key share one cost: render each once.
-        costs = {id(r.cost_usd): r.cost_usd for r in self.invocations}
+        costs = {id(cost): cost for cost in columns[-1]}
         rendered = {key: usd_json(cost) for key, cost in costs.items()}
+        columns[-1] = [*map(rendered.__getitem__, map(id, columns[-1]))]
         return {
-            "invocations": [
-                {
-                    "arrival_s": arrival_s,
-                    "start_latency_s": latency_s,
-                    "duration_s": duration_s,
-                    "cold": cold,
-                    "billed_units": units,
-                    "cost_usd": rendered[id(cost)],
-                }
-                for arrival_s, latency_s, duration_s, cold, units, cost in self.invocations
-            ],
-            "rejected": [
-                {"index": r.index, "arrival_s": r.arrival_s, "duration_s": r.duration_s, "reason": r.reason}
-                for r in self.rejected
-            ],
+            "invocations": Table(InvocationResult._fields, columns),
+            "rejected": Table(RejectedInvocation._FIELDS, zip(*map(RejectedInvocation._values, self.rejected))),
             "billed_units": self.billed_units,
             "cost_usd": usd_json(self.cost_usd),
             "cold_starts": self.cold_starts,

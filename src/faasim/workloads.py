@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .commpatterns import CommScenario, Deployment
+from .jsontext import Table
 from .record import Record
 
 # Above this many edges a shuffle graph is returned in implicit form; no
@@ -137,15 +138,9 @@ class TaskGraph(_Columns):
     def to_json_dict(self) -> dict:
         ids = self.ids
         return {
-            "tasks": [
-                {"id": tid, "duration_s": duration, "memory_gb": memory_gb, "kind": kind}
-                for tid, duration, memory_gb, kind in zip(ids, self.durations, self.memory, self.kinds)
-            ],
-            "edges": [
-                {"src": src, "dst": dst, "bytes": nbytes}
-                for src, dst, nbytes in zip(map(ids.__getitem__, self.src), map(ids.__getitem__, self.dst),
-                                            self.edge_bytes)
-            ],
+            "tasks": Table(("id", "duration_s", "memory_gb", "kind"), (ids, self.durations, self.memory, self.kinds)),
+            "edges": Table(("src", "dst", "bytes"), ([*map(ids.__getitem__, self.src)],
+                                                     [*map(ids.__getitem__, self.dst)], self.edge_bytes)),
             "metadata": self.metadata,
         }
 
@@ -229,10 +224,8 @@ class ParallelismProfile(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "levels": [
-                {"level": i, "ready_task_count": s.ready_task_count, "working_set_bytes": s.working_set_bytes}
-                for i, s in enumerate(self.levels)
-            ],
+            "levels": Table(("level", "ready_task_count", "working_set_bytes"),
+                            ([*range(len(self.levels))], self.widths, [s.working_set_bytes for s in self.levels])),
             "peak_width": self.peak_width,
             "peak_working_set_bytes": self.peak_working_set_bytes,
         }
@@ -305,6 +298,7 @@ def gen_cholesky_dag(
     if blocks < 1:
         raise GraphError("need at least one block")
     _check_budget(cholesky_task_count(blocks), "Cholesky tasks")
+    _check_budget(cholesky_edge_count(blocks), "Cholesky edges")
     tile_bytes = block_dim * block_dim * BYTES_PER_ELEMENT
     tasks: list[tuple[str, float, str]] = []
     edges: list[tuple[str, str]] = []
@@ -366,6 +360,13 @@ def cholesky_task_count(blocks: int) -> int:
     """Closed form: n factorizations, n(n-1)/2 solves, (n-1)n(n+1)/6 updates."""
     n = max(blocks, 0)
     return n + n * (n - 1) // 2 + (n - 1) * n * (n + 1) // 6
+
+
+def cholesky_edge_count(blocks: int) -> int:
+    """Closed form: a step with m tiles below its diagonal has m edges into solves,
+    m^2 into updates and m(m+1)/2 out of updates; summed over m < n, (n-1)n(n+1)/2."""
+    n = max(blocks, 0)
+    return (n - 1) * n * (n + 1) // 2
 
 
 def gen_paramserver(
@@ -448,11 +449,8 @@ class InvocationTrace(_Columns):
     def entries(self) -> tuple[Invocation, ...]:
         return tuple(map(Invocation, self.arrivals, self.durations, self.memory))
 
-    def to_json_list(self) -> list[dict]:
-        return [
-            {"arrival_s": arrival, "duration_s": duration, "memory_gb": memory_gb}
-            for arrival, duration, memory_gb in zip(self.arrivals, self.durations, self.memory)
-        ]
+    def to_json_list(self) -> Table:
+        return Table(("arrival_s", "duration_s", "memory_gb"), (self.arrivals, self.durations, self.memory))
 
     @classmethod
     def from_json(cls, doc: list) -> "InvocationTrace":

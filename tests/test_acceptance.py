@@ -4,13 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; tolerances are pinned here, not configurable.
 """
 
-import json
 from fractions import Fraction
 
 import pytest
 
 from faasim import catalog as cat
 from faasim import commpatterns as comm
+from faasim import jsontext
 from faasim import placement as plc
 from faasim import repro
 from faasim import shuffleplan as shp
@@ -125,7 +125,8 @@ def test_criterion_07_simulator_properties(default_catalog):
     poisson = wl.poisson_trace(50, 2.0, 0.4, seed=123)
     config = sim.PlatformConfig(compute=fn, cold_start=sim.ColdStartModel(0.4, 0.8, 0.2), keep_alive_s=2.0)
     first, second = sim.simulate(poisson, config), sim.simulate(poisson, config)
-    assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(second.to_json_dict(), sort_keys=True)
+    assert jsontext.dumps(first.to_json_dict(), sort_keys=True) == jsontext.dumps(second.to_json_dict(),
+                                                                                 sort_keys=True)
 
     from test_simcore import max_overlap
 

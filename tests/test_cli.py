@@ -19,6 +19,7 @@ import faasim
 from faasim import catalog as cat
 from faasim import cli
 from faasim import commpatterns as comm
+from faasim import jsontext
 from faasim import workloads as wl
 
 
@@ -397,8 +398,8 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
-VALID_TRACE = wl.fixed_interval_trace(3, 1.0, 0.5).to_json_list()
-VALID_GRAPH = wl.gen_shuffle_dag(2, 3, 100).to_json_dict()
+VALID_TRACE = json.loads(jsontext.dumps(wl.fixed_interval_trace(3, 1.0, 0.5).to_json_list()))
+VALID_GRAPH = json.loads(jsontext.dumps(wl.gen_shuffle_dag(2, 3, 100).to_json_dict()))
 
 
 @st.composite
@@ -466,6 +467,7 @@ def limit_address_space():
 
 @pytest.mark.parametrize("argv", [
     ("workload", "gen", "--kind", "cholesky", "--blocks", "391"),  # 10,039,316 tasks
+    ("workload", "gen", "--kind", "cholesky", "--blocks", "272"),  # 3,391,024 tasks, 10,061,688 edges
     ("workload", "gen", "--kind", "paramserver", "--rounds", str(wl.MATERIALIZE_EDGE_LIMIT // 2 + 1)),
     ("workload", "trace", "--count", str(wl.MATERIALIZE_EDGE_LIMIT + 1)),
     ("workload", "trace", "--arrivals", "fixed", "--count", str(wl.MATERIALIZE_EDGE_LIMIT + 1)),
@@ -473,6 +475,7 @@ def limit_address_space():
 def test_generator_size_over_the_budget_is_one_error_line(argv):
     """With 1 GiB of address space, allocating such an output would end in an internal error instead."""
     assert wl.cholesky_task_count(390) <= wl.MATERIALIZE_EDGE_LIMIT < wl.cholesky_task_count(391)
+    assert wl.cholesky_edge_count(271) <= wl.MATERIALIZE_EDGE_LIMIT < wl.cholesky_edge_count(272)
     proc = subprocess.run([sys.executable, "-m", "faasim", *argv], env=faasim_env(), capture_output=True, text=True,
                           preexec_fn=limit_address_space, timeout=60)
     assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)

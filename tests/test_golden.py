@@ -37,6 +37,19 @@ GOLDEN = [
     ("simulate bursty", ("simulate", "--trace", "bursty_trace.json", "--catalog", "catalog.json",
                          "--keep-alive", "10", "--t-env", "2", "--t-app", "0.3", "--prestarted", "5"), None),
 ]
+# Table and CSV stdout of the reports that hold record lists (trace entries,
+# graph tasks and edges, profile levels, invocations and rejected entries).
+GOLDEN += [
+    (f"{name} {fmt}", argv + ("--format", fmt), None)
+    for name, argv in [
+        ("trace", ("workload", "trace", "--count", "200", "--seed", "1")),
+        ("gen small cholesky", ("workload", "gen", "--kind", "cholesky", "--blocks", "3")),
+        ("profile cholesky", ("workload", "profile", "--graph", "chol.json")),
+        ("simulate bursty", ("simulate", "--trace", "bursty_trace.json", "--catalog", "catalog.json",
+                             "--keep-alive", "10", "--t-env", "2", "--t-app", "0.3", "--prestarted", "5")),
+    ]
+    for fmt in ("table", "csv")
+]
 
 DIGESTS = {
     "gen cholesky": (
@@ -85,6 +98,38 @@ DIGESTS = {
     ),
     "simulate bursty": (
         "471338766d95ed0ce7a2d69b00ffc441aeaa2818df22a4deb9dd96cf680912f2",
+        None,
+    ),
+    "trace table": (
+        "bb7aee873be9c5e0feaf415343d6100122b95119d118acd8c32c877c01130c6b",
+        None,
+    ),
+    "trace csv": (
+        "3640a8ae58ded34ed0abf93642e20d6dbed13d7712518b62d35e3cd0ac992557",
+        None,
+    ),
+    "gen small cholesky table": (
+        "bce157b29fd9d644e445a542e861c68815458048b490b986084a7b1961c4ed21",
+        None,
+    ),
+    "gen small cholesky csv": (
+        "82db56ad8ab028a935b8337bc6de1c1647992d6cd0c32addaad38e43c6e1ce1a",
+        None,
+    ),
+    "profile cholesky table": (
+        "abbd4086d294ca1bbd4601204c61403d6122ca637a8b87235b18976a9580a9cf",
+        None,
+    ),
+    "profile cholesky csv": (
+        "83ddb96a8b8102c5d70eddaa9ccaed59bdcab48a6158ac1e5c87dbcfa89bb5a2",
+        None,
+    ),
+    "simulate bursty table": (
+        "c18e4a45c8598155987680dd308f4e50048cb4cc3f44ec03b4397987fbdb9e59",
+        None,
+    ),
+    "simulate bursty csv": (
+        "5d20d74f2997b51760f9d3035aad22cc6c89c01c7a2f854375f2751d7ad76e7c",
         None,
     ),
 }

@@ -1,5 +1,6 @@
 """The indented JSON writer against the standard library, byte for byte."""
 
+import io
 import json
 
 import pytest
@@ -49,3 +50,56 @@ def test_matches_stdlib_indent_2(value, sort_keys):
             jsontext.dumps(value, sort_keys=sort_keys)
         return
     assert jsontext.dumps(value, sort_keys=sort_keys) == expected
+
+
+@st.composite
+def tables(draw):
+    """(keys, columns): distinct keys, equal-length columns drawn from small pools so values repeat."""
+    keys = draw(st.lists(texts, unique=True, max_size=4))
+    rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in keys:
+        pool = draw(st.lists(scalars, min_size=1, max_size=3))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)))
+    return keys, columns
+
+
+NAN = float("nan")
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.booleans())
+@example((["z"], [[0.0, -0.0, 0.0, -0.0, 0.0]]), False)
+@example((["b", "a"], [[True, 1, True, 1, 1], [False, 0, False, 0, 0]]), True)
+@example((["one"], [[1, 1.0, 1, 1.0, 1]]), False)
+@example((["n", "m"], [[NAN] * 5, [float("nan") for _ in range(5)]]), False)
+@example((["%s", '"q"', "k\n", ", ", "é%%"], [["%d"] * 3, ['"', '"', "x"], ["a, b", "\n", "a, b"],
+                                             ["☃", "é", "☃"], [", "] * 3]), True)
+@example(([], []), False)
+@example((["a"], [[]]), True)
+@example((["a", "b"], [[1], ["x"]]), False)
+@example((["a"], [[1, 2, 3, 2, 2]]), True)
+@example((["a", "b"], [[[1], {"c": 2}], [None, None]]), False)  # not flat: rendered from the rows
+@example(([2, 1], [[1, 1], ["x", "y"]]), False)  # keys that are not strings, likewise
+def test_table_matches_stdlib_rows(keys_and_columns, sort_keys):
+    keys, columns = keys_and_columns
+    rows = [dict(zip(keys, row)) for row in zip(*columns)]
+    table = jsontext.Table(keys, columns)
+    for doc, plain in ((table, rows),
+                       ({"t": table, "in": {"x": [table], "pair": (table, 1)}},
+                        {"t": rows, "in": {"x": [rows], "pair": (rows, 1)}})):
+        assert jsontext.dumps(doc, sort_keys=sort_keys) == json.dumps(plain, indent=2, sort_keys=sort_keys)
+
+
+@pytest.mark.parametrize("count", [jsontext._CHUNK_ROWS - 1, 2 * jsontext._CHUNK_ROWS, 2 * jsontext._CHUNK_ROWS + 1])
+def test_table_in_pieces_matches_stdlib(count):
+    """Tables longer than one piece of rows, written to a stream and as one string."""
+    columns = [[i / 7 for i in range(count)], [i % 3 == 0 for i in range(count)], [str(i % 5) for i in range(count)]]
+    keys = ["t", "cold", "name"]
+    rows = [dict(zip(keys, row)) for row in zip(*columns)]
+    doc = {"rows": jsontext.Table(keys, columns), "n": count, "nested": [{"rows": jsontext.Table(keys, columns)}]}
+    expected = json.dumps({"rows": rows, "n": count, "nested": [{"rows": rows}]}, indent=2, sort_keys=True)
+    out = io.StringIO()
+    jsontext.write(out, doc, sort_keys=True)
+    assert out.getvalue() == expected + "\n"
+    assert jsontext.dumps(doc, sort_keys=True) == expected

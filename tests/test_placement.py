@@ -1,6 +1,5 @@
 """Placement: evaluation semantics, greedy vs exhaustive oracle, grouping."""
 
-import json
 from collections import Counter
 from itertools import product
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faasim import jsontext
 from faasim import placement as plc
 from faasim import workloads as wl
 from faasim.workloads import Edge, Task, TaskGraph
@@ -366,7 +366,7 @@ def test_greedy_assignments_match_string_id_reference():
 
 def test_levels_computed_once_per_graph(tmp_path, monkeypatch):
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps(wl.gen_cholesky_dag(4).to_json_dict()), encoding="utf-8")
+    path.write_text(jsontext.dumps(wl.gen_cholesky_dag(4).to_json_dict()), encoding="utf-8")
     calls = []
     original = wl.asap_levels
     monkeypatch.setattr(wl, "asap_levels", lambda graph: calls.append(graph) or original(graph))

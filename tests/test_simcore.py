@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faasim import catalog as cat
+from faasim import jsontext
 from faasim import simcore as sim
 from faasim import workloads as wl
 from faasim.money import usd, usd_json
@@ -179,7 +180,8 @@ def test_determinism_byte_identical(fn_spec):
     config = platform(fn_spec, cold=(0.5, 1.0, 0.25), keep_alive=2.0)
     first = sim.simulate(poisson, config)
     second = sim.simulate(poisson, config)
-    assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(second.to_json_dict(), sort_keys=True)
+    assert jsontext.dumps(first.to_json_dict(), sort_keys=True) == jsontext.dumps(second.to_json_dict(),
+                                                                                 sort_keys=True)
 
 
 def test_conservation_and_utilization(fn_spec):

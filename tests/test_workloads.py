@@ -1,5 +1,6 @@
 """Workload generators: DAG structure, profiles, traces."""
 
+import json
 import math
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faasim import jsontext
 from faasim import workloads as wl
 from faasim.commpatterns import CommScenario, Deployment, remote_traffic_bytes
 
@@ -148,8 +150,9 @@ def test_profile_single_task():
 
 
 def test_cholesky_task_count_closed_form():
-    assert [wl.cholesky_task_count(b) for b in range(1, 41)] == [
-        wl.gen_cholesky_dag(b).task_count for b in range(1, 41)]
+    graphs = list(map(wl.gen_cholesky_dag, range(1, 41)))
+    assert [wl.cholesky_task_count(b) for b in range(1, 41)] == [graph.task_count for graph in graphs]
+    assert [wl.cholesky_edge_count(b) for b in range(1, 41)] == [graph.edge_count for graph in graphs]
 
 
 def test_profile_widths_sum_to_task_count():
@@ -191,7 +194,7 @@ def test_graph_validation():
     ("memory_gb", float("nan")), ("memory_gb", float("-inf")),
 ])
 def test_non_finite_task_rejected(field, value):
-    doc = wl.gen_cholesky_dag(2).to_json_dict()
+    doc = json.loads(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()))
     doc["tasks"][1][field] = value
     with pytest.raises(wl.GraphError, match="non-finite"):
         wl.TaskGraph.from_json_dict(doc)
@@ -199,7 +202,7 @@ def test_non_finite_task_rejected(field, value):
 
 @pytest.mark.parametrize("nbytes", [1e400, float("nan"), "many"])
 def test_non_finite_or_non_integer_edge_bytes_rejected(nbytes):
-    doc = wl.gen_cholesky_dag(2).to_json_dict()
+    doc = json.loads(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()))
     doc["edges"][0]["bytes"] = nbytes
     with pytest.raises(wl.GraphError, match="malformed"):
         wl.TaskGraph.from_json_dict(doc)
@@ -387,11 +390,9 @@ def test_trace_columns_cannot_be_replaced(name):
 
 
 def test_trace_json_round_trip(tmp_path):
-    import json
-
     trace = wl.poisson_trace(10, 1.0, 0.5, seed=3)
     path = tmp_path / "trace.json"
-    path.write_text(json.dumps(trace.to_json_list()), encoding="utf-8")
+    path.write_text(jsontext.dumps(trace.to_json_list()), encoding="utf-8")
     again = wl.load_trace(path)
     assert again.entries == trace.entries
 
