@@ -26,7 +26,6 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import jsontext
 from .money import usd
 from .record import Record
 
@@ -342,11 +341,6 @@ def catalog_json_dict(catalog: ServiceCatalog) -> dict:
             entry["write_usd_per_request"] = _number(spec.write_usd_per_request)
         storage.append(entry)
     return {"compute": compute, "storage": storage}
-
-
-def dumps_catalog(catalog: ServiceCatalog) -> str:
-    """Serialize a catalog back to its JSON schema (round-trips equal)."""
-    return jsontext.dumps(catalog_json_dict(catalog)) + "\n"
 
 
 def default_catalog_path() -> Path:

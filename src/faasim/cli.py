@@ -402,21 +402,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
+    # Shared options, each on only the subcommands that read it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "table", "csv"], default="json")
-    common.add_argument("--catalog", help="catalog JSON path (overrides FAASIM_CATALOG)")
-    common.add_argument("--binary-units", action="store_true",
-                        help="interpret KB/MB/GB/TB suffixes as powers of 1024")
-    common.add_argument("--full-precision", action="store_true",
-                        help="print currency at full precision instead of report rounding")
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--catalog", help="catalog JSON path (overrides FAASIM_CATALOG)")
+    units = argparse.ArgumentParser(add_help=False)
+    units.add_argument("--binary-units", action="store_true",
+                       help="interpret KB/MB/GB/TB suffixes as powers of 1024")
+    money = argparse.ArgumentParser(add_help=False)
+    money.add_argument("--full-precision", action="store_true",
+                       help="print currency at full precision instead of report rounding")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_catalog = sub.add_parser("catalog", help="inspect the service catalog and price primitives")
     catalog_sub = p_catalog.add_subparsers(dest="catalog_command", required=True)
-    p_show = catalog_sub.add_parser("show", parents=[common], help="render the catalog tables")
+    p_show = catalog_sub.add_parser("show", parents=[common, catalog], help="render the catalog tables")
     p_show.set_defaults(handler=_cmd_catalog_show)
-    p_cost = catalog_sub.add_parser("cost", parents=[common], help="price storage usage")
+    p_cost = catalog_sub.add_parser("cost", parents=[common, catalog, money], help="price storage usage")
     p_cost.add_argument("--service", required=True)
     p_cost.add_argument("--capacity-gb", type=float)
     p_cost.add_argument("--months", type=float, default=1.0)
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--writes", type=int, default=0)
     p_cost.set_defaults(handler=_cmd_catalog_cost)
 
-    p_comm = sub.add_parser("comm", parents=[common], help="count messages for a communication pattern")
+    p_comm = sub.add_parser("comm", parents=[common, units], help="count messages for a communication pattern")
     # commpatterns.PATTERNS, spelled out so that building the parser loads no model.
     p_comm.add_argument("--pattern", choices=["aggregation", "broadcast", "shuffle"], required=True)
     p_comm.add_argument("--n", type=int, required=True, help="instance count")
@@ -439,12 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_shuffle = sub.add_parser("shuffle", help="plan and price staged shuffles")
     shuffle_sub = p_shuffle.add_subparsers(dest="shuffle_command", required=True)
-    p_plan = shuffle_sub.add_parser("plan", parents=[common], help="derive block/transfer/storage counts")
+    p_plan = shuffle_sub.add_parser("plan", parents=[common, units], help="derive block/transfer/storage counts")
     p_plan.add_argument("--data", required=True, help="total bytes to shuffle, e.g. 100TB")
     p_plan.add_argument("--block", default="3GB", help="per-function memory cap")
     p_plan.add_argument("--stages", type=int, default=1)
     p_plan.set_defaults(handler=_cmd_shuffle_plan)
-    p_price = shuffle_sub.add_parser("price", parents=[common], help="price a plan or bundled preset")
+    p_price = shuffle_sub.add_parser("price", parents=[common, catalog, units, money],
+                                     help="price a plan or bundled preset")
     p_price.add_argument("--preset", help="bundled preset name or JSON path")
     p_price.add_argument("--data")
     p_price.add_argument("--block", default="3GB")
@@ -457,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_workload = sub.add_parser("workload", help="generate and inspect workloads")
     workload_sub = p_workload.add_subparsers(dest="workload_command", required=True)
-    p_gen = workload_sub.add_parser("gen", parents=[common], help="emit a task graph or scenario list")
+    p_gen = workload_sub.add_parser("gen", parents=[common, units], help="emit a task graph or scenario list")
     p_gen.add_argument("--kind", choices=["shuffle", "cholesky", "paramserver"], required=True)
     p_gen.add_argument("--mappers", type=int, default=2)
     p_gen.add_argument("--reducers", type=int, default=2)
@@ -483,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("-o", "--output")
     p_trace.set_defaults(handler=_cmd_workload_trace)
 
-    p_simulate = sub.add_parser("simulate", parents=[common], help="run a trace on the platform model")
+    p_simulate = sub.add_parser("simulate", parents=[common, catalog], help="run a trace on the platform model")
     p_simulate.add_argument("--trace", required=True, help="trace JSON path")
     p_simulate.add_argument("--service", default="serverless")
     p_simulate.add_argument("--t-schedule", type=float, default=0.5)
@@ -505,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="per-minute function/VM cost ratio")
     p_breakeven.set_defaults(handler=_cmd_breakeven)
 
-    p_repro = sub.add_parser("repro", parents=[common],
+    p_repro = sub.add_parser("repro", parents=[common, catalog],
                              help="re-run every bundled published-figure check")
     p_repro.set_defaults(handler=_cmd_repro)
 

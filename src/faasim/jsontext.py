@@ -3,11 +3,12 @@
 Before Python 3.13 the standard library renders `indent=` in pure Python,
 which costs more than computing the reports and graphs it prints. This
 writer hands the bulk to the C encoder: a container whose members are all
-scalars, a list of such dicts and a dict of such lists are each encoded in
-one call with "," plus a newline and the member indent as the item
-separator, and the brackets are then fixed up. That is exact because the encoder escapes every newline
-inside a string, so each raw newline in its output is a separator. Any
-other subtree (tuples, non-`str` keys, other types) is rendered by
+scalars and a dict of such lists are each encoded in one call with ","
+plus a newline and the member indent as the item separator, and the
+brackets are then fixed up. That is exact because the encoder escapes
+every newline inside a string, so each raw newline in its output is a
+separator. Other dicts and lists are rendered member by member; any other
+subtree (tuples, non-`str` keys, other types) is rendered by
 `json.dumps(indent=2)` and re-indented.
 
 A `Table`, a list of flat records held as columns, renders as its list of
@@ -136,18 +137,9 @@ def _encode(obj, level: int, sort_keys: bool) -> str | None:
     if kind is list:
         if not obj:
             return "[]"
-        kinds = set(map(type, obj))
-        if kinds <= _SCALARS:
+        if _flat(obj):
             text = json.dumps(obj, separators=("," + inner, ": "), sort_keys=sort_keys)
             return "[" + inner + text[1:-1] + outer + "]"
-        if (kinds == {dict} and all(obj) and _str_keys(chain.from_iterable(obj))
-                and _flat(chain.from_iterable(map(dict.values, obj)))):
-            # Members of the dicts sit one level deeper than the dicts;
-            # "},<newline>{" can only be a boundary between two of them.
-            deeper = inner + _INDENT
-            text = json.dumps(obj, separators=("," + deeper, ": "), sort_keys=sort_keys)
-            body = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-            return "[" + inner + "{" + deeper + body + inner + "}" + outer + "]"
         return None
     return json.dumps(obj, indent=2, sort_keys=sort_keys, default=_rows).replace("\n", outer)
 

@@ -182,17 +182,18 @@ def run_all(catalog: cat.ServiceCatalog | None = None) -> list[CheckResult]:
     ))
 
     # --- simulator behaviors --------------------------------------------------
-    empty = sim.simulate(wl.InvocationTrace(entries=()), sim.PlatformConfig(compute=fn))
+    empty = sim.simulate(wl.InvocationTrace((), (), ()), sim.PlatformConfig(compute=fn))
     checks.append(_check(
         "scale-to-zero", "Section 2.1", "no demand scales to zero resources and zero cost",
         "cost 0, instances 0", f"cost {usd_json(empty.cost_usd)}, instances {empty.instances_created}",
         empty.cost_usd == 0 and empty.instances_created == 0,
     ))
     one = sim.simulate(
-        wl.InvocationTrace(entries=(wl.Invocation(0.0, 2.0, 0.125),)),
+        wl.InvocationTrace([0.0], [2.0], [0.125]),
         sim.PlatformConfig(compute=fn, cold_start=sim.ColdStartModel(0.5, 10.0, 2.0)),
     )
-    latency = one.invocations[0].start_latency_s
+    (invocation,) = one.invocations
+    latency = invocation["start_latency_s"]
     checks.append(_check(
         "cold-start-composition", "Section 3.4",
         "cold start = scheduling + environment init + application init (0.5 + 10 + 2 = 12.5 s)",
@@ -230,9 +231,9 @@ def run_all(catalog: cat.ServiceCatalog | None = None) -> list[CheckResult]:
     shuffle_graph = wl.gen_shuffle_dag(4, 4, 1_000_000)
     grouped_assignment: dict[str, tuple[int, int]] = {}
     seats = [0, 0]
-    for task in sorted(shuffle_graph.tasks, key=lambda t: t.id):
-        instance = int(task.id[1:]) // 2
-        grouped_assignment[task.id] = (instance, seats[instance])
+    for task_id in sorted(shuffle_graph.ids):
+        instance = int(task_id[1:]) // 2
+        grouped_assignment[task_id] = (instance, seats[instance])
         seats[instance] += 1
     grouped_cost = plc.evaluate(grouped_assignment, shuffle_graph)
     singleton_cost = plc.singleton_placement(shuffle_graph).remote_message_count

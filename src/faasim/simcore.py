@@ -34,6 +34,9 @@ applied lazily, oldest first, when its pool is next used, and the rest
 when the run ends. Events at equal timestamps thus take effect in a
 fixed order (completions, then retirements, then arrivals in trace
 order), so results are deterministic and serialize byte-identically.
+Each served invocation and each rejected entry appends one value to each
+of its result columns; `SimResult` holds them as `jsontext.Table`s, the
+form the report writer renders, so no row object is built.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, count, repeat
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .jsontext import Table
 from .money import decimal_literal, usd, usd_json
@@ -96,25 +99,16 @@ class PlatformConfig(Record):
             raise SimulationError("prestarted count must be non-negative")
 
 
-class InvocationResult(NamedTuple):
-    arrival_s: float
-    start_latency_s: float
-    duration_s: float
-    cold: bool
-    billed_units: int
-    cost_usd: Fraction
-
-
-class RejectedInvocation(Record):
-    index: int
-    arrival_s: float
-    duration_s: float
-    reason: str
-
-
 class SimResult(Record):
-    invocations: tuple[InvocationResult, ...]
-    rejected: tuple[RejectedInvocation, ...]
+    """Totals of a run, with its invocations and rejected entries as `Table`s.
+
+    An invocation row is (arrival_s, start_latency_s, duration_s, cold,
+    billed_units, cost_usd), the cost an exact Fraction; a rejected row is
+    (index, arrival_s, duration_s, reason), in trace order.
+    """
+
+    invocations: Table
+    rejected: Table
     billed_units: int
     cost_usd: Fraction
     cold_starts: int
@@ -130,14 +124,12 @@ class SimResult(Record):
         return self.busy_seconds / self.instance_seconds_running
 
     def to_json_dict(self) -> dict:
-        columns = [*zip(*self.invocations)] or [()] * len(InvocationResult._fields)
-        # Invocations of one billing key share one cost: render each once.
-        costs = {id(cost): cost for cost in columns[-1]}
-        rendered = {key: usd_json(cost) for key, cost in costs.items()}
-        columns[-1] = [*map(rendered.__getitem__, map(id, columns[-1]))]
+        *columns, costs = self.invocations.columns
+        # Invocations of one billing key share one cost object: render each once.
+        rendered = {key: usd_json(cost) for key, cost in {id(cost): cost for cost in costs}.items()}
         return {
-            "invocations": Table(InvocationResult._fields, columns),
-            "rejected": Table(RejectedInvocation._FIELDS, zip(*map(RejectedInvocation._values, self.rejected))),
+            "invocations": Table(self.invocations.keys, [*columns, [*map(rendered.__getitem__, map(id, costs))]]),
+            "rejected": self.rejected,
             "billed_units": self.billed_units,
             "cost_usd": usd_json(self.cost_usd),
             "cold_starts": self.cold_starts,
@@ -221,9 +213,6 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     identical SimResult. Entries over the run-time limit or outside the
     memory range are reported in `rejected` rather than silently dropped.
     """
-    from .workloads import InvocationTrace
-    if not isinstance(trace, InvocationTrace):
-        trace = InvocationTrace(trace)  # validates order and finiteness
     spec, cold = platform.compute, platform.cold_start
     counts = Counter(zip(trace.durations, trace.memory))
     scale, (arrivals, durations, fixed) = _ticks(
@@ -252,8 +241,9 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
             bills[key] = (units, costs[units, memory], ticks, pools[memory])
 
     events: list[tuple[int, int, deque]] = []  # running invocations: (end tick, seq, idle pool)
-    results: list[InvocationResult] = []
-    rejected: list[RejectedInvocation] = []
+    # Result columns, appended to in trace order.
+    invocations = arrival_col, latency_col, duration_col, cold_col, units_col, cost_col = [], [], [], [], [], []
+    rejected = index_col, rejected_arrival_col, rejected_duration_col, reason_col = [], [], [], []
     prestarted_left = platform.warm_pool_prestarted
     # Cold-start latencies: the exact tick sums, rounded once. A pre-started
     # environment skips scheduling and environment initialization.
@@ -268,7 +258,10 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
             pool.append(end)
         bill = bills[key]
         if isinstance(bill, str):
-            rejected.append(RejectedInvocation(seq, arrival_s, key[0], bill))
+            index_col.append(seq)
+            rejected_arrival_col.append(arrival_s)
+            rejected_duration_col.append(key[0])
+            reason_col.append(bill)
             continue
         units, cost, duration, pool = bill
         while pool and pool[0] + keep_alive <= now:
@@ -290,15 +283,21 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
         heappush(events, (now + occupied, seq, pool))
         if len(events) > peak:
             peak = len(events)
-        results.append(InvocationResult(arrival_s, latency_s, key[0], was_cold, units, cost))
+        arrival_col.append(arrival_s)
+        latency_col.append(latency_s)
+        duration_col.append(key[0])
+        cold_col.append(was_cold)
+        units_col.append(units)
+        cost_col.append(cost)
 
     # Scale-to-zero: every running instance completes, then every idle one retires.
     idle = [end for end, _, _ in events] + list(chain.from_iterable(pools.values()))
     lifetime += sum(idle) + len(idle) * keep_alive
 
     return SimResult(
-        invocations=tuple(results),
-        rejected=tuple(rejected),
+        invocations=Table(("arrival_s", "start_latency_s", "duration_s", "cold", "billed_units", "cost_usd"),
+                          invocations),
+        rejected=Table(("index", "arrival_s", "duration_s", "reason"), rejected),
         billed_units=sum(n * units for (units, _), n in tally.items()),
         cost_usd=sum((n * costs[key] for key, n in tally.items()), Fraction(0)),
         cold_starts=cold_starts,

@@ -9,7 +9,8 @@ give 2^10 multiples.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+
+from .money import usd
 
 _DECIMAL_BYTES = {
     "b": 1,
@@ -49,7 +50,7 @@ def parse_bytes(text: str | int, binary: bool = False) -> int:
     match = _QUANTITY_RE.match(text)
     if not match:
         raise UnitError(f"cannot parse byte quantity {text!r}")
-    number, suffix = Decimal(match.group(1)), match.group(2).lower()
+    number, suffix = usd(match.group(1)), match.group(2).lower()
     if not suffix:
         multiplier = 1
     elif suffix in _EXPLICIT_BINARY:
@@ -60,9 +61,9 @@ def parse_bytes(text: str | int, binary: bool = False) -> int:
             raise UnitError(f"unknown byte suffix {suffix!r} in {text!r}")
         multiplier = table[suffix]
     value = number * multiplier
-    if value != value.to_integral_value():
+    if value.denominator != 1:
         raise UnitError(f"{text!r} is not a whole number of bytes")
-    return int(value)
+    return value.numerator
 
 
 def format_bytes(count: int) -> str:

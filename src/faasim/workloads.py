@@ -18,7 +18,7 @@ import math
 from itertools import accumulate, chain
 from operator import itemgetter, le
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .commpatterns import CommScenario, Deployment
 from .jsontext import Table
@@ -40,31 +40,12 @@ def _check_budget(elements: int, what: str) -> None:
         raise GraphError(f"{elements} {what} exceed the generator limit of {MATERIALIZE_EDGE_LIMIT} elements")
 
 
-class Task(Record):
-    id: str
-    duration_s: float
-    memory_gb: float
-    kind: str = "task"
-
-
-class Edge(Record):
-    src: str
-    dst: str
-    bytes: int
-
-
 class _Columns(Record):
-    """Column tuples set by the subclass's `_set_columns`; compared by column, not hashable."""
+    """Column tuples set by the subclass's constructor; compared by column, not hashable."""
 
     __slots__ = ()
     __hash__ = None
     __repr__ = object.__repr__
-
-    @classmethod
-    def _from_columns(cls, *columns, **named):
-        record = cls.__new__(cls)
-        record._set_columns(*columns, **named)
-        return record
 
 
 class TaskGraph(_Columns):
@@ -75,27 +56,21 @@ class TaskGraph(_Columns):
     `src[j]` to task `dst[j]` and carries `edge_bytes[j]`. `levels[i]` is
     the ASAP level of task i, computed once when the graph is built. The
     columns are tuples and cannot be reassigned, so the levels always match
-    them. `tasks` and `edges` are read-only views in object form.
+    them. `from_json_dict` reads edges that name their tasks by id.
     """
 
     _FIELDS = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
     __slots__ = _FIELDS + ("levels", "metadata")
 
-    def __init__(self, tasks: Iterable[Task], edges: Iterable[Edge], metadata: dict | None = None):
-        tasks, edges = tuple(tasks), tuple(edges)
-        ids = [t.id for t in tasks]
-        self._set_columns(
-            ids, [t.duration_s for t in tasks], [t.memory_gb for t in tasks], [t.kind for t in tasks],
-            *_endpoints(ids, [e.src for e in edges], [e.dst for e in edges]),
-            [e.bytes for e in edges], {} if metadata is None else metadata,
-        )
-
-    def _set_columns(self, ids, durations, memory, kinds, src, dst, edge_bytes, metadata: dict) -> None:
+    def __init__(self, ids, durations, memory, kinds, src, dst, edge_bytes, metadata: dict | None = None):
         for name, column in zip(self._FIELDS, (ids, durations, memory, kinds, src, dst, edge_bytes)):
             object.__setattr__(self, name, tuple(column))
-        object.__setattr__(self, "metadata", metadata)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
         if len(set(self.ids)) != len(self.ids):
             raise GraphError("duplicate task ids")
+        ends = {*self.src, *self.dst}
+        if ends and not 0 <= min(ends) <= max(ends) < len(self.ids):
+            raise GraphError("edge endpoints must be task positions")
         isfinite = math.isfinite
         for tid, duration, memory_gb in zip(self.ids, self.durations, self.memory):
             if not (isfinite(duration) and isfinite(memory_gb)):
@@ -113,15 +88,6 @@ class TaskGraph(_Columns):
 
     def __repr__(self) -> str:
         return f"TaskGraph({self.task_count} tasks, {self.edge_count} edges, metadata={self.metadata!r})"
-
-    @property
-    def tasks(self) -> tuple[Task, ...]:
-        return tuple(map(Task, self.ids, self.durations, self.memory, self.kinds))
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        ids = self.ids
-        return tuple(map(Edge, map(ids.__getitem__, self.src), map(ids.__getitem__, self.dst), self.edge_bytes))
 
     @property
     def task_count(self) -> int:
@@ -159,7 +125,7 @@ class TaskGraph(_Columns):
             metadata = dict(doc.get("metadata", {}))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed task graph document: {exc}") from exc
-        return cls._from_columns(ids, durations, memory, kinds, *_endpoints(ids, src, dst), edge_bytes, metadata)
+        return cls(ids, durations, memory, kinds, *_endpoints(ids, src, dst), edge_bytes, metadata)
 
 
 def _endpoints(ids, src, dst) -> tuple[list[int], list[int]]:
@@ -202,17 +168,16 @@ def asap_levels(graph: TaskGraph) -> list[int]:
     return level
 
 
-class LevelStat(Record):
-    ready_task_count: int
-    working_set_bytes: int
-
-
 class ParallelismProfile(Record):
-    levels: tuple[LevelStat, ...]
+    """Ready-task width and working-set bytes per level, as two columns."""
+
+    widths: tuple[int, ...]
+    working_set_bytes: tuple[int, ...]
 
     @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(stat.ready_task_count for stat in self.levels)
+    def levels(self) -> Table:
+        return Table(("level", "ready_task_count", "working_set_bytes"),
+                     ([*range(len(self.widths))], self.widths, self.working_set_bytes))
 
     @property
     def peak_width(self) -> int:
@@ -220,12 +185,11 @@ class ParallelismProfile(Record):
 
     @property
     def peak_working_set_bytes(self) -> int:
-        return max(stat.working_set_bytes for stat in self.levels)
+        return max(self.working_set_bytes)
 
     def to_json_dict(self) -> dict:
         return {
-            "levels": Table(("level", "ready_task_count", "working_set_bytes"),
-                            ([*range(len(self.levels))], self.widths, [s.working_set_bytes for s in self.levels])),
+            "levels": self.levels,
             "peak_width": self.peak_width,
             "peak_working_set_bytes": self.peak_working_set_bytes,
         }
@@ -261,8 +225,8 @@ def gen_shuffle_dag(
     """Bipartite M-mapper, R-reducer shuffle graph with M*R edges.
 
     Graphs beyond MATERIALIZE_EDGE_LIMIT edges come back in implicit
-    counting form (the 100 TB case has 1.1e9 edges); both forms expose the
-    same count accessors and `parallelism_profile` accepts either.
+    counting form (the 100 TB case has 1.1e9 edges), which has the same
+    count accessors.
     """
     if mappers < 1 or reducers < 1:
         raise GraphError("need at least one mapper and one reducer")
@@ -273,7 +237,7 @@ def gen_shuffle_dag(
         return ShuffleDagSpec(m, r, nbytes)
     width = max(len(str(m - 1)), len(str(r - 1)))
     ids = [f"m{i:0{width}d}" for i in range(m)] + [f"r{j:0{width}d}" for j in range(r)]
-    return TaskGraph._from_columns(
+    return TaskGraph(
         ids, [duration_s] * (m + r), [memory_gb] * (m + r), ["map"] * m + ["reduce"] * r,
         [i for i in range(m) for _ in range(r)], list(range(m, m + r)) * m, [nbytes] * (m * r),
         {"generator": "shuffle", "mappers": m, "reducers": r, "bytes_per_transfer": nbytes},
@@ -324,24 +288,22 @@ def gen_cholesky_dag(
                     edges.append((update, f"u{k + 1}.{i}.{j}"))
     ids, durations, kinds = zip(*tasks)
     src, dst = zip(*edges) if edges else ((), ())
-    return TaskGraph._from_columns(
+    return TaskGraph(
         ids, durations, [memory_gb] * len(ids), kinds, *_endpoints(ids, src, dst), [tile_bytes] * len(edges),
         {"generator": "cholesky", "blocks": blocks, "block_dim": block_dim},
     )
 
 
-def parallelism_profile(graph: TaskGraph | ShuffleDagSpec) -> ParallelismProfile:
+def parallelism_profile(graph: TaskGraph) -> ParallelismProfile:
     """Ready-task width and working set per earliest-start level.
 
     The working set of level L is the total bytes on edges that cross
     it, i.e. produced at a level before L and consumed at or after L.
     """
-    if isinstance(graph, ShuffleDagSpec):
-        return ParallelismProfile((LevelStat(graph.mappers, 0), LevelStat(graph.reducers, graph.total_edge_bytes)))
     levels = graph.levels
     n_levels = max(levels, default=-1) + 1
     if n_levels == 0:
-        return ParallelismProfile(levels=())
+        return ParallelismProfile((), ())
     widths = [0] * n_levels
     for lvl in levels:
         widths[lvl] += 1
@@ -352,8 +314,7 @@ def parallelism_profile(graph: TaskGraph | ShuffleDagSpec) -> ParallelismProfile
                                   graph.edge_bytes):
         change[start + 1] += nbytes
         change[end + 1] -= nbytes
-    working = accumulate(change[:n_levels])
-    return ParallelismProfile(tuple(map(LevelStat, widths, working)))
+    return ParallelismProfile(tuple(widths), tuple(accumulate(change[:n_levels])))
 
 
 def cholesky_task_count(blocks: int) -> int:
@@ -420,17 +381,13 @@ class InvocationTrace(_Columns):
     Entry i arrives at `arrivals[i]`, runs `durations[i]` seconds and is
     configured with `memory[i]` GB. Arrivals are finite and non-decreasing,
     durations finite and positive, memory finite. `entries` is a read-only
-    view in object form; equality compares the columns, not `metadata`.
+    view of the rows; equality compares the columns, not `metadata`.
     """
 
     _FIELDS = ("arrivals", "durations", "memory")
     __slots__ = _FIELDS + ("metadata",)
 
-    def __init__(self, entries: Iterable[Invocation], metadata: dict | None = None):
-        entries = tuple(entries)
-        self._set_columns(*([getattr(e, name) for e in entries] for name in Invocation._fields), metadata)
-
-    def _set_columns(self, arrivals, durations, memory, metadata: dict | None = None) -> None:
+    def __init__(self, arrivals, durations, memory, metadata: dict | None = None):
         for name, column in zip(self._FIELDS, (arrivals, durations, memory)):
             object.__setattr__(self, name, tuple(map(float, column)))
         object.__setattr__(self, "metadata", {} if metadata is None else metadata)
@@ -462,7 +419,7 @@ class InvocationTrace(_Columns):
             memory = [float(e.get("memory_gb", 0.125)) for e in doc]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed trace document: {exc}") from exc
-        return cls._from_columns(arrivals, durations, memory)
+        return cls(arrivals, durations, memory)
 
 
 def load_trace(path: str | Path) -> InvocationTrace:
@@ -505,7 +462,7 @@ def fixed_interval_trace(
     if count < 0:
         raise GraphError("count must be non-negative")
     _check_budget(count, "trace entries")
-    return InvocationTrace._from_columns(
+    return InvocationTrace(
         [start_s + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
         metadata={"generator": "fixed-interval", "count": count, "interval_s": interval_s,
                   "duration_s": duration_s, "memory_gb": memory_gb},
@@ -531,7 +488,7 @@ def poisson_trace(
         raise GraphError("arrival rate must be positive")
     rng = SplitMix64(seed)
     gaps = (-math.log(1.0 - rng.uniform()) / rate_per_s for _ in range(count))
-    return InvocationTrace._from_columns(
+    return InvocationTrace(
         list(accumulate(gaps, initial=0.0))[1:], [duration_s] * count, [memory_gb] * count,
         metadata={"generator": "poisson", "count": count, "rate_per_s": rate_per_s,
                   "duration_s": duration_s, "memory_gb": memory_gb, "seed": seed},

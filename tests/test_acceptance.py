@@ -119,7 +119,7 @@ def test_criterion_06_breakeven(default_catalog):
 def test_criterion_07_simulator_properties(default_catalog):
     fn = default_catalog.compute_service("serverless")
 
-    empty = sim.simulate(wl.InvocationTrace(entries=()), sim.PlatformConfig(compute=fn))
+    empty = sim.simulate(wl.InvocationTrace((), (), ()), sim.PlatformConfig(compute=fn))
     assert empty.cost_usd == 0 and empty.instances_created == 0
 
     poisson = wl.poisson_trace(50, 2.0, 0.4, seed=123)
@@ -179,9 +179,9 @@ def test_criterion_09_placement():
             graph = wl.gen_shuffle_dag(side, side, 1000)
             assignment = {}
             seats = [0] * n
-            for task in sorted(graph.tasks, key=lambda t: t.id):
-                instance = int(task.id[1:]) // k
-                assignment[task.id] = (instance, seats[instance])
+            for tid in sorted(graph.ids):
+                instance = int(tid[1:]) // k
+                assignment[tid] = (instance, seats[instance])
                 seats[instance] += 1
             assert plc.evaluate(assignment, graph).remote_message_count == n * n
             assert plc.singleton_placement(graph).remote_message_count == side * side

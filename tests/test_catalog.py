@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faasim import catalog as cat
+from faasim import jsontext
 from faasim.money import usd
 
 # Strategy for non-negative quantities with exact arithmetic.
@@ -65,7 +66,7 @@ def test_malformed_json_rejected():
 
 
 def test_duplicate_names_rejected(default_catalog):
-    doc = json.loads(cat.dumps_catalog(default_catalog))
+    doc = cat.catalog_json_dict(default_catalog)
     doc["storage"].append(doc["storage"][0])
     with pytest.raises(cat.CatalogError, match="duplicate"):
         cat.loads_catalog(json.dumps(doc))
@@ -170,13 +171,13 @@ def test_negative_quantities_rejected(default_catalog):
 
 
 def test_round_trip(default_catalog):
-    text = cat.dumps_catalog(default_catalog)
+    text = jsontext.dumps(cat.catalog_json_dict(default_catalog))
     assert cat.loads_catalog(text) == default_catalog
 
 
 def test_round_trip_file(tmp_path, default_catalog):
     path = tmp_path / "catalog.json"
-    path.write_text(cat.dumps_catalog(default_catalog), encoding="utf-8")
+    path.write_text(jsontext.dumps(cat.catalog_json_dict(default_catalog)), encoding="utf-8")
     assert cat.load_catalog(path) == default_catalog
 
 

@@ -226,6 +226,44 @@ def test_bad_flags_exit_nonzero():
     assert exc.value.code == 2
 
 
+# One valid argv per subcommand, with the shared options its handler reads.
+READS = [
+    (("catalog", "show"), {"--catalog"}),
+    (("catalog", "cost", "--service", "object", "--capacity-gb", "1"), {"--catalog", "--full-precision"}),
+    (("comm", "--pattern", "shuffle", "--n", "2"), {"--binary-units"}),
+    (("shuffle", "plan", "--data", "1GB"), {"--binary-units"}),
+    (("shuffle", "price", "--preset", "cloudsort100tb"), {"--catalog", "--binary-units", "--full-precision"}),
+    (("workload", "gen", "--kind", "paramserver"), {"--binary-units"}),
+    (("workload", "profile", "--graph", "graph.json"), set()),
+    (("workload", "trace"), set()),
+    (("simulate", "--trace", "trace.json"), {"--catalog"}),
+    (("place", "--graph", "graph.json", "--instances", "1", "--slots", "1"), set()),
+    (("breakeven",), set()),
+    (("repro",), {"--catalog"}),
+]
+SHARED = {"--catalog": ("--catalog", "catalog.json"), "--binary-units": ("--binary-units",),
+          "--full-precision": ("--full-precision",)}
+SHARED_CASES = [(argv, option, option in reads) for argv, reads in READS for option in SHARED]
+
+
+def test_shared_options_are_set_only_where_read():
+    assert sum(read for _, _, read in SHARED_CASES) == 11
+    assert sum(not read for _, _, read in SHARED_CASES) == 25
+
+
+@pytest.mark.parametrize("argv,option,read", SHARED_CASES, ids=[
+    " ".join([word for word in argv[:2] if not word.startswith("-")] + [option]) for argv, option, _ in SHARED_CASES])
+def test_shared_option_accepted_only_where_read(capsys, argv, option, read):
+    argv = [*argv, *SHARED[option]]
+    if read:
+        assert cli.build_parser().parse_args(argv).handler
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv, out=io.StringIO(), err=io.StringIO())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(SHARED[option])}" in capsys.readouterr().err
+
+
 def test_pattern_choices_are_the_modelled_patterns(capsys):
     with pytest.raises(SystemExit):
         cli.main(["comm", "--help"])
@@ -367,6 +405,11 @@ BAD_INPUTS = [
     ("gb-seconds-huge-exponent", None, PRICE_DATA + ("--gb-seconds", "1e9999999")),
     ("gb-hours-huge-exponent", None, PRICE_DATA + ("--gb-hours", "1e2000000")),
     ("write-fraction-tiny-exponent", None, PRICE_DATA + ("--write-fraction", "1e-9999999")),
+    # Byte sizes: a decimal overflow, and an integer of more digits than int() converts.
+    ("data-bytes-huge-exponent", None, ("shuffle", "plan", "--data", "1e999999TB")),
+    ("data-bytes-beyond-int-digits", None, ("shuffle", "plan", "--data", "1e5000GB")),
+    ("payload-bytes-huge-exponent", None, ("comm", "--pattern", "shuffle", "--n", "2", "--payload", "1e999999TB")),
+    ("gradient-bytes-huge-exponent", None, ("workload", "gen", "--kind", "paramserver", "--gradient", "1e999999TB")),
     ("catalog-price-huge-exponent", cat.default_catalog_path().read_text(encoding="utf-8").replace(
         "2e-07", "2e-9999999"), SHOW_CATALOG),
     ("trace-output-dir-missing", None, ("workload", "trace", "-o", "/nonexistent/dir/x.json")),

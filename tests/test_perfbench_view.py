@@ -1,0 +1,56 @@
+"""The library surface the benchmark's traced pass reads, checked without running the benchmark.
+
+`perfbench/traced.py` wraps faasim calls by name and reads sizes and rows
+from what they return; a rename or a changed return type would only show
+when the benchmark runs. Its files are imported here, not modified.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from faasim import jsontext
+from faasim import simcore as sim
+from faasim import workloads as wl
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def traced():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        patch.setattr(sys, "dont_write_bytecode", True)  # leave no cache files beside the benchmark
+        yield importlib.import_module("traced")
+
+
+def test_every_layer_call_resolves(traced):
+    for module, owner, attribute, _ in traced.LAYER_CALLS:
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner)
+        assert callable(getattr(target, attribute, None)), (module, owner, attribute)
+
+
+def test_counted_results_have_a_length(traced, default_catalog, tmp_path):
+    spec = default_catalog.compute_service("serverless")
+    trace = wl.InvocationTrace([0.0, 1.0, 2.0], [1.0, 1000.0, 0.5], [0.125, 0.125, 0.25])
+    result = sim.simulate(trace, sim.PlatformConfig(spec))
+    assert (len(result.invocations), len(result.rejected)) == (2, 1)
+    path = tmp_path / "trace.json"
+    path.write_text(jsontext.dumps(trace.to_json_list()), encoding="utf-8")
+    counts = traced._sim_counts(result, path)
+    assert (counts["simcore.invocations"], counts["simcore.rejected"], counts["workloads.billing_keys"]) == (2, 1, 3)
+    assert len(wl.parallelism_profile(wl.gen_cholesky_dag(3)).levels) == 7  # 3T - 2 levels
+
+
+def test_trace_entries_carry_duration_and_memory(traced, default_catalog, tmp_path):
+    trace = wl.poisson_trace(4, 1.0, 0.25, memory_gb=0.5, seed=3)
+    assert [(e.duration_s, e.memory_gb) for e in trace.entries] == [(0.25, 0.5)] * 4
+    path = tmp_path / "trace.json"
+    path.write_text(jsontext.dumps(trace.to_json_list()), encoding="utf-8")
+    tracer = traced.Tracer("view")
+    traced._billing_probe(tracer, sim, wl, path, default_catalog.compute_service("serverless"))
+    assert [span["name"] for span in tracer.spans] == ["simcore.billing"]

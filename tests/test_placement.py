@@ -10,49 +10,44 @@ from hypothesis import strategies as st
 from faasim import jsontext
 from faasim import placement as plc
 from faasim import workloads as wl
-from faasim.workloads import Edge, Task, TaskGraph
+from faasim.workloads import TaskGraph
+from test_workloads import graph_of, named_edges
+
+
+def tasks_named(*ids):
+    return [(tid, 1, 0) for tid in ids]
 
 
 def line_graph(nbytes=100):
-    return TaskGraph(
-        tasks=(Task("a", 1, 0), Task("b", 1, 0)),
-        edges=(Edge("a", "b", nbytes),),
-    )
+    return graph_of(tasks_named("a", "b"), [("a", "b", nbytes)])
 
 
 def star_graph(targets=4, nbytes=10):
-    tasks = [Task("src", 1, 0)] + [Task(f"t{i}", 1, 0) for i in range(targets)]
-    edges = tuple(Edge("src", f"t{i}", nbytes) for i in range(targets))
-    return TaskGraph(tasks=tuple(tasks), edges=edges)
+    targets = [f"t{i}" for i in range(targets)]
+    return graph_of(tasks_named("src", *targets), [("src", target, nbytes) for target in targets])
 
 
 def random_graph(seed: int, n_tasks: int = 6) -> TaskGraph:
     """Random DAG via the library PRNG: edges only from lower to higher ids."""
     rng = wl.SplitMix64(seed)
-    tasks = tuple(Task(f"t{i}", 1, 0) for i in range(n_tasks))
     edges = []
     for i in range(n_tasks):
         for j in range(i + 1, n_tasks):
             if rng.next_u64() % 2:
-                edges.append(Edge(f"t{i}", f"t{j}", 1 + rng.next_u64() % 1000))
-    return TaskGraph(tasks=tasks, edges=tuple(edges))
+                edges.append((f"t{i}", f"t{j}", 1 + rng.next_u64() % 1000))
+    return graph_of(tasks_named(*(f"t{i}" for i in range(n_tasks))), edges)
 
 
 def chain_graph(length=5):
-    return TaskGraph(
-        tasks=tuple(Task(f"c{i}", 1, 0) for i in range(length)),
-        edges=tuple(Edge(f"c{i}", f"c{i + 1}", 10 * (i + 1)) for i in range(length - 1)),
-    )
+    return graph_of(tasks_named(*(f"c{i}" for i in range(length))),
+                    [(f"c{i}", f"c{i + 1}", 10 * (i + 1)) for i in range(length - 1)])
 
 
 def two_triangles():
-    return TaskGraph(
-        tasks=tuple(Task(f"d{i}", 1, 0) for i in range(6)),
-        edges=(
-            Edge("d0", "d1", 100), Edge("d0", "d2", 100), Edge("d1", "d2", 50),
-            Edge("d3", "d4", 100), Edge("d3", "d5", 100), Edge("d4", "d5", 50),
-        ),
-    )
+    return graph_of(tasks_named(*(f"d{i}" for i in range(6))), [
+        ("d0", "d1", 100), ("d0", "d2", 100), ("d1", "d2", 50),
+        ("d3", "d4", 100), ("d3", "d5", 100), ("d4", "d5", 50),
+    ])
 
 
 def bundled_fixtures():
@@ -75,10 +70,10 @@ def random_assignment(graph: TaskGraph, n: int, k: int, seed: int) -> dict:
     rng = wl.SplitMix64(seed)
     free = {i: k for i in range(n)}
     assignment = {}
-    for task in sorted(graph.tasks, key=lambda t: t.id):
+    for tid in sorted(graph.ids):
         open_instances = sorted(i for i, left in free.items() if left > 0)
         pick = open_instances[rng.next_u64() % len(open_instances)]
-        assignment[task.id] = (pick, k - free[pick])
+        assignment[tid] = (pick, k - free[pick])
         free[pick] -= 1
     return assignment
 
@@ -88,7 +83,7 @@ def random_assignment(graph: TaskGraph, n: int, k: int, seed: int) -> dict:
 
 def test_all_on_one_instance_is_local():
     graph = star_graph(4)
-    assignment = {t.id: (0, i) for i, t in enumerate(graph.tasks)}
+    assignment = {tid: (0, i) for i, tid in enumerate(graph.ids)}
     cost = plc.evaluate(assignment, graph)
     assert cost.cross_instance_bytes == 0
 
@@ -114,9 +109,9 @@ def test_message_combining_matches_grouped_formula():
     graph = wl.gen_shuffle_dag(4, 4, 10**6)
     assignment = {}
     seats = [0, 0]
-    for task in sorted(graph.tasks, key=lambda t: t.id):
-        instance = int(task.id[1:]) // 2
-        assignment[task.id] = (instance, seats[instance])
+    for tid in sorted(graph.ids):
+        instance = int(tid[1:]) // 2
+        assignment[tid] = (instance, seats[instance])
         seats[instance] += 1
     cost = plc.evaluate(assignment, graph)
     assert cost.remote_message_count == 4
@@ -130,9 +125,9 @@ def test_grouping_theorem_shuffle(n, k):
     graph = wl.gen_shuffle_dag(side, side, 1000)
     assignment = {}
     seats = [0] * n
-    for task in sorted(graph.tasks, key=lambda t: t.id):
-        instance = int(task.id[1:]) // k
-        assignment[task.id] = (instance, seats[instance])
+    for tid in sorted(graph.ids):
+        instance = int(tid[1:]) // k
+        assignment[tid] = (instance, seats[instance])
         seats[instance] += 1
     grouped = plc.evaluate(assignment, graph)
     assert grouped.remote_message_count == n * n
@@ -152,8 +147,7 @@ def test_grouping_theorem_broadcast_and_aggregation(n, k):
     assert plc.evaluate(assignment, graph).remote_message_count == n
     assert plc.singleton_placement(graph).remote_message_count == targets
     # Aggregation is the same star reversed.
-    reversed_edges = tuple(Edge(e.dst, e.src, e.bytes) for e in graph.edges)
-    agg = TaskGraph(tasks=graph.tasks, edges=reversed_edges)
+    agg = graph_of(tasks_named(*graph.ids), [(dst, src, nbytes) for src, dst, nbytes in named_edges(graph)])
     assert plc.evaluate(assignment, agg).remote_message_count == n
     assert plc.singleton_placement(agg).remote_message_count == targets
 
@@ -164,9 +158,7 @@ def test_cross_bytes_bounded_by_total():
         assignment = random_assignment(graph, 3, 2, seed + 1000)
         cost = plc.evaluate(assignment, graph)
         assert cost.cross_instance_bytes <= graph.total_edge_bytes
-        co_located = any(
-            assignment[e.src][0] == assignment[e.dst][0] for e in graph.edges
-        )
+        co_located = any(assignment[src][0] == assignment[dst][0] for src, dst, _ in named_edges(graph))
         if cost.cross_instance_bytes == graph.total_edge_bytes:
             assert not co_located
         else:
@@ -197,7 +189,7 @@ def test_exhaustive_guard():
 
 
 def test_only_placement_when_capacity_is_exact():
-    graph = TaskGraph(tasks=(Task("solo", 1, 0),), edges=())
+    graph = graph_of(tasks_named("solo"))
     placement = plc.place_greedy(plc.PlacementProblem(graph, 1, 1))
     assert placement.assignment == {"solo": (0, 0)}
 
@@ -257,7 +249,7 @@ def test_exhaustive_matches_naive_enumeration(seed):
     """The pruned incremental search returns the naive search's placement, ties included."""
     graph = random_graph(seed, n_tasks=1 + seed % 7)
     if seed % 4 == 0:  # free edges: only message counts tell placements apart
-        graph = TaskGraph(graph.tasks, [Edge(e.src, e.dst, 0) for e in graph.edges])
+        graph = graph_of(tasks_named(*graph.ids), [(src, dst, 0) for src, dst, _ in named_edges(graph)])
     n_instances = 1 + seed % 3
     slots = -(-graph.task_count // n_instances) + seed % 2
     problem = plc.PlacementProblem(graph, n_instances, slots)
@@ -333,8 +325,8 @@ def test_seat_matches_naive_first_fit(n_instances, slots, sizes):
 def reference_greedy(problem):
     """The greedy planner on string ids and dicts: the oracle for the integer-indexed one."""
     graph, slots = problem.graph, problem.slots_per_instance
-    parent = {t.id: t.id for t in graph.tasks}
-    size = {t.id: 1 for t in graph.tasks}
+    parent = {tid: tid for tid in graph.ids}
+    size = {tid: 1 for tid in graph.ids}
 
     def find(x):
         while parent[x] != x:
@@ -342,14 +334,14 @@ def reference_greedy(problem):
             x = parent[x]
         return x
 
-    for edge in sorted(graph.edges, key=lambda e: (-e.bytes, e.src, e.dst)):
-        root_a, root_b = find(edge.src), find(edge.dst)
+    for src, dst, _ in sorted(named_edges(graph), key=lambda e: (-e[2], e[0], e[1])):
+        root_a, root_b = find(src), find(dst)
         if root_a != root_b and size[root_a] + size[root_b] <= slots:
             parent[root_b] = root_a
             size[root_a] += size[root_b]
     members = {}
-    for task in graph.tasks:
-        members.setdefault(find(task.id), []).append(task.id)
+    for tid in graph.ids:
+        members.setdefault(find(tid), []).append(tid)
     groups = sorted(members.values(), key=lambda g: (-len(g), min(g)))
     for group in groups:
         group.sort()

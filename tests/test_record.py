@@ -12,6 +12,7 @@ import pytest
 
 from faasim import catalog as cat
 from faasim import commpatterns as comm
+from faasim import jsontext
 from faasim import placement as plc
 from faasim import repro as rp
 from faasim import shuffleplan as shp
@@ -22,6 +23,7 @@ from faasim.record import Record
 BAND = cat.Band(F(1), F(2))
 FUNCTION = cat.load_default_catalog().compute_service("serverless")
 GRAPH = wl.gen_shuffle_dag(1, 1, 10)
+ROWS = jsontext.Table(("index",), ((),))
 EXEC_DEFAULTS = {"function_gb_seconds": F(0), "fast_store_gb_hours": F(0), "slow_store_write_fraction": F(1, 2),
                  "slow_store_ops": None, "duration_s": None, "compute_service": "serverless",
                  "slow_store_service": "object", "fast_store_service": "memory"}
@@ -29,10 +31,7 @@ EXEC_DEFAULTS = {"function_gb_seconds": F(0), "fast_store_gb_hours": F(0), "slow
 # (record, field names in order, a value for each field, the trailing fields'
 # defaults, one field change its validation refuses or None).
 CASES = [
-    (wl.Task, "id duration_s memory_gb kind", ("t", 1.0, 0.125, "map"), {"kind": "task"}, None),
-    (wl.Edge, "src dst bytes", ("a", "b", 8), {}, None),
-    (wl.LevelStat, "ready_task_count working_set_bytes", (1, 0), {}, None),
-    (wl.ParallelismProfile, "levels", ((wl.LevelStat(1, 0),),), {}, None),
+    (wl.ParallelismProfile, "widths working_set_bytes", ((1, 2), (0, 8)), {}, None),
     (wl.ShuffleDagSpec, "mappers reducers bytes_per_transfer", (2, 3, 8), {}, None),
     (cat.Band, "low high", (F(1), F(2)), {}, {"low": F(3)}),
     (cat.ComputeServiceSpec,
@@ -72,11 +71,10 @@ CASES = [
      (FUNCTION, sim.ColdStartModel(0, 0, 0), 60.0, 2),
      {"cold_start": sim.ColdStartModel(), "keep_alive_s": 600.0, "warm_pool_prestarted": 0},
      {"keep_alive_s": math.inf}),
-    (sim.RejectedInvocation, "index arrival_s duration_s reason", (3, 1.0, 1000.0, "over the limit"), {}, None),
     (sim.SimResult,
      "invocations rejected billed_units cost_usd cold_starts peak_concurrency instances_created "
      "instance_seconds_running busy_seconds",
-     ((), (), 0, F(0), 0, 0, 0, 0.0, 0.0), {}, None),
+     (ROWS, ROWS, 0, F(0), 0, 0, 0, 0.0, 0.0), {}, None),
 ]
 IDS = [case[0].__name__ for case in CASES]
 

@@ -36,8 +36,17 @@ def platform(fn_spec, cold=(0.0, 0.0, 0.0), keep_alive=600.0, prestarted=0):
     )
 
 
+def trace_of(rows):
+    """A trace from (arrival_s, duration_s, memory_gb) rows."""
+    return wl.InvocationTrace([row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows])
+
+
 def trace(*pairs, memory=0.125):
-    return wl.InvocationTrace(entries=tuple(wl.Invocation(a, d, memory) for a, d in pairs))
+    return trace_of([(a, d, memory) for a, d in pairs])
+
+
+def column(table, key):
+    return table.columns[table.keys.index(key)]
 
 
 def max_overlap(entries):
@@ -129,8 +138,8 @@ def test_cold_then_warm_reuse(fn_spec):
         platform(fn_spec, cold=(0.5, 10.0, 2.0)),
     )
     first, second = result.invocations
-    assert first.start_latency_s == 12.5 and first.cold
-    assert second.start_latency_s == 0.0 and not second.cold
+    assert first["start_latency_s"] == 12.5 and first["cold"]
+    assert second["start_latency_s"] == 0.0 and not second["cold"]
     assert result.instances_created == 1
     assert result.cold_starts == 1
 
@@ -147,15 +156,14 @@ def test_prestarted_environment_skips_to_app_init(fn_spec):
         trace((0.0, 1.0), (0.0, 1.0)),
         platform(fn_spec, cold=(0.5, 10.0, 2.0), prestarted=1),
     )
-    latencies = sorted(i.start_latency_s for i in result.invocations)
+    latencies = sorted(column(result.invocations, "start_latency_s"))
     assert latencies == [2.0, 12.5]
 
 
 def test_rejected_invocations_reported(fn_spec):
     result = sim.simulate(trace((0.0, 901.0), (1.0, 1.0)), platform(fn_spec))
-    assert len(result.rejected) == 1
-    assert result.rejected[0].index == 0
-    assert "max run time" in result.rejected[0].reason
+    assert [*result.rejected] == [{"index": 0, "arrival_s": 0.0, "duration_s": 901.0,
+                                   "reason": "duration exceeds max run time"}]
     assert len(result.invocations) == 1
 
 
@@ -172,7 +180,7 @@ def test_retirement_at_arrival_instant_wins(fn_spec):
 def test_completion_at_arrival_instant_allows_reuse(fn_spec):
     result = sim.simulate(trace((0.0, 1.0), (1.0, 1.0)), platform(fn_spec))
     assert result.cold_starts == 1
-    assert result.invocations[1].start_latency_s == 0.0
+    assert column(result.invocations, "start_latency_s")[1] == 0.0
 
 
 def test_determinism_byte_identical(fn_spec):
@@ -187,8 +195,8 @@ def test_determinism_byte_identical(fn_spec):
 def test_conservation_and_utilization(fn_spec):
     poisson = wl.poisson_trace(40, 1.5, 0.7, seed=5)
     result = sim.simulate(poisson, platform(fn_spec, cold=(0.3, 0.2, 0.1), keep_alive=3.0))
-    assert sum(i.billed_units for i in result.invocations) == result.billed_units
-    assert sum((i.cost_usd for i in result.invocations), Fraction(0)) == result.cost_usd
+    assert sum(column(result.invocations, "billed_units")) == result.billed_units
+    assert sum(column(result.invocations, "cost_usd"), Fraction(0)) == result.cost_usd
     assert result.busy_seconds <= result.instance_seconds_running + 1e-9
     assert 0.0 <= result.utilization <= 1.0
 
@@ -220,10 +228,7 @@ def test_keep_alive_monotone_cold_starts(fn_spec):
 
 
 def test_warm_reuse_requires_matching_memory(fn_spec):
-    entries = wl.InvocationTrace(entries=(
-        wl.Invocation(0.0, 1.0, 0.125),
-        wl.Invocation(2.0, 1.0, 0.25),
-    ))
+    entries = wl.InvocationTrace([0.0, 2.0], [1.0, 1.0], [0.125, 0.25])
     result = sim.simulate(entries, platform(fn_spec, cold=(0.5, 0, 0)))
     assert result.cold_starts == 2
 
@@ -234,7 +239,7 @@ def test_tie_rule_holds_on_decimal_literals(fn_spec):
     shifted = sim.simulate(trace((0.1, 0.2), (0.3, 1.0)), platform(fn_spec))
     aligned = sim.simulate(trace((0.0, 0.3), (0.3, 1.0)), platform(fn_spec))
     assert shifted.cold_starts == aligned.cold_starts == 1
-    assert not shifted.invocations[1].cold
+    assert not column(shifted.invocations, "cold")[1]
 
 
 def test_busy_and_lifetime_are_exact(fn_spec):
@@ -246,26 +251,15 @@ def test_busy_and_lifetime_are_exact(fn_spec):
 
 
 def test_bad_memory_rejected_without_aborting(fn_spec):
-    entries = wl.InvocationTrace(entries=(
-        wl.Invocation(0.0, 1.0, 0.125),
-        wl.Invocation(1.0, 1.0, 4.0),
-        wl.Invocation(2.0, 1.0, -1.0),
-        wl.Invocation(3.0, 901.0, 64.0),
-        wl.Invocation(4.0, 1.0, 0.125),
-    ))
+    entries = trace_of([(0.0, 1.0, 0.125), (1.0, 1.0, 4.0), (2.0, 1.0, -1.0), (3.0, 901.0, 64.0), (4.0, 1.0, 0.125)])
     result = sim.simulate(entries, platform(fn_spec))
-    assert [(r.index, r.reason) for r in result.rejected] == [
+    assert [(r["index"], r["reason"]) for r in result.rejected] == [
         (1, "memory outside the configurable range"),
         (2, "memory outside the configurable range"),
         (3, "duration exceeds max run time"),
     ]
     assert len(result.invocations) == 2
     assert result.cost_usd == 2 * sim.bill_invocation(1.0, 0.125, fn_spec)
-
-
-def test_plain_sequences_are_validated_like_traces(fn_spec):
-    with pytest.raises(wl.GraphError, match="sorted"):
-        sim.simulate([wl.Invocation(1.0, 1.0, 0.125), wl.Invocation(0.0, 1.0, 0.125)], platform(fn_spec))
 
 
 _MEMORIES = (0.125, 0.25, 0.5, 1.0, 3.0, 0.2, 0.05, 4.0, 0.0, -1.0)
@@ -283,20 +277,20 @@ def test_grouped_billing_matches_per_invocation(fn_spec, rows):
     """Per-key totals equal the per-invocation sum of bill_invocation."""
     rows.sort(key=lambda row: row[0])
     entries = tuple(wl.Invocation(a / 1000, d / 1000, m) for a, d, m in rows)
-    result = sim.simulate(wl.InvocationTrace(entries), platform(fn_spec, cold=(0.25, 0.0, 0.1), keep_alive=0.5))
+    result = sim.simulate(trace_of(entries), platform(fn_spec, cold=(0.25, 0.0, 0.1), keep_alive=0.5))
     expected_rejected = [
         (i, "duration exceeds max run time" if inv.duration_s > 900 else "memory outside the configurable range")
         for i, inv in enumerate(entries)
         if inv.duration_s > 900 or not 0.125 <= inv.memory_gb <= 3
     ]
-    assert [(r.index, r.reason) for r in result.rejected] == expected_rejected
+    assert [(r["index"], r["reason"]) for r in result.rejected] == expected_rejected
     rejected = {i for i, _ in expected_rejected}
     kept = [inv for i, inv in enumerate(entries) if i not in rejected]
     assert len(result.invocations) == len(kept)
     costs = [sim.bill_invocation(inv.duration_s, inv.memory_gb, fn_spec) for inv in kept]
     assert result.cost_usd == sum(costs, Fraction(0))
     assert result.billed_units == sum(sim.billed_units(inv.duration_s, fn_spec) for inv in kept)
-    assert [r.cost_usd for r in result.invocations] == costs
+    assert list(column(result.invocations, "cost_usd")) == costs
     assert [r["cost_usd"] for r in result.to_json_dict()["invocations"]] == [usd_json(c) for c in costs]
 
 
@@ -317,13 +311,15 @@ def reference_simulate(entries, config):
     """Deliberately naive simulator: a Fraction clock, one explicit event list
     sorted by (time, kind, seq) before every step, instance objects, and a
     retire event per idle period that fires only if the instance is still
-    idle since then. Returns the SimResult fields plus the instances."""
+    idle since then. Returns the SimResult fields, each record list as its
+    row dicts, plus the instances."""
     spec, cold, keep_alive = config.compute, config.cold_start, literal(config.keep_alive_s)
     full = literal(cold.t_schedule_s) + literal(cold.t_env_s) + literal(cold.t_app_s)
     complete, retire, arrive = 0, 1, 2
     events = [(literal(e.arrival_s), arrive, i, None) for i, e in enumerate(entries)]
     instances, invocations, rejected = [], [], []
     running = peak = idled = 0
+    busy = Fraction(0)
     prestarted_left = config.warm_pool_prestarted
     while events:
         events.sort(key=lambda event: event[:3])
@@ -341,12 +337,12 @@ def reference_simulate(entries, config):
         entry = entries[seq]
         duration, memory = literal(entry.duration_s), literal(entry.memory_gb)
         if duration > spec.max_run_time_s:
-            rejected.append(sim.RejectedInvocation(seq, entry.arrival_s, entry.duration_s,
-                                                   "duration exceeds max run time"))
+            rejected.append({"index": seq, "arrival_s": entry.arrival_s, "duration_s": entry.duration_s,
+                             "reason": "duration exceeds max run time"})
             continue
         if not spec.memory_min_gib <= memory <= spec.memory_max_gib:
-            rejected.append(sim.RejectedInvocation(seq, entry.arrival_s, entry.duration_s,
-                                                   "memory outside the configurable range"))
+            rejected.append({"index": seq, "arrival_s": entry.arrival_s, "duration_s": entry.duration_s,
+                             "reason": "memory outside the configurable range"})
             continue
         idle = [i for i in instances if i.memory == memory and i.idle_since is not None]
         if idle:
@@ -364,18 +360,20 @@ def reference_simulate(entries, config):
         peak = max(peak, running)
         units = math.ceil(duration / spec.accounting_unit_s)
         cost = units * spec.price_usd_per_unit * memory / spec.base_memory_gib + spec.request_fee_usd
-        invocations.append((entry.arrival_s, float(latency), entry.duration_s, not idle, units, cost, latency + duration))
+        invocations.append({"arrival_s": entry.arrival_s, "start_latency_s": float(latency),
+                            "duration_s": entry.duration_s, "cold": not idle, "billed_units": units, "cost_usd": cost})
+        busy += latency + duration
         events.append((now + latency + duration, complete, seq, inst))
     fields = dict(
-        invocations=tuple(sim.InvocationResult(*inv[:6]) for inv in invocations),
-        rejected=tuple(rejected),
-        billed_units=sum(inv[4] for inv in invocations),
-        cost_usd=sum((inv[5] for inv in invocations), Fraction(0)),
+        invocations=invocations,
+        rejected=rejected,
+        billed_units=sum(inv["billed_units"] for inv in invocations),
+        cost_usd=sum((inv["cost_usd"] for inv in invocations), Fraction(0)),
         cold_starts=len(instances),
         peak_concurrency=peak,
         instances_created=len(instances),
         instance_seconds_running=float(sum((i.retired - i.created for i in instances), Fraction(0))),
-        busy_seconds=float(sum((inv[6] for inv in invocations), Fraction(0))),
+        busy_seconds=float(busy),
     )
     return fields, instances
 
@@ -391,7 +389,7 @@ small_traces = st.lists(
         st.sampled_from((0.125, 0.25, 1.0, 4.0, 0.05)),
     ),
     max_size=30,
-).map(lambda rows: wl.InvocationTrace(wl.Invocation(*row) for row in sorted(rows, key=lambda row: row[0])))
+).map(lambda rows: trace_of(sorted(rows, key=lambda row: row[0])))
 platforms = st.tuples(
     st.tuples(*[st.sampled_from((0.0, 0.1, 0.2, 0.5))] * 3),
     st.sampled_from((0.0, 0.1, 0.2, 0.5, 1.0, 600.0)),
@@ -408,7 +406,8 @@ def test_simulate_matches_naive_reference(fn_spec, trace, params):
     expected, instances = reference_simulate(trace.entries, config)
     assert all(inst.retired is not None for inst in instances)  # the reference scales to zero too
     result = sim.simulate(trace, config)
-    assert {name: getattr(result, name) for name in expected} == expected
+    assert {name: getattr(result, name) for name in expected} | {
+        "invocations": [*result.invocations], "rejected": [*result.rejected]} == expected
 
 
 @ORACLE_SETTINGS
@@ -416,16 +415,16 @@ def test_simulate_matches_naive_reference(fn_spec, trace, params):
 def test_units_conserved_and_scale_to_zero(fn_spec, trace, params):
     cold, keep_alive, prestarted = params
     result = sim.simulate(trace, platform(fn_spec, cold=cold, keep_alive=keep_alive, prestarted=prestarted))
-    assert sum(r.billed_units for r in result.invocations) == result.billed_units
-    assert sum((r.cost_usd for r in result.invocations), Fraction(0)) == result.cost_usd
+    assert sum(column(result.invocations, "billed_units")) == result.billed_units
+    assert sum(column(result.invocations, "cost_usd"), Fraction(0)) == result.cost_usd
     assert result.instance_seconds_running >= result.busy_seconds
     # Every created instance retires one keep-alive after it last went idle,
     # so it lives at least its busy time plus one keep-alive.
     busy = Fraction(0)
     for r in result.invocations:
-        busy += literal(r.duration_s)
-        if r.cold:  # application start alone when prestarted, else all three parts
-            busy += literal(cold[2]) if r.start_latency_s == cold[2] else sum(map(literal, cold))
+        busy += literal(r["duration_s"])
+        if r["cold"]:  # application start alone when prestarted, else all three parts
+            busy += literal(cold[2]) if r["start_latency_s"] == cold[2] else sum(map(literal, cold))
     assert result.instance_seconds_running >= float(busy + result.instances_created * literal(keep_alive))
 
 

@@ -18,11 +18,26 @@ from faasim.commpatterns import CommScenario, Deployment, remote_traffic_bytes
 HAND_COUNTED_TASKS = {1: 1, 2: 4, 3: 10, 4: 20, 5: 35, 6: 56}
 
 
+def graph_of(tasks, edges=(), metadata=None) -> wl.TaskGraph:
+    """A graph from (id, duration_s, memory_gb) tasks and (src, dst, bytes) edges naming tasks by id."""
+    ids = [task[0] for task in tasks]
+    position = {tid: i for i, tid in enumerate(ids)}
+    return wl.TaskGraph(ids, [task[1] for task in tasks], [task[2] for task in tasks], ["task"] * len(ids),
+                        [position[src] for src, _, _ in edges], [position[dst] for _, dst, _ in edges],
+                        [nbytes for _, _, nbytes in edges], metadata)
+
+
+def named_edges(graph: wl.TaskGraph) -> list[tuple[str, str, int]]:
+    """(src id, dst id, bytes) per edge, in edge order."""
+    ids = graph.ids
+    return [(ids[src], ids[dst], nbytes) for src, dst, nbytes in zip(graph.src, graph.dst, graph.edge_bytes)]
+
+
 def oracle_levels(graph: wl.TaskGraph) -> dict[str, int]:
     """Longest-path levelization by memoized recursion over predecessors."""
-    preds: dict[str, list[str]] = {t.id: [] for t in graph.tasks}
-    for edge in graph.edges:
-        preds[edge.dst].append(edge.src)
+    preds: dict[str, list[str]] = {tid: [] for tid in graph.ids}
+    for src, dst, _ in named_edges(graph):
+        preds[dst].append(src)
 
     @lru_cache(maxsize=None)
     def depth(tid: str) -> int:
@@ -30,7 +45,7 @@ def oracle_levels(graph: wl.TaskGraph) -> dict[str, int]:
             return 0
         return 1 + max(depth(p) for p in preds[tid])
 
-    return {t.id: depth(t.id) for t in graph.tasks}
+    return {tid: depth(tid) for tid in graph.ids}
 
 
 # --- shuffle DAGs ------------------------------------------------------------
@@ -40,8 +55,7 @@ def test_shuffle_dag_small():
     graph = wl.gen_shuffle_dag(2, 3, 10**6)
     assert graph.task_count == 5
     assert graph.edge_count == 6
-    kinds = {t.kind for t in graph.tasks}
-    assert kinds == {"map", "reduce"}
+    assert set(graph.kinds) == {"map", "reduce"}
 
 
 def test_shuffle_dag_trivial():
@@ -66,12 +80,6 @@ def test_shuffle_dag_edges_match_planner_transfers():
         assert graph.edge_count == plan.transfers
 
 
-def test_implicit_profile_matches_materialized():
-    implicit = wl.ShuffleDagSpec(3, 4, 100)
-    explicit = wl.gen_shuffle_dag(3, 4, 100)
-    assert wl.parallelism_profile(implicit) == wl.parallelism_profile(explicit)
-
-
 # --- Cholesky DAGs -----------------------------------------------------------
 
 
@@ -90,9 +98,8 @@ def test_cholesky_trivial():
 
 def test_cholesky_two_tiles_by_hand():
     graph = wl.gen_cholesky_dag(2)
-    ids = sorted(t.id for t in graph.tasks)
-    assert ids == ["f0", "f1", "s0.1", "u0.1.1"]
-    edges = sorted((e.src, e.dst) for e in graph.edges)
+    assert sorted(graph.ids) == ["f0", "f1", "s0.1", "u0.1.1"]
+    edges = sorted((src, dst) for src, dst, _ in named_edges(graph))
     assert edges == [("f0", "s0.1"), ("s0.1", "u0.1.1"), ("u0.1.1", "f1")]
 
 
@@ -100,8 +107,8 @@ def test_cholesky_kind_split():
     tiles = 5
     graph = wl.gen_cholesky_dag(tiles)
     by_kind = {}
-    for task in graph.tasks:
-        by_kind[task.kind] = by_kind.get(task.kind, 0) + 1
+    for kind in graph.kinds:
+        by_kind[kind] = by_kind.get(kind, 0) + 1
     assert by_kind["factorize"] == tiles
     assert by_kind["triangular-solve"] == tiles * (tiles - 1) // 2
     assert by_kind["trailing-update"] == sum(m * (m + 1) // 2 for m in range(1, tiles))
@@ -129,8 +136,8 @@ def test_cholesky_working_set_units():
     graph = wl.gen_cholesky_dag(3, block_dim=block_dim)
     tile = block_dim * block_dim * 8
     profile = wl.parallelism_profile(graph)
-    assert all(stat.working_set_bytes % tile == 0 for stat in profile.levels)
-    assert profile.levels[0].working_set_bytes == 0
+    assert all(nbytes % tile == 0 for nbytes in profile.working_set_bytes)
+    assert profile.working_set_bytes[0] == 0
     assert profile.peak_working_set_bytes > 0
 
 
@@ -140,12 +147,13 @@ def test_cholesky_working_set_units():
 def test_profile_shuffle_by_hand():
     profile = wl.parallelism_profile(wl.gen_shuffle_dag(2, 3, 7))
     assert profile.widths == (2, 3)
-    assert profile.levels[0].working_set_bytes == 0
-    assert profile.levels[1].working_set_bytes == 6 * 7
+    assert profile.working_set_bytes == (0, 6 * 7)
+    assert [*profile.levels] == [{"level": 0, "ready_task_count": 2, "working_set_bytes": 0},
+                                 {"level": 1, "ready_task_count": 3, "working_set_bytes": 42}]
 
 
 def test_profile_single_task():
-    graph = wl.TaskGraph(tasks=(wl.Task("only", 1.0, 0.1),), edges=())
+    graph = graph_of([("only", 1.0, 0.1)])
     assert wl.parallelism_profile(graph).widths == (1,)
 
 
@@ -170,23 +178,22 @@ def test_profile_levels_match_longest_path_oracle(tiles):
 
 def test_cycle_detected():
     with pytest.raises(wl.GraphError, match="cycle"):
-        wl.TaskGraph(
-            tasks=(wl.Task("a", 1, 0), wl.Task("b", 1, 0)),
-            edges=(wl.Edge("a", "b", 0), wl.Edge("b", "a", 0)),
-        )
+        graph_of([("a", 1, 0), ("b", 1, 0)], [("a", "b", 0), ("b", "a", 0)])
 
 
 def test_graph_validation():
+    doc = {"tasks": [{"id": "a", "duration_s": 1}], "edges": [{"src": "a", "dst": "zzz", "bytes": 1}]}
     with pytest.raises(wl.GraphError, match="unknown task"):
-        wl.TaskGraph(tasks=(wl.Task("a", 1, 0),), edges=(wl.Edge("a", "zzz", 1),))
+        wl.TaskGraph.from_json_dict(doc)
     with pytest.raises(wl.GraphError, match="duration"):
-        wl.TaskGraph(tasks=(wl.Task("a", 0, 0),), edges=())
+        graph_of([("a", 0, 0)])
     with pytest.raises(wl.GraphError, match="negative bytes"):
-        wl.TaskGraph(
-            tasks=(wl.Task("a", 1, 0), wl.Task("b", 1, 0)), edges=(wl.Edge("a", "b", -1),)
-        )
+        graph_of([("a", 1, 0), ("b", 1, 0)], [("a", "b", -1)])
     with pytest.raises(wl.GraphError, match="duplicate"):
-        wl.TaskGraph(tasks=(wl.Task("a", 1, 0), wl.Task("a", 1, 0)), edges=())
+        graph_of([("a", 1, 0), ("a", 1, 0)])
+    for src, dst in ((0, 2), (-1, 0)):
+        with pytest.raises(wl.GraphError, match="positions"):
+            wl.TaskGraph(["a", "b"], [1, 1], [0, 0], ["task"] * 2, [src], [dst], [1])
 
 
 @pytest.mark.parametrize("field,value", [
@@ -207,7 +214,7 @@ def test_non_finite_or_non_integer_edge_bytes_rejected(nbytes):
     with pytest.raises(wl.GraphError, match="malformed"):
         wl.TaskGraph.from_json_dict(doc)
     with pytest.raises(wl.GraphError):
-        wl.TaskGraph(tasks=(wl.Task("a", 1, 0), wl.Task("b", 1, 0)), edges=(wl.Edge("a", "b", nbytes),))
+        graph_of([("a", 1, 0), ("b", 1, 0)], [("a", "b", nbytes)])
 
 
 def test_malformed_metadata_rejected():
@@ -217,12 +224,12 @@ def test_malformed_metadata_rejected():
         wl.TaskGraph.from_json_dict(doc)
 
 
-def test_object_form_round_trips_through_columns():
+def test_columns_round_trip_through_the_constructor():
     graph = wl.gen_cholesky_dag(4)
-    again = wl.TaskGraph(tasks=graph.tasks, edges=graph.edges, metadata=graph.metadata)
+    again = wl.TaskGraph(*(getattr(graph, name) for name in wl.TaskGraph._FIELDS), graph.metadata)
     assert again == graph
     assert again.levels == graph.levels
-    assert [graph.ids[i] for i in graph.src] == [e.src for e in graph.edges]
+    assert wl.TaskGraph.from_json_dict(json.loads(jsontext.dumps(graph.to_json_dict()))) == graph
     assert wl.asap_levels(graph) == list(graph.levels)
 
 
@@ -240,11 +247,11 @@ def naive_profile(graph: wl.TaskGraph) -> list[tuple[int, int]]:
     """Width and working set per level, one edge and one level at a time."""
     level = oracle_levels(graph)
     depth = max(level.values()) + 1
-    widths = [sum(1 for t in graph.tasks if level[t.id] == lvl) for lvl in range(depth)]
+    widths = [sum(1 for tid in graph.ids if level[tid] == lvl) for lvl in range(depth)]
     working = [0] * depth
-    for edge in graph.edges:
-        for lvl in range(level[edge.src] + 1, level[edge.dst] + 1):
-            working[lvl] += edge.bytes
+    for src, dst, nbytes in named_edges(graph):
+        for lvl in range(level[src] + 1, level[dst] + 1):
+            working[lvl] += nbytes
     return list(zip(widths, working))
 
 
@@ -256,27 +263,25 @@ def random_dags(draw):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
     nbytes = draw(st.lists(st.integers(0, 10**6), min_size=len(chosen), max_size=len(chosen)))
-    return wl.TaskGraph(
-        tasks=tuple(wl.Task(name, 1.0, 0.0) for name in names),
-        edges=tuple(wl.Edge(names[i], names[j], b) for (i, j), b in zip(chosen, nbytes)),
-    )
+    return graph_of([(name, 1.0, 0.0) for name in names],
+                    [(names[i], names[j], b) for (i, j), b in zip(chosen, nbytes)])
 
 
 @given(random_dags())
 def test_profile_matches_per_level_loop(graph):
     profile = wl.parallelism_profile(graph)
-    assert [(s.ready_task_count, s.working_set_bytes) for s in profile.levels] == naive_profile(graph)
+    assert [*zip(profile.widths, profile.working_set_bytes)] == naive_profile(graph)
 
 
 @pytest.mark.parametrize("length", [2, 50, 300])
 def test_profile_of_chain_with_skip_edges(length):
-    tasks = tuple(wl.Task(f"c{i}", 1.0, 0.0) for i in range(length))
-    edges = [wl.Edge(f"c{i}", f"c{i + 1}", i + 1) for i in range(length - 1)]
-    edges.append(wl.Edge("c0", f"c{length - 1}", 7))  # crosses every level
-    graph = wl.TaskGraph(tasks=tasks, edges=tuple(edges))
+    tasks = [(f"c{i}", 1.0, 0.0) for i in range(length)]
+    edges = [(f"c{i}", f"c{i + 1}", i + 1) for i in range(length - 1)]
+    edges.append(("c0", f"c{length - 1}", 7))  # crosses every level
+    graph = graph_of(tasks, edges)
     profile = wl.parallelism_profile(graph)
     assert profile.widths == (1,) * length
-    assert [(s.ready_task_count, s.working_set_bytes) for s in profile.levels] == naive_profile(graph)
+    assert [*zip(profile.widths, profile.working_set_bytes)] == naive_profile(graph)
 
 
 def test_graph_json_round_trip():
@@ -356,28 +361,27 @@ def test_poisson_trace_matches_inline_reimplementation():
         u = ((z ^ (z >> 31)) >> 11) * 2.0**-53
         now += -math.log(1.0 - u) / rate
         arrivals.append(now)
-    assert [e.arrival_s for e in trace.entries] == arrivals
+    assert list(trace.arrivals) == arrivals
 
 
 def test_poisson_trace_is_deterministic_and_sorted():
     a = wl.poisson_trace(50, 3.0, 0.2, seed=9)
     b = wl.poisson_trace(50, 3.0, 0.2, seed=9)
     assert a == b
-    arrivals = [e.arrival_s for e in a.entries]
-    assert arrivals == sorted(arrivals)
+    assert list(a.arrivals) == sorted(a.arrivals)
     assert wl.poisson_trace(50, 3.0, 0.2, seed=10) != a
 
 
 def test_fixed_interval_trace():
     trace = wl.fixed_interval_trace(4, 10.0, 1.0)
-    assert [e.arrival_s for e in trace.entries] == [0.0, 10.0, 20.0, 30.0]
+    assert trace.arrivals == (0.0, 10.0, 20.0, 30.0)
 
 
 def test_trace_validation():
     with pytest.raises(wl.GraphError, match="sorted"):
-        wl.InvocationTrace(entries=(wl.Invocation(5, 1, 0.1), wl.Invocation(1, 1, 0.1)))
+        wl.InvocationTrace([5, 1], [1, 1], [0.1, 0.1])
     with pytest.raises(wl.GraphError, match="positive"):
-        wl.InvocationTrace(entries=(wl.Invocation(0, 0, 0.1),))
+        wl.InvocationTrace([0], [0], [0.1])
 
 
 @pytest.mark.parametrize("name", ["arrivals", "durations", "memory", "metadata", "entries"])
@@ -385,7 +389,7 @@ def test_trace_columns_cannot_be_replaced(name):
     trace = wl.poisson_trace(5, 1.0, 0.5, seed=1)
     with pytest.raises(AttributeError):
         setattr(trace, name, ())
-    assert trace == wl.InvocationTrace(trace.entries)
+    assert trace == wl.InvocationTrace(trace.arrivals, trace.durations, trace.memory)
     assert trace.entries == tuple(map(wl.Invocation, trace.arrivals, trace.durations, trace.memory))
 
 
