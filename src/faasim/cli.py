@@ -286,6 +286,8 @@ def _cmd_workload_gen(args, out) -> int:
         graph = wl.gen_shuffle_dag(args.mappers, args.reducers, _parse_bytes(args.bytes, args))
         params = {"kind": "shuffle", "mappers": args.mappers, "reducers": args.reducers}
         if isinstance(graph, wl.ShuffleDagSpec):
+            if args.output:  # only a graph within the limit can be written
+                wl.check_budget(graph.edge_count, "shuffle edges")
             result = {"implicit": True, "task_count": graph.task_count, "edge_count": graph.edge_count,
                       "total_edge_bytes": graph.total_edge_bytes}
             Report("workload gen", params, result).emit(args.format, out)

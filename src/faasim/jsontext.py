@@ -12,12 +12,13 @@ subtree (tuples, non-`str` keys, other types) is rendered by
 `json.dumps(indent=2)` and re-indented.
 
 A `Table`, a list of flat records held as columns, renders as its list of
-row dicts would, without building them: each column is encoded in one call,
-and one %-template of the pre-encoded keys is filled per row. A column of
-one type with fewer distinct values than half its length encodes each
-distinct value once; not a float column holding 0.0, which equals -0.0.
-`write` sends the text to a stream in pieces, a Table's rows a chunk at a
-time, so no string the size of the document is ever built.
+row dicts would, without building them. Each column's encoding is chosen
+once, over the whole column: a column of one type with fewer distinct
+values than half its length encodes each distinct value once (not a float
+column holding 0.0, which equals -0.0), any other takes one encoder call
+per chunk of rows. Each chunk of rows is one join of the key labels
+interleaved with the value texts, and `write` sends the text to a stream
+a piece at a time, so no string the size of the document is ever built.
 
 Python 3.13 renders `indent=` in C; once `requires-python` reaches 3.13,
 measure that against this writer and delete the writer if the standard
@@ -28,7 +29,8 @@ row dicts.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
+from functools import partial
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -74,8 +76,9 @@ def _rows(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _column(values) -> list[str] | None:
-    """The JSON text of each value; None unless all are strings or all are other scalars."""
+def _encoder(values):
+    """The encoder of any slice of `values`, chosen over the whole column; None unless all are
+    strings or all are other scalars."""
     kinds = set(map(type, values))
     if not kinds <= _SCALARS or str in kinds and len(kinds) > 1:
         return None
@@ -83,10 +86,10 @@ def _column(values) -> list[str] | None:
         distinct = set(values)
         if len(distinct) * 2 < len(values) and not (kinds == {float} and 0.0 in distinct):
             distinct = list(distinct)
-            return list(map(dict(zip(distinct, _column(distinct))).__getitem__, values))
+            return partial(map, dict(zip(distinct, _encoder(distinct)(distinct))).__getitem__)
     if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    return json.dumps(values)[1:-1].split(", ")
+        return partial(map, encode_basestring_ascii)
+    return lambda chunk: json.dumps(chunk)[1:-1].split(", ")
 
 
 def _table(table: Table, level: int, sort_keys: bool):
@@ -94,20 +97,27 @@ def _table(table: Table, level: int, sort_keys: bool):
     encodable = len(table) and _str_keys(keys)
     if encodable and sort_keys:
         keys, columns = zip(*sorted(zip(keys, columns), key=itemgetter(0)))
-    texts = list(map(_column, columns)) if encodable else [None]
-    if None in texts:
+    encoders = list(map(_encoder, columns)) if encodable else [None]
+    if None in encoders:
         yield from _parts(list(table), level, sort_keys)
         return
     outer = "\n" + _INDENT * level
     inner = outer + _INDENT
     deeper = inner + _INDENT
-    fields = ("," + deeper).join(json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
-    rows = map(("{" + deeper + fields + inner + "}").__mod__, zip(*texts))
-    head, sep = "[" + inner, "," + inner
-    while chunk := sep.join(islice(rows, _CHUNK_ROWS)):
-        yield head + chunk
-        head = sep
-    yield outer + "]"
+    # A row is its key labels interleaved with its value texts. The first label
+    # also closes the row before it, so a chunk of rows is one join.
+    labels = ["," + deeper + json.dumps(key) + ": " for key in keys]
+    first = "{" + labels[0][1:]
+    row = [piece for label in (inner + "}," + inner + first, *labels[1:]) for piece in (label, "")]
+    for start in range(0, len(table), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        pieces = row * (min(stop, len(table)) - start)
+        for at, encode, column in zip(count(1, 2), encoders, columns):
+            pieces[at::len(row)] = encode(column[start:stop])
+        if not start:
+            pieces[0] = "[" + inner + first
+        yield "".join(pieces)
+    yield inner + "}" + outer + "]"
 
 
 def _encode(obj, level: int, sort_keys: bool) -> str | None:

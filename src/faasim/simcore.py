@@ -34,20 +34,22 @@ applied lazily, oldest first, when its pool is next used, and the rest
 when the run ends. Events at equal timestamps thus take effect in a
 fixed order (completions, then retirements, then arrivals in trace
 order), so results are deterministic and serialize byte-identically.
-Each served invocation and each rejected entry appends one value to each
-of its result columns; `SimResult` holds them as `jsontext.Table`s, the
-form the report writer renders, so no row object is built.
+The pass records only the positions of cold starts and rejected entries;
+the result columns are then taken in bulk from the trace columns and each
+entry's bill. `SimResult` holds them as `jsontext.Table`s, the form the
+report writer renders, so no row object is built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, deque
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, count, repeat
-from operator import mul
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .jsontext import Table
@@ -227,6 +229,7 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     costs: dict[tuple[int, float], Fraction] = {}
     tally: Counter = Counter()  # invocations per (units, memory)
     bills = {}  # key -> (units, cost, duration ticks, idle pool), or the reason it is rejected
+    busy_total = 0  # ticks
     for (key, n), ticks in zip(counts.items(), durations):
         memory = key[1]
         if _over_limit(ticks, scale, spec):
@@ -238,66 +241,69 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
             if (units, memory) not in costs:
                 costs[units, memory] = units * rates[memory] + spec.request_fee_usd
             tally[units, memory] += n
+            busy_total += n * ticks
             bills[key] = (units, costs[units, memory], ticks, pools[memory])
+    trace_bills = list(map(bills.__getitem__, zip(trace.durations, trace.memory)))
 
     events: list[tuple[int, int, deque]] = []  # running invocations: (end tick, seq, idle pool)
-    # Result columns, appended to in trace order.
-    invocations = arrival_col, latency_col, duration_col, cold_col, units_col, cost_col = [], [], [], [], [], []
-    rejected = index_col, rejected_arrival_col, rejected_duration_col, reason_col = [], [], [], []
+    # Trace positions of the entries that are not warm hits, in trace order.
+    rejected, prestarted, full = [], [], []
     prestarted_left = platform.warm_pool_prestarted
-    # Cold-start latencies: the exact tick sums, rounded once. A pre-started
-    # environment skips scheduling and environment initialization.
-    full_ticks = t_schedule + t_env + t_app
-    full_s, prestarted_s = full_ticks / scale, t_app / scale
-    peak = cold_starts = 0
-    lifetime = busy_total = 0  # ticks; lifetime is the sum of retire minus creation times
+    full_ticks = t_schedule + t_env + t_app  # a pre-started environment takes t_app only
+    peak = lifetime = 0  # lifetime: ticks, the sum of retire minus creation times
 
-    for seq, now, arrival_s, key in zip(count(), arrivals, trace.arrivals, zip(trace.durations, trace.memory)):
+    for seq, now, bill in zip(count(), arrivals, trace_bills):
         while events and events[0][0] <= now:
             end, _, pool = heappop(events)
             pool.append(end)
-        bill = bills[key]
         if isinstance(bill, str):
-            index_col.append(seq)
-            rejected_arrival_col.append(arrival_s)
-            rejected_duration_col.append(key[0])
-            reason_col.append(bill)
+            rejected.append(seq)
             continue
-        units, cost, duration, pool = bill
+        _, _, occupied, pool = bill  # duration ticks, plus the start latency if cold
         while pool and pool[0] + keep_alive <= now:
             lifetime += pool.popleft() + keep_alive
         if pool:
             pool.pop()  # most recently idled first
-            latency, latency_s, was_cold = 0, 0.0, False
         else:
             if prestarted_left > 0:
                 prestarted_left -= 1
-                latency, latency_s = t_app, prestarted_s
+                prestarted.append(seq)
+                occupied += t_app
             else:
-                latency, latency_s = full_ticks, full_s
+                full.append(seq)
+                occupied += full_ticks
             lifetime -= now
-            cold_starts += 1
-            was_cold = True
-        occupied = latency + duration
-        busy_total += occupied
         heappush(events, (now + occupied, seq, pool))
         if len(events) > peak:
             peak = len(events)
-        arrival_col.append(arrival_s)
-        latency_col.append(latency_s)
-        duration_col.append(key[0])
-        cold_col.append(was_cold)
-        units_col.append(units)
-        cost_col.append(cost)
 
     # Scale-to-zero: every running instance completes, then every idle one retires.
     idle = [end for end, _, _ in events] + list(chain.from_iterable(pools.values()))
     lifetime += sum(idle) + len(idle) * keep_alive
+    cold_starts = len(prestarted) + len(full)
+    busy_total += len(prestarted) * t_app + len(full) * full_ticks
+
+    # The invocation columns: the served entries' trace values and bills, with
+    # the cold ones patched in at their served positions. Cold-start latencies
+    # are the exact tick sums, rounded once.
+    served = [True] * len(trace_bills)
+    for seq in rejected:
+        served[seq] = False
+    arrivals_s, durations_s, served_bills = ([*compress(column, served)] if rejected else column
+                                             for column in (trace.arrivals, trace.durations, trace_bills))
+    latency_col, cold_col = [0.0] * len(served_bills), [False] * len(served_bills)
+    for positions, latency_s in ((prestarted, t_app / scale), (full, full_ticks / scale)):
+        for at in (seq - bisect_left(rejected, seq) for seq in positions):  # served position
+            latency_col[at], cold_col[at] = latency_s, True
+    invocations = (arrivals_s, latency_col, durations_s, cold_col,
+                   [*map(itemgetter(0), served_bills)], [*map(itemgetter(1), served_bills)])
 
     return SimResult(
         invocations=Table(("arrival_s", "start_latency_s", "duration_s", "cold", "billed_units", "cost_usd"),
                           invocations),
-        rejected=Table(("index", "arrival_s", "duration_s", "reason"), rejected),
+        rejected=Table(("index", "arrival_s", "duration_s", "reason"),
+                       [rejected, *([*map(column.__getitem__, rejected)]
+                                    for column in (trace.arrivals, trace.durations, trace_bills))]),
         billed_units=sum(n * units for (units, _), n in tally.items()),
         cost_usd=sum((n * costs[key] for key, n in tally.items()), Fraction(0)),
         cold_starts=cold_starts,

@@ -35,7 +35,7 @@ class GraphError(ValueError):
     pass
 
 
-def _check_budget(elements: int, what: str) -> None:
+def check_budget(elements: int, what: str) -> None:
     if elements > MATERIALIZE_EDGE_LIMIT:
         raise GraphError(f"{elements} {what} exceed the generator limit of {MATERIALIZE_EDGE_LIMIT} elements")
 
@@ -181,11 +181,11 @@ class ParallelismProfile(Record):
 
     @property
     def peak_width(self) -> int:
-        return max(self.widths)
+        return max(self.widths, default=0)
 
     @property
     def peak_working_set_bytes(self) -> int:
-        return max(self.working_set_bytes)
+        return max(self.working_set_bytes, default=0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,8 +261,8 @@ def gen_cholesky_dag(
     """
     if blocks < 1:
         raise GraphError("need at least one block")
-    _check_budget(cholesky_task_count(blocks), "Cholesky tasks")
-    _check_budget(cholesky_edge_count(blocks), "Cholesky edges")
+    check_budget(cholesky_task_count(blocks), "Cholesky tasks")
+    check_budget(cholesky_edge_count(blocks), "Cholesky edges")
     tile_bytes = block_dim * block_dim * BYTES_PER_ELEMENT
     tasks: list[tuple[str, float, str]] = []
     edges: list[tuple[str, str]] = []
@@ -348,7 +348,7 @@ def gen_paramserver(
         raise GraphError("need at least one worker and one round")
     if gradient_bytes < 0:
         raise GraphError("gradient size must be non-negative")
-    _check_budget(2 * rounds, "parameter-server scenarios")
+    check_budget(2 * rounds, "parameter-server scenarios")
     if deployment is None:
         deployment = Deployment(n_instances=workers, functions_per_instance=1, granularity="function-grained")
     elif deployment.n_instances * deployment.functions_per_instance != workers:
@@ -450,6 +450,17 @@ class SplitMix64:
         """Uniform double in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
+    def uniforms(self, count: int) -> list[float]:
+        """The next `count` `uniform()` draws, in one frame."""
+        state, mask, draws = self._state, self._MASK, []
+        for _ in range(count):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            draws.append(((z ^ (z >> 31)) >> 11) * 2.0**-53)
+        self._state = state
+        return draws
+
 
 def fixed_interval_trace(
     count: int,
@@ -461,7 +472,7 @@ def fixed_interval_trace(
     """Evenly spaced arrivals."""
     if count < 0:
         raise GraphError("count must be non-negative")
-    _check_budget(count, "trace entries")
+    check_budget(count, "trace entries")
     return InvocationTrace(
         [start_s + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
         metadata={"generator": "fixed-interval", "count": count, "interval_s": interval_s,
@@ -483,11 +494,11 @@ def poisson_trace(
     """
     if count < 0:
         raise GraphError("count must be non-negative")
-    _check_budget(count, "trace entries")
+    check_budget(count, "trace entries")
     if rate_per_s <= 0:
         raise GraphError("arrival rate must be positive")
     rng = SplitMix64(seed)
-    gaps = (-math.log(1.0 - rng.uniform()) / rate_per_s for _ in range(count))
+    gaps = (-math.log(1.0 - u) / rate_per_s for u in rng.uniforms(count))
     return InvocationTrace(
         list(accumulate(gaps, initial=0.0))[1:], [duration_s] * count, [memory_gb] * count,
         metadata={"generator": "poisson", "count": count, "rate_per_s": rate_per_s,

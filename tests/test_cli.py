@@ -117,6 +117,30 @@ def test_workload_gen_and_profile(tmp_path):
     assert doc["result"]["peak_width"] == 6
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_profile_of_an_empty_graph(tmp_path, fmt):
+    """A graph with no tasks, which `place` accepts too, has no levels and zero peaks."""
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text('{"tasks": [], "edges": []}', encoding="utf-8")
+    code, out, err = run("workload", "profile", "--graph", str(graph_path), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["result"] == {"levels": [], "peak_width": 0, "peak_working_set_bytes": 0}
+    assert run("place", "--graph", str(graph_path), "--instances", "1", "--slots", "1")[0] == 0
+
+
+def test_oversized_shuffle_is_refused_only_when_written(tmp_path):
+    """Over the edge limit the counts are reported; writing the graph itself is one error line."""
+    argv = ("workload", "gen", "--kind", "shuffle", "--mappers", "4000", "--reducers", "4000")
+    doc = run_json(*argv)
+    assert doc["result"]["implicit"] is True and doc["result"]["edge_count"] == 16 * 10**6
+    graph_path = tmp_path / "big.json"
+    code, out, err = run(*argv, "-o", str(graph_path))
+    assert_one_error_line(code, out, err)
+    assert f"limit of {wl.MATERIALIZE_EDGE_LIMIT} elements" in err
+    assert not graph_path.exists()
+
+
 def test_workload_trace_simulate_roundtrip(tmp_path):
     trace_path = tmp_path / "trace.json"
     code, _, err = run(

@@ -91,15 +91,35 @@ def test_table_matches_stdlib_rows(keys_and_columns, sort_keys):
         assert jsontext.dumps(doc, sort_keys=sort_keys) == json.dumps(plain, indent=2, sort_keys=sort_keys)
 
 
-@pytest.mark.parametrize("count", [jsontext._CHUNK_ROWS - 1, 2 * jsontext._CHUNK_ROWS, 2 * jsontext._CHUNK_ROWS + 1])
+CHUNK = jsontext._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1])
 def test_table_in_pieces_matches_stdlib(count):
-    """Tables longer than one piece of rows, written to a stream and as one string."""
-    columns = [[i / 7 for i in range(count)], [i % 3 == 0 for i in range(count)], [str(i % 5) for i in range(count)]]
-    keys = ["t", "cold", "name"]
-    rows = [dict(zip(keys, row)) for row in zip(*columns)]
-    doc = {"rows": jsontext.Table(keys, columns), "n": count, "nested": [{"rows": jsontext.Table(keys, columns)}]}
-    expected = json.dumps({"rows": rows, "n": count, "nested": [{"rows": rows}]}, indent=2, sort_keys=True)
-    out = io.StringIO()
-    jsontext.write(out, doc, sort_keys=True)
-    assert out.getvalue() == expected + "\n"
-    assert jsontext.dumps(doc, sort_keys=True) == expected
+    """Tables longer than one piece of rows, written to a stream and as one string.
+
+    Each column's encoding is chosen over the whole column: the memoized
+    columns get their distinct values only after the first piece, and the
+    zero columns hold 0.0 and -0.0 in different pieces.
+    """
+    columns = {
+        "t": [i / 7 for i in range(count)],
+        "cold": [i % 3 == 0 for i in range(count)],
+        "name": [str(i % 5) for i in range(count)],
+        "late": ["early"] * CHUNK + [f"late{i % 3}" for i in range(CHUNK, count)],
+        "late_units": [1] * CHUNK + [2 + i % 4 for i in range(CHUNK, count)],
+        "zero": [0.0 if i < CHUNK else -0.0 for i in range(count)],
+        "minus_zero": [-0.0 if i < CHUNK + 1 else 0.0 for i in range(count)],
+    }
+    columns = {key: column[:count] for key, column in columns.items()}
+    keys = list(columns)
+    rows = [dict(zip(keys, row)) for row in zip(*columns.values())]
+    table = jsontext.Table(keys, columns.values())
+    doc = {"rows": table, "n": count, "nested": [{"rows": table, "in": {"deeper": [table]}}]}
+    plain = {"rows": rows, "n": count, "nested": [{"rows": rows, "in": {"deeper": [rows]}}]}
+    for sort_keys in (True, False):
+        expected = json.dumps(plain, indent=2, sort_keys=sort_keys)
+        out = io.StringIO()
+        jsontext.write(out, doc, sort_keys=sort_keys)
+        assert out.getvalue() == expected + "\n"
+        assert jsontext.dumps(doc, sort_keys=sort_keys) == expected

@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faasim import catalog as cat
@@ -398,8 +398,19 @@ platforms = st.tuples(
 ORACLE_SETTINGS = settings(max_examples=300, deadline=None)
 
 
+# Rejected entries before, between and after pre-started and full cold
+# starts: each served row's cold flag and latency sit at its served position.
+MIXED_COLD = [(0.0, 1000.0, 0.125), (0.0, 0.25, 0.125), (0.1, 0.3, 0.05), (0.2, 0.5, 0.125),
+              (0.2, 900.1, 0.25), (0.3, 0.2, 0.25), (0.3, 1000.0, 4.0), (2.0, 0.1, 0.125),
+              (2.1, 0.1, 1.0), (2.1, 0.05, 4.0), (2.2, 0.3, 0.125), (2.2, 0.2, 0.125),
+              (2.3, 0.1, 0.25), (3.0, 1000.0, 1.0)]
+
+
 @ORACLE_SETTINGS
 @given(small_traces, platforms)
+@example(trace_of(MIXED_COLD), ((0.5, 0.2, 0.1), 5.0, 2))
+@example(trace_of(MIXED_COLD), ((0.2, 0.0, 0.5), 0.1, 1))
+@example(trace_of(MIXED_COLD[1:]), ((0.1, 0.1, 0.1), 600.0, 3))
 def test_simulate_matches_naive_reference(fn_spec, trace, params):
     cold, keep_alive, prestarted = params
     config = platform(fn_spec, cold=cold, keep_alive=keep_alive, prestarted=prestarted)
