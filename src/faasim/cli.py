@@ -11,11 +11,17 @@ environment variable, then the bundled default, which the manifest
 records as `bundled:default_catalog.json`.
 
 Each handler imports the modules it runs, so a command compiles only those.
+
+`main` pauses cyclic garbage collection while a handler runs, then restores
+the caller's setting, so that no collection rescans the many tuples and lists
+the graph commands keep alive. This relies on command data holding no
+reference cycles, which only a collection would free.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -524,6 +530,8 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args, out)
     # Every domain error subclasses ValueError, as do JSON and UTF-8 decode
@@ -534,6 +542,9 @@ def main(argv=None, out=None, err=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         err.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:

@@ -14,8 +14,8 @@ subtree (tuples, non-`str` keys, other types) is rendered by
 A `Table`, a list of flat records held as columns, renders as its list of
 row dicts would, without building them. Each column's encoding is chosen
 once, over the whole column: a column of one type with fewer distinct
-values than half its length encodes each distinct value once (not a float
-column holding 0.0, which equals -0.0), any other takes one encoder call
+values than half its length encodes each distinct value once (unless a
+float column holds both 0.0 and -0.0), any other takes one encoder call
 per chunk of rows. Each chunk of rows is one join of the key labels
 interleaved with the value texts, and `write` sends the text to a stream
 a piece at a time, so no string the size of the document is ever built.
@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from itertools import chain, count
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
+from math import copysign
 from operator import itemgetter
 
 _INDENT = "  "
@@ -84,7 +85,9 @@ def _encoder(values):
         return None
     if len(kinds) == 1:
         distinct = set(values)
-        if len(distinct) * 2 < len(values) and not (kinds == {float} and 0.0 in distinct):
+        # 0.0 == -0.0, so the memo would print one zero's text for both.
+        if len(distinct) * 2 < len(values) and not (kinds == {float} and 0.0 in distinct and len(
+                set(map(copysign, repeat(1.0), filter((0.0).__eq__, values)))) > 1):
             distinct = list(distinct)
             return partial(map, dict(zip(distinct, _encoder(distinct)(distinct))).__getitem__)
     if kinds == {str}:

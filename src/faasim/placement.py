@@ -10,14 +10,15 @@ itself still counts as one combined message; only its bytes are free.
 
 Two planners are provided: a deterministic greedy merge of the heaviest
 edges, and an exhaustive optimum over set partitions for small graphs
-that serves as the oracle the greedy is validated against.
+that serves as the oracle the greedy is validated against. Both work on
+task positions and name tasks by id only in the `Placement` they return.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
-from operator import ne
+from itertools import compress, repeat
+from operator import add, mul, ne
 from typing import NamedTuple
 
 from .record import Record
@@ -96,17 +97,22 @@ def _score(instance: list[int], graph: TaskGraph) -> CommCost:
     return CommCost(cross_bytes, len(messages))
 
 
-def _seat(groups: list[list[str]], n_instances: int, slots: int) -> dict[str, tuple[int, int]]:
-    """First-fit groups into instances; split any group that fits nowhere.
+def _seat(groups: list[list[int]], n_instances: int, slots: int) -> list[tuple[int, int]]:
+    """First-fit groups of task positions into instances; split any group that fits nowhere.
 
-    Free slots only shrink, so the first instance with room for a given
-    group size never moves left: one cursor per size keeps the whole scan
-    linear in groups plus instances times slots.
+    Returns each task's (instance, slot) by position. Free slots only shrink,
+    so the first instance with room for a given group size never moves left:
+    one cursor per size keeps the whole scan linear in groups plus instances
+    times slots. First fit leaves no instance empty before a used one and
+    puts no more than the task count on one, so both counts are capped at
+    the task count before anything is allocated.
     """
+    task_count = sum(map(len, groups))
+    n_instances, slots = min(n_instances, task_count), min(slots, task_count)
     free = [slots] * n_instances
     cursor = [0] * (slots + 1)
-    assignment: dict[str, tuple[int, int]] = {}
-    leftovers: list[str] = []
+    seats: list = [None] * task_count
+    leftovers: list[int] = []
 
     def first_fit(size: int) -> int | None:
         if size > slots:
@@ -117,9 +123,9 @@ def _seat(groups: list[list[str]], n_instances: int, slots: int) -> dict[str, tu
         cursor[size] = i
         return i if i < n_instances else None
 
-    def put(instance: int, members: list[str]):
+    def put(instance: int, members: list[int]):
         for member in members:
-            assignment[member] = (instance, slots - free[instance])
+            seats[member] = (instance, slots - free[instance])
             free[instance] -= 1
 
     for group in groups:
@@ -128,9 +134,9 @@ def _seat(groups: list[list[str]], n_instances: int, slots: int) -> dict[str, tu
             leftovers.extend(group)
         else:
             put(target, group)
-    for task_id in leftovers:
-        put(first_fit(1), [task_id])
-    return assignment
+    for task in leftovers:
+        put(first_fit(1), [task])
+    return seats
 
 
 def place_greedy(problem: PlacementProblem) -> Placement:
@@ -168,12 +174,12 @@ def place_greedy(problem: PlacementProblem) -> Placement:
             size[root_a] += size[root_b]
 
     # Members are collected in id order, so each group is sorted and starts with its least id.
-    members: dict[int, list[str]] = {}
+    members: dict[int, list[int]] = {}
     for i in by_id:
-        members.setdefault(find(i), []).append(ids[i])
-    groups = sorted(members.values(), key=lambda g: (-len(g), g[0]))
+        members.setdefault(find(i), []).append(i)
+    groups = sorted(members.values(), key=lambda g: (-len(g), rank[g[0]]))
 
-    assignment = _seat(groups, problem.n_instances, slots)
+    assignment = dict(zip(ids, _seat(groups, problem.n_instances, slots)))
     cost = evaluate(assignment, graph)
     return Placement(assignment, cost.cross_instance_bytes, cost.remote_message_count)
 
@@ -232,7 +238,8 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
                 messages[instance[src], instance[dst], level] -= 1
 
     recurse(0, 0, 0, 0)  # capacity covers every task, so some labelling completes
-    slot_counter = [0] * n
+    del recurse  # a recursive closure is a reference cycle; `cli.main` runs with collection paused
+    slot_counter = [0] * min(n, graph.task_count)  # labels stay below the task count
     assignment: dict[str, tuple[int, int]] = {}
     for i in by_id:
         label = best_instance[i]
@@ -242,7 +249,8 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
 
 
 def singleton_placement(graph: TaskGraph) -> Placement:
-    """Every task on its own instance: the no-co-location baseline."""
+    """Every task on its own instance: the no-co-location baseline. Every edge crosses (a DAG has
+    no self-loop), and each distinct (src, dst) pair is one message (a task fixes its level)."""
     assignment = {tid: (i, 0) for i, tid in enumerate(sorted(graph.ids))}
-    cost = evaluate(assignment, graph)
-    return Placement(assignment, cost.cross_instance_bytes, cost.remote_message_count)
+    pairs = set(map(add, map(mul, graph.src, repeat(graph.task_count)), graph.dst))  # (src, dst) as one int
+    return Placement(assignment, graph.total_edge_bytes, len(pairs))

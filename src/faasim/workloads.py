@@ -72,13 +72,15 @@ class TaskGraph(_Columns):
         if ends and not 0 <= min(ends) <= max(ends) < len(self.ids):
             raise GraphError("edge endpoints must be task positions")
         isfinite = math.isfinite
-        for tid, duration, memory_gb in zip(self.ids, self.durations, self.memory):
-            if not (isfinite(duration) and isfinite(memory_gb)):
-                raise GraphError(f"task {tid!r} has a non-finite duration or memory")
-            if duration <= 0:
-                raise GraphError(f"task {tid!r} has non-positive duration")
-            if memory_gb < 0:
-                raise GraphError(f"task {tid!r} has negative memory")
+        if not (all(map(isfinite, chain(self.durations, self.memory))) and min(self.durations, default=1) > 0
+                and min(self.memory, default=0) >= 0):
+            for tid, duration, memory_gb in zip(self.ids, self.durations, self.memory):  # name the first bad task
+                if not (isfinite(duration) and isfinite(memory_gb)):
+                    raise GraphError(f"task {tid!r} has a non-finite duration or memory")
+                if duration <= 0:
+                    raise GraphError(f"task {tid!r} has non-positive duration")
+                if memory_gb < 0:
+                    raise GraphError(f"task {tid!r} has negative memory")
         if not set(map(type, self.edge_bytes)) <= {int}:
             raise GraphError("edge bytes must be integers")
         if self.edge_bytes and min(self.edge_bytes) < 0:
@@ -254,42 +256,47 @@ def gen_cholesky_dag(
 ) -> TaskGraph:
     """Blocked right-looking Cholesky DAG on a blocks x blocks tile grid.
 
-    Step k factorizes diagonal tile k, solves the blocks-k-1 tiles below
-    it, then applies (blocks-k-1)(blocks-k)/2 trailing updates; each
-    update feeds whichever step-k+1 task next touches its tile. Every
-    edge carries one tile: block_dim^2 doubles.
+    Step k factorizes diagonal tile k (task f<k>), solves the m = blocks-k-1
+    tiles below it (s<k>.<i>), then applies m(m+1)/2 trailing updates
+    (u<k>.<i>.<j>, k < i <= j); each update feeds whichever step-k+1 task
+    next touches its tile. Every edge carries one tile: block_dim^2 doubles.
+
+    Edges are generated by task position: step k's tasks are consecutive (f<k>,
+    its solves, its updates in (i, j) order), and step k's t-th update feeds
+    the t-th task of step k+1.
     """
     if blocks < 1:
         raise GraphError("need at least one block")
     check_budget(cholesky_task_count(blocks), "Cholesky tasks")
     check_budget(cholesky_edge_count(blocks), "Cholesky edges")
     tile_bytes = block_dim * block_dim * BYTES_PER_ELEMENT
-    tasks: list[tuple[str, float, str]] = []
-    edges: list[tuple[str, str]] = []
-    # Task ids: f<k> factorizes, s<k>.<i> solves and u<k>.<i>.<j> updates at step k.
+    ids, durations, kinds, src, dst = [], [], [], [], []
+    at = list(range(cholesky_task_count(blocks)))  # slices of one list share their int objects
+    first = 0  # position of f<k>
     for k in range(blocks):
-        tasks.append((f"f{k}", factorize_s, "factorize"))
-        for i in range(k + 1, blocks):
-            tasks.append((f"s{k}.{i}", solve_s, "triangular-solve"))
-            edges.append((f"f{k}", f"s{k}.{i}"))
-        for i in range(k + 1, blocks):
-            for j in range(i, blocks):
-                update = f"u{k}.{i}.{j}"
-                tasks.append((update, update_s, "trailing-update"))
-                edges.append((f"s{k}.{i}", update))
-                if j != i:
-                    edges.append((f"s{k}.{j}", update))
-                # Hand the updated tile to the step-(k+1) task that uses it.
-                if i == k + 1 and j == k + 1:
-                    edges.append((update, f"f{k + 1}"))
-                elif i == k + 1:
-                    edges.append((update, f"s{k + 1}.{j}"))
-                else:
-                    edges.append((update, f"u{k + 1}.{i}.{j}"))
-    ids, durations, kinds = zip(*tasks)
-    src, dst = zip(*edges) if edges else ((), ())
+        m = blocks - k - 1
+        updates = m * (m + 1) // 2
+        ids += [f"f{k}", *(f"s{k}.{i}" for i in range(k + 1, blocks)),
+                *(f"u{k}.{i}.{j}" for i in range(k + 1, blocks) for j in range(i, blocks))]
+        durations += [factorize_s] + [solve_s] * m + [update_s] * updates
+        kinds += ["factorize"] + ["triangular-solve"] * m + ["trailing-update"] * updates
+        solves, update = first + 1, first + 1 + m
+        src += [at[first]] * m
+        dst += at[solves:update]
+        for solve in at[solves:update]:
+            # The row of updates u<k>.<i>.<j>, j = i..blocks-1, for the tile s<k>.<i> solved: each takes
+            # s<k>.<i>, then s<k>.<j> if j != i, and feeds the task `updates` positions further on.
+            row = m - (solve - solves)  # blocks - i updates
+            row_src, row_dst = [solve] * (3 * row - 1), [0] * (3 * row - 1)
+            row_src[0::3], row_src[1::3] = at[solve:solve + row], at[update:update + row]
+            here, fed = at[update:update + row], at[update + updates:update + updates + row]
+            row_dst[0::3], row_dst[1::3], row_dst[2::3] = here, fed, here[1:]
+            src += row_src
+            dst += row_dst
+            update += row
+        first += 1 + m + updates
     return TaskGraph(
-        ids, durations, [memory_gb] * len(ids), kinds, *_endpoints(ids, src, dst), [tile_bytes] * len(edges),
+        ids, durations, [memory_gb] * len(ids), kinds, src, dst, [tile_bytes] * len(src),
         {"generator": "cholesky", "blocks": blocks, "block_dim": block_dim},
     )
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import gc
 import io
 import json
 import os
@@ -547,6 +548,71 @@ def test_generator_size_over_the_budget_is_one_error_line(argv):
                           preexec_fn=limit_address_space, timeout=60)
     assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
     assert f"limit of {wl.MATERIALIZE_EDGE_LIMIT} elements" in proc.stderr
+
+
+@pytest.mark.parametrize("instances,slots", [
+    (10**9, 1),
+    (1, 10**12),
+    (2**63 - 1, 2**63 - 1),
+])
+def test_place_caps_instances_and_slots_at_the_task_count(tmp_path, instances, slots):
+    """Seating allocates per instance and per slot; with 1 GiB of address space, uncapped counts end in an
+    internal error instead."""
+    graph = tmp_path / "graph.json"
+    graph.write_text(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "faasim", "place", "--graph", str(graph), "--instances",
+                           str(instances), "--slots", str(slots)], env=faasim_env(), capture_output=True, text=True,
+                          preexec_fn=limit_address_space, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # First fit uses no instance or slot at or past the task count, 4, so capping changes no output.
+    _, capped, _ = run("place", "--graph", str(graph), "--instances", str(min(instances, 4)),
+                       "--slots", str(min(slots, 4)))
+    assert json.loads(proc.stdout)["result"] == json.loads(capped)["result"]
+
+
+# --- cyclic garbage collection is paused for one command ------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv,status", [
+    (("breakeven", "--ratio", "7.5"), 0),
+    (("place", "--graph", "missing.json", "--instances", "1", "--slots", "1"), 2),
+])
+def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled, argv, status):
+    monkeypatch.chdir(tmp_path)
+    paused = []
+    for name in ("_cmd_breakeven", "_cmd_place"):
+        handler = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda args, out, handler=handler: paused.append(not gc.isenabled())
+                            or handler(args, out))
+    caller = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = cli.main(list(argv), out=io.StringIO(), err=io.StringIO())
+        after = gc.isenabled()
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert (code, after, paused) == (status, enabled, [True])
+
+
+def test_graph_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
+    """The pause is sound while command data hold no reference cycles: each command leaves only the parser's."""
+    monkeypatch.chdir(tmp_path)
+    commands = [("breakeven",), ("workload", "gen", "--kind", "cholesky", "--blocks", "3", "-o", "g.json"),
+                ("workload", "profile", "--graph", "g.json"),
+                ("place", "--graph", "g.json", "--instances", "3", "--slots", "4"),  # 10 tasks: exhaustive too
+                ("place", "--graph", "missing.json", "--instances", "1", "--slots", "1")]
+    caller = gc.isenabled()
+    gc.disable()
+    try:
+        collected = []
+        for argv in commands * 2:  # the first round also imports modules
+            gc.collect()
+            run(*argv)
+            collected.append(gc.collect())
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert collected[len(commands):] == [collected[len(commands)]] * len(commands)
 
 
 # --- import-light: each subcommand loads only the modules it runs --------------

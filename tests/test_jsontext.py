@@ -2,6 +2,7 @@
 
 import io
 import json
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,3 +124,15 @@ def test_table_in_pieces_matches_stdlib(count):
         jsontext.write(out, doc, sort_keys=sort_keys)
         assert out.getvalue() == expected + "\n"
         assert jsontext.dumps(doc, sort_keys=sort_keys) == expected
+
+
+@pytest.mark.parametrize("column,memoized", [
+    ([0.0, 1.5, 0.0, 0.0, 2.5] * CHUNK, True),  # only 0.0: the memo holds one zero text
+    ([0.0, -0.0, 1.5, 0.0, -0.0, 0.0], False),  # both zeros in one chunk
+    ([0.0] * CHUNK + [-0.0] * 3, False),  # both zeros in different chunks
+])
+def test_zero_float_columns_skip_the_memo_only_with_both_zeros(column, memoized):
+    # The memo is a dict lookup through `partial(map, ...)`; a float column's other encoder is not a partial.
+    assert isinstance(jsontext._encoder(column), partial) == memoized
+    rows = [{"z": value} for value in column]
+    assert jsontext.dumps(jsontext.Table(["z"], [column])) == json.dumps(rows, indent=2)

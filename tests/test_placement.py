@@ -309,17 +309,38 @@ def naive_seat(groups, n_instances, slots):
     return assignment
 
 
-@given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(0, 8), max_size=25))
-def test_seat_matches_naive_first_fit(n_instances, slots, sizes):
+@given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(0, 8), max_size=25), st.randoms())
+def test_seat_matches_naive_first_fit(n_instances, slots, sizes, random):
     # Groups larger than `slots`, or arriving once no instance has room,
-    # fit nowhere and are split task by task.
+    # fit nowhere and are split task by task. Groups hold task positions in any order.
     capacity = n_instances * slots
-    groups, used = [], 0
-    for g, size in enumerate(sizes):
-        size = min(size, capacity - used)
-        groups.append([f"g{g}.{m}" for m in range(size)])
-        used += size
-    assert plc._seat(groups, n_instances, slots) == naive_seat(groups, n_instances, slots)
+    used = min(sum(sizes), capacity)
+    positions = random.sample(range(used), used)
+    groups = []
+    for size in sizes:
+        size = min(size, len(positions))
+        groups.append(positions[:size])
+        del positions[:size]
+    seats = naive_seat(groups, n_instances, slots)
+    assert plc._seat(groups, n_instances, slots) == [seats[i] for i in range(used)]
+
+
+def random_multigraph(seed: int, n_tasks: int = 8):
+    """Random DAG with parallel edges: up to three edges per ordered pair, from lower to higher ids."""
+    rng = wl.SplitMix64(seed)
+    edges = [(f"t{i}", f"t{j}", rng.next_u64() % 1000) for i in range(n_tasks) for j in range(i + 1, n_tasks)
+             for _ in range(rng.next_u64() % 4)]
+    return graph_of(tasks_named(*(f"t{i}" for i in range(n_tasks))), edges)
+
+
+def test_singleton_cost_closed_form_matches_evaluate():
+    cases = [random_multigraph(seed, n) for seed in range(40) for n in (1, 3, 8)]
+    cases += [wl.gen_cholesky_dag(5), wl.gen_shuffle_dag(4, 3, 7), two_triangles()]
+    assert any(len(set(zip(g.src, g.dst))) < g.edge_count for g in cases)  # parallel edges occur
+    for graph in cases:
+        singleton = plc.singleton_placement(graph)
+        cost = plc.evaluate({tid: (i, 0) for i, tid in enumerate(graph.ids)}, graph)
+        assert (singleton.cross_instance_bytes, singleton.remote_message_count) == cost
 
 
 def reference_greedy(problem):

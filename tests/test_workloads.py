@@ -163,6 +163,43 @@ def test_cholesky_task_count_closed_form():
     assert [wl.cholesky_edge_count(b) for b in range(1, 41)] == [graph.edge_count for graph in graphs]
 
 
+def reference_cholesky(blocks, block_dim):
+    """The Cholesky generator on string ids, mapped to positions at the end: the oracle for the positional one."""
+    tasks, edges = [], []
+    for k in range(blocks):
+        tasks.append((f"f{k}", 1.0, "factorize"))
+        for i in range(k + 1, blocks):
+            tasks.append((f"s{k}.{i}", 1.0, "triangular-solve"))
+            edges.append((f"f{k}", f"s{k}.{i}"))
+        for i in range(k + 1, blocks):
+            for j in range(i, blocks):
+                update = f"u{k}.{i}.{j}"
+                tasks.append((update, 1.0, "trailing-update"))
+                edges.append((f"s{k}.{i}", update))
+                if j != i:
+                    edges.append((f"s{k}.{j}", update))
+                if i == k + 1 and j == k + 1:
+                    edges.append((update, f"f{k + 1}"))
+                elif i == k + 1:
+                    edges.append((update, f"s{k + 1}.{j}"))
+                else:
+                    edges.append((update, f"u{k + 1}.{i}.{j}"))
+    ids = [tid for tid, _, _ in tasks]
+    position = {tid: i for i, tid in enumerate(ids)}
+    return wl.TaskGraph(ids, [d for _, d, _ in tasks], [0.125] * len(ids), [kind for _, _, kind in tasks],
+                        [position[a] for a, _ in edges], [position[b] for _, b in edges],
+                        [block_dim * block_dim * 8] * len(edges),
+                        {"generator": "cholesky", "blocks": blocks, "block_dim": block_dim})
+
+
+@pytest.mark.parametrize("block_dim", [1, 256])
+def test_cholesky_positions_match_string_id_reference(block_dim):
+    for blocks in range(1, 13):
+        graph, expected = wl.gen_cholesky_dag(blocks, block_dim), reference_cholesky(blocks, block_dim)
+        for name in wl.TaskGraph._FIELDS + ("levels", "metadata"):
+            assert getattr(graph, name) == getattr(expected, name), (blocks, name)
+
+
 def test_profile_widths_sum_to_task_count():
     for tiles in (2, 5, 7):
         graph = wl.gen_cholesky_dag(tiles)
@@ -191,6 +228,10 @@ def test_graph_validation():
         graph_of([("a", 1, 0), ("b", 1, 0)], [("a", "b", -1)])
     with pytest.raises(wl.GraphError, match="duplicate"):
         graph_of([("a", 1, 0), ("a", 1, 0)])
+    with pytest.raises(wl.GraphError, match="'a' has negative memory"):
+        graph_of([("a", 1, -0.5)])
+    with pytest.raises(wl.GraphError, match="'b' has negative memory"):  # the first bad task, by its first fault
+        graph_of([("a", 1, 0), ("b", 1, -1), ("c", float("nan"), 0), ("d", 0, 0)])
     for src, dst in ((0, 2), (-1, 0)):
         with pytest.raises(wl.GraphError, match="positions"):
             wl.TaskGraph(["a", "b"], [1, 1], [0, 0], ["task"] * 2, [src], [dst], [1])
