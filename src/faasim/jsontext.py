@@ -16,7 +16,9 @@ row dicts would, without building them. Each column's encoding is chosen
 once, over the whole column: a column of one type with fewer distinct
 values than half its length encodes each distinct value once (unless a
 float column holds both 0.0 and -0.0), any other takes one encoder call
-per chunk of rows. Each chunk of rows is one join of the key labels
+per chunk of rows. A `Rendered` column, numbers that carry their JSON
+texts, is written as its texts, so a caller that already made them pays
+nothing more. Each chunk of rows is one join of the key labels
 interleaved with the value texts, and `write` sends the text to a stream
 a piece at a time, so no string the size of the document is ever built.
 
@@ -62,6 +64,15 @@ class Table:
         return (dict(zip(keys, row)) for row in zip(*self.columns))
 
 
+class Rendered(tuple):
+    """A tuple of numbers that carries their JSON texts, `texts[i]` for `self[i]`, which `Table` writes."""
+
+    def __new__(cls, numbers, texts):
+        column = super().__new__(cls, numbers)
+        column.texts = texts
+        return column
+
+
 def _flat(items) -> bool:
     return set(map(type, items)) <= _SCALARS
 
@@ -100,7 +111,9 @@ def _table(table: Table, level: int, sort_keys: bool):
     encodable = len(table) and _str_keys(keys)
     if encodable and sort_keys:
         keys, columns = zip(*sorted(zip(keys, columns), key=itemgetter(0)))
-    encoders = list(map(_encoder, columns)) if encodable else [None]
+    # A column that carries its texts is written as them, `list` standing in for its encoder.
+    encoders = [list if type(column) is Rendered else _encoder(column) for column in columns] if encodable else [None]
+    columns = [column.texts if type(column) is Rendered else column for column in columns]
     if None in encoders:
         yield from _parts(list(table), level, sort_keys)
         return

@@ -93,8 +93,13 @@ def _score(instance: list[int], graph: TaskGraph) -> CommCost:
     src_inst = [instance[i] for i in graph.src]
     dst_inst = [instance[i] for i in graph.dst]
     cross_bytes = sum(compress(graph.edge_bytes, map(ne, src_inst, dst_inst)))
-    messages = {(a, b, levels[i]) for a, b, i in zip(src_inst, dst_inst, graph.src)}
-    return CommCost(cross_bytes, len(messages))
+    # A message (src instance, dst instance, src level) as one int, in mixed radix:
+    # instances offset from the least one, then the level.
+    low, depth = min(instance, default=0), max(levels, default=0) + 1
+    width = (max(instance, default=0) - low + 1) * depth
+    head = [(seat - low) * width + level for seat, level in zip(instance, levels)]
+    tail = [(seat - low) * depth for seat in instance]
+    return CommCost(cross_bytes, len({head[a] + tail[b] for a, b in zip(graph.src, graph.dst)}))
 
 
 def _seat(groups: list[list[int]], n_instances: int, slots: int) -> list[tuple[int, int]]:

@@ -23,8 +23,10 @@ Time is an exact integer clock: arrivals, durations, the cold-start
 components and the keep-alive are read as their decimal literals and
 scaled by one power of ten per run, so 0.1 + 0.2 s ends exactly at 0.3 s
 and cold-start latencies, busy and instance seconds are exact sums
-rounded once. Every other number (durations and memory to bill, spans,
-cost ratios) is read by `money.usd`.
+rounded once. A float's literal is its shortest repr: each arrival's repr
+text is made once, read by the clock with string passes and written by
+the report as the `arrival_s` column's JSON text. Every other number
+(durations and memory to bill, spans, cost ratios) is read by `money.usd`.
 
 A run is one pass over the trace columns in arrival order. A heap holds
 the running invocations only; each memory class keeps the ticks at which
@@ -45,14 +47,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter, deque
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
-from operator import itemgetter, mul
+from operator import itemgetter, sub
 from typing import TYPE_CHECKING
 
-from .jsontext import Table
+from .jsontext import Rendered, Table
 from .money import decimal_literal, usd, usd_json
 from .record import Record
 
@@ -189,23 +190,31 @@ def bill_invocation(duration_s, memory_gb, spec: ComputeServiceSpec) -> Fraction
 _OVER_LIMIT = "duration exceeds max run time"
 _BAD_MEMORY = "memory outside the configurable range"
 
-# Exact decimal arithmetic: no rounding at any precision or exponent.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
 
 def _ticks(*groups) -> tuple[int, list[list[int]]]:
     """(scale, groups of times as integer ticks) on one exact decimal clock.
 
-    Every time is read as its decimal literal and multiplied by `scale`,
-    the least power of ten that makes all of them whole, so sums and
-    comparisons of ticks are exact and 0.1 + 0.2 ticks equal 0.3.
+    A time is a float's repr text or a number, read as its decimal literal
+    and multiplied by `scale`, the least power of ten that makes all of them
+    whole, so sums and comparisons of ticks are exact and 0.1 + 0.2 ticks
+    equal 0.3. Exponent texts (repr's form below 1e-4 and from 1e16) and
+    numbers are read by `decimal_literal` and written in plain notation;
+    then every plain text ("-12.345") is padded with zeros to the scale's
+    digits, its point dropped, and read by `int`.
     """
-    literals = [list(map(decimal_literal, group)) for group in groups]
-    with localcontext(_EXACT):
-        # An exact sum carries the least exponent of its terms.
-        exponent = sum(chain.from_iterable(literals)).as_tuple().exponent
-        scale = 10 ** max(0, -exponent)
-        return scale, [list(map(int, map(mul, group, repeat(scale)))) for group in literals]
+    groups = [[*group] for group in groups]
+    for texts in groups:
+        if set(map(type, texts)) <= {str}:  # one pass over the joined texts finds if any is in exponent form
+            odd = [*compress(count(), map(str.__contains__, texts, repeat("e")))] if "e" in "".join(texts) else ()
+        else:
+            odd = range(len(texts))
+        for at in odd:
+            text = format(decimal_literal(texts[at]), "f")  # plain notation, exact
+            texts[at] = text if "." in text else text + "."
+    points = [[*map(str.find, texts, repeat("."))] for texts in groups]
+    digits = max((max(map(sub, map(len, texts), at), default=1) for texts, at in zip(groups, points)), default=1) - 1
+    padded = (map(str.ljust, texts, map((digits + 1).__add__, at), repeat("0")) for texts, at in zip(groups, points))
+    return 10**digits, [[*map(int, map(str.replace, texts, repeat("."), repeat("")))] for texts in padded]
 
 
 def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
@@ -217,8 +226,9 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     """
     spec, cold = platform.compute, platform.cold_start
     counts = Counter(zip(trace.durations, trace.memory))
+    texts = list(map(repr, trace.arrivals))  # read by the clock and written by the report
     scale, (arrivals, durations, fixed) = _ticks(
-        trace.arrivals, [duration for duration, _ in counts],
+        texts, [repr(duration) for duration, _ in counts],
         [cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s])
     t_schedule, t_env, t_app, keep_alive = fixed
 
@@ -289,13 +299,13 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     served = [True] * len(trace_bills)
     for seq in rejected:
         served[seq] = False
-    arrivals_s, durations_s, served_bills = ([*compress(column, served)] if rejected else column
-                                             for column in (trace.arrivals, trace.durations, trace_bills))
+    arrivals_s, texts, durations_s, served_bills = ([*compress(column, served)] if rejected else column
+                                                    for column in (trace.arrivals, texts, trace.durations, trace_bills))
     latency_col, cold_col = [0.0] * len(served_bills), [False] * len(served_bills)
     for positions, latency_s in ((prestarted, t_app / scale), (full, full_ticks / scale)):
         for at in (seq - bisect_left(rejected, seq) for seq in positions):  # served position
             latency_col[at], cold_col[at] = latency_s, True
-    invocations = (arrivals_s, latency_col, durations_s, cold_col,
+    invocations = (Rendered(arrivals_s, texts), latency_col, durations_s, cold_col,
                    [*map(itemgetter(0), served_bills)], [*map(itemgetter(1), served_bills)])
 
     return SimResult(

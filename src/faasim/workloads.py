@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter, le
 from pathlib import Path
 from typing import NamedTuple
@@ -420,13 +420,13 @@ class InvocationTrace(_Columns):
     def from_json(cls, doc: list) -> "InvocationTrace":
         if not isinstance(doc, list):
             raise GraphError("malformed trace document: the top level must be a list of entries")
-        try:
-            arrivals = list(map(float, map(itemgetter("arrival_s"), doc)))
-            durations = list(map(float, map(itemgetter("duration_s"), doc)))
-            memory = [float(e.get("memory_gb", 0.125)) for e in doc]
+        try:  # the constructor converts each column to float, in column order
+            return cls(map(itemgetter("arrival_s"), doc), map(itemgetter("duration_s"), doc),
+                       map(dict.get, doc, repeat("memory_gb"), repeat(0.125)))
+        except GraphError:
+            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed trace document: {exc}") from exc
-        return cls(arrivals, durations, memory)
 
 
 def load_trace(path: str | Path) -> InvocationTrace:

@@ -3,6 +3,7 @@
 import io
 import json
 from functools import partial
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,3 +137,33 @@ def test_zero_float_columns_skip_the_memo_only_with_both_zeros(column, memoized)
     assert isinstance(jsontext._encoder(column), partial) == memoized
     rows = [{"z": value} for value in column]
     assert jsontext.dumps(jsontext.Table(["z"], [column])) == json.dumps(rows, indent=2)
+
+
+def test_rendered_column_writes_its_texts():
+    """A column that carries its texts writes the bytes of its plain float column; all else sees the floats."""
+    numbers = [-0.0, 5e-05, 1e16, 0.1 + 0.2] + [(-1) ** i * i / 7 for i in range(3 * CHUNK + 5)]
+    texts = list(map(repr, numbers))
+    kept = [i % 3 != 1 for i in range(len(numbers))]  # as `simulate` drops rejected entries
+    for floats, column in ((numbers, jsontext.Rendered(numbers, texts)),
+                           ([*compress(numbers, kept)], jsontext.Rendered(compress(numbers, kept),
+                                                                          [*compress(texts, kept)]))):
+        assert len(column) > 2 * CHUNK and column == tuple(floats) and column.texts == list(map(repr, floats))
+        other = [i % 4 == 0 for i in range(len(floats))]
+        table, plain = jsontext.Table(["t", "cold"], [column, other]), jsontext.Table(["t", "cold"], [floats, other])
+        rows = [{"t": value, "cold": flag} for value, flag in zip(floats, other)]
+        assert list(table) == rows and [type(row["t"]) for row in table] == [float] * len(floats)
+        for sort_keys in (True, False):
+            expected = json.dumps({"rows": rows}, indent=2, sort_keys=sort_keys)
+            out = io.StringIO()
+            jsontext.write(out, {"rows": table}, sort_keys=sort_keys)
+            assert out.getvalue() == expected + "\n"
+            assert jsontext.dumps({"rows": plain}, sort_keys=sort_keys) == expected
+        assert json.dumps(table, default=list) == json.dumps(rows)  # the csv and table formats' cell
+
+
+def test_rendered_column_texts_are_written_as_given():
+    # The writer takes the texts, not the numbers: a text that differs from the repr shows through.
+    table = jsontext.Table(["t", "n"], [jsontext.Rendered([1.0, 2.5], ["1.00", "2.50"]), [1, 2]])
+    assert jsontext.dumps(table) == json.dumps([{"t": 1.0, "n": 1}, {"t": 2.5, "n": 2}], indent=2).replace(
+        "1.0,", "1.00,").replace("2.5,", "2.50,")
+    assert list(table) == [{"t": 1.0, "n": 1}, {"t": 2.5, "n": 2}]

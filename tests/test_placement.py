@@ -343,6 +343,26 @@ def test_singleton_cost_closed_form_matches_evaluate():
         assert (singleton.cross_instance_bytes, singleton.remote_message_count) == cost
 
 
+@given(st.integers(0, 2**32), st.integers(1, 9), st.lists(st.integers(-3, 3) | st.integers(-2**40, 2**40),
+                                                           min_size=9, max_size=9))
+def test_score_counts_messages_as_the_tuple_set(seed, n_tasks, instances):
+    graph, instance = random_multigraph(seed, n_tasks), instances[:n_tasks]
+    pairs = [(instance[a], instance[b], graph.levels[a], nbytes)
+             for a, b, nbytes in zip(graph.src, graph.dst, graph.edge_bytes)]
+    messages = {(a, b, level) for a, b, level, _ in pairs}
+    assert plc._score(instance, graph) == (sum(nbytes for a, b, _, nbytes in pairs if a != b), len(messages))
+
+
+def test_score_ignores_the_seat_of_an_unassigned_edgeless_task():
+    graph = graph_of(tasks_named("a", "b", "c", "lone"), [("a", "b", 5), ("b", "c", 7), ("a", "c", 1)])
+    for seats in ([0, 1, 1], [2, 0, 1], [0, 0, 0]):
+        assignment = {tid: (seat, i) for i, (tid, seat) in enumerate(zip("abc", seats))}
+        instance = [*seats, -1]  # `evaluate` gives the unassigned task -1
+        messages = {(instance[a], instance[b], graph.levels[a]) for a, b in zip(graph.src, graph.dst)}
+        assert plc.evaluate(assignment, graph).remote_message_count == len(messages)
+        assert plc._score(instance, graph) == plc._score([*seats, max(seats) + 5], graph)
+
+
 def reference_greedy(problem):
     """The greedy planner on string ids and dicts: the oracle for the integer-indexed one."""
     graph, slots = problem.graph, problem.slots_per_instance

@@ -2,8 +2,10 @@
 
 import json
 import math
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from faasim import catalog as cat
 from faasim import jsontext
 from faasim import simcore as sim
 from faasim import workloads as wl
-from faasim.money import usd, usd_json
+from faasim.money import decimal_literal, usd, usd_json
 from test_cli import run as run_cli
 
 
@@ -250,6 +252,38 @@ def test_busy_and_lifetime_are_exact(fn_spec):
     assert result.cold_starts == 1
 
 
+def reference_ticks(*groups):
+    """The all-Decimal clock: every time read by `decimal_literal`, the scale from their exact sum."""
+    literals = [list(map(decimal_literal, group)) for group in groups]
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        # An exact sum carries the least exponent of its terms.
+        exponent = sum(chain.from_iterable(literals)).as_tuple().exponent
+        scale = 10 ** max(0, -exponent)
+        return scale, [list(map(int, map(mul, group, repeat(scale)))) for group in literals]
+
+
+# Every finite double, with the zeros, subnormals and repr's exponent forms (below 1e-4, from 1e16) drawn often.
+finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e-300, 5e-05, 1e-4, 0.1,
+                                    9999999999999998.0, 1e16, -1.5e16, 1e300])
+                 | st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+                             st.floats(-10, 10, allow_nan=False), st.integers(-300, 300)))
+other_numbers = st.integers(-10**20, 10**20) | st.builds(
+    lambda digits, exponent: Decimal(f"{digits}E{exponent}"), st.integers(-10**12, 10**12), st.integers(-40, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(finite_floats, max_size=8), max_size=3),
+       st.lists(finite_floats | other_numbers, min_size=1, max_size=5))
+@example([[-0.0, 5e-05, 1e16]], [0, Decimal("0.10")])
+@example([[0.1, 0.2], [5e-324]], [600])
+@example([[1e16, 2e16]], [0])
+def test_ticks_match_the_decimal_reference(float_groups, numbers):
+    # `simulate` hands the clock repr texts of the arrivals and durations, and the platform's four numbers.
+    texts = [list(map(repr, group)) for group in float_groups]
+    assert sim._ticks(*texts, numbers) == reference_ticks(*float_groups, numbers)
+
+
 def test_bad_memory_rejected_without_aborting(fn_spec):
     entries = trace_of([(0.0, 1.0, 0.125), (1.0, 1.0, 4.0), (2.0, 1.0, -1.0), (3.0, 901.0, 64.0), (4.0, 1.0, 0.125)])
     result = sim.simulate(entries, platform(fn_spec))
@@ -483,6 +517,32 @@ def test_cli_cold_start_latency_is_exact_sum(tmp_path, t_app, prestarted, latenc
                              "--t-app", t_app, "--prestarted", prestarted)
     assert code == 0, err
     assert [r["start_latency_s"] for r in json.loads(out)["result"]["invocations"]] == latencies
+
+
+EDGE_ROWS = ('{"arrival_s": -0.0, "start_latency_s": 0.5, "duration_s": 1.0, "cold": true, "billed_units": 10, '
+             '"cost_usd": 2e-06}, {"arrival_s": 5e-05, "start_latency_s": 0.5, "duration_s": 0.5, "cold": true, '
+             '"billed_units": 5, "cost_usd": 1e-06}, {"arrival_s": 1e+16, "start_latency_s": 0.5, "duration_s": 0.25, '
+             '"cold": true, "billed_units": 3, "cost_usd": 1e-06}')
+EDGE_TOTALS = [("billed_units", "18"), ("cost_usd", "4e-06"), ("cold_starts", "3"), ("peak_concurrency", "2"),
+               ("instances_created", "3"), ("instance_seconds_running", "1803.25"), ("busy_seconds", "3.25"),
+               ("utilization", "0.0018023014002495495")]
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("csv", "key,value\ninvocations,\"[%s]\"\nrejected,[]\n" % EDGE_ROWS.replace('"', '""')
+     + "".join(f"{key},{value}\n" for key, value in EDGE_TOTALS)),
+    ("table", f"invocations               [{EDGE_ROWS}]\nrejected                  []\n"
+     + "".join(f"{key.ljust(24)}  {value}\n" for key, value in EDGE_TOTALS)),
+])
+def test_cli_rows_print_arrivals_in_every_notation(tmp_path, fmt, expected):
+    # repr writes -0.0 with its sign, 5e-05 and 1e+16 in exponent form; the clock reads the
+    # exponent texts as Decimals and the plain ones by string passes.
+    path = tmp_path / "trace.json"
+    path.write_text('[{"arrival_s": -0.0, "duration_s": 1}, {"arrival_s": 5e-05, "duration_s": 0.5}, '
+                    '{"arrival_s": 1e16, "duration_s": 0.25}]')
+    code, out, err = run_cli("simulate", "--trace", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf"])

@@ -425,6 +425,30 @@ def test_trace_validation():
         wl.InvocationTrace([0], [0], [0.1])
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([{"arrival_s": 5, "duration_s": 1}, {"arrival_s": 1, "duration_s": 1}], "^trace arrivals must be sorted"),
+    ([{"arrival_s": 0, "duration_s": 0}], "^trace durations must be positive"),
+    ([{"arrival_s": 0, "duration_s": 1, "memory_gb": float("nan")}], "^trace arrivals, durations and memory must"),
+    ([{"arrival_s": 0, "duration_s": "x"}], "^malformed trace document: could not convert"),
+    ([{"arrival_s": 0, "duration_s": 1, "memory_gb": None}], "^malformed trace document: float"),
+    ([{"arrival_s": 10**400, "duration_s": 1}], "^malformed trace document: int too large"),
+    ([{"duration_s": 1}], "^malformed trace document: 'arrival_s'"),
+    ([[0, 1]], "^malformed trace document: list indices"),
+])
+def test_trace_document_errors_keep_their_messages(doc, message):
+    # Entries are converted to float once, by the constructor: a validation error keeps its own
+    # message, and only a conversion error is reported as a malformed document.
+    with pytest.raises(wl.GraphError, match=message):
+        wl.InvocationTrace.from_json(doc)
+
+
+def test_trace_document_columns_are_floats():
+    trace = wl.InvocationTrace.from_json([{"arrival_s": 0, "duration_s": "1.5"}, {"arrival_s": True, "duration_s": 2,
+                                                                                  "memory_gb": 1}])
+    assert (trace.arrivals, trace.durations, trace.memory) == ((0.0, 1.0), (1.5, 2.0), (0.125, 1.0))
+    assert {type(value) for value in (*trace.arrivals, *trace.durations, *trace.memory)} == {float}
+
+
 @pytest.mark.parametrize("name", ["arrivals", "durations", "memory", "metadata", "entries"])
 def test_trace_columns_cannot_be_replaced(name):
     trace = wl.poisson_trace(5, 1.0, 0.5, seed=1)
