@@ -16,9 +16,9 @@ row dicts would, without building them. Each column's encoding is chosen
 once, over the whole column: a column of one type with fewer distinct
 values than half its length encodes each distinct value once (unless a
 float column holds both 0.0 and -0.0), any other takes one encoder call
-per chunk of rows. A `Rendered` column, numbers that carry their JSON
-texts, is written as its texts, so a caller that already made them pays
-nothing more. Each chunk of rows is one join of the key labels
+per chunk of rows. A `Coded` column writes its codes looked up in its
+values' texts, made once or given (so a caller that made them pays nothing
+more). Each chunk of rows is one join of the key labels
 interleaved with the value texts, and `write` sends the text to a stream
 a piece at a time, so no string the size of the document is ever built.
 
@@ -64,13 +64,24 @@ class Table:
         return (dict(zip(keys, row)) for row in zip(*self.columns))
 
 
-class Rendered(tuple):
-    """A tuple of numbers that carries their JSON texts, `texts[i]` for `self[i]`, which `Table` writes."""
+class Coded:
+    """A column as a table of values and one code per row (dictionary encoding): row i is `values[codes[i]]`,
+    or `values[i]` without codes. `texts[k]`, if given, is the JSON text `Table` writes for `values[k]`; else
+    it encodes the values once. A read-only sequence of the row values (`len`, indexing, iteration)."""
 
-    def __new__(cls, numbers, texts):
-        column = super().__new__(cls, numbers)
-        column.texts = texts
-        return column
+    __slots__ = ("values", "codes", "texts")
+
+    def __init__(self, values, codes=None, texts=None):
+        self.values, self.codes, self.texts = values, codes, texts
+
+    def __len__(self) -> int:
+        return len(self.values if self.codes is None else self.codes)
+
+    def __getitem__(self, i):
+        return self.values[i if self.codes is None else self.codes[i]]
+
+    def __iter__(self):
+        return iter(self.values) if self.codes is None else map(self.values.__getitem__, self.codes)
 
 
 def _flat(items) -> bool:
@@ -106,14 +117,24 @@ def _encoder(values):
     return lambda chunk: json.dumps(chunk)[1:-1].split(", ")
 
 
+def _source(column):
+    """(encoder, what it reads): the encoder makes a chunk's texts from a slice of what it reads, if it can."""
+    if type(column) is not Coded:
+        return _encoder(column), column
+    texts = column.texts
+    if texts is None and (encode := _encoder(column.values)):
+        texts = [*encode(column.values)]
+    if texts is None:
+        return None, column
+    return (list, texts) if column.codes is None else (partial(map, texts.__getitem__), column.codes)
+
+
 def _table(table: Table, level: int, sort_keys: bool):
     keys, columns = table.keys, table.columns
     encodable = len(table) and _str_keys(keys)
     if encodable and sort_keys:
         keys, columns = zip(*sorted(zip(keys, columns), key=itemgetter(0)))
-    # A column that carries its texts is written as them, `list` standing in for its encoder.
-    encoders = [list if type(column) is Rendered else _encoder(column) for column in columns] if encodable else [None]
-    columns = [column.texts if type(column) is Rendered else column for column in columns]
+    encoders, columns = zip(*map(_source, columns)) if encodable else ([None], None)
     if None in encoders:
         yield from _parts(list(table), level, sort_keys)
         return

@@ -36,24 +36,23 @@ applied lazily, oldest first, when its pool is next used, and the rest
 when the run ends. Events at equal timestamps thus take effect in a
 fixed order (completions, then retirements, then arrivals in trace
 order), so results are deterministic and serialize byte-identically.
-The pass records only the positions of cold starts and rejected entries;
-the result columns are then taken in bulk from the trace columns and each
-entry's bill. `SimResult` holds them as `jsontext.Table`s, the form the
-report writer renders, so no row object is built.
+The pass records only each served entry's start kind and where rejected
+entries fall. The invocation columns are `jsontext.Coded`: duration, units
+and cost by billing key and latency and the cold flag by start kind, so
+beside its arrival an entry holds two codes and no row object is built.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
-from operator import itemgetter, sub
+from operator import sub
 from typing import TYPE_CHECKING
 
-from .jsontext import Rendered, Table
+from .jsontext import Coded, Table
 from .money import decimal_literal, usd, usd_json
 from .record import Record
 
@@ -128,10 +127,12 @@ class SimResult(Record):
 
     def to_json_dict(self) -> dict:
         *columns, costs = self.invocations.columns
-        # Invocations of one billing key share one cost object: render each once.
-        rendered = {key: usd_json(cost) for key, cost in {id(cost): cost for cost in costs}.items()}
+        # Billing keys with equal (units, memory) share one cost object: render each once.
+        rendered = {key: None if cost is None else usd_json(cost)  # a rejected key's cost is None
+                    for key, cost in {id(cost): cost for cost in costs.values}.items()}
         return {
-            "invocations": Table(self.invocations.keys, [*columns, [*map(rendered.__getitem__, map(id, costs))]]),
+            "invocations": Table(self.invocations.keys,
+                                 [*columns, Coded([*map(rendered.__getitem__, map(id, costs.values))], costs.codes)]),
             "rejected": self.rejected,
             "billed_units": self.billed_units,
             "cost_usd": usd_json(self.cost_usd),
@@ -225,11 +226,12 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     memory range are reported in `rejected` rather than silently dropped.
     """
     spec, cold = platform.compute, platform.cold_start
-    counts = Counter(zip(trace.durations, trace.memory))
-    texts = list(map(repr, trace.arrivals))  # read by the clock and written by the report
+    counts = Counter(zip(trace.durations, trace.memory))  # entries per billing key, keys in order of first use
+    codes = [*map(dict(zip(counts, count())).__getitem__, zip(trace.durations, trace.memory))]  # each entry's key
+    texts = list(map(repr, trace.arrivals))  # each read by the clock and written by the report
+    duration_texts = [repr(duration) for duration, _ in counts]  # likewise, one per key
     scale, (arrivals, durations, fixed) = _ticks(
-        texts, [repr(duration) for duration, _ in counts],
-        [cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s])
+        texts, duration_texts, [cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s])
     t_schedule, t_env, t_app, keep_alive = fixed
 
     # Price each (duration, memory) key once; its cost is shared by every
@@ -238,38 +240,38 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     pools = {memory: deque() for memory in rates}  # idle-since ticks per memory class, oldest first
     costs: dict[tuple[int, float], Fraction] = {}
     tally: Counter = Counter()  # invocations per (units, memory)
-    bills = {}  # key -> (units, cost, duration ticks, idle pool), or the reason it is rejected
+    bills, key_units, key_costs = [], [], []  # by key: (duration ticks, idle pool) or why it is rejected; units; cost
     busy_total = 0  # ticks
     for (key, n), ticks in zip(counts.items(), durations):
         memory = key[1]
-        if _over_limit(ticks, scale, spec):
-            bills[key] = _OVER_LIMIT
-        elif rates[memory] is None:
-            bills[key] = _BAD_MEMORY
-        else:
+        reason = _OVER_LIMIT if _over_limit(ticks, scale, spec) else _BAD_MEMORY if rates[memory] is None else None
+        units = cost = None  # a rejected key's: no served entry has its code
+        if reason is None:
             units = _units(ticks, scale, spec)
             if (units, memory) not in costs:
                 costs[units, memory] = units * rates[memory] + spec.request_fee_usd
+            cost = costs[units, memory]
             tally[units, memory] += n
             busy_total += n * ticks
-            bills[key] = (units, costs[units, memory], ticks, pools[memory])
-    trace_bills = list(map(bills.__getitem__, zip(trace.durations, trace.memory)))
+        bills.append(reason or (ticks, pools[memory]))
+        key_units.append(units)
+        key_costs.append(cost)
 
     events: list[tuple[int, int, deque]] = []  # running invocations: (end tick, seq, idle pool)
-    # Trace positions of the entries that are not warm hits, in trace order.
-    rejected, prestarted, full = [], [], []
+    rejected = []  # trace positions
+    kinds = bytearray(len(codes))  # by served entry: 0 warm, 1 pre-started, 2 full cold start
     prestarted_left = platform.warm_pool_prestarted
     full_ticks = t_schedule + t_env + t_app  # a pre-started environment takes t_app only
     peak = lifetime = 0  # lifetime: ticks, the sum of retire minus creation times
 
-    for seq, now, bill in zip(count(), arrivals, trace_bills):
+    for seq, now, bill in zip(count(), arrivals, map(bills.__getitem__, codes)):
         while events and events[0][0] <= now:
             end, _, pool = heappop(events)
             pool.append(end)
         if isinstance(bill, str):
             rejected.append(seq)
             continue
-        _, _, occupied, pool = bill  # duration ticks, plus the start latency if cold
+        occupied, pool = bill  # duration ticks, plus the start latency if cold
         while pool and pool[0] + keep_alive <= now:
             lifetime += pool.popleft() + keep_alive
         if pool:
@@ -277,10 +279,10 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
         else:
             if prestarted_left > 0:
                 prestarted_left -= 1
-                prestarted.append(seq)
+                kinds[seq - len(rejected)] = 1  # its served position
                 occupied += t_app
             else:
-                full.append(seq)
+                kinds[seq - len(rejected)] = 2
                 occupied += full_ticks
             lifetime -= now
         heappush(events, (now + occupied, seq, pool))
@@ -290,30 +292,27 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     # Scale-to-zero: every running instance completes, then every idle one retires.
     idle = [end for end, _, _ in events] + list(chain.from_iterable(pools.values()))
     lifetime += sum(idle) + len(idle) * keep_alive
-    cold_starts = len(prestarted) + len(full)
-    busy_total += len(prestarted) * t_app + len(full) * full_ticks
+    del kinds[len(kinds) - len(rejected):]
+    prestarted, full = kinds.count(1), kinds.count(2)
+    cold_starts = prestarted + full
+    busy_total += prestarted * t_app + full * full_ticks
 
-    # The invocation columns: the served entries' trace values and bills, with
-    # the cold ones patched in at their served positions. Cold-start latencies
-    # are the exact tick sums, rounded once.
-    served = [True] * len(trace_bills)
+    # The invocation columns: the served entries' arrivals, and codes into tables
+    # by billing key (duration, units, cost) and by start kind (latency, cold).
+    # Cold-start latencies are the exact tick sums, rounded once.
+    served = [True] * len(codes)
     for seq in rejected:
         served[seq] = False
-    arrivals_s, texts, durations_s, served_bills = ([*compress(column, served)] if rejected else column
-                                                    for column in (trace.arrivals, texts, trace.durations, trace_bills))
-    latency_col, cold_col = [0.0] * len(served_bills), [False] * len(served_bills)
-    for positions, latency_s in ((prestarted, t_app / scale), (full, full_ticks / scale)):
-        for at in (seq - bisect_left(rejected, seq) for seq in positions):  # served position
-            latency_col[at], cold_col[at] = latency_s, True
-    invocations = (Rendered(arrivals_s, texts), latency_col, durations_s, cold_col,
-                   [*map(itemgetter(0), served_bills)], [*map(itemgetter(1), served_bills)])
-
+    arrivals_s, texts, served_codes = ([*compress(column, served)] if rejected else column
+                                       for column in (trace.arrivals, texts, codes))
     return SimResult(
-        invocations=Table(("arrival_s", "start_latency_s", "duration_s", "cold", "billed_units", "cost_usd"),
-                          invocations),
-        rejected=Table(("index", "arrival_s", "duration_s", "reason"),
-                       [rejected, *([*map(column.__getitem__, rejected)]
-                                    for column in (trace.arrivals, trace.durations, trace_bills))]),
+        invocations=Table(("arrival_s", "start_latency_s", "duration_s", "cold", "billed_units", "cost_usd"), (
+            Coded(arrivals_s, texts=texts), Coded((0.0, t_app / scale, full_ticks / scale), kinds),
+            Coded([duration for duration, _ in counts], served_codes, duration_texts),
+            Coded((False, True, True), kinds), Coded(key_units, served_codes), Coded(key_costs, served_codes))),
+        rejected=Table(("index", "arrival_s", "duration_s", "reason"), [rejected, *(
+            [*map(column.__getitem__, rejected)] for column in (trace.arrivals, trace.durations)),
+            [bills[codes[seq]] for seq in rejected]]),
         billed_units=sum(n * units for (units, _), n in tally.items()),
         cost_usd=sum((n * costs[key] for key, n in tally.items()), Fraction(0)),
         cold_starts=cold_starts,

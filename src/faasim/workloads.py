@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .commpatterns import CommScenario, Deployment
-from .jsontext import Table
+from .jsontext import Coded, Table
 from .record import Record
 
 # Above this many edges a shuffle graph is returned in implicit form; no
@@ -107,8 +107,8 @@ class TaskGraph(_Columns):
         ids = self.ids
         return {
             "tasks": Table(("id", "duration_s", "memory_gb", "kind"), (ids, self.durations, self.memory, self.kinds)),
-            "edges": Table(("src", "dst", "bytes"), ([*map(ids.__getitem__, self.src)],
-                                                     [*map(ids.__getitem__, self.dst)], self.edge_bytes)),
+            # Edge ends are coded by task position: each id is encoded once per column.
+            "edges": Table(("src", "dst", "bytes"), (Coded(ids, self.src), Coded(ids, self.dst), self.edge_bytes)),
             "metadata": self.metadata,
         }
 

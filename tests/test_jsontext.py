@@ -2,7 +2,9 @@
 
 import io
 import json
+import random
 from functools import partial
+from hashlib import sha256
 from itertools import compress
 
 import pytest
@@ -10,6 +12,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faasim import jsontext
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """`actual == expected`, failing at once on big documents: lengths and sha256 first, then the
+    first differing offset with a short window of each text, never a diff of the whole texts."""
+    def digest(text):
+        return sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+    if len(actual) == len(expected) and digest(actual) == digest(expected):
+        return
+    at = next((i for i, (a, b) in enumerate(zip(actual, expected)) if a != b), min(len(actual), len(expected)))
+    window = slice(max(at - 40, 0), at + 40)
+    pytest.fail(f"texts differ at offset {at} (lengths {len(actual)} and {len(expected)}): "
+                f"{actual[window]!r} != {expected[window]!r}", pytrace=False)
+
+
+def test_same_text_reports_the_first_difference_at_once():
+    big = "x" * 300_000
+    assert_same_text(big, "x" * 300_000)
+    for actual, expected, offset in ((big + "a", big + "b", 300_000), (big, big + "tail", 300_000),
+                                     ("é" + big, "e" + big, 0)):
+        with pytest.raises(pytest.fail.Exception, match=f"offset {offset} "):
+            assert_same_text(actual, expected)
+
 
 # Pieces that could be mistaken for the separators the writer rewrites.
 TRICKY = ["\n", '"', "\\", "é", "☃", "},\n    {", '": [', "],\n", ":\n[", "{", "]"]
@@ -90,7 +116,7 @@ def test_table_matches_stdlib_rows(keys_and_columns, sort_keys):
     for doc, plain in ((table, rows),
                        ({"t": table, "in": {"x": [table], "pair": (table, 1)}},
                         {"t": rows, "in": {"x": [rows], "pair": (rows, 1)}})):
-        assert jsontext.dumps(doc, sort_keys=sort_keys) == json.dumps(plain, indent=2, sort_keys=sort_keys)
+        assert_same_text(jsontext.dumps(doc, sort_keys=sort_keys), json.dumps(plain, indent=2, sort_keys=sort_keys))
 
 
 CHUNK = jsontext._CHUNK_ROWS
@@ -123,8 +149,8 @@ def test_table_in_pieces_matches_stdlib(count):
         expected = json.dumps(plain, indent=2, sort_keys=sort_keys)
         out = io.StringIO()
         jsontext.write(out, doc, sort_keys=sort_keys)
-        assert out.getvalue() == expected + "\n"
-        assert jsontext.dumps(doc, sort_keys=sort_keys) == expected
+        assert_same_text(out.getvalue(), expected + "\n")
+        assert_same_text(jsontext.dumps(doc, sort_keys=sort_keys), expected)
 
 
 @pytest.mark.parametrize("column,memoized", [
@@ -136,18 +162,19 @@ def test_zero_float_columns_skip_the_memo_only_with_both_zeros(column, memoized)
     # The memo is a dict lookup through `partial(map, ...)`; a float column's other encoder is not a partial.
     assert isinstance(jsontext._encoder(column), partial) == memoized
     rows = [{"z": value} for value in column]
-    assert jsontext.dumps(jsontext.Table(["z"], [column])) == json.dumps(rows, indent=2)
+    assert_same_text(jsontext.dumps(jsontext.Table(["z"], [column])), json.dumps(rows, indent=2))
 
 
 def test_rendered_column_writes_its_texts():
-    """A column that carries its texts writes the bytes of its plain float column; all else sees the floats."""
+    """An uncoded column that carries its texts writes the bytes of its plain float column; all else sees the floats."""
     numbers = [-0.0, 5e-05, 1e16, 0.1 + 0.2] + [(-1) ** i * i / 7 for i in range(3 * CHUNK + 5)]
     texts = list(map(repr, numbers))
     kept = [i % 3 != 1 for i in range(len(numbers))]  # as `simulate` drops rejected entries
-    for floats, column in ((numbers, jsontext.Rendered(numbers, texts)),
-                           ([*compress(numbers, kept)], jsontext.Rendered(compress(numbers, kept),
-                                                                          [*compress(texts, kept)]))):
-        assert len(column) > 2 * CHUNK and column == tuple(floats) and column.texts == list(map(repr, floats))
+    for floats, column in ((numbers, jsontext.Coded(numbers, texts=texts)),
+                           ([*compress(numbers, kept)], jsontext.Coded([*compress(numbers, kept)],
+                                                                       texts=[*compress(texts, kept)]))):
+        assert len(column) > 2 * CHUNK and tuple(column) == tuple(floats) and column.texts == list(map(repr, floats))
+        assert [column[i] for i in range(len(floats))] == floats
         other = [i % 4 == 0 for i in range(len(floats))]
         table, plain = jsontext.Table(["t", "cold"], [column, other]), jsontext.Table(["t", "cold"], [floats, other])
         rows = [{"t": value, "cold": flag} for value, flag in zip(floats, other)]
@@ -156,14 +183,55 @@ def test_rendered_column_writes_its_texts():
             expected = json.dumps({"rows": rows}, indent=2, sort_keys=sort_keys)
             out = io.StringIO()
             jsontext.write(out, {"rows": table}, sort_keys=sort_keys)
-            assert out.getvalue() == expected + "\n"
-            assert jsontext.dumps({"rows": plain}, sort_keys=sort_keys) == expected
-        assert json.dumps(table, default=list) == json.dumps(rows)  # the csv and table formats' cell
+            assert_same_text(out.getvalue(), expected + "\n")
+            assert_same_text(jsontext.dumps({"rows": plain}, sort_keys=sort_keys), expected)
+        assert_same_text(json.dumps(table, default=list), json.dumps(rows))  # the csv and table formats' cell
 
 
 def test_rendered_column_texts_are_written_as_given():
-    # The writer takes the texts, not the numbers: a text that differs from the repr shows through.
-    table = jsontext.Table(["t", "n"], [jsontext.Rendered([1.0, 2.5], ["1.00", "2.50"]), [1, 2]])
-    assert jsontext.dumps(table) == json.dumps([{"t": 1.0, "n": 1}, {"t": 2.5, "n": 2}], indent=2).replace(
-        "1.0,", "1.00,").replace("2.5,", "2.50,")
-    assert list(table) == [{"t": 1.0, "n": 1}, {"t": 2.5, "n": 2}]
+    # The writer takes the texts, not the numbers: a text that differs from the repr shows through,
+    # in an uncoded column and in a coded one (one text per value, whatever the rows).
+    expected = json.dumps([{"t": 1.0, "n": 1}, {"t": 2.5, "n": 2}], indent=2).replace("1.0,", "1.00,").replace(
+        "2.5,", "2.50,")
+    for column in (jsontext.Coded([1.0, 2.5], texts=["1.00", "2.50"]),
+                   jsontext.Coded([2.5, 7.0, 1.0], [2, 0], ["2.50", "7.00", "1.00"])):
+        table = jsontext.Table(["t", "n"], [column, [1, 2]])
+        assert jsontext.dumps(table) == expected
+        assert list(table) == [{"t": 1.0, "n": 1}, {"t": 2.5, "n": 2}]
+
+
+# Values that are equal but print differently (0.0 and -0.0; 1, 1.0 and True), one object read
+# twice (NaN), and strings that need escapes: each is its own entry of a value table.
+CODED_VALUES = [0.0, -0.0, 1, 1.0, True, False, 0, None, NAN, "", '"', "\\", "\n", "é☃", "},\n    {", "%s", ", "]
+KEYS = ["coded", "same codes", "plain", "uncoded"]
+ROW_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(CODED_VALUES) | scalars, min_size=1, max_size=6), st.sampled_from(ROW_COUNTS),
+       st.integers(0, 2**32), st.booleans(), st.permutations(KEYS), st.booleans())
+@example([0.0, -0.0, 1, 1.0, True], 3 * CHUNK + 1, 1, True, KEYS, False)
+@example([0.0, -0.0, 1, 1.0, True], CHUNK + 1, 2, False, KEYS[::-1], True)
+@example(['"', "\\", "\n", "é☃", "},\n    {"], CHUNK, 3, False, KEYS, True)
+@example([1, "1", None], CHUNK - 1, 4, True, KEYS, False)  # strings beside numbers: the writer renders the rows
+@example([NAN, 2.5], 0, 5, True, KEYS, True)
+def test_coded_column_matches_stdlib_rows(values, rows, seed, with_texts, keys, sort_keys):
+    """A coded column (value table, random codes) beside a second table on the same codes, a plain
+    column and an uncoded one, written as the stdlib writes the rows they hold."""
+    rng = random.Random(seed)
+    codes = [rng.randrange(len(values)) for _ in range(rows)]
+    numbers = [rng.choice([-0.0, 5e-05, 1e16, rng.random() * 1e3]) for _ in range(rows)]
+    decoded = {"coded": [values[code] for code in codes], "same codes": [values[::-1][code] for code in codes],
+               "plain": [rng.choice(values) for _ in range(rows)], "uncoded": numbers}
+    columns = {"coded": jsontext.Coded(values, codes, [*map(json.dumps, values)] if with_texts else None),
+               "same codes": jsontext.Coded(values[::-1], codes),  # texts made by the writer
+               "plain": decoded["plain"],
+               "uncoded": jsontext.Coded(numbers, texts=[*map(repr, numbers)] if with_texts else None)}
+    table = jsontext.Table(keys, [columns[key] for key in keys])
+    plain = [dict(zip(keys, row)) for row in zip(*(decoded[key] for key in keys))]
+    assert len(columns["coded"]) == rows and all(columns["coded"][i] is values[codes[i]] for i in range(rows))
+    assert list(table) == plain
+    assert_same_text(json.dumps(table, default=list), json.dumps(plain))
+    for doc, expected in ((table, plain),
+                          ({"t": table, "in": [{"deeper": table}]}, {"t": plain, "in": [{"deeper": plain}]})):
+        assert_same_text(jsontext.dumps(doc, sort_keys=sort_keys), json.dumps(expected, indent=2, sort_keys=sort_keys))

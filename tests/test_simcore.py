@@ -2,10 +2,12 @@
 
 import json
 import math
+import tempfile
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -471,6 +473,48 @@ def test_units_conserved_and_scale_to_zero(fn_spec, trace, params):
         if r["cold"]:  # application start alone when prestarted, else all three parts
             busy += literal(cold[2]) if r["start_latency_s"] == cold[2] else sum(map(literal, cold))
     assert result.instance_seconds_running >= float(busy + result.instances_created * literal(keep_alive))
+
+
+# Byte oracle: 2-4 memory classes, one outside the catalog's range; durations of
+# every repr length and over the 900 s limit; arrivals on shared tenths or anywhere.
+memory_classes = st.tuples(
+    st.lists(st.sampled_from((0.125, 0.25, 0.5, 1.0, 1.5, 3.0)), min_size=1, max_size=3, unique=True),
+    st.sampled_from((0.0625, 4.0, 10.0)),
+).map(lambda classes: classes[0] + [classes[1]])
+report_traces = memory_classes.flatmap(lambda classes: st.lists(
+    st.tuples(
+        tenths | st.floats(min_value=0, max_value=60),
+        st.sampled_from((0.1, 0.25, 1.35, 900.1, 1000.0)) | st.floats(min_value=1e-3, max_value=20),
+        st.sampled_from(classes),
+    ),
+    min_size=1, max_size=25,
+).map(lambda rows: sorted(rows, key=lambda row: row[0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_traces, st.integers(min_value=0, max_value=3), st.sampled_from((0.0, 0.3, 600.0)),
+       st.sampled_from(((0.5, 0.0, 0.0), (0.1, 0.2, 0.3))))
+@example([(0.0, 0.25, 0.125), (0.0, 1000.0, 0.125), (0.1, 0.25, 4.0), (0.1, 0.5, 0.25), (0.2, 0.25, 0.125),
+          (0.4, 900.1, 0.25), (0.5, 0.25, 0.125)], 2, 0.0, (0.1, 0.2, 0.3))
+def test_report_rows_are_the_stdlib_text_of_the_reference_rows(fn_spec, rows, prestarted, keep_alive, cold):
+    """The JSON report of `faasim simulate` is the stdlib's text of `to_json_dict()` with each
+    record list as its rows, and those rows are the naive reference simulator's."""
+    trace = trace_of(rows)
+    config = platform(fn_spec, cold=cold, keep_alive=keep_alive, prestarted=prestarted)
+    doc = sim.simulate(trace, config).to_json_dict()
+    doc = doc | {"invocations": [*doc["invocations"]], "rejected": [*doc["rejected"]]}
+    expected, _ = reference_simulate(trace.entries, config)
+    assert doc["invocations"] == [row | {"cost_usd": usd_json(row["cost_usd"])} for row in expected["invocations"]]
+    assert doc["rejected"] == expected["rejected"]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "trace.json"
+        path.write_text(json.dumps([{"arrival_s": a, "duration_s": d, "memory_gb": m} for a, d, m in rows]))
+        code, out, err = run_cli("simulate", "--trace", str(path), "--prestarted", str(prestarted),
+                                 "--keep-alive", str(keep_alive), "--t-schedule", str(cold[0]),
+                                 "--t-env", str(cold[1]), "--t-app", str(cold[2]))
+    assert (code, err) == (0, "")
+    report = {"manifest": json.loads(out)["manifest"], "result": doc}
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # --- command line: non-finite input --------------------------------------------
