@@ -347,10 +347,6 @@ def default_catalog_path() -> Path:
     return Path(resources.files("faasim") / "data" / "default_catalog.json")
 
 
-def load_default_catalog() -> ServiceCatalog:
-    return load_catalog(default_catalog_path())
-
-
 # ---------------------------------------------------------------------------
 # Unit-cost arithmetic. All operations are linear in their quantity
 # arguments and return exact dollars.

@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, jsontext
-from .money import usd, usd_json, usd_str
+from .money import report_float, usd, usd_json, usd_str
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
 
@@ -42,8 +42,6 @@ BUNDLED_CATALOG = "bundled:default_catalog.json"
 
 
 def _render_table(rows: list[tuple[str, str]], out) -> None:
-    if not rows:
-        return
     width = max(len(key) for key, _ in rows)
     for key, value in rows:
         out.write(f"{key.ljust(width)}  {value}\n")
@@ -373,11 +371,11 @@ def _cmd_place(args, out) -> int:
 def _cmd_breakeven(args, out) -> int:
     from . import simcore as sim
     ratio = sim.FALLACY_COST_RATIO if args.ratio is None else args.ratio
-    duty = sim.breakeven_duty_cycle(ratio)
+    duty = report_float(sim.breakeven_duty_cycle(ratio), "breakeven_duty_cycle")
     result = {
         "per_minute_cost_ratio": ratio,
-        "breakeven_duty_cycle": round(float(duty), 6),
-        "breakeven_percent": f"{float(duty) * 100:.2f}%",
+        "breakeven_duty_cycle": round(duty, 6),
+        "breakeven_percent": f"{report_float(duty * 100, 'breakeven_percent'):.2f}%",
     }
     Report("breakeven", {"ratio": ratio}, result).emit(args.format, out)
     return EXIT_OK

@@ -7,9 +7,16 @@ scalars and a dict of such lists are each encoded in one call with ","
 plus a newline and the member indent as the item separator, and the
 brackets are then fixed up. That is exact because the encoder escapes
 every newline inside a string, so each raw newline in its output is a
-separator. Other dicts and lists are rendered member by member; any other
-subtree (tuples, non-`str` keys, other types) is rendered by
-`json.dumps(indent=2)` and re-indented.
+separator. Other dicts and lists are rendered member by member.
+
+The input contract: a document is a scalar (`str`, `int`, `float`, `bool`
+or None), a `Table`, a dict with `str` keys, or a list, nested freely. A
+`Table` has `str` keys, and each column holds only strings or only other
+scalars; a `Coded` column that carries its texts is written as given.
+Anything else (a tuple, a key that is not a `str`, any other type such as
+`Fraction`, a non-scalar column or one that mixes `str` with other types)
+raises `TypeError`. Each kind of value has one path, and every report is
+built of these kinds, so such an input is a bug.
 
 A `Table`, a list of flat records held as columns, renders as its list of
 row dicts would, without building them. Each column's encoding is chosen
@@ -92,19 +99,13 @@ def _str_keys(keys) -> bool:
     return set(map(type, keys)) <= {str}
 
 
-def _rows(obj):
-    """`default` for the standard encoder: a Table is its list of rows."""
-    if type(obj) is Table:
-        return list(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _encoder(values):
-    """The encoder of any slice of `values`, chosen over the whole column; None unless all are
+    """The encoder of any slice of `values`, chosen over the whole column; TypeError unless all are
     strings or all are other scalars."""
     kinds = set(map(type, values))
     if not kinds <= _SCALARS or str in kinds and len(kinds) > 1:
-        return None
+        names = ", ".join(sorted(kind.__name__ for kind in kinds))
+        raise TypeError(f"a Table column must hold only str or only other scalars, not {names}")
     if len(kinds) == 1:
         distinct = set(values)
         # 0.0 == -0.0, so the memo would print one zero's text for both.
@@ -118,26 +119,25 @@ def _encoder(values):
 
 
 def _source(column):
-    """(encoder, what it reads): the encoder makes a chunk's texts from a slice of what it reads, if it can."""
+    """(encoder, what it reads): the encoder makes a chunk's texts from a slice of what it reads."""
     if type(column) is not Coded:
         return _encoder(column), column
     texts = column.texts
-    if texts is None and (encode := _encoder(column.values)):
-        texts = [*encode(column.values)]
     if texts is None:
-        return None, column
+        texts = [*_encoder(column.values)(column.values)]
     return (list, texts) if column.codes is None else (partial(map, texts.__getitem__), column.codes)
 
 
 def _table(table: Table, level: int, sort_keys: bool):
     keys, columns = table.keys, table.columns
-    encodable = len(table) and _str_keys(keys)
-    if encodable and sort_keys:
-        keys, columns = zip(*sorted(zip(keys, columns), key=itemgetter(0)))
-    encoders, columns = zip(*map(_source, columns)) if encodable else ([None], None)
-    if None in encoders:
-        yield from _parts(list(table), level, sort_keys)
+    if not _str_keys(keys):
+        raise TypeError("Table keys must be str")
+    if not len(table):
+        yield "[]"
         return
+    if sort_keys:
+        keys, columns = zip(*sorted(zip(keys, columns), key=itemgetter(0)))
+    encoders, columns = zip(*map(_source, columns))
     outer = "\n" + _INDENT * level
     inner = outer + _INDENT
     deeper = inner + _INDENT
@@ -157,49 +157,36 @@ def _table(table: Table, level: int, sort_keys: bool):
     yield inner + "}" + outer + "]"
 
 
-def _encode(obj, level: int, sort_keys: bool) -> str | None:
-    """The text of `obj` from one encoder call; None where `_parts` splits it."""
-    kind = type(obj)
-    if kind in _SCALARS:
-        return json.dumps(obj)
-    if kind is Table:
-        return None
-    outer = "\n" + _INDENT * level
-    inner = outer + _INDENT
-    if kind is dict and _str_keys(obj):
-        if not obj:
-            return "{}"
-        values = obj.values()
-        if _flat(values):
-            text = json.dumps(obj, separators=("," + inner, ": "), sort_keys=sort_keys)
-            return "{" + inner + text[1:-1] + outer + "}"
-        if set(map(type, values)) == {list} and all(values) and _flat(chain.from_iterable(values)):
-            # A newline in the key separator marks where each list opens;
-            # "],<newline>" can only end a list that is not the last one.
-            deeper = inner + _INDENT
-            text = json.dumps(obj, separators=("," + deeper, ":\n"), sort_keys=sort_keys)
-            body = text[1:-2].replace("]," + deeper, inner + "]," + inner).replace(":\n[", ": [" + deeper)
-            return "{" + inner + body + inner + "]" + outer + "}"
-        return None
-    if kind is list:
-        if not obj:
-            return "[]"
-        if _flat(obj):
-            text = json.dumps(obj, separators=("," + inner, ": "), sort_keys=sort_keys)
-            return "[" + inner + text[1:-1] + outer + "]"
-        return None
-    return json.dumps(obj, indent=2, sort_keys=sort_keys, default=_rows).replace("\n", outer)
-
-
 def _parts(obj, level: int, sort_keys: bool):
     """The text of `obj` in pieces; a Table's rows come a chunk at a time."""
-    text = _encode(obj, level, sort_keys)
-    inner, outer = "\n" + _INDENT * (level + 1), "\n" + _INDENT * level
-    if text is not None:
-        yield text
-    elif type(obj) is Table:
+    kind = type(obj)
+    if kind in _SCALARS:
+        yield json.dumps(obj)
+        return
+    if kind is Table:
         yield from _table(obj, level, sort_keys)
-    elif type(obj) is dict:
+        return
+    if kind is dict and not _str_keys(obj):
+        raise TypeError("JSON object keys must be str")
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        yield "{}" if kind is dict else "[]"
+        return
+    outer = "\n" + _INDENT * level
+    inner = outer + _INDENT
+    members = obj.values() if kind is dict else obj
+    if _flat(members):
+        text = json.dumps(obj, separators=("," + inner, ": "), sort_keys=sort_keys)
+        yield text[0] + inner + text[1:-1] + outer + text[-1]
+    elif kind is dict and set(map(type, members)) == {list} and all(members) and _flat(chain.from_iterable(members)):
+        # A newline in the key separator marks where each list opens;
+        # "],<newline>" can only end a list that is not the last one.
+        deeper = inner + _INDENT
+        text = json.dumps(obj, separators=("," + deeper, ":\n"), sort_keys=sort_keys)
+        body = text[1:-2].replace("]," + deeper, inner + "]," + inner).replace(":\n[", ": [" + deeper)
+        yield "{" + inner + body + inner + "]" + outer + "}"
+    elif kind is dict:
         head = "{" + inner
         for key, value in sorted(obj.items()) if sort_keys else obj.items():
             yield head + json.dumps(key) + ": "

@@ -66,14 +66,25 @@ def usd_decimal(amount: Fraction, places: int = 6) -> Decimal:
     return Decimal((amount < 0, tuple(map(int, str(digits))), -places))
 
 
-def usd_json(amount: Fraction, places: int = 6) -> float:
-    """Dollar amount as a JSON number at report precision; ValueError if
+def usd_json(amount: Fraction) -> float:
+    """Dollar amount as a JSON number at six decimal places; ValueError if
     it is too large for a double."""
-    rounded = usd_decimal(amount, places)
+    rounded = usd_decimal(amount, 6)
     value = float(rounded)
     if not math.isfinite(value):
         raise ValueError(f"dollar amount {rounded:.3e} is too large to report")
     return value
+
+
+def report_float(value: Fraction | float, what: str) -> float:
+    """An exact quantity as a JSON number; ValueError naming `what` if it is too large for a double."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if math.isinf(number):
+        raise ValueError(f"{what} is too large to report")
+    return number
 
 
 def usd_str(amount: Fraction, places: int | None = 2) -> str:

@@ -75,16 +75,12 @@ class Placement(Record):
 def evaluate(assignment: dict[str, tuple[int, int]], graph: TaskGraph) -> CommCost:
     """Communication cost of an assignment over a graph.
 
-    Raises PlacementError if an edge references an unassigned task.
+    Raises PlacementError if a task is not assigned.
     """
     seats = list(map(assignment.get, graph.ids))
     if None in seats:
-        for ends in zip(graph.src, graph.dst):
-            for end in ends:
-                if seats[end] is None:
-                    raise PlacementError(f"task {graph.ids[end]!r} is not assigned")
-    # A task without edges may be left unassigned; its -1 is never read.
-    return _score([seat[0] if seat is not None else -1 for seat in seats], graph)
+        raise PlacementError(f"task {graph.ids[seats.index(None)]!r} is not assigned")
+    return _score([seat[0] for seat in seats], graph)
 
 
 def _score(instance: list[int], graph: TaskGraph) -> CommCost:
@@ -253,9 +249,8 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
     return Placement(assignment, best_cost.cross_instance_bytes, best_cost.remote_message_count)
 
 
-def singleton_placement(graph: TaskGraph) -> Placement:
-    """Every task on its own instance: the no-co-location baseline. Every edge crosses (a DAG has
-    no self-loop), and each distinct (src, dst) pair is one message (a task fixes its level)."""
-    assignment = {tid: (i, 0) for i, tid in enumerate(sorted(graph.ids))}
+def singleton_placement(graph: TaskGraph) -> CommCost:
+    """The cost of every task on its own instance: the no-co-location baseline. Every edge crosses (a
+    DAG has no self-loop), and each distinct (src, dst) pair is one message (a task fixes its level)."""
     pairs = set(map(add, map(mul, graph.src, repeat(graph.task_count)), graph.dst))  # (src, dst) as one int
-    return Placement(assignment, graph.total_edge_bytes, len(pairs))
+    return CommCost(graph.total_edge_bytes, len(pairs))

@@ -50,9 +50,7 @@ def _within(actual: Fraction, expected: Fraction, rel: Fraction) -> bool:
     return abs(actual - expected) <= rel * abs(expected)
 
 
-def run_all(catalog: cat.ServiceCatalog | None = None) -> list[CheckResult]:
-    if catalog is None:
-        catalog = cat.load_default_catalog()
+def run_all(catalog: cat.ServiceCatalog) -> list[CheckResult]:
     checks: list[CheckResult] = []
     obj = catalog.storage_service("object")
     blk = catalog.storage_service("block")

@@ -53,7 +53,7 @@ from operator import sub
 from typing import TYPE_CHECKING
 
 from .jsontext import Coded, Table
-from .money import decimal_literal, usd, usd_json
+from .money import decimal_literal, report_float, usd, usd_json
 from .record import Record
 
 if TYPE_CHECKING:
@@ -307,7 +307,8 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
                                        for column in (trace.arrivals, texts, codes))
     return SimResult(
         invocations=Table(("arrival_s", "start_latency_s", "duration_s", "cold", "billed_units", "cost_usd"), (
-            Coded(arrivals_s, texts=texts), Coded((0.0, t_app / scale, full_ticks / scale), kinds),
+            Coded(arrivals_s, texts=texts),
+            Coded((0.0, t_app / scale, report_float(Fraction(full_ticks, scale), "start_latency_s")), kinds),
             Coded([duration for duration, _ in counts], served_codes, duration_texts),
             Coded((False, True, True), kinds), Coded(key_units, served_codes), Coded(key_costs, served_codes))),
         rejected=Table(("index", "arrival_s", "duration_s", "reason"), [rejected, *(
@@ -318,8 +319,8 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
         cold_starts=cold_starts,
         peak_concurrency=peak,
         instances_created=cold_starts,
-        instance_seconds_running=lifetime / scale,
-        busy_seconds=busy_total / scale,
+        instance_seconds_running=report_float(Fraction(lifetime, scale), "instance_seconds_running"),
+        busy_seconds=busy_total / scale,  # at most the instance seconds
     )
 
 
@@ -344,15 +345,15 @@ def duty_cycle_costs(
     span_s: float,
     serverless_spec: ComputeServiceSpec,
     serverful_spec: ComputeServiceSpec,
-    slot_s: float = 60.0,
 ) -> tuple[Fraction, Fraction]:
     """(serverless, serverful) cost of a span busy for the given fraction.
 
-    Busy time is spread over the span as evenly spaced `slot_s`-long
-    invocations, then both billing paths are applied.
+    Busy time is spread over the span as evenly spaced 60 s invocations,
+    then both billing paths are applied.
     """
     if not 0 <= busy_fraction <= 1:
         raise ValueError("busy fraction must be in [0, 1]")
+    slot_s = 60.0
     slots = round(busy_fraction * span_s / slot_s)
     interval = span_s / max(slots, 1)
     from .workloads import fixed_interval_trace

@@ -43,10 +43,8 @@ class UnitError(ValueError):
     pass
 
 
-def parse_bytes(text: str | int, binary: bool = False) -> int:
-    """Parse '100TB', '3 GB', '512MiB' or a bare count into bytes."""
-    if isinstance(text, int):
-        return text
+def parse_bytes(text: str, binary: bool = False) -> int:
+    """Parse '100TB', '3 GB', '512MiB' or a bare count such as '1000' into bytes."""
     match = _QUANTITY_RE.match(text)
     if not match:
         raise UnitError(f"cannot parse byte quantity {text!r}")

@@ -30,6 +30,9 @@ MATERIALIZE_EDGE_LIMIT = 10**7
 
 BYTES_PER_ELEMENT = 8  # dense double precision
 
+# Every generated graph task runs this long with this much memory.
+TASK_DURATION_S, TASK_MEMORY_GB = 1.0, 0.125
+
 
 class GraphError(ValueError):
     pass
@@ -217,13 +220,7 @@ class ShuffleDagSpec(Record):
         return self.edge_count * self.bytes_per_transfer
 
 
-def gen_shuffle_dag(
-    mappers: int,
-    reducers: int,
-    bytes_per_transfer: int,
-    duration_s: float = 1.0,
-    memory_gb: float = 0.125,
-) -> TaskGraph | ShuffleDagSpec:
+def gen_shuffle_dag(mappers: int, reducers: int, bytes_per_transfer: int) -> TaskGraph | ShuffleDagSpec:
     """Bipartite M-mapper, R-reducer shuffle graph with M*R edges.
 
     Graphs beyond MATERIALIZE_EDGE_LIMIT edges come back in implicit
@@ -240,20 +237,13 @@ def gen_shuffle_dag(
     width = max(len(str(m - 1)), len(str(r - 1)))
     ids = [f"m{i:0{width}d}" for i in range(m)] + [f"r{j:0{width}d}" for j in range(r)]
     return TaskGraph(
-        ids, [duration_s] * (m + r), [memory_gb] * (m + r), ["map"] * m + ["reduce"] * r,
+        ids, [TASK_DURATION_S] * (m + r), [TASK_MEMORY_GB] * (m + r), ["map"] * m + ["reduce"] * r,
         [i for i in range(m) for _ in range(r)], list(range(m, m + r)) * m, [nbytes] * (m * r),
         {"generator": "shuffle", "mappers": m, "reducers": r, "bytes_per_transfer": nbytes},
     )
 
 
-def gen_cholesky_dag(
-    blocks: int,
-    block_dim: int = 256,
-    factorize_s: float = 1.0,
-    solve_s: float = 1.0,
-    update_s: float = 1.0,
-    memory_gb: float = 0.125,
-) -> TaskGraph:
+def gen_cholesky_dag(blocks: int, block_dim: int = 256) -> TaskGraph:
     """Blocked right-looking Cholesky DAG on a blocks x blocks tile grid.
 
     Step k factorizes diagonal tile k (task f<k>), solves the m = blocks-k-1
@@ -270,7 +260,7 @@ def gen_cholesky_dag(
     check_budget(cholesky_task_count(blocks), "Cholesky tasks")
     check_budget(cholesky_edge_count(blocks), "Cholesky edges")
     tile_bytes = block_dim * block_dim * BYTES_PER_ELEMENT
-    ids, durations, kinds, src, dst = [], [], [], [], []
+    ids, kinds, src, dst = [], [], [], []
     at = list(range(cholesky_task_count(blocks)))  # slices of one list share their int objects
     first = 0  # position of f<k>
     for k in range(blocks):
@@ -278,7 +268,6 @@ def gen_cholesky_dag(
         updates = m * (m + 1) // 2
         ids += [f"f{k}", *(f"s{k}.{i}" for i in range(k + 1, blocks)),
                 *(f"u{k}.{i}.{j}" for i in range(k + 1, blocks) for j in range(i, blocks))]
-        durations += [factorize_s] + [solve_s] * m + [update_s] * updates
         kinds += ["factorize"] + ["triangular-solve"] * m + ["trailing-update"] * updates
         solves, update = first + 1, first + 1 + m
         src += [at[first]] * m
@@ -296,7 +285,7 @@ def gen_cholesky_dag(
             update += row
         first += 1 + m + updates
     return TaskGraph(
-        ids, durations, [memory_gb] * len(ids), kinds, src, dst, [tile_bytes] * len(src),
+        ids, [TASK_DURATION_S] * len(ids), [TASK_MEMORY_GB] * len(ids), kinds, src, dst, [tile_bytes] * len(src),
         {"generator": "cholesky", "blocks": blocks, "block_dim": block_dim},
     )
 
@@ -337,29 +326,19 @@ def cholesky_edge_count(blocks: int) -> int:
     return (n - 1) * n * (n + 1) // 2
 
 
-def gen_paramserver(
-    workers: int,
-    rounds: int,
-    gradient_bytes: int,
-    deployment: Deployment | None = None,
-) -> list[CommScenario]:
+def gen_paramserver(workers: int, rounds: int, gradient_bytes: int) -> list[CommScenario]:
     """Training rounds as alternating aggregation/broadcast scenarios.
 
     Each round aggregates gradients from all workers into the parameter
-    server, then broadcasts the updated model back out. By default every
-    worker is its own single-core function; pass a grouped `deployment`
-    (with n_instances * functions_per_instance == workers) to model
-    co-located workers that combine traffic.
+    server, then broadcasts the updated model back out. Every worker is its
+    own single-core function.
     """
     if workers < 1 or rounds < 1:
         raise GraphError("need at least one worker and one round")
     if gradient_bytes < 0:
         raise GraphError("gradient size must be non-negative")
     check_budget(2 * rounds, "parameter-server scenarios")
-    if deployment is None:
-        deployment = Deployment(n_instances=workers, functions_per_instance=1, granularity="function-grained")
-    elif deployment.n_instances * deployment.functions_per_instance != workers:
-        raise GraphError("deployment capacity must equal the worker count")
+    deployment = Deployment(n_instances=workers, functions_per_instance=1, granularity="function-grained")
     # Every round is the same two immutable scenarios.
     return [CommScenario("aggregation", deployment, gradient_bytes),
             CommScenario("broadcast", deployment, gradient_bytes)] * rounds
@@ -469,19 +448,14 @@ class SplitMix64:
         return draws
 
 
-def fixed_interval_trace(
-    count: int,
-    interval_s: float,
-    duration_s: float,
-    memory_gb: float = 0.125,
-    start_s: float = 0.0,
-) -> InvocationTrace:
-    """Evenly spaced arrivals."""
+def fixed_interval_trace(count: int, interval_s: float, duration_s: float, memory_gb: float = 0.125) -> InvocationTrace:
+    """Evenly spaced arrivals from time 0."""
     if count < 0:
         raise GraphError("count must be non-negative")
     check_budget(count, "trace entries")
+    # Adding to 0.0 writes a zero arrival as 0.0, never -0.0.
     return InvocationTrace(
-        [start_s + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
+        [0.0 + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
         metadata={"generator": "fixed-interval", "count": count, "interval_s": interval_s,
                   "duration_s": duration_s, "memory_gb": memory_gb},
     )

@@ -5,4 +5,4 @@ from faasim import catalog as cat
 
 @pytest.fixture(scope="session")
 def default_catalog() -> cat.ServiceCatalog:
-    return cat.load_default_catalog()
+    return cat.load_catalog(cat.default_catalog_path())

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -191,6 +192,19 @@ def test_repro_passes():
     assert doc["result"]["external"] == 5
     external = [c for c in doc["result"]["checks"] if c["status"] == "external"]
     assert all(c["actual"] == "not checked" for c in external)
+
+
+def test_readme_cli_block_runs_in_order(tmp_path, monkeypatch):
+    """Each line of README's CLI block, in order and in one directory, exits 0."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]  # without "faasim"
+    assert len(commands) > 10
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FAASIM_CATALOG", raising=False)
+    for argv in commands:
+        code, _, err = run(*argv)
+        assert code == 0, (argv, err)
 
 
 # --- formats, manifests, exit codes ---------------------------------------------
@@ -456,6 +470,25 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, contents, argv):
         data = contents if isinstance(contents, bytes) else contents.encode("utf-8")
         (tmp_path / "input.json").write_bytes(data)
     assert_one_error_line(*run(*argv))
+
+
+# Two entries that start cold at once, so that their instances' seconds add up.
+TWO_COLD_STARTS = '[{"arrival_s": 0, "duration_s": 1}, {"arrival_s": 0, "duration_s": 1}]'
+
+
+@pytest.mark.parametrize("argv,quantity", [
+    (SIMULATE + ("--keep-alive", "1e308"), "instance_seconds_running"),
+    (SIMULATE + ("--t-schedule", "1e308"), "instance_seconds_running"),
+    (SIMULATE + ("--t-schedule", "1e308", "--t-env", "1e308"), "start_latency_s"),
+    (("breakeven", "--ratio", "1e-320"), "breakeven_duty_cycle"),
+    (("breakeven", "--ratio", "5e-307"), "breakeven_percent"),
+], ids=["keep-alive", "t-schedule", "start-latency", "breakeven-ratio", "breakeven-percent"])
+def test_quantity_beyond_a_double_is_one_error_line(tmp_path, monkeypatch, argv, quantity):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.json").write_text(TWO_COLD_STARTS, encoding="utf-8")
+    code, out, err = run(*argv)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {quantity} is too large to report\n"
 
 
 # --- any JSON document: the documented result or one `error:` line ------------

@@ -353,14 +353,21 @@ def test_score_counts_messages_as_the_tuple_set(seed, n_tasks, instances):
     assert plc._score(instance, graph) == (sum(nbytes for a, b, _, nbytes in pairs if a != b), len(messages))
 
 
-def test_score_ignores_the_seat_of_an_unassigned_edgeless_task():
+def test_score_ignores_the_seat_of_an_edgeless_task():
     graph = graph_of(tasks_named("a", "b", "c", "lone"), [("a", "b", 5), ("b", "c", 7), ("a", "c", 1)])
     for seats in ([0, 1, 1], [2, 0, 1], [0, 0, 0]):
-        assignment = {tid: (seat, i) for i, (tid, seat) in enumerate(zip("abc", seats))}
-        instance = [*seats, -1]  # `evaluate` gives the unassigned task -1
-        messages = {(instance[a], instance[b], graph.levels[a]) for a, b in zip(graph.src, graph.dst)}
-        assert plc.evaluate(assignment, graph).remote_message_count == len(messages)
-        assert plc._score(instance, graph) == plc._score([*seats, max(seats) + 5], graph)
+        for lone in (-1, 0, max(seats) + 5):
+            instance = [*seats, lone]
+            assignment = {tid: (seat, i) for i, (tid, seat) in enumerate(zip(graph.ids, instance))}
+            messages = {(instance[a], instance[b], graph.levels[a]) for a, b in zip(graph.src, graph.dst)}
+            assert plc.evaluate(assignment, graph).remote_message_count == len(messages)
+            assert plc._score(instance, graph) == plc._score([*seats, 0], graph)
+
+
+def test_evaluate_rejects_an_unassigned_edgeless_task():
+    graph = graph_of(tasks_named("a", "b", "lone"), [("a", "b", 5)])
+    with pytest.raises(plc.PlacementError, match="'lone' is not assigned"):
+        plc.evaluate({"a": (0, 0), "b": (1, 0)}, graph)
 
 
 def reference_greedy(problem):

@@ -21,7 +21,7 @@ from faasim import workloads as wl
 from faasim.record import Record
 
 BAND = cat.Band(F(1), F(2))
-FUNCTION = cat.load_default_catalog().compute_service("serverless")
+FUNCTION = cat.load_catalog(cat.default_catalog_path()).compute_service("serverless")
 GRAPH = wl.gen_shuffle_dag(1, 1, 10)
 ROWS = jsontext.Table(("index",), ((),))
 EXEC_DEFAULTS = {"function_gb_seconds": F(0), "fast_store_gb_hours": F(0), "slow_store_write_fraction": F(1, 2),

@@ -23,12 +23,12 @@ from test_cli import run as run_cli
 
 @pytest.fixture(scope="module")
 def fn_spec():
-    return cat.load_default_catalog().compute_service("serverless")
+    return cat.load_catalog(cat.default_catalog_path()).compute_service("serverless")
 
 
 @pytest.fixture(scope="module")
 def vm_spec():
-    return cat.load_default_catalog().compute_service("serverful")
+    return cat.load_catalog(cat.default_catalog_path()).compute_service("serverful")
 
 
 def platform(fn_spec, cold=(0.0, 0.0, 0.0), keep_alive=600.0, prestarted=0):

