@@ -118,13 +118,19 @@ def _encoder(values):
     return lambda chunk: json.dumps(chunk)[1:-1].split(", ")
 
 
+def column_texts(values) -> list[str]:
+    """The JSON text of each of `values` as a `Table` column writes it: the `texts` that `Coded` columns
+    over one value table can share, so that it is encoded once."""
+    return [*_encoder(values)(values)]
+
+
 def _source(column):
     """(encoder, what it reads): the encoder makes a chunk's texts from a slice of what it reads."""
     if type(column) is not Coded:
         return _encoder(column), column
     texts = column.texts
     if texts is None:
-        texts = [*_encoder(column.values)(column.values)]
+        texts = column_texts(column.values)
     return (list, texts) if column.codes is None else (partial(map, texts.__getitem__), column.codes)
 
 

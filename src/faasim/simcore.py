@@ -203,12 +203,14 @@ def _ticks(*groups) -> tuple[int, list[list[int]]]:
     then every plain text ("-12.345") is padded with zeros to the scale's
     digits, its point dropped, and read by `int`.
     """
-    groups = [[*group] for group in groups]
-    for texts in groups:
+    groups = list(groups)
+    for g, texts in enumerate(groups):
         if set(map(type, texts)) <= {str}:  # one pass over the joined texts finds if any is in exponent form
             odd = [*compress(count(), map(str.__contains__, texts, repeat("e")))] if "e" in "".join(texts) else ()
         else:
             odd = range(len(texts))
+        if odd:  # rewritten in a copy: the caller's texts are the report's
+            texts = groups[g] = [*texts]
         for at in odd:
             text = format(decimal_literal(texts[at]), "f")  # plain notation, exact
             texts[at] = text if "." in text else text + "."
@@ -216,6 +218,16 @@ def _ticks(*groups) -> tuple[int, list[list[int]]]:
     digits = max((max(map(sub, map(len, texts), at), default=1) for texts, at in zip(groups, points)), default=1) - 1
     padded = (map(str.ljust, texts, map((digits + 1).__add__, at), repeat("0")) for texts, at in zip(groups, points))
     return 10**digits, [[*map(int, map(str.replace, texts, repeat("."), repeat("")))] for texts in padded]
+
+
+class _Codes(dict):
+    """A key -> its code: 0, 1, 2, ... in order of first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
 
 
 def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
@@ -226,8 +238,9 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     memory range are reported in `rejected` rather than silently dropped.
     """
     spec, cold = platform.compute, platform.cold_start
-    counts = Counter(zip(trace.durations, trace.memory))  # entries per billing key, keys in order of first use
-    codes = [*map(dict(zip(counts, count())).__getitem__, zip(trace.durations, trace.memory))]  # each entry's key
+    keys = _Codes()  # billing keys in order of first use
+    codes = [*map(keys.__getitem__, zip(trace.durations, trace.memory))]  # each entry's key
+    counts = dict(zip(keys, Counter(codes).values()))  # entries per billing key
     texts = list(map(repr, trace.arrivals))  # each read by the clock and written by the report
     duration_texts = [repr(duration) for duration, _ in counts]  # likewise, one per key
     scale, (arrivals, durations, fixed) = _ticks(
@@ -289,6 +302,7 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
         if len(events) > peak:
             peak = len(events)
 
+    del arrivals  # the tick column is done with before the invocation columns are taken
     # Scale-to-zero: every running instance completes, then every idle one retires.
     idle = [end for end, _, _ in events] + list(chain.from_iterable(pools.values()))
     lifetime += sum(idle) + len(idle) * keep_alive

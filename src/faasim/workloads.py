@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .commpatterns import CommScenario, Deployment
-from .jsontext import Coded, Table
+from .jsontext import Coded, Table, column_texts
 from .record import Record
 
 # Above this many edges a shuffle graph is returned in implicit form; no
@@ -108,10 +108,13 @@ class TaskGraph(_Columns):
 
     def to_json_dict(self) -> dict:
         ids = self.ids
+        texts = column_texts(ids)  # each id is encoded once, for its task and every edge end
         return {
-            "tasks": Table(("id", "duration_s", "memory_gb", "kind"), (ids, self.durations, self.memory, self.kinds)),
-            # Edge ends are coded by task position: each id is encoded once per column.
-            "edges": Table(("src", "dst", "bytes"), (Coded(ids, self.src), Coded(ids, self.dst), self.edge_bytes)),
+            "tasks": Table(("id", "duration_s", "memory_gb", "kind"),
+                           (Coded(ids, texts=texts), self.durations, self.memory, self.kinds)),
+            # Edge ends are coded by task position.
+            "edges": Table(("src", "dst", "bytes"),
+                           (Coded(ids, self.src, texts), Coded(ids, self.dst, texts), self.edge_bytes)),
             "metadata": self.metadata,
         }
 
@@ -126,11 +129,20 @@ class TaskGraph(_Columns):
             edges = doc.get("edges", [])
             src = list(map(str, map(itemgetter("src"), edges)))
             dst = list(map(str, map(itemgetter("dst"), edges)))
-            edge_bytes = list(map(int, map(itemgetter("bytes"), edges)))
+            edge_bytes = [*map(itemgetter("bytes"), edges)]
+            if not set(map(type, edge_bytes)) <= {int}:
+                edge_bytes = [*map(_json_integer, edge_bytes)]
             metadata = dict(doc.get("metadata", {}))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed task graph document: {exc}") from exc
         return cls(ids, durations, memory, kinds, *_endpoints(ids, src, dst), edge_bytes, metadata)
+
+
+def _json_integer(value) -> int:
+    """A JSON Schema integer: an int, or a float with no fractional part (5.0 reads as 5)."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"edge bytes must be integers, not {value!r}")
 
 
 def _endpoints(ids, src, dst) -> tuple[list[int], list[int]]:
@@ -368,6 +380,12 @@ class InvocationTrace(_Columns):
     configured with `memory[i]` GB. Arrivals are finite and non-decreasing,
     durations finite and positive, memory finite. `entries` is a read-only
     view of the rows; equality compares the columns, not `metadata`.
+
+    `from_json` reads a parsed trace document and `load_trace` a trace file,
+    by one entry rule: an entry is an object with `arrival_s`, `duration_s`
+    and, by default 0.125, `memory_gb`, each a number or a numeric string;
+    other keys are ignored. Equal nonzero durations, and equal nonzero memory
+    sizes, are one float object in the columns.
     """
 
     _FIELDS = ("arrivals", "durations", "memory")
@@ -399,17 +417,76 @@ class InvocationTrace(_Columns):
     def from_json(cls, doc: list) -> "InvocationTrace":
         if not isinstance(doc, list):
             raise GraphError("malformed trace document: the top level must be a list of entries")
+        share = _Floats().__getitem__  # after float(), which words the refusal of a list or an object
         try:  # the constructor converts each column to float, in column order
-            return cls(map(itemgetter("arrival_s"), doc), map(itemgetter("duration_s"), doc),
-                       map(dict.get, doc, repeat("memory_gb"), repeat(0.125)))
+            return cls(map(itemgetter("arrival_s"), doc), map(share, map(float, map(itemgetter("duration_s"), doc))),
+                       map(share, map(float, map(dict.get, doc, repeat("memory_gb"), repeat(0.125)))))
         except GraphError:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except _ENTRY_FAULTS as exc:
             raise GraphError(f"malformed trace document: {exc}") from exc
 
 
+_ENTRY_FAULTS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+class _Floats(dict):
+    """A JSON number or numeric string -> its float, one float object per distinct nonzero value.
+
+    A zero is never stored: 0.0 == -0.0, but each zero keeps its own sign.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        number = float(value)
+        if number:
+            number = self[value] = self.setdefault(number, number)
+        return number
+
+
+_ENTRY = object()  # what `_plain_trace`'s hook makes of an entry it has read
+
+
+def _plain_trace(text: str) -> InvocationTrace | None:
+    """The trace in `text`, read into columns as `json.loads` parses it; None where `from_json` must read it.
+
+    The hook reads each object into the columns as it closes, so no entry
+    dict outlives its closing brace. It gives up on a value it cannot
+    convert, and an object nested in an entry adds a row of its own; so
+    unless every item of the top-level list is an entry it read, one row
+    each, the text is left to `from_json`.
+    """
+    arrivals, durations, memory = [], [], []
+    floats = _Floats()
+    add_arrival, add_duration, add_memory = arrivals.append, durations.append, memory.append
+
+    def read(entry):
+        add_arrival(entry["arrival_s"])
+        add_duration(floats[entry["duration_s"]])
+        add_memory(floats[entry.get("memory_gb", 0.125)])
+        return _ENTRY
+
+    try:
+        doc = json.loads(text, object_hook=read)
+        if type(doc) is list and len(arrivals) == len(doc) == doc.count(_ENTRY):
+            del text, doc
+            return InvocationTrace(arrivals, durations, memory)
+    except GraphError:
+        raise  # the same columns, so the error `from_json` would raise
+    except _ENTRY_FAULTS:
+        pass
+    return None
+
+
 def load_trace(path: str | Path) -> InvocationTrace:
-    return InvocationTrace.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The trace in a JSON trace file: `InvocationTrace.from_json` of the parsed document, with the same result
+    or the same error. A plain list of entries is read into columns as it is parsed; anything else is parsed
+    again and read by `from_json`."""
+    trace = _plain_trace(Path(path).read_text(encoding="utf-8"))
+    if trace is None:
+        trace = InvocationTrace.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return trace
 
 
 class SplitMix64:

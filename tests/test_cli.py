@@ -545,6 +545,66 @@ def test_any_trace_document_runs_or_errors(doc_path, doc):
     assert_result_or_error(doc, doc_path, ("simulate", "--trace", str(doc_path)))
 
 
+def read_both_ways(doc, path):
+    """What `load_trace` and `InvocationTrace.from_json` make of `doc`: each trace's columns as repr texts
+    (so a zero's sign counts), or the message of its `GraphError`."""
+    text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    outcomes = []
+    for read in (lambda: wl.load_trace(path), lambda: wl.InvocationTrace.from_json(json.loads(text))):
+        try:
+            trace = read()
+        except wl.GraphError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append([[*map(repr, column)] for column in (trace.arrivals, trace.durations, trace.memory)])
+    return outcomes
+
+
+@PROPERTY_SETTINGS
+@given(doc=json_values | mutated(VALID_TRACE))
+def test_trace_readers_agree(doc_path, doc):
+    from_file, from_doc = read_both_ways(doc, doc_path)
+    assert from_file == from_doc
+
+
+ENTRY = {"arrival_s": 0, "duration_s": 1}
+NOT_A_NUMBER = "malformed trace document: float() argument must be a string or a real number, not "
+
+
+ONE_ENTRY = [["0.0"], ["1.0"], ["0.125"]]
+
+
+@pytest.mark.parametrize("doc,expected", [
+    pytest.param([ENTRY], ONE_ENTRY, id="memory-missing"),
+    pytest.param([{**ENTRY, "region": "eu", "tags": [{"x": 1}], "x": {}}], ONE_ENTRY, id="extra-keys"),
+    pytest.param([{**ENTRY, "x": {"arrival_s": 5, "duration_s": 2}}], ONE_ENTRY, id="entry-under-an-extra-key"),
+    pytest.param([{"arrival_s": "0.5", "duration_s": "2", "memory_gb": "0.25"}], [["0.5"], ["2.0"], ["0.25"]],
+                 id="strings"),
+    pytest.param([{"arrival_s": False, "duration_s": True, "memory_gb": True}], [["0.0"], ["1.0"], ["1.0"]],
+                 id="bools"),
+    pytest.param([{**ENTRY, "memory_gb": 0.0}, {**ENTRY, "memory_gb": -0.0}],
+                 [["0.0", "0.0"], ["1.0", "1.0"], ["0.0", "-0.0"]], id="signed-zero-memory"),
+    pytest.param([{**ENTRY, "duration_s": "x"}], "malformed trace document: could not convert string to float: 'x'",
+                 id="string-value"),
+    pytest.param([{**ENTRY, "duration_s": [1]}], NOT_A_NUMBER + "'list'", id="unhashable-value"),
+    pytest.param([{**ENTRY, "memory_gb": {}}], NOT_A_NUMBER + "'dict'", id="nested-empty-object"),
+    pytest.param([{**ENTRY, "duration_s": dict(ENTRY)}], NOT_A_NUMBER + "'dict'", id="nested-entry"),
+    pytest.param([{**ENTRY, "arrival_s": {"y": []}}], NOT_A_NUMBER + "'dict'", id="nested-object"),
+    pytest.param([ENTRY, [ENTRY]], "malformed trace document: list indices must be integers or slices, not str",
+                 id="entry-in-a-list"),
+    pytest.param([None, {**ENTRY, "x": ENTRY}], "malformed trace document: 'NoneType' object is not subscriptable",
+                 id="null-beside-nested-entry"),
+    pytest.param([{"duration_s": 1, "x": {}}], "malformed trace document: 'arrival_s'", id="missing-key"),
+    pytest.param(ENTRY, "malformed trace document: the top level must be a list of entries", id="top-level-entry"),
+    pytest.param({"entries": [ENTRY]}, "malformed trace document: the top level must be a list of entries",
+                 id="top-level-object"),
+])
+def test_trace_readers_agree_on_each_entry_rule(doc_path, doc, expected):
+    from_file, from_doc = read_both_ways(doc, doc_path)
+    assert from_file == from_doc == expected
+
+
 @PROPERTY_SETTINGS
 @given(doc=json_values | mutated(VALID_GRAPH))
 def test_any_graph_document_runs_or_errors(doc_path, doc):

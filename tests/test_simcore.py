@@ -284,6 +284,7 @@ def test_ticks_match_the_decimal_reference(float_groups, numbers):
     # `simulate` hands the clock repr texts of the arrivals and durations, and the platform's four numbers.
     texts = [list(map(repr, group)) for group in float_groups]
     assert sim._ticks(*texts, numbers) == reference_ticks(*float_groups, numbers)
+    assert texts == [list(map(repr, group)) for group in float_groups]  # the report writes them as given
 
 
 def test_bad_memory_rejected_without_aborting(fn_spec):
