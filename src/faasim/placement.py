@@ -17,8 +17,8 @@ task positions and name tasks by id only in the `Placement` they return.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, repeat
-from operator import add, mul, ne
+from itertools import compress, islice, repeat
+from operator import add, eq, mul, ne
 from typing import NamedTuple
 
 from .record import Record
@@ -251,6 +251,8 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
 
 def singleton_placement(graph: TaskGraph) -> CommCost:
     """The cost of every task on its own instance: the no-co-location baseline. Every edge crosses (a
-    DAG has no self-loop), and each distinct (src, dst) pair is one message (a task fixes its level)."""
-    pairs = set(map(add, map(mul, graph.src, repeat(graph.task_count)), graph.dst))  # (src, dst) as one int
-    return CommCost(graph.total_edge_bytes, len(pairs))
+    DAG has no self-loop), and each distinct (src, dst) pair is one message (a task fixes its level).
+    Pairs are counted in one sorted list of ints, where each repeat follows its pair: a list slot per
+    edge instead of a set's table."""
+    pairs = sorted(map(add, map(mul, graph.src, repeat(graph.task_count)), graph.dst))  # (src, dst) as one int
+    return CommCost(graph.total_edge_bytes, len(pairs) - sum(map(eq, pairs, islice(pairs, 1, None))))

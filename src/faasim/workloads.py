@@ -59,7 +59,8 @@ class TaskGraph(_Columns):
     `src[j]` to task `dst[j]` and carries `edge_bytes[j]`. `levels[i]` is
     the ASAP level of task i, computed once when the graph is built. The
     columns are tuples and cannot be reassigned, so the levels always match
-    them. `from_json_dict` reads edges that name their tasks by id.
+    them. `from_json_dict` reads a parsed document whose edges name their
+    tasks by id, and `load_task_graph` a graph file, by the same rules.
     """
 
     _FIELDS = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
@@ -71,9 +72,9 @@ class TaskGraph(_Columns):
         object.__setattr__(self, "metadata", {} if metadata is None else metadata)
         if len(set(self.ids)) != len(self.ids):
             raise GraphError("duplicate task ids")
-        ends = {*self.src, *self.dst}
-        if ends and not 0 <= min(ends) <= max(ends) < len(self.ids):
-            raise GraphError("edge endpoints must be task positions")
+        for ends in (self.src, self.dst):
+            if ends and not 0 <= min(ends) <= max(ends) < len(self.ids):
+                raise GraphError("edge endpoints must be task positions")
         isfinite = math.isfinite
         if not (all(map(isfinite, chain(self.durations, self.memory))) and min(self.durations, default=1) > 0
                 and min(self.memory, default=0) >= 0):
@@ -120,6 +121,7 @@ class TaskGraph(_Columns):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TaskGraph":
+        """The graph in a parsed task graph document: the reader `load_task_graph` falls back on, and its oracle."""
         try:
             tasks = doc["tasks"]
             ids = list(map(str, map(itemgetter("id"), tasks)))
@@ -129,17 +131,21 @@ class TaskGraph(_Columns):
             edges = doc.get("edges", [])
             src = list(map(str, map(itemgetter("src"), edges)))
             dst = list(map(str, map(itemgetter("dst"), edges)))
-            edge_bytes = [*map(itemgetter("bytes"), edges)]
-            if not set(map(type, edge_bytes)) <= {int}:
-                edge_bytes = [*map(_json_integer, edge_bytes)]
-            metadata = dict(doc.get("metadata", {}))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            edge_bytes = _json_integers([*map(itemgetter("bytes"), edges)])
+            metadata = doc.get("metadata", {})
+            if not isinstance(metadata, dict):
+                raise TypeError("metadata must be an object")
+        except _ENTRY_FAULTS as exc:
             raise GraphError(f"malformed task graph document: {exc}") from exc
-        return cls(ids, durations, memory, kinds, *_endpoints(ids, src, dst), edge_bytes, metadata)
+        return cls(ids, durations, memory, kinds, *_endpoints(ids, src, dst), edge_bytes, dict(metadata))
+
+
+def _json_integers(column: list) -> list:
+    """JSON Schema integers: ints as they are, or else each through `_json_integer` (5.0 reads as 5)."""
+    return column if set(map(type, column)) <= {int} else [*map(_json_integer, column)]
 
 
 def _json_integer(value) -> int:
-    """A JSON Schema integer: an int, or a float with no fractional part (5.0 reads as 5)."""
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"edge bytes must be integers, not {value!r}")
@@ -155,8 +161,49 @@ def _endpoints(ids, src, dst) -> tuple[list[int], list[int]]:
         raise GraphError(f"edge {a!r}->{b!r} references unknown task") from None
 
 
+_TASK, _EDGE = object(), object()  # what `_plain_graph`'s hook makes of a task and of an edge it has read
+
+
+def _plain_graph(path: str | Path) -> TaskGraph | None:
+    """The graph in a file, read into columns as `json.loads` parses it; None where `from_json_dict` must read it.
+
+    The hook reads an object with a `src` as an edge, its ends found among the tasks read before it, and one
+    with an `id` as a task. Unless `tasks` and `edges` hold every task and edge it read and nothing else, and
+    every id is a `str`, the file is left to `from_json_dict`.
+    """
+    ids, durations, memory, kinds, src, dst, edge_bytes = [], [], [], [], [], [], []
+    position, floats = {}, _Floats()
+
+    def read(entry):
+        if "src" in entry:
+            src.append(position[entry["src"]])
+            dst.append(position[entry["dst"]])
+            edge_bytes.append(entry["bytes"])
+            return _EDGE
+        if "id" not in entry:
+            return entry
+        position[entry["id"]] = len(ids)
+        ids.append(entry["id"])
+        durations.append(floats[entry["duration_s"]])
+        memory.append(floats[entry.get("memory_gb", 0.0)])
+        kinds.append(str(entry.get("kind", "task")))
+        return _TASK
+
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=read)
+    if type(doc) is dict:
+        tasks, edges, metadata = doc.get("tasks"), doc.get("edges", []), doc.get("metadata", {})
+        if (type(tasks) is list and type(edges) is list and type(metadata) is dict
+                and len(ids) == len(tasks) == tasks.count(_TASK) and len(src) == len(edges) == edges.count(_EDGE)
+                and set(map(type, ids)) <= {str}):
+            del doc, tasks, edges
+            return TaskGraph(ids, durations, memory, kinds, src, dst, _json_integers(edge_bytes), metadata)
+    return None
+
+
 def load_task_graph(path: str | Path) -> TaskGraph:
-    return TaskGraph.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The graph in a JSON task graph file: `TaskGraph.from_json_dict` of the parsed document, with the same result
+    or the same error. Tasks and edges are read into columns as they are parsed; anything else is parsed again."""
+    return _load_json(path, _plain_graph, TaskGraph.from_json_dict)
 
 
 def asap_levels(graph: TaskGraph) -> list[int]:
@@ -448,14 +495,13 @@ class _Floats(dict):
 _ENTRY = object()  # what `_plain_trace`'s hook makes of an entry it has read
 
 
-def _plain_trace(text: str) -> InvocationTrace | None:
-    """The trace in `text`, read into columns as `json.loads` parses it; None where `from_json` must read it.
+def _plain_trace(path: str | Path) -> InvocationTrace | None:
+    """The trace in a file, read into columns as `json.loads` parses it; None where `from_json` must read it.
 
     The hook reads each object into the columns as it closes, so no entry
-    dict outlives its closing brace. It gives up on a value it cannot
-    convert, and an object nested in an entry adds a row of its own; so
-    unless every item of the top-level list is an entry it read, one row
-    each, the text is left to `from_json`.
+    dict outlives its closing brace. An object nested in an entry adds a
+    row of its own; so unless every item of the top-level list is an entry
+    it read, one row each, the file is left to `from_json`.
     """
     arrivals, durations, memory = [], [], []
     floats = _Floats()
@@ -467,26 +513,30 @@ def _plain_trace(text: str) -> InvocationTrace | None:
         add_memory(floats[entry.get("memory_gb", 0.125)])
         return _ENTRY
 
-    try:
-        doc = json.loads(text, object_hook=read)
-        if type(doc) is list and len(arrivals) == len(doc) == doc.count(_ENTRY):
-            del text, doc
-            return InvocationTrace(arrivals, durations, memory)
-    except GraphError:
-        raise  # the same columns, so the error `from_json` would raise
-    except _ENTRY_FAULTS:
-        pass
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=read)
+    if type(doc) is list and len(arrivals) == len(doc) == doc.count(_ENTRY):
+        del doc
+        return InvocationTrace(arrivals, durations, memory)
     return None
+
+
+def _load_json(path: str | Path, read_columns, read_doc):
+    """`read_doc` of the JSON document in a file, or the same result or error from `read_columns` of the file (a
+    `GraphError` it raises comes from the same columns); where that gives None or fails, the file is parsed again."""
+    try:
+        found = read_columns(path)
+    except GraphError:
+        raise
+    except _ENTRY_FAULTS:
+        found = None
+    return read_doc(json.loads(Path(path).read_text(encoding="utf-8"))) if found is None else found
 
 
 def load_trace(path: str | Path) -> InvocationTrace:
     """The trace in a JSON trace file: `InvocationTrace.from_json` of the parsed document, with the same result
     or the same error. A plain list of entries is read into columns as it is parsed; anything else is parsed
     again and read by `from_json`."""
-    trace = _plain_trace(Path(path).read_text(encoding="utf-8"))
-    if trace is None:
-        trace = InvocationTrace.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
-    return trace
+    return _load_json(path, _plain_trace, InvocationTrace.from_json)
 
 
 class SplitMix64:

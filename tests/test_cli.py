@@ -545,20 +545,32 @@ def test_any_trace_document_runs_or_errors(doc_path, doc):
     assert_result_or_error(doc, doc_path, ("simulate", "--trace", str(doc_path)))
 
 
-def read_both_ways(doc, path):
-    """What `load_trace` and `InvocationTrace.from_json` make of `doc`: each trace's columns as repr texts
-    (so a zero's sign counts), or the message of its `GraphError`."""
+def trace_columns(trace):
+    return [[*map(repr, column)] for column in (trace.arrivals, trace.durations, trace.memory)]
+
+
+def graph_columns(graph):
+    return [[*map(repr, getattr(graph, name))] for name in (*wl.TaskGraph._FIELDS, "levels")] + [repr(graph.metadata)]
+
+
+def read_both_ways(doc, path, load=wl.load_trace, from_doc=wl.InvocationTrace.from_json, columns=trace_columns):
+    """What the file reader `load` and the document reader `from_doc` make of `doc`: the columns of each
+    result as repr texts (so a zero's sign counts), or the message of its `GraphError`."""
     text = json.dumps(doc)
     path.write_text(text, encoding="utf-8")
     outcomes = []
-    for read in (lambda: wl.load_trace(path), lambda: wl.InvocationTrace.from_json(json.loads(text))):
+    for read in (lambda: load(path), lambda: from_doc(json.loads(text))):
         try:
-            trace = read()
+            found = read()
         except wl.GraphError as exc:
             outcomes.append(str(exc))
         else:
-            outcomes.append([[*map(repr, column)] for column in (trace.arrivals, trace.durations, trace.memory)])
+            outcomes.append(columns(found))
     return outcomes
+
+
+def read_graph_both_ways(doc, path):
+    return read_both_ways(doc, path, wl.load_task_graph, wl.TaskGraph.from_json_dict, graph_columns)
 
 
 @PROPERTY_SETTINGS
@@ -603,6 +615,51 @@ ONE_ENTRY = [["0.0"], ["1.0"], ["0.125"]]
 def test_trace_readers_agree_on_each_entry_rule(doc_path, doc, expected):
     from_file, from_doc = read_both_ways(doc, doc_path)
     assert from_file == from_doc == expected
+
+
+@PROPERTY_SETTINGS
+@given(doc=json_values | mutated(VALID_GRAPH))
+def test_graph_readers_agree(doc_path, doc):
+    from_file, from_doc = read_graph_both_ways(doc, doc_path)
+    assert from_file == from_doc
+
+
+TASKS = [{"id": "a", "duration_s": 1}, {"id": "b", "duration_s": 2}]
+EDGE = {"src": "a", "dst": "b", "bytes": 8}
+NOT_INTEGER_BYTES = "malformed task graph document: edge bytes must be integers, not "
+NOT_SUBSCRIPTABLE = "malformed task graph document: 'NoneType' object is not subscriptable"
+
+
+@pytest.mark.parametrize("doc,expected", [
+    pytest.param({"edges": [EDGE], "tasks": TASKS}, ["a", "b"], id="edges-before-tasks"),
+    pytest.param({"tasks": [{**TASKS[0], "id": 1}, {**TASKS[1], "id": 2}], "edges": [{**EDGE, "src": 1, "dst": 2}]},
+                 ["1", "2"], id="int-ids"),
+    pytest.param({"tasks": [{**TASKS[0], "id": True}, {**TASKS[1], "id": False}],
+                  "edges": [{**EDGE, "src": True, "dst": False}]}, ["True", "False"], id="bool-ids"),
+    pytest.param({"tasks": [{**TASKS[0], "x": {"y": [1]}}, TASKS[1]], "edges": [{**EDGE, "note": {}}]}, ["a", "b"],
+                 id="extra-keys"),
+    pytest.param({"tasks": TASKS, "edges": [{**EDGE, "id": "e"}]}, ["a", "b"], id="edge-with-an-id"),
+    pytest.param({"tasks": [{**TASKS[0], "x": {"id": "c", "duration_s": 1}}, TASKS[1]], "edges": [EDGE]}, ["a", "b"],
+                 id="task-under-a-task"),
+    pytest.param({"tasks": TASKS, "edges": [EDGE], "metadata": {"x": {"id": "c"}}}, ["a", "b"], id="id-in-metadata"),
+    pytest.param({"tasks": [TASKS[0], None], "edges": [], "metadata": {"x": TASKS[1]}}, NOT_SUBSCRIPTABLE,
+                 id="null-task-beside-a-task-in-metadata"),
+    pytest.param({"tasks": TASKS, "edges": [None], "metadata": {"x": EDGE}}, NOT_SUBSCRIPTABLE,
+                 id="null-edge-beside-an-edge-in-metadata"),
+    pytest.param(EDGE, "malformed task graph document: 'tasks'", id="top-level-edge"),
+    pytest.param({"tasks": TASKS, "edges": [{**EDGE, "bytes": 5.0}]}, ["a", "b"], id="integral-float-bytes"),
+    pytest.param({"tasks": TASKS, "edges": [{**EDGE, "bytes": 1.9}]}, NOT_INTEGER_BYTES + "1.9", id="fraction-bytes"),
+    pytest.param({"tasks": TASKS, "edges": [{**EDGE, "bytes": True}]}, NOT_INTEGER_BYTES + "True", id="bool-bytes"),
+    pytest.param({"tasks": TASKS, "edges": [{**EDGE, "bytes": "12"}]}, NOT_INTEGER_BYTES + "'12'", id="string-bytes"),
+    pytest.param({"tasks": [*TASKS, TASKS[0]], "edges": [EDGE]}, "duplicate task ids", id="duplicate-ids"),
+    pytest.param({"tasks": TASKS, "edges": [{**EDGE, "dst": "c"}]}, "edge 'a'->'c' references unknown task",
+                 id="unknown-end"),
+])
+def test_graph_readers_agree_on_each_case(doc_path, doc, expected):
+    """`expected` is the error message, or the graph's ids."""
+    from_file, from_doc = read_graph_both_ways(doc, doc_path)
+    assert from_file == from_doc
+    assert from_file == expected if isinstance(expected, str) else from_file[0] == [*map(repr, expected)]
 
 
 @PROPERTY_SETTINGS

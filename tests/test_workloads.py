@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from faasim import jsontext
 from faasim import workloads as wl
 from faasim.commpatterns import CommScenario, Deployment, remote_traffic_bytes
+from faasim.placement import singleton_placement
 
 # Task totals for small tile counts, worked out by hand: step k of a
 # T-tile factorization runs 1 diagonal task, T-k-1 solves and
@@ -267,11 +268,15 @@ def test_integral_float_edge_bytes_read_as_integers():
     assert graph.edge_bytes[0] == 5 and type(graph.edge_bytes[0]) is int
 
 
-def test_malformed_metadata_rejected():
-    doc = wl.gen_cholesky_dag(2).to_json_dict()
-    doc["metadata"] = 5
-    with pytest.raises(wl.GraphError, match="malformed"):
-        wl.TaskGraph.from_json_dict(doc)
+def test_malformed_metadata_rejected(tmp_path):
+    # The schema's metadata is an object; a list of pairs is not read as one.
+    doc = json.loads(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()))
+    path = tmp_path / "graph.json"
+    for doc["metadata"] in (5, [["k", 1]], "k", None):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for read in (lambda: wl.TaskGraph.from_json_dict(doc), lambda: wl.load_task_graph(path)):
+            with pytest.raises(wl.GraphError, match="^malformed task graph document: metadata must be an object$"):
+                read()
 
 
 def test_columns_round_trip_through_the_constructor():
@@ -496,6 +501,36 @@ def test_load_trace_peak_is_the_text_plus_a_row_per_entry(tmp_path):
     assert len(trace) == count
     assert len({*map(id, trace.durations)}) == 1 and len({*map(id, trace.memory)}) == 1
 
+
+
+# Bytes `load_task_graph` may hold per edge beyond twice the file's size. Reading the file holds its bytes
+# beside the text, and that read is the peak: parsing holds the text beside a slot in three columns and
+# an int per edge (about 70 bytes, less than the text's 79 per edge for the file below), and no edge dict
+# outlives its closing brace. Python 3.11.7 came to 0.1; keeping every edge dict and its two id strings
+# until the columns are built came to 251.
+LOAD_GRAPH_BYTES_PER_EDGE = 100
+# Bytes `singleton_placement` may allocate per edge: a pair int and a slot in one sorted list came to 41
+# on Python 3.11.7, and a set of the pairs to 84 for this graph (110 for 160,000 edges).
+SINGLETON_BYTES_PER_EDGE = 60
+
+
+def test_load_task_graph_peak_is_the_read_and_singleton_counting_a_list(tmp_path):
+    path = tmp_path / "graph.json"
+    with path.open("w", encoding="utf-8") as out:
+        jsontext.write(out, wl.gen_shuffle_dag(200, 200, 1 << 20).to_json_dict())
+    wl.load_task_graph(path)  # first use allocates nothing that is counted below
+    tracemalloc.start()
+    try:
+        graph = wl.load_task_graph(path)
+        held, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cost = singleton_placement(graph)
+        _, singleton_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (graph.task_count, graph.edge_count, cost.remote_message_count) == (400, 40_000, 40_000)
+    assert load_peak < 2 * path.stat().st_size + LOAD_GRAPH_BYTES_PER_EDGE * graph.edge_count
+    assert singleton_peak - held < SINGLETON_BYTES_PER_EDGE * graph.edge_count
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_uniform_in_unit_interval(seed):
