@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le
 from pathlib import Path
 from typing import NamedTuple
 
 from .commpatterns import CommScenario, Deployment
+from .jsonchunks import CHUNK, Chunks
 from .jsontext import Coded, Table, column_texts
 from .record import Record
 
@@ -161,49 +162,47 @@ def _endpoints(ids, src, dst) -> tuple[list[int], list[int]]:
         raise GraphError(f"edge {a!r}->{b!r} references unknown task") from None
 
 
-_TASK, _EDGE = object(), object()  # what `_plain_graph`'s hook makes of a task and of an edge it has read
-
-
-def _plain_graph(path: str | Path) -> TaskGraph | None:
-    """The graph in a file, read into columns as `json.loads` parses it; None where `from_json_dict` must read it.
-
-    The hook reads an object with a `src` as an edge, its ends found among the tasks read before it, and one
-    with an `id` as a task. Unless `tasks` and `edges` hold every task and edge it read and nothing else, and
-    every id is a `str`, the file is left to `from_json_dict`.
-    """
+def _graph_columns(chunks: Chunks) -> TaskGraph:
+    """The graph in a file laid out as `to_json_dict` writes it, `tasks` then `edges` then `metadata`, read into
+    columns a run of tasks or edges at a time. Anything else raises one of `_ENTRY_FAULTS`, and so do ids that
+    are not all `str` and edge bytes that are not all ints; `from_json_dict` reads those."""
     ids, durations, memory, kinds, src, dst, edge_bytes = [], [], [], [], [], [], []
-    position, floats = {}, _Floats()
+    share, position, counts = _Floats().__getitem__, {}, {}  # counts: one int object per distinct byte count
 
-    def read(entry):
-        if "src" in entry:
-            src.append(position[entry["src"]])
-            dst.append(position[entry["dst"]])
-            edge_bytes.append(entry["bytes"])
-            return _EDGE
-        if "id" not in entry:
-            return entry
-        position[entry["id"]] = len(ids)
-        ids.append(entry["id"])
-        durations.append(floats[entry["duration_s"]])
-        memory.append(floats[entry.get("memory_gb", 0.0)])
-        kinds.append(str(entry.get("kind", "task")))
-        return _TASK
+    def add_tasks(tasks):
+        ids.extend(map(itemgetter("id"), tasks))
+        durations.extend(map(share, map(itemgetter("duration_s"), tasks)))
+        memory.extend(map(share, map(dict.get, tasks, repeat("memory_gb"), repeat(0.0))))
+        kinds.extend(map(str, map(dict.get, tasks, repeat("kind"), repeat("task"))))
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=read)
-    if type(doc) is dict:
-        tasks, edges, metadata = doc.get("tasks"), doc.get("edges", []), doc.get("metadata", {})
-        if (type(tasks) is list and type(edges) is list and type(metadata) is dict
-                and len(ids) == len(tasks) == tasks.count(_TASK) and len(src) == len(edges) == edges.count(_EDGE)
-                and set(map(type, ids)) <= {str}):
-            del doc, tasks, edges
-            return TaskGraph(ids, durations, memory, kinds, src, dst, _json_integers(edge_bytes), metadata)
-    return None
+    def add_edges(edges):
+        src.extend(map(position.__getitem__, map(itemgetter("src"), edges)))
+        dst.extend(map(position.__getitem__, map(itemgetter("dst"), edges)))
+        nbytes = [*map(itemgetter("bytes"), edges)]
+        if not set(map(type, nbytes)) <= {int}:  # before sharing: 1.0 and True are dict keys equal to 1
+            raise TypeError("edge bytes that are not ints are read by from_json_dict")
+        edge_bytes.extend(map(counts.setdefault, nbytes, nbytes))
+
+    chunks.skip("{", '"tasks"', ":", "[")
+    chunks.array(add_tasks)
+    if not set(map(type, ids)) <= {str}:
+        raise TypeError("task ids that are not all strings are read by from_json_dict")
+    position.update(zip(ids, range(len(ids))))
+    chunks.skip(",", '"edges"', ":", "[")
+    chunks.array(add_edges)
+    chunks.skip(",", '"metadata"', ":")
+    metadata = chunks.value()
+    chunks.close("}")
+    if type(metadata) is not dict:
+        raise TypeError("metadata that is not an object is refused by from_json_dict")
+    position.clear()  # free before the constructor copies the columns
+    return TaskGraph(ids, durations, memory, kinds, src, dst, edge_bytes, metadata)
 
 
 def load_task_graph(path: str | Path) -> TaskGraph:
     """The graph in a JSON task graph file: `TaskGraph.from_json_dict` of the parsed document, with the same result
-    or the same error. Tasks and edges are read into columns as they are parsed; anything else is parsed again."""
-    return _load_json(path, _plain_graph, TaskGraph.from_json_dict)
+    or the same error. The file is read into columns a chunk at a time; anything else is parsed again in full."""
+    return _load_json(path, _graph_columns, TaskGraph.from_json_dict)
 
 
 def asap_levels(graph: TaskGraph) -> list[int]:
@@ -445,7 +444,7 @@ class InvocationTrace(_Columns):
         arrivals, durations = self.arrivals, self.durations
         if not all(map(math.isfinite, chain(arrivals, durations, self.memory))):
             raise GraphError("trace arrivals, durations and memory must be finite numbers")
-        if not all(map(le, arrivals, arrivals[1:])):
+        if not all(map(le, arrivals, islice(arrivals, 1, None))):
             raise GraphError("trace arrivals must be sorted non-decreasing")
         if durations and min(durations) <= 0:
             raise GraphError("trace durations must be positive")
@@ -492,51 +491,41 @@ class _Floats(dict):
         return number
 
 
-_ENTRY = object()  # what `_plain_trace`'s hook makes of an entry it has read
-
-
-def _plain_trace(path: str | Path) -> InvocationTrace | None:
-    """The trace in a file, read into columns as `json.loads` parses it; None where `from_json` must read it.
-
-    The hook reads each object into the columns as it closes, so no entry
-    dict outlives its closing brace. An object nested in an entry adds a
-    row of its own; so unless every item of the top-level list is an entry
-    it read, one row each, the file is left to `from_json`.
-    """
+def _trace_columns(chunks: Chunks) -> InvocationTrace:
+    """The trace in a file holding one list of entries, read into columns a run of entries at a time."""
     arrivals, durations, memory = [], [], []
-    floats = _Floats()
-    add_arrival, add_duration, add_memory = arrivals.append, durations.append, memory.append
+    share = _Floats().__getitem__
 
-    def read(entry):
-        add_arrival(entry["arrival_s"])
-        add_duration(floats[entry["duration_s"]])
-        add_memory(floats[entry.get("memory_gb", 0.125)])
-        return _ENTRY
+    def add(entries):
+        arrivals.extend(map(itemgetter("arrival_s"), entries))
+        durations.extend(map(share, map(itemgetter("duration_s"), entries)))
+        memory.extend(map(share, map(dict.get, entries, repeat("memory_gb"), repeat(0.125))))
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=read)
-    if type(doc) is list and len(arrivals) == len(doc) == doc.count(_ENTRY):
-        del doc
-        return InvocationTrace(arrivals, durations, memory)
-    return None
+    chunks.skip("[")
+    chunks.array(add)
+    chunks.close()
+    return InvocationTrace(arrivals, durations, memory)
 
 
-def _load_json(path: str | Path, read_columns, read_doc):
-    """`read_doc` of the JSON document in a file, or the same result or error from `read_columns` of the file (a
-    `GraphError` it raises comes from the same columns); where that gives None or fails, the file is parsed again."""
+def _load_json(path: str | Path, read_columns, read_doc, chunk: int = CHUNK):
+    """`read_doc` of the JSON document in a file, or the same result or error from `read_columns` of the file
+    read in chunks (a `GraphError` it raises comes from the same columns); where that fails, the whole file is
+    parsed again."""
     try:
-        found = read_columns(path)
+        with open(path, encoding="utf-8") as file:
+            return read_columns(Chunks(file, chunk))
     except GraphError:
         raise
     except _ENTRY_FAULTS:
-        found = None
-    return read_doc(json.loads(Path(path).read_text(encoding="utf-8"))) if found is None else found
+        pass
+    return read_doc(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def load_trace(path: str | Path) -> InvocationTrace:
     """The trace in a JSON trace file: `InvocationTrace.from_json` of the parsed document, with the same result
-    or the same error. A plain list of entries is read into columns as it is parsed; anything else is parsed
-    again and read by `from_json`."""
-    return _load_json(path, _plain_trace, InvocationTrace.from_json)
+    or the same error. A list of entries is read into columns a chunk at a time; anything else is parsed again
+    in full and read by `from_json`."""
+    return _load_json(path, _trace_columns, InvocationTrace.from_json)
 
 
 class SplitMix64:

@@ -21,7 +21,7 @@ import faasim
 from faasim import catalog as cat
 from faasim import cli
 from faasim import commpatterns as comm
-from faasim import jsontext
+from faasim import jsonchunks, jsontext
 from faasim import workloads as wl
 
 
@@ -660,6 +660,127 @@ def test_graph_readers_agree_on_each_case(doc_path, doc, expected):
     from_file, from_doc = read_graph_both_ways(doc, doc_path)
     assert from_file == from_doc
     assert from_file == expected if isinstance(expected, str) else from_file[0] == [*map(repr, expected)]
+
+
+# --- the chunked reader: a file read a few characters at a time gives what the whole document gives ---
+
+READERS = {
+    "trace": (wl._trace_columns, wl.InvocationTrace.from_json, trace_columns, VALID_TRACE),
+    "graph": (wl._graph_columns, wl.TaskGraph.from_json_dict, graph_columns, VALID_GRAPH),
+}
+
+
+def read_chunked_and_whole(text, path, chunk, kind):
+    """What the file reader of `kind` makes of a file holding `text`, read `chunk` characters at a time, and what
+    the document reader makes of the whole file parsed at once: the columns as repr texts, or the type and
+    message of the error (a `GraphError`, or a `JSONDecodeError` for text that is not JSON)."""
+    read_columns, from_doc, columns, _ = READERS[kind]
+    path.write_bytes(text.encode("utf-8"))  # as it is: no newline translation on the way out
+    outcomes = []
+    for read in (lambda: wl._load_json(path, read_columns, from_doc, chunk),
+                 lambda: from_doc(json.loads(path.read_text(encoding="utf-8")))):
+        try:
+            outcomes.append(columns(read()))
+        except ValueError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+WHITESPACE = st.text(" \t\n\r", max_size=3)
+
+
+@st.composite
+def layouts(draw, doc):
+    """`doc` as a file's text: as `json.dumps` or faasim writes it, or with whitespace drawn around its tokens;
+    then with `\r\n` line ends or not."""
+    layout = draw(st.sampled_from(["json.dumps", "jsontext", "whitespace"]))
+    if layout == "json.dumps":
+        text = json.dumps(doc)
+    elif layout == "jsontext":
+        text = jsontext.dumps(doc)
+    else:
+        separators = (draw(WHITESPACE) + "," + draw(WHITESPACE), draw(WHITESPACE) + ":" + draw(WHITESPACE))
+        text = json.dumps(doc, indent=draw(st.none() | WHITESPACE), separators=separators)
+        text = draw(WHITESPACE) + text + draw(WHITESPACE)
+    return text.replace("\n", "\r\n") if draw(st.booleans()) else text
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), kind=st.sampled_from(sorted(READERS)), chunk=st.integers(1, 16))
+def test_chunked_reader_agrees_with_the_document_reader(doc_path, data, kind, chunk):
+    doc = data.draw(json_values | mutated(READERS[kind][3]))
+    chunked, whole = read_chunked_and_whole(data.draw(layouts(doc)), doc_path, chunk, kind)
+    assert chunked == whole
+
+
+CHUNK_SIZES = (*range(1, 17), jsonchunks.CHUNK)
+
+
+@pytest.mark.parametrize("kind,doc", [
+    ("trace", VALID_TRACE),
+    ("trace", [{**ENTRY, "memory_gb": 0.25, "x": None}, {"arrival_s": "1.5", "duration_s": 2}]),
+    ("graph", VALID_GRAPH),
+    ("graph", json.loads(jsontext.dumps(wl.gen_cholesky_dag(3).to_json_dict()))),
+])
+@pytest.mark.parametrize("dump", [json.dumps, jsontext.dumps, lambda doc: json.dumps(doc, indent="\t"),
+                                  lambda doc: f" \r\n{jsontext.dumps(doc)}\n".replace("\n", "\r\n")])
+def test_chunked_reader_takes_the_files_faasim_writes(tmp_path, kind, doc, dump):
+    """No fallback: the columns come from the chunks at every chunk size, and equal the document reader's."""
+    read_columns, from_doc, columns, _ = READERS[kind]
+    path = tmp_path / "doc.json"
+    path.write_bytes(dump(doc).encode("utf-8"))
+    for chunk in CHUNK_SIZES:
+        with path.open(encoding="utf-8") as file:
+            assert columns(read_columns(jsonchunks.Chunks(file, chunk))) == columns(from_doc(doc))
+
+
+NESTED_OBJECTS = [{"a": 1}, {"b": 2}]
+
+
+@pytest.mark.parametrize("kind,text,expected", [
+    pytest.param("graph", json.dumps({"tasks": [{**TASKS[0], "id": "a},{b"}, TASKS[1]],
+                                      "edges": [{**EDGE, "src": "a},{b"}], "metadata": {}}), ["a},{b", "b"],
+                 id="id-holding-a-cut"),
+    pytest.param("trace", json.dumps([{**ENTRY, "tags": NESTED_OBJECTS}, ENTRY]), [["0.0", "0.0"], ["1.0", "1.0"],
+                                                                                    ["0.125", "0.125"]],
+                 id="entry-with-a-list-of-objects"),
+    pytest.param("graph", json.dumps({"tasks": [{**TASKS[0], "x": NESTED_OBJECTS}, TASKS[1]], "edges": [EDGE],
+                                      "metadata": {"x": NESTED_OBJECTS}}), ["a", "b"],
+                 id="task-with-a-list-of-objects"),
+    pytest.param("trace", "\ufeff" + json.dumps([ENTRY]), "JSONDecodeError", id="bom"),
+    pytest.param("graph", "\ufeff" + json.dumps(VALID_GRAPH), "JSONDecodeError", id="graph-bom"),
+    pytest.param("graph", '{"tasks": [%s], "edges": [], "metadata": {}, "tasks": %s}' % (
+        json.dumps(TASKS[0]), json.dumps(TASKS)), ["a", "b"], id="duplicate-tasks-key"),
+    pytest.param("graph", '{"tasks": %s, "tasks": [], "edges": [], "metadata": {}}' % json.dumps(TASKS), [],
+                 id="duplicate-tasks-key-first"),
+    pytest.param("trace", json.dumps([ENTRY]) + " x", "JSONDecodeError", id="text-after-the-list"),
+    pytest.param("trace", json.dumps([ENTRY]) + "]", "JSONDecodeError", id="bracket-after-the-list"),
+    pytest.param("graph", json.dumps(VALID_GRAPH) + " {}", "JSONDecodeError", id="text-after-the-object"),
+    pytest.param("trace", "[]", [[], [], []], id="empty-list"),
+    pytest.param("graph", '{"tasks": [], "edges": [], "metadata": {}}', [], id="empty-arrays"),
+    pytest.param("graph", json.dumps({"edges": [EDGE], "tasks": TASKS, "metadata": {}}), ["a", "b"],
+                 id="edges-before-tasks"),
+    pytest.param("trace", json.dumps([ENTRY, ENTRY])[:-1], "JSONDecodeError", id="unterminated-list"),
+    pytest.param("trace", "[%s,\f%s]" % (json.dumps(ENTRY), json.dumps(ENTRY)), "JSONDecodeError",
+                 id="form-feed-between-entries"),
+    pytest.param("graph", "\f" + json.dumps(VALID_GRAPH), "JSONDecodeError", id="form-feed-before-the-object"),
+    pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "bytes": 1}, {**EDGE, "bytes": True}],
+                                      "metadata": {}}),
+                 "GraphError", id="bool-bytes-after-an-equal-int"),
+    pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "bytes": 5}, {**EDGE, "bytes": 5.0}],
+                                      "metadata": {}}), ["a", "b"], id="integral-float-bytes-after-an-equal-int"),
+])
+def test_chunked_reader_agrees_on_each_case(doc_path, kind, text, expected):
+    """`expected` is the error's type, the trace's columns or the graph's ids."""
+    for chunk in CHUNK_SIZES:
+        chunked, whole = read_chunked_and_whole(text, doc_path, chunk, kind)
+        assert chunked == whole
+    if isinstance(expected, str):
+        assert whole[0] == expected
+    elif kind == "graph":
+        assert whole[0] == [*map(repr, expected)]
+    else:
+        assert whole == expected
 
 
 @PROPERTY_SETTINGS

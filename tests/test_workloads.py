@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faasim import jsontext
+from faasim import jsonchunks, jsontext
 from faasim import workloads as wl
 from faasim.commpatterns import CommScenario, Deployment, remote_traffic_bytes
 from faasim.placement import singleton_placement
@@ -478,14 +478,11 @@ def test_trace_json_round_trip(tmp_path):
     assert again.entries == trace.entries
 
 
-# Bytes `load_trace` may hold per entry beyond the file's text. Reading the file holds its bytes beside
-# the text (80 per entry for the file below), parsing holds the text beside an arrival float and a slot in
-# each column (about 60); both readings came to 81 on Python 3.10-3.13. Keeping each entry's dict and
-# floats until the columns are built came to 264-312.
-LOAD_TRACE_BYTES_PER_ENTRY = 150
-
-
-def test_load_trace_peak_is_the_text_plus_a_row_per_entry(tmp_path):
+# The loaders read a file a chunk at a time, so a load holds the columns it builds and one run of parsed items,
+# never the file's text: each load peaks below the file's size. On Python 3.10-3.13 the trace below peaked at
+# 95% of its file (arrival floats and the column lists beside the tuples the constructor makes) and the graph at
+# 78%; reading the whole text first came to twice the file.
+def test_load_trace_peak_is_below_the_file_size(tmp_path):
     count = 20_000
     path = tmp_path / "trace.json"
     with path.open("w", encoding="utf-8") as out:
@@ -497,24 +494,17 @@ def test_load_trace_peak_is_the_text_plus_a_row_per_entry(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size + LOAD_TRACE_BYTES_PER_ENTRY * count
+    assert peak < path.stat().st_size
     assert len(trace) == count
     assert len({*map(id, trace.durations)}) == 1 and len({*map(id, trace.memory)}) == 1
 
 
-
-# Bytes `load_task_graph` may hold per edge beyond twice the file's size. Reading the file holds its bytes
-# beside the text, and that read is the peak: parsing holds the text beside a slot in three columns and
-# an int per edge (about 70 bytes, less than the text's 79 per edge for the file below), and no edge dict
-# outlives its closing brace. Python 3.11.7 came to 0.1; keeping every edge dict and its two id strings
-# until the columns are built came to 251.
-LOAD_GRAPH_BYTES_PER_EDGE = 100
 # Bytes `singleton_placement` may allocate per edge: a pair int and a slot in one sorted list came to 41
 # on Python 3.11.7, and a set of the pairs to 84 for this graph (110 for 160,000 edges).
 SINGLETON_BYTES_PER_EDGE = 60
 
 
-def test_load_task_graph_peak_is_the_read_and_singleton_counting_a_list(tmp_path):
+def test_load_task_graph_peak_is_below_the_file_size_and_singleton_counting_a_list(tmp_path):
     path = tmp_path / "graph.json"
     with path.open("w", encoding="utf-8") as out:
         jsontext.write(out, wl.gen_shuffle_dag(200, 200, 1 << 20).to_json_dict())
@@ -529,8 +519,53 @@ def test_load_task_graph_peak_is_the_read_and_singleton_counting_a_list(tmp_path
     finally:
         tracemalloc.stop()
     assert (graph.task_count, graph.edge_count, cost.remote_message_count) == (400, 40_000, 40_000)
-    assert load_peak < 2 * path.stat().st_size + LOAD_GRAPH_BYTES_PER_EDGE * graph.edge_count
+    assert load_peak < path.stat().st_size
+    assert len({*map(id, graph.edge_bytes)}) == 1  # one int object for every edge's bytes, as generated
     assert singleton_peak - held < SINGLETON_BYTES_PER_EDGE * graph.edge_count
+
+
+class CountingFile:
+    """A text file that counts the characters it hands out (`read`), and the characters copied (`copied`) by a
+    reader that joins each read to all it already holds, as `Chunks` does while it finds no item to cut."""
+
+    def __init__(self, file):
+        self.file, self.read_chars, self.copied = file, 0, 0
+
+    def read(self, size=-1):
+        text = self.file.read(size)
+        if text:  # joining an empty read copies nothing
+            self.read_chars += len(text)
+            self.copied += self.read_chars  # what was held, and what was just read
+        return text
+
+
+LONG = 4 * 10**6  # characters with no item to cut
+
+
+@pytest.mark.parametrize("text,read_columns,fault", [
+    pytest.param(json.dumps([{"arrival_s": 0, "duration_s": 1, "note": "x" * LONG}]), wl._trace_columns, None,
+                 id="long-string"),
+    pytest.param('{"tasks": [%s], "edges": [], "metadata": {}}' % ", ".join(["0"] * (LONG // 3)),
+                 wl._graph_columns, TypeError, id="tasks-not-objects"),
+])
+def test_a_long_stretch_with_no_cut_is_read_in_linear_time(tmp_path, text, read_columns, fault):
+    """Fixed-size reads would copy what is held once per read: about 30 times this document, growing with its
+    square. Each read asks for as much again as is held, so the copies stay within a few times the document."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with path.open(encoding="utf-8") as file:
+        counted = CountingFile(file)
+        try:
+            found = read_columns(jsonchunks.Chunks(counted, jsonchunks.CHUNK))
+        except TypeError as exc:
+            found = exc
+    assert counted.read_chars == len(text)
+    assert counted.copied < 4 * len(text)
+    if fault is None:
+        assert len(found) == 1
+    else:
+        assert isinstance(found, fault)
+
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_uniform_in_unit_interval(seed):
