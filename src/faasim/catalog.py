@@ -91,6 +91,10 @@ class ComputeServiceSpec(Record):
             raise CatalogError(f"{where}: serverless kind requires max_run_time_s")
         if self.max_run_time_s is not None and self.max_run_time_s <= 0:
             raise CatalogError(f"{where}: max run time must be positive")
+        if self.memory_min_gib <= 0:
+            raise CatalogError(f"{where}: memory_min must be positive")
+        if self.max_local_storage_gib < 0:
+            raise CatalogError(f"{where}: negative max local storage")
 
 
 class StorageServiceSpec(Record):
@@ -131,6 +135,8 @@ class StorageServiceSpec(Record):
             raise CatalogError(f"{where}: negative latency")
         if self.min_transfer_kb < 0:
             raise CatalogError(f"{where}: negative min transfer")
+        if not isinstance(self.function_accessible, bool):
+            raise CatalogError(f"{where}: function_accessible must be true or false")
 
 
 class ServiceCatalog(Record):
@@ -140,118 +146,104 @@ class ServiceCatalog(Record):
     storage: dict[str, StorageServiceSpec]
 
     def compute_service(self, name: str) -> ComputeServiceSpec:
-        try:
-            return self.compute[name]
-        except KeyError:
-            raise CatalogError(f"unknown compute service {name!r}") from None
+        if name not in self.compute:
+            raise CatalogError(f"unknown compute service {name!r}")
+        return self.compute[name]
 
     def storage_service(self, name: str) -> StorageServiceSpec:
-        try:
-            return self.storage[name]
-        except KeyError:
-            raise CatalogError(f"unknown storage service {name!r}") from None
+        if name not in self.storage:
+            raise CatalogError(f"unknown storage service {name!r}")
+        return self.storage[name]
 
 
 # ---------------------------------------------------------------------------
-# JSON schema: {"compute": [...], "storage": [...]}, units in field names.
+# JSON schema: {"compute": [...], "storage": [...]}, units in field names. One
+# table per entry kind, read and written row by row: a JSON key, the record
+# field it fills, the reader of its value (None: as given), and what an entry
+# without the key gets: _REQUIRED (an error), _OPTIONAL (the record's default)
+# or a JSON value. A field that holds None is not written.
 
-_COMPUTE_FIELDS = {
-    "name",
-    "kind",
-    "memory_min_gib",
-    "memory_max_gib",
-    "max_local_storage_gib",
-    "max_run_time_s",
-    "accounting_unit_s",
-    "price_usd_per_unit_at_base_memory",
-    "base_memory_gib",
-    "memory_price_scaling",
-    "request_fee_usd_per_invocation",
-}
-
-_STORAGE_FIELDS = {
-    "name",
-    "class",
-    "function_accessible",
-    "provisioning",
-    "persistence",
-    "latency_ms",
-    "capacity_usd_per_gb_month",
-    "throughput_usd_per_mbps_month",
-    "read_usd_per_request",
-    "write_usd_per_request",
-    "iops_month_usd",
-    "min_transfer_kb",
-}
+_REQUIRED, _OPTIONAL = object(), object()
 
 
-def _band(value, where: str) -> Band:
-    if isinstance(value, list):
-        if len(value) != 2:
-            raise CatalogError(f"{where}: a range must be [low, high]")
-        return Band(usd(value[0]), usd(value[1]))
-    return Band(usd(value), usd(value))
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("name must be a string")
+    return value
 
 
-def _check_fields(entry: dict, allowed: set, where: str) -> None:
-    unknown = set(entry) - allowed
+def _band(value) -> Band:
+    if isinstance(value, list) and len(value) != 2:
+        raise ValueError("a range must be [low, high]")
+    low, high = value if isinstance(value, list) else (value, value)
+    return Band(usd(low), usd(high))
+
+
+_COMPUTE = (
+    ("name", "name", _name, _REQUIRED),
+    ("kind", "kind", None, _REQUIRED),
+    ("memory_min_gib", "memory_min_gib", usd, _REQUIRED),
+    ("memory_max_gib", "memory_max_gib", usd, _REQUIRED),
+    ("max_local_storage_gib", "max_local_storage_gib", usd, 0),
+    ("accounting_unit_s", "accounting_unit_s", usd, _REQUIRED),
+    ("price_usd_per_unit_at_base_memory", "price_usd_per_unit", usd, _REQUIRED),
+    ("base_memory_gib", "base_memory_gib", usd, _REQUIRED),
+    ("memory_price_scaling", "memory_price_scaling", None, _OPTIONAL),
+    # null, like no key, is no run-time limit
+    ("max_run_time_s", "max_run_time_s", lambda value: None if value is None else usd(value), _OPTIONAL),
+    ("request_fee_usd_per_invocation", "request_fee_usd", usd, _OPTIONAL),
+)
+
+# The request prices are read next after the name, once `_request_pricing` holds.
+_STORAGE = (
+    ("name", "name", _name, _REQUIRED),
+    ("read_usd_per_request", "read_usd_per_request", usd, _OPTIONAL),
+    ("write_usd_per_request", "write_usd_per_request", usd, _OPTIONAL),
+    ("iops_month_usd", "iops_month_usd", _band, _OPTIONAL),
+    ("class", "storage_class", None, _REQUIRED),
+    ("function_accessible", "function_accessible", None, _REQUIRED),
+    ("provisioning", "provisioning", None, _REQUIRED),
+    ("persistence", "persistence", None, _REQUIRED),
+    ("latency_ms", "latency_ms", _band, _REQUIRED),
+    ("capacity_usd_per_gb_month", "capacity_usd_per_gb_month", _band, _REQUIRED),
+    ("throughput_usd_per_mbps_month", "throughput_usd_per_mbps_month", _band, _REQUIRED),
+    ("min_transfer_kb", "min_transfer_kb", usd, _OPTIONAL),
+)
+
+
+def _request_pricing(entry: dict) -> None:
+    """Requests are priced by a read/write pair or by a blended iops_month_usd, not both."""
+    explicit = entry.keys() & {"read_usd_per_request", "write_usd_per_request"}
+    if explicit and "iops_month_usd" in entry:
+        raise ValueError("give per-request prices or iops_month_usd, not both")
+    if not explicit and "iops_month_usd" not in entry:
+        raise ValueError("request pricing missing")
+    if len(explicit) == 1:
+        raise ValueError("both read and write request prices are required")
+
+
+def _entry_fields(entry: dict, table: tuple, rule) -> dict:
+    """The record fields of `entry`; `rule` checks it once its name, every table's first row, is read."""
+    unknown = entry.keys() - {key for key, *_ in table}
     if unknown:
-        raise CatalogError(f"{where}: unknown field(s) {sorted(unknown)}")
-    if "name" not in entry:
-        raise CatalogError(f"{where}: missing required field 'name'")
-    if not isinstance(entry["name"], str):
-        raise CatalogError(f"{where}: name must be a string")
+        raise ValueError(f"unknown field(s) {sorted(unknown)}")
+    fields = {}
+    for key, field, read, default in table:
+        if key not in entry and default is _REQUIRED:
+            raise ValueError(f"missing required field {key!r}")
+        if key in entry or default is not _OPTIONAL:
+            value = entry.get(key, default)
+            fields[field] = value if read is None else read(value)
+        if rule is not None and key == "name":
+            rule(entry)
+    return fields
 
 
-def _parse_compute(entry: dict, where: str) -> ComputeServiceSpec:
-    _check_fields(entry, _COMPUTE_FIELDS, where)
-    run_time = entry.get("max_run_time_s")
-    return ComputeServiceSpec(
-        name=entry["name"],
-        kind=entry["kind"],
-        memory_min_gib=usd(entry["memory_min_gib"]),
-        memory_max_gib=usd(entry["memory_max_gib"]),
-        max_local_storage_gib=usd(entry.get("max_local_storage_gib", 0)),
-        accounting_unit_s=usd(entry["accounting_unit_s"]),
-        price_usd_per_unit=usd(entry["price_usd_per_unit_at_base_memory"]),
-        base_memory_gib=usd(entry["base_memory_gib"]),
-        memory_price_scaling=entry.get("memory_price_scaling", "linear"),
-        max_run_time_s=None if run_time is None else usd(run_time),
-        request_fee_usd=usd(entry.get("request_fee_usd_per_invocation", 0)),
-    )
-
-
-def _parse_storage(entry: dict, where: str) -> StorageServiceSpec:
-    _check_fields(entry, _STORAGE_FIELDS, where)
-    has_explicit = "read_usd_per_request" in entry or "write_usd_per_request" in entry
-    has_blended = "iops_month_usd" in entry
-    if has_explicit and has_blended:
-        raise CatalogError(f"{where}: give per-request prices or iops_month_usd, not both")
-    if not has_explicit and not has_blended:
-        raise CatalogError(f"{where}: request pricing missing")
-    if has_explicit:
-        if "read_usd_per_request" not in entry or "write_usd_per_request" not in entry:
-            raise CatalogError(f"{where}: both read and write request prices are required")
-        read_price = usd(entry["read_usd_per_request"])
-        write_price = usd(entry["write_usd_per_request"])
-        blended = None
-    else:
-        blended = _band(entry["iops_month_usd"], where)
-        read_price = write_price = blended.mid / SECONDS_PER_MONTH
-    return StorageServiceSpec(
-        name=entry["name"],
-        storage_class=entry["class"],
-        function_accessible=bool(entry["function_accessible"]),
-        provisioning=entry["provisioning"],
-        persistence=entry["persistence"],
-        latency_ms=_band(entry["latency_ms"], where),
-        capacity_usd_per_gb_month=_band(entry["capacity_usd_per_gb_month"], where),
-        throughput_usd_per_mbps_month=_band(entry["throughput_usd_per_mbps_month"], where),
-        read_usd_per_request=read_price,
-        write_usd_per_request=write_price,
-        iops_month_usd=blended,
-        min_transfer_kb=usd(entry.get("min_transfer_kb", 4)),
-    )
+def _storage_spec(**fields) -> StorageServiceSpec:
+    blended = fields.get("iops_month_usd")
+    if blended is not None:  # one per-request price, backed out of the blended cell
+        fields["read_usd_per_request"] = fields["write_usd_per_request"] = blended.mid / SECONDS_PER_MONTH
+    return StorageServiceSpec(**fields)
 
 
 def loads_catalog(text: str) -> ServiceCatalog:
@@ -266,20 +258,18 @@ def loads_catalog(text: str) -> ServiceCatalog:
     if unknown:
         raise CatalogError(f"unknown top-level field(s) {sorted(unknown)}")
     sections = {"compute": {}, "storage": {}}
-    for section, parse in (("compute", _parse_compute), ("storage", _parse_storage)):
+    for section, table, build, rule in (("compute", _COMPUTE, ComputeServiceSpec, None),
+                                        ("storage", _STORAGE, _storage_spec, _request_pricing)):
         entries = doc.get(section, [])
         if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
             raise CatalogError(f"{section!r} must be a list of objects")
         for entry in entries:
-            where = f"{section} entry {entry.get('name', '<unnamed>')!r}"
             try:
-                spec = parse(entry, where)
-            except KeyError as exc:
-                raise CatalogError(f"{where}: missing required field {exc.args[0]!r}") from None
-            except CatalogError:
+                spec = build(**_entry_fields(entry, table, rule))
+            except CatalogError:  # a record's own check
                 raise
             except (TypeError, ValueError) as exc:
-                raise CatalogError(f"{where}: {exc}") from None
+                raise CatalogError(f"{section} entry {entry.get('name', '<unnamed>')!r}: {exc}") from None
             if spec.name in sections["compute"] or spec.name in sections["storage"]:
                 raise CatalogError(f"duplicate service name {spec.name!r}")
             sections[section][spec.name] = spec
@@ -290,57 +280,25 @@ def load_catalog(path: str | Path) -> ServiceCatalog:
     return loads_catalog(Path(path).read_text(encoding="utf-8"))
 
 
-def _number(value: Fraction):
-    if value.denominator == 1:
-        return int(value)
-    return float(value)
+def _json_value(value):
+    if isinstance(value, Band):
+        return _json_value(value.low) if value.low == value.high else [_json_value(value.low), _json_value(value.high)]
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else float(value)
+    return value
 
 
-def _band_json(band: Band):
-    if band.low == band.high:
-        return _number(band.low)
-    return [_number(band.low), _number(band.high)]
+def _entry_json(spec, table: tuple) -> dict:
+    return {key: _json_value(value) for key, field, *_ in table if (value := getattr(spec, field)) is not None}
 
 
 def catalog_json_dict(catalog: ServiceCatalog) -> dict:
     """The catalog as a document of its JSON schema."""
-    compute = []
-    for spec in catalog.compute.values():
-        entry = {
-            "name": spec.name,
-            "kind": spec.kind,
-            "memory_min_gib": _number(spec.memory_min_gib),
-            "memory_max_gib": _number(spec.memory_max_gib),
-            "max_local_storage_gib": _number(spec.max_local_storage_gib),
-            "accounting_unit_s": _number(spec.accounting_unit_s),
-            "price_usd_per_unit_at_base_memory": _number(spec.price_usd_per_unit),
-            "base_memory_gib": _number(spec.base_memory_gib),
-            "memory_price_scaling": spec.memory_price_scaling,
-            "request_fee_usd_per_invocation": _number(spec.request_fee_usd),
-        }
-        if spec.max_run_time_s is not None:
-            entry["max_run_time_s"] = _number(spec.max_run_time_s)
-        compute.append(entry)
-    storage = []
-    for spec in catalog.storage.values():
-        entry = {
-            "name": spec.name,
-            "class": spec.storage_class,
-            "function_accessible": spec.function_accessible,
-            "provisioning": spec.provisioning,
-            "persistence": spec.persistence,
-            "latency_ms": _band_json(spec.latency_ms),
-            "capacity_usd_per_gb_month": _band_json(spec.capacity_usd_per_gb_month),
-            "throughput_usd_per_mbps_month": _band_json(spec.throughput_usd_per_mbps_month),
-            "min_transfer_kb": _number(spec.min_transfer_kb),
-        }
-        if spec.iops_month_usd is not None:
-            entry["iops_month_usd"] = _band_json(spec.iops_month_usd)
-        else:
-            entry["read_usd_per_request"] = _number(spec.read_usd_per_request)
-            entry["write_usd_per_request"] = _number(spec.write_usd_per_request)
-        storage.append(entry)
-    return {"compute": compute, "storage": storage}
+    storage = [_entry_json(spec, _STORAGE) for spec in catalog.storage.values()]
+    for entry in storage:
+        if "iops_month_usd" in entry:  # the per-request prices are derived from it
+            del entry["read_usd_per_request"], entry["write_usd_per_request"]
+    return {"compute": [_entry_json(spec, _COMPUTE) for spec in catalog.compute.values()], "storage": storage}
 
 
 def default_catalog_path() -> Path:

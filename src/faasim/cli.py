@@ -47,7 +47,13 @@ def _render_table(rows: list[tuple[str, str]], out) -> None:
         out.write(f"{key.ljust(width)}  {value}\n")
 
 
-def _render_grid(headers: list[str], rows: list[list[str]], out) -> None:
+def _render_grid(headers: list[str], rows: list[list[str]], out, fmt: str) -> None:
+    if fmt == "csv":
+        import csv
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(rows)
+        return
     table = [headers] + rows
     widths = [max(len(row[col]) for row in table) for col in range(len(headers))]
     for row in table:
@@ -87,10 +93,7 @@ class Report:
         if fmt == "table":
             _render_table(rows, out)
         else:
-            import csv
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["key", "value"])
-            writer.writerows(rows)
+            _render_grid(["key", "value"], rows, out, "csv")
 
 
 def _money_out(amount: Fraction, args) -> float | str:
@@ -144,7 +147,7 @@ def _cmd_catalog_show(args, out) -> int:
             usd_str(spec.throughput_usd_per_mbps_month.mid, 4),
             usd_str(iops, 4),
         ])
-    _render_grid(headers, rows, out)
+    _render_grid(headers, rows, out, args.format)
     if catalog.compute:
         out.write("\n")
         headers = ["service", "kind", "memory GiB", "unit s", "$/unit", "max run s"]
@@ -157,7 +160,7 @@ def _cmd_catalog_show(args, out) -> int:
                 usd_str(spec.price_usd_per_unit, None).rstrip("0").rstrip("."),
                 "none" if spec.max_run_time_s is None else f"{float(spec.max_run_time_s):g}",
             ])
-        _render_grid(headers, rows, out)
+        _render_grid(headers, rows, out, args.format)
     return EXIT_OK
 
 
@@ -392,8 +395,9 @@ def _cmd_repro(args, out) -> int:
         Report("repro", {}, result, [source], digest).emit("json", out)
     else:
         rows = [[c.status.upper(), c.location, c.check_id, c.claim] for c in checks]
-        _render_grid(["status", "location", "check", "claim"], rows, out)
-        out.write(f"\n{passed} passed, {failed} failed, {external} external (not checked)\n")
+        _render_grid(["status", "location", "check", "claim"], rows, out, args.format)
+        if args.format == "table":
+            out.write(f"\n{passed} passed, {failed} failed, {external} external (not checked)\n")
     return EXIT_INTERNAL if failed else EXIT_OK
 
 

@@ -362,17 +362,11 @@ def duty_cycle_costs(
 ) -> tuple[Fraction, Fraction]:
     """(serverless, serverful) cost of a span busy for the given fraction.
 
-    Busy time is spread over the span as evenly spaced 60 s invocations,
-    then both billing paths are applied.
+    Busy time is billed as whole 60 s invocations at the function's base
+    memory, as many as fill the fraction; the VM is billed for the span.
     """
     if not 0 <= busy_fraction <= 1:
         raise ValueError("busy fraction must be in [0, 1]")
-    slot_s = 60.0
-    slots = round(busy_fraction * span_s / slot_s)
-    interval = span_s / max(slots, 1)
-    from .workloads import fixed_interval_trace
-
-    memory = float(serverless_spec.base_memory_gib)
-    trace = fixed_interval_trace(slots, interval, slot_s, memory_gb=memory)
-    platform = PlatformConfig(compute=serverless_spec, cold_start=ColdStartModel(0, 0, 0), keep_alive_s=0.0)
-    return simulate(trace, platform).cost_usd, serverful_cost(span_s, serverful_spec)
+    slots = round(busy_fraction * span_s / 60.0)
+    serverless = slots * bill_invocation(60.0, float(serverless_spec.base_memory_gib), serverless_spec)
+    return serverless, serverful_cost(span_s, serverful_spec)

@@ -315,6 +315,8 @@ def gen_cholesky_dag(blocks: int, block_dim: int = 256) -> TaskGraph:
     """
     if blocks < 1:
         raise GraphError("need at least one block")
+    if block_dim < 0:
+        raise GraphError("block dimension must be non-negative")
     check_budget(cholesky_task_count(blocks), "Cholesky tasks")
     check_budget(cholesky_edge_count(blocks), "Cholesky edges")
     tile_bytes = block_dim * block_dim * BYTES_PER_ELEMENT

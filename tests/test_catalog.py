@@ -181,12 +181,177 @@ def test_round_trip_file(tmp_path, default_catalog):
     assert cat.load_catalog(path) == default_catalog
 
 
-def test_default_catalog_matches_schema(default_catalog):
-    import jsonschema
+def _catalog_schema():
     from importlib import resources
 
-    schema = json.loads(
-        (resources.files("faasim") / "data" / "schemas" / "catalog.schema.json").read_text()
-    )
+    return json.loads((resources.files("faasim") / "data" / "schemas" / "catalog.schema.json").read_text())
+
+
+def test_default_catalog_matches_schema(default_catalog):
+    import jsonschema
+
     doc = json.loads(cat.default_catalog_path().read_text())
-    jsonschema.validate(doc, schema)
+    jsonschema.validate(doc, _catalog_schema())
+
+
+# --- the catalog format: field tables, bounds, messages, round trip -----------
+
+
+@pytest.mark.parametrize("section,table", [("compute", cat._COMPUTE), ("storage", cat._STORAGE)])
+def test_field_table_matches_schema(section, table):
+    items = _catalog_schema()["properties"][section]["items"]
+    assert {key for key, *_ in table} == set(items["properties"])
+    assert {key for key, _, _, default in table if default is cat._REQUIRED} == set(items["required"])
+
+
+def _entry(section, **edits):
+    """The bundled serverless or object-store entry with `edits` applied; None removes a key."""
+    doc = json.loads(cat.default_catalog_path().read_text(encoding="utf-8"))
+    entry = doc[section][0 if section == "compute" else 1]  # serverless; object (per-request prices)
+    for key, value in edits.items():
+        if value is None:
+            entry.pop(key, None)
+        else:
+            entry[key] = value
+    return json.dumps({section: [entry]})
+
+
+# Most entries have two faults; the message names the one checked first.
+FAULT_ORDER = [
+    ("unknown-before-missing-name", _entry("storage", name=None, surprise=1),
+     "storage entry '<unnamed>': unknown field(s) ['surprise']"),
+    ("missing-name-before-pricing", _entry("storage", name=None, iops_month_usd=1),
+     "storage entry '<unnamed>': missing required field 'name'"),
+    ("name-type-before-pricing", _entry("storage", name=5, iops_month_usd=1),
+     "storage entry 5: name must be a string"),
+    ("both-pricing-forms-without-class", _entry("storage", iops_month_usd=1, **{"class": None}),
+     "storage entry 'object': give per-request prices or iops_month_usd, not both"),
+    ("no-pricing", _entry("storage", read_usd_per_request=None, write_usd_per_request=None),
+     "storage entry 'object': request pricing missing"),
+    ("one-request-price", _entry("storage", write_usd_per_request=None, latency_ms=[5, 1]),
+     "storage entry 'object': both read and write request prices are required"),
+    ("bad-read-price-before-missing-class", _entry("storage", read_usd_per_request="x", **{"class": None}),
+     "storage entry 'object': Invalid literal for Fraction: 'x'"),
+    ("latency-three-items", _entry("storage", latency_ms=[1, 2, 3], capacity_usd_per_gb_month=[2, 1]),
+     "storage entry 'object': a range must be [low, high]"),
+    ("latency-low-above-high", _entry("storage", latency_ms=[5, 1]), "range low 5 exceeds high 1"),
+    ("missing-class-before-bad-latency", _entry("storage", latency_ms=[1, 2, 3], **{"class": None}),
+     "storage entry 'object': missing required field 'class'"),
+    ("unknown-class-before-accessible", _entry("storage", function_accessible="no", **{"class": "tape"}),
+     "storage entry 'object': unknown class 'tape'"),
+    ("run-time-before-fee", _entry("compute", max_run_time_s="x", request_fee_usd_per_invocation="y"),
+     "compute entry 'serverless': Invalid literal for Fraction: 'x'"),
+    ("missing-kind-before-bad-memory", _entry("compute", kind=None, memory_min_gib=[1]),
+     "compute entry 'serverless': missing required field 'kind'"),
+    ("kind-list", _entry("compute", kind=["x"]), "compute entry 'serverless': unhashable type: 'list'"),
+    ("memory-order-before-memory-min", _entry("compute", memory_min_gib=-1, memory_max_gib=-2),
+     "compute entry 'serverless': memory_min exceeds memory_max"),
+    ("unit-before-memory-min", _entry("compute", memory_min_gib=-1, accounting_unit_s=0),
+     "compute entry 'serverless': accounting unit must be positive"),
+    ("null-run-time-is-no-limit", _entry("compute", kind="serverful-vm", request_fee_usd_per_invocation="y")
+     .replace('"max_run_time_s": 900', '"max_run_time_s": null'),
+     "compute entry 'serverless': Invalid literal for Fraction: 'y'"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in FAULT_ORDER], ids=[case[0] for case in FAULT_ORDER])
+def test_catalog_error_message_and_precedence(text, message):
+    with pytest.raises(cat.CatalogError) as caught:
+        cat.loads_catalog(text)
+    assert str(caught.value) == message
+
+
+# Bounds catalog.schema.json states: each such entry is refused, naming the entry.
+SCHEMA_BOUNDS = [
+    ("memory-min-negative", _entry("compute", memory_min_gib=-1), "compute entry 'serverless': memory_min must be positive"),
+    ("memory-min-zero", _entry("compute", memory_min_gib=0), "compute entry 'serverless': memory_min must be positive"),
+    ("max-local-storage-negative", _entry("compute", max_local_storage_gib=-0.5),
+     "compute entry 'serverless': negative max local storage"),
+    ("function-accessible-string", _entry("storage", function_accessible="no"),
+     "storage entry 'object': function_accessible must be true or false"),
+    ("function-accessible-number", _entry("storage", function_accessible=1),
+     "storage entry 'object': function_accessible must be true or false"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in SCHEMA_BOUNDS], ids=[case[0] for case in SCHEMA_BOUNDS])
+def test_schema_bounds_enforced(text, message):
+    with pytest.raises(cat.CatalogError) as caught:
+        cat.loads_catalog(text)
+    assert str(caught.value) == message
+
+
+def test_schema_bounds_guard_specs_built_in_code(default_catalog):
+    fn = default_catalog.compute_service("serverless")
+    with pytest.raises(cat.CatalogError, match="memory_min must be positive"):
+        cat.ComputeServiceSpec(**{name: getattr(fn, name) for name in fn._FIELDS} | {"memory_min_gib": Fraction(0)})
+    obj = default_catalog.storage_service("object")
+    with pytest.raises(cat.CatalogError, match="function_accessible"):
+        cat.StorageServiceSpec(**{name: getattr(obj, name) for name in obj._FIELDS} | {"function_accessible": "no"})
+
+
+def test_max_local_storage_defaults_to_zero():
+    catalog = cat.loads_catalog(_entry("compute", max_local_storage_gib=None))
+    assert catalog.compute_service("serverless").max_local_storage_gib == 0
+    assert cat.catalog_json_dict(catalog)["compute"][0]["max_local_storage_gib"] == 0
+
+
+# JSON numbers that read back as the value written: integers, and decimals of
+# a few places, which a float's shortest repr spells exactly.
+def _numbers(positive=False):
+    low = 1 if positive else 0
+    return st.integers(low, 10**6) | st.decimals("0.0001" if positive else 0, 10**6, places=4).map(float)
+
+
+def _bands():
+    return _numbers() | st.lists(_numbers(), min_size=2, max_size=2).map(sorted)
+
+
+def _optional(draw, entry, key, values):
+    if draw(st.booleans()):
+        entry[key] = draw(values)
+
+
+@st.composite
+def _compute_entries(draw, name):
+    kind = draw(st.sampled_from(sorted(cat.COMPUTE_KINDS)))
+    low, high = sorted(draw(st.lists(_numbers(positive=True), min_size=2, max_size=2)))
+    entry = {"name": name, "kind": kind, "memory_min_gib": low, "memory_max_gib": high,
+             "accounting_unit_s": draw(_numbers(positive=True)),
+             "price_usd_per_unit_at_base_memory": draw(_numbers()), "base_memory_gib": draw(_numbers(positive=True))}
+    _optional(draw, entry, "max_local_storage_gib", _numbers())
+    _optional(draw, entry, "memory_price_scaling", st.just("linear"))
+    _optional(draw, entry, "request_fee_usd_per_invocation", _numbers())
+    if kind == "serverless-function" or draw(st.booleans()):
+        entry["max_run_time_s"] = draw(_numbers(positive=True))
+    return entry
+
+
+@st.composite
+def _storage_entries(draw, name):
+    entry = {"name": name, "class": draw(st.sampled_from(sorted(cat.STORAGE_CLASSES))),
+             "function_accessible": draw(st.booleans()),
+             "provisioning": draw(st.sampled_from(sorted(cat.PROVISIONING_MODES))),
+             "persistence": draw(st.sampled_from(sorted(cat.PERSISTENCE_MODES))),
+             "latency_ms": draw(_bands()), "capacity_usd_per_gb_month": draw(_bands()),
+             "throughput_usd_per_mbps_month": draw(_bands())}
+    if draw(st.booleans()):
+        entry["iops_month_usd"] = draw(_bands())
+    else:
+        entry["read_usd_per_request"], entry["write_usd_per_request"] = draw(_numbers()), draw(_numbers())
+    _optional(draw, entry, "min_transfer_kb", _numbers())
+    return entry
+
+
+@st.composite
+def catalog_documents(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=6))
+    split = draw(st.integers(0, len(names)))
+    return {"compute": [draw(_compute_entries(name)) for name in names[:split]],
+            "storage": [draw(_storage_entries(name)) for name in names[split:]]}
+
+
+@given(doc=catalog_documents())
+def test_generated_catalogs_round_trip(doc):
+    catalog = cat.loads_catalog(json.dumps(doc))
+    assert cat.loads_catalog(jsontext.dumps(cat.catalog_json_dict(catalog))) == catalog

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -251,6 +252,34 @@ def test_csv_format():
     assert rows["messages"] == "16"
 
 
+def _grids(rows):
+    """CSV rows split at blank rows into grids, each [header, *rows]."""
+    grids = [[]]
+    for row in rows:
+        if row:
+            grids[-1].append(row)
+        else:
+            grids.append([])
+    return grids
+
+
+@pytest.mark.parametrize("argv,grids", [(("catalog", "show"), 2), (("repro",), 1)], ids=["catalog-show", "repro"])
+def test_csv_grid_reads_back_as_the_table_grid(argv, grids):
+    """The csv cells, laid out by the table renderer, are the table output's grids."""
+    code, text, err = run(*argv, "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(_grids(rows)) == grids
+    code, table, _ = run(*argv, "--format", "table")
+    rendered = io.StringIO()
+    for at, (header, *body) in enumerate(_grids(rows)):
+        rendered.write("\n" if at else "")
+        cli._render_grid(header, body, rendered, "table")
+    assert table.startswith(rendered.getvalue())
+    assert re.fullmatch(r"(\n\d+ passed, \d+ failed, \d+ external \(not checked\)\n)?", table[len(rendered.getvalue()):])
+    assert text.count("\n") == len(rows)  # no cell spans lines
+
+
 def test_validation_error_exit_code_and_prefix():
     code, out, err = run("comm", "--pattern", "shuffle", "--n", "0", "--k", "2")
     assert code == 2
@@ -397,6 +426,10 @@ def _set_compute(field, value):
     return lambda doc: doc["compute"][0].__setitem__(field, value)
 
 
+def _set_storage(field, value):
+    return lambda doc: doc["storage"][0].__setitem__(field, value)
+
+
 def _preset_with(field, value=None):
     """The bundled preset with `field` set to `value`, or removed when `value` is None."""
     doc = json.loads((resources.files("faasim") / "data" / "presets" / "cloudsort100tb.json").read_text())
@@ -433,6 +466,11 @@ BAD_INPUTS = [
     ("catalog-memory-infinite", _catalog_text(_set_compute("memory_max_gib", float("inf"))), SHOW_CATALOG),
     ("catalog-name-list", _catalog_text(_set_compute("name", ["x"])), SHOW_CATALOG),
     ("catalog-directory", None, ("catalog", "show", "--catalog", ".")),
+    # Bounds catalog.schema.json states.
+    ("catalog-memory-min-negative", _catalog_text(_set_compute("memory_min_gib", -1)), SHOW_CATALOG),
+    ("catalog-memory-min-zero", _catalog_text(_set_compute("memory_min_gib", 0)), SHOW_CATALOG),
+    ("catalog-local-storage-negative", _catalog_text(_set_compute("max_local_storage_gib", -1)), SHOW_CATALOG),
+    ("catalog-accessible-string", _catalog_text(_set_storage("function_accessible", "no")), SHOW_CATALOG),
     ("preset-without-exec", _preset_with("exec"), PRICE_PRESET),
     ("preset-without-problem", _preset_with("problem"), PRICE_PRESET),
     ("preset-exec-list", _preset_with("exec", []), PRICE_PRESET),
@@ -453,6 +491,7 @@ BAD_INPUTS = [
         "2e-07", "2e-9999999"), SHOW_CATALOG),
     ("trace-output-dir-missing", None, ("workload", "trace", "-o", "/nonexistent/dir/x.json")),
     ("gen-output-dir-missing", None, ("workload", "gen", "--kind", "cholesky", "-o", "/nonexistent/dir/x.json")),
+    ("cholesky-block-dim-negative", None, ("workload", "gen", "--kind", "cholesky", "--block-dim", "-3")),
 ]
 
 
@@ -470,6 +509,27 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, contents, argv):
         data = contents if isinstance(contents, bytes) else contents.encode("utf-8")
         (tmp_path / "input.json").write_bytes(data)
     assert_one_error_line(*run(*argv))
+
+
+def test_catalog_error_names_the_entry(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.json").write_text(_catalog_text(_set_compute("memory_min_gib", -1)), encoding="utf-8")
+    assert run(*SHOW_CATALOG) == (2, "", "error: compute entry 'serverless': memory_min must be positive\n")
+
+
+def test_negative_memory_is_refused_not_billed(tmp_path, monkeypatch):
+    """A catalog whose memory range reaches below zero would bill a -0.5 GiB call at a negative price."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "catalog.json").write_text(_catalog_text(_set_compute("memory_min_gib", -1)), encoding="utf-8")
+    (tmp_path / "input.json").write_text('[{"arrival_s": 0, "duration_s": 1, "memory_gb": -0.5}]', encoding="utf-8")
+    code, out, err = run(*SIMULATE, "--catalog", "catalog.json")
+    assert_one_error_line(code, out, err)
+    assert "memory_min must be positive" in err
+
+
+def test_cholesky_block_dim_zero_gives_zero_byte_tiles():
+    doc = run_json("workload", "gen", "--kind", "cholesky", "--blocks", "2", "--block-dim", "0")
+    assert {edge["bytes"] for edge in doc["result"]["edges"]} == {0}
 
 
 # Two entries that start cold at once, so that their instances' seconds add up.

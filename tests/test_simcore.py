@@ -638,6 +638,22 @@ def test_breakeven_simulation_cross_check(vm_spec):
     assert high_fn > high_vm
 
 
+@pytest.mark.parametrize("busy", [0, 0.01, 0.1, 0.2, 0.5, 0.99, 1])
+@pytest.mark.parametrize("span", [60, 61, 3600, 86400])
+def test_duty_cycle_costs_match_simulating_the_busy_calls(fn_spec, vm_spec, busy, span):
+    """Oracle: the busy time as evenly spaced 60 s calls through `simulate`, no cold start or keep-alive."""
+    slots = round(busy * span / 60.0)
+    trace = wl.fixed_interval_trace(slots, span / max(slots, 1), 60.0, memory_gb=float(fn_spec.base_memory_gib))
+    simulated = sim.simulate(trace, platform(fn_spec, keep_alive=0.0)).cost_usd
+    assert sim.duty_cycle_costs(busy, span, fn_spec, vm_spec) == (simulated, sim.serverful_cost(span, vm_spec))
+
+
+def test_duty_cycle_costs_refuse_a_spec_that_cannot_run_a_60s_call(fn_spec, vm_spec):
+    short = cat.ComputeServiceSpec(**{name: getattr(fn_spec, name) for name in fn_spec._FIELDS} | {"max_run_time_s": 30})
+    with pytest.raises(sim.BillingError, match="run-time limit"):
+        sim.duty_cycle_costs(0.5, 3600, short, vm_spec)
+
+
 def test_platform_validation(fn_spec, vm_spec):
     with pytest.raises(sim.SimulationError):
         sim.PlatformConfig(compute=vm_spec)
