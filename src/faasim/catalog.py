@@ -172,33 +172,40 @@ def _name(value) -> str:
     return value
 
 
+def _number(value) -> Fraction:
+    """A catalog number, exact: a JSON number, not a boolean or a string."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a JSON number, not {value!r}")
+    return usd(value)
+
+
 def _band(value) -> Band:
     if isinstance(value, list) and len(value) != 2:
         raise ValueError("a range must be [low, high]")
     low, high = value if isinstance(value, list) else (value, value)
-    return Band(usd(low), usd(high))
+    return Band(_number(low), _number(high))
 
 
 _COMPUTE = (
     ("name", "name", _name, _REQUIRED),
     ("kind", "kind", None, _REQUIRED),
-    ("memory_min_gib", "memory_min_gib", usd, _REQUIRED),
-    ("memory_max_gib", "memory_max_gib", usd, _REQUIRED),
-    ("max_local_storage_gib", "max_local_storage_gib", usd, 0),
-    ("accounting_unit_s", "accounting_unit_s", usd, _REQUIRED),
-    ("price_usd_per_unit_at_base_memory", "price_usd_per_unit", usd, _REQUIRED),
-    ("base_memory_gib", "base_memory_gib", usd, _REQUIRED),
+    ("memory_min_gib", "memory_min_gib", _number, _REQUIRED),
+    ("memory_max_gib", "memory_max_gib", _number, _REQUIRED),
+    ("max_local_storage_gib", "max_local_storage_gib", _number, 0),
+    ("accounting_unit_s", "accounting_unit_s", _number, _REQUIRED),
+    ("price_usd_per_unit_at_base_memory", "price_usd_per_unit", _number, _REQUIRED),
+    ("base_memory_gib", "base_memory_gib", _number, _REQUIRED),
     ("memory_price_scaling", "memory_price_scaling", None, _OPTIONAL),
     # null, like no key, is no run-time limit
-    ("max_run_time_s", "max_run_time_s", lambda value: None if value is None else usd(value), _OPTIONAL),
-    ("request_fee_usd_per_invocation", "request_fee_usd", usd, _OPTIONAL),
+    ("max_run_time_s", "max_run_time_s", lambda value: None if value is None else _number(value), _OPTIONAL),
+    ("request_fee_usd_per_invocation", "request_fee_usd", _number, _OPTIONAL),
 )
 
 # The request prices are read next after the name, once `_request_pricing` holds.
 _STORAGE = (
     ("name", "name", _name, _REQUIRED),
-    ("read_usd_per_request", "read_usd_per_request", usd, _OPTIONAL),
-    ("write_usd_per_request", "write_usd_per_request", usd, _OPTIONAL),
+    ("read_usd_per_request", "read_usd_per_request", _number, _OPTIONAL),
+    ("write_usd_per_request", "write_usd_per_request", _number, _OPTIONAL),
     ("iops_month_usd", "iops_month_usd", _band, _OPTIONAL),
     ("class", "storage_class", None, _REQUIRED),
     ("function_accessible", "function_accessible", None, _REQUIRED),
@@ -207,7 +214,7 @@ _STORAGE = (
     ("latency_ms", "latency_ms", _band, _REQUIRED),
     ("capacity_usd_per_gb_month", "capacity_usd_per_gb_month", _band, _REQUIRED),
     ("throughput_usd_per_mbps_month", "throughput_usd_per_mbps_month", _band, _REQUIRED),
-    ("min_transfer_kb", "min_transfer_kb", usd, _OPTIONAL),
+    ("min_transfer_kb", "min_transfer_kb", _number, _OPTIONAL),
 )
 
 

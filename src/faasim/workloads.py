@@ -60,8 +60,8 @@ class TaskGraph(_Columns):
     `src[j]` to task `dst[j]` and carries `edge_bytes[j]`. `levels[i]` is
     the ASAP level of task i, computed once when the graph is built. The
     columns are tuples and cannot be reassigned, so the levels always match
-    them. `from_json_dict` reads a parsed document whose edges name their
-    tasks by id, and `load_task_graph` a graph file, by the same rules.
+    them. `from_json_dict` reads a parsed document and `load_task_graph` a
+    graph file, both through the format's one column builder, `_graph_builder`.
     """
 
     _FIELDS = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
@@ -122,86 +122,86 @@ class TaskGraph(_Columns):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TaskGraph":
-        """The graph in a parsed task graph document: the reader `load_task_graph` falls back on, and its oracle."""
+        """The graph in a parsed task graph document: its tasks, then its edges, each one run of `_graph_builder`."""
+        add_tasks, add_edges, graph = _graph_builder()
         try:
-            tasks = doc["tasks"]
-            ids = list(map(str, map(itemgetter("id"), tasks)))
-            durations = list(map(float, map(itemgetter("duration_s"), tasks)))
-            memory = [float(t.get("memory_gb", 0.0)) for t in tasks]
-            kinds = [str(t.get("kind", "task")) for t in tasks]
-            edges = doc.get("edges", [])
-            src = list(map(str, map(itemgetter("src"), edges)))
-            dst = list(map(str, map(itemgetter("dst"), edges)))
-            edge_bytes = _json_integers([*map(itemgetter("bytes"), edges)])
-            metadata = doc.get("metadata", {})
-            if not isinstance(metadata, dict):
-                raise TypeError("metadata must be an object")
+            add_tasks(doc["tasks"])
+            add_edges(doc.get("edges", []))
+            return graph(doc.get("metadata", {}))
+        except GraphError:
+            raise
         except _ENTRY_FAULTS as exc:
             raise GraphError(f"malformed task graph document: {exc}") from exc
-        return cls(ids, durations, memory, kinds, *_endpoints(ids, src, dst), edge_bytes, dict(metadata))
-
-
-def _json_integers(column: list) -> list:
-    """JSON Schema integers: ints as they are, or else each through `_json_integer` (5.0 reads as 5)."""
-    return column if set(map(type, column)) <= {int} else [*map(_json_integer, column)]
 
 
 def _json_integer(value) -> int:
+    """A JSON Schema integer: 5.0 reads as 5."""
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"edge bytes must be integers, not {value!r}")
 
 
-def _endpoints(ids, src, dst) -> tuple[list[int], list[int]]:
-    """Edge endpoints by task position; raises GraphError on an unknown id."""
-    index = dict(zip(ids, range(len(ids))))
-    try:
-        return list(map(index.__getitem__, src)), list(map(index.__getitem__, dst))
-    except KeyError:
-        a, b = next((a, b) for a, b in zip(src, dst) if a not in index or b not in index)
-        raise GraphError(f"edge {a!r}->{b!r} references unknown task") from None
-
-
-def _graph_columns(chunks: Chunks) -> TaskGraph:
-    """The graph in a file laid out as `to_json_dict` writes it, `tasks` then `edges` then `metadata`, read into
-    columns a run of tasks or edges at a time. Anything else raises one of `_ENTRY_FAULTS`, and so do ids that
-    are not all `str` and edge bytes that are not all ints; `from_json_dict` reads those."""
-    ids, durations, memory, kinds, src, dst, edge_bytes = [], [], [], [], [], [], []
+def _graph_builder():
+    """The task graph format's column builder: `add_tasks` takes each run of parsed tasks, then `add_edges` each
+    run of edges, and `graph(metadata)` is the graph built. A task is an object with `id`, `duration_s` and, by
+    default 0.0 and "task", `memory_gb` and `kind`; an edge has `src`, `dst` and integer `bytes`; other keys are
+    ignored. Ids and ends read as strings. An unknown end raises GraphError; any other fault one of `_ENTRY_FAULTS`."""
+    ids, durations, memory, kinds, src, dst, edge_bytes = columns = [], [], [], [], [], [], []
     share, position, counts = _Floats().__getitem__, {}, {}  # counts: one int object per distinct byte count
 
     def add_tasks(tasks):
-        ids.extend(map(itemgetter("id"), tasks))
-        durations.extend(map(share, map(itemgetter("duration_s"), tasks)))
-        memory.extend(map(share, map(dict.get, tasks, repeat("memory_gb"), repeat(0.0))))
+        run = [*map(itemgetter("id"), tasks)]
+        run = run if set(map(type, run)) <= {str} else [*map(str, run)]
+        # Made with the tasks: made beside a run of edges, these ints would pin pools that the run frees.
+        position.update(zip(run, range(len(ids), len(ids) + len(run))))
+        ids.extend(run)
+        durations.extend(map(share, map(float, map(itemgetter("duration_s"), tasks))))
+        memory.extend(map(share, map(float, map(dict.get, tasks, repeat("memory_gb"), repeat(0.0)))))
         kinds.extend(map(str, map(dict.get, tasks, repeat("kind"), repeat("task"))))
 
     def add_edges(edges):
-        src.extend(map(position.__getitem__, map(itemgetter("src"), edges)))
-        dst.extend(map(position.__getitem__, map(itemgetter("dst"), edges)))
+        ends = [*map(itemgetter("src"), edges)], [*map(itemgetter("dst"), edges)]
         nbytes = [*map(itemgetter("bytes"), edges)]
-        if not set(map(type, nbytes)) <= {int}:  # before sharing: 1.0 and True are dict keys equal to 1
-            raise TypeError("edge bytes that are not ints are read by from_json_dict")
+        # Read before they are shared: 1.0 and True are dict keys equal to 1.
+        nbytes = nbytes if set(map(type, nbytes)) <= {int} else [*map(_json_integer, nbytes)]
+        try:  # ends that are all task ids as they stand: no pass through str
+            at = [[*map(position.__getitem__, run)] for run in ends]
+        except (KeyError, TypeError):  # ends that are not all strings, or an unknown end
+            ends = [[*map(str, run)] for run in ends]
+            for a, b in zip(*ends):
+                if a not in position or b not in position:
+                    raise GraphError(f"edge {a!r}->{b!r} references unknown task") from None
+            at = [[*map(position.__getitem__, run)] for run in ends]
+        src.extend(at[0])
+        dst.extend(at[1])
         edge_bytes.extend(map(counts.setdefault, nbytes, nbytes))
 
+    def graph(metadata) -> TaskGraph:
+        if type(metadata) is not dict:
+            raise TypeError("metadata must be an object")
+        position.clear()  # free before the constructor copies the columns
+        return TaskGraph(*columns, dict(metadata))
+
+    return add_tasks, add_edges, graph
+
+
+def _graph_columns(chunks: Chunks) -> TaskGraph:
+    """The graph in a file laid out as `to_json_dict` writes it, `tasks` then `edges` then `metadata`, read by
+    `_graph_builder` a run of tasks or edges at a time. Anything else raises one of `_ENTRY_FAULTS`."""
+    add_tasks, add_edges, graph = _graph_builder()
     chunks.skip("{", '"tasks"', ":", "[")
     chunks.array(add_tasks)
-    if not set(map(type, ids)) <= {str}:
-        raise TypeError("task ids that are not all strings are read by from_json_dict")
-    position.update(zip(ids, range(len(ids))))
     chunks.skip(",", '"edges"', ":", "[")
     chunks.array(add_edges)
     chunks.skip(",", '"metadata"', ":")
     metadata = chunks.value()
     chunks.close("}")
-    if type(metadata) is not dict:
-        raise TypeError("metadata that is not an object is refused by from_json_dict")
-    position.clear()  # free before the constructor copies the columns
-    return TaskGraph(ids, durations, memory, kinds, src, dst, edge_bytes, metadata)
+    return graph(metadata)
 
 
 def load_task_graph(path: str | Path) -> TaskGraph:
     """The graph in a JSON task graph file: `TaskGraph.from_json_dict` of the parsed document, with the same result
-    or the same error. The file is read into columns a chunk at a time; anything else is parsed again in full."""
+    or error. The file is read a chunk at a time by the same column builder; where that faults, it is parsed again."""
     return _load_json(path, _graph_columns, TaskGraph.from_json_dict)
 
 
@@ -430,10 +430,9 @@ class InvocationTrace(_Columns):
     view of the rows; equality compares the columns, not `metadata`.
 
     `from_json` reads a parsed trace document and `load_trace` a trace file,
-    by one entry rule: an entry is an object with `arrival_s`, `duration_s`
-    and, by default 0.125, `memory_gb`, each a number or a numeric string;
-    other keys are ignored. Equal nonzero durations, and equal nonzero memory
-    sizes, are one float object in the columns.
+    both through one column builder, `_trace_builder`, which holds the entry
+    rule. Equal nonzero durations, and equal nonzero memory sizes, are one
+    float object in the columns.
     """
 
     _FIELDS = ("arrivals", "durations", "memory")
@@ -463,70 +462,69 @@ class InvocationTrace(_Columns):
 
     @classmethod
     def from_json(cls, doc: list) -> "InvocationTrace":
+        """The trace in a parsed trace document: its entries as one run for `_trace_builder`."""
         if not isinstance(doc, list):
             raise GraphError("malformed trace document: the top level must be a list of entries")
-        share = _Floats().__getitem__  # after float(), which words the refusal of a list or an object
-        try:  # the constructor converts each column to float, in column order
-            return cls(map(itemgetter("arrival_s"), doc), map(share, map(float, map(itemgetter("duration_s"), doc))),
-                       map(share, map(float, map(dict.get, doc, repeat("memory_gb"), repeat(0.125)))))
-        except GraphError:
-            raise
+        add, trace = _trace_builder()
+        try:
+            add(doc)
         except _ENTRY_FAULTS as exc:
             raise GraphError(f"malformed trace document: {exc}") from exc
+        return trace()
 
 
 _ENTRY_FAULTS = (KeyError, TypeError, ValueError, OverflowError)
 
 
 class _Floats(dict):
-    """A JSON number or numeric string -> its float, one float object per distinct nonzero value.
-
-    A zero is never stored: 0.0 == -0.0, but each zero keeps its own sign.
-    """
+    """A float -> one float object per distinct nonzero value; no zero is stored, so each keeps its sign."""
 
     __slots__ = ()
 
-    def __missing__(self, value):
-        number = float(value)
+    def __missing__(self, number):
         if number:
-            number = self[value] = self.setdefault(number, number)
+            self[number] = number
         return number
 
 
-def _trace_columns(chunks: Chunks) -> InvocationTrace:
-    """The trace in a file holding one list of entries, read into columns a run of entries at a time."""
+def _trace_builder():
+    """The trace format's column builder: `add` takes each run of parsed entries, and `trace()` is the trace built.
+    An entry is an object with `arrival_s`, `duration_s` and, by default 0.125, `memory_gb`, each a number or a
+    numeric string; other keys are ignored. A fault raises one of `_ENTRY_FAULTS`."""
     arrivals, durations, memory = [], [], []
-    share = _Floats().__getitem__
+    share = _Floats().__getitem__  # after float(), which words the refusal of a list or an object
 
     def add(entries):
-        arrivals.extend(map(itemgetter("arrival_s"), entries))
-        durations.extend(map(share, map(itemgetter("duration_s"), entries)))
-        memory.extend(map(share, map(dict.get, entries, repeat("memory_gb"), repeat(0.125))))
+        arrivals.extend(map(float, map(itemgetter("arrival_s"), entries)))
+        durations.extend(map(share, map(float, map(itemgetter("duration_s"), entries))))
+        memory.extend(map(share, map(float, map(dict.get, entries, repeat("memory_gb"), repeat(0.125)))))
 
+    return add, lambda: InvocationTrace(arrivals, durations, memory)
+
+
+def _trace_columns(chunks: Chunks) -> InvocationTrace:
+    """The trace in a file holding one list of entries, read by `_trace_builder` a run of entries at a time."""
+    add, trace = _trace_builder()
     chunks.skip("[")
     chunks.array(add)
     chunks.close()
-    return InvocationTrace(arrivals, durations, memory)
+    return trace()
 
 
 def _load_json(path: str | Path, read_columns, read_doc, chunk: int = CHUNK):
-    """`read_doc` of the JSON document in a file, or the same result or error from `read_columns` of the file
-    read in chunks (a `GraphError` it raises comes from the same columns); where that fails, the whole file is
-    parsed again."""
+    """`read_doc` of the JSON document in a file, which `read_columns` reads from the file a chunk at a time. Where
+    `read_columns` faults, the whole file is parsed for `read_doc`, which names the document's first fault."""
     try:
         with open(path, encoding="utf-8") as file:
             return read_columns(Chunks(file, chunk))
-    except GraphError:
-        raise
     except _ENTRY_FAULTS:
         pass
     return read_doc(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def load_trace(path: str | Path) -> InvocationTrace:
-    """The trace in a JSON trace file: `InvocationTrace.from_json` of the parsed document, with the same result
-    or the same error. A list of entries is read into columns a chunk at a time; anything else is parsed again
-    in full and read by `from_json`."""
+    """The trace in a JSON trace file: `InvocationTrace.from_json` of the parsed document, with the same result or
+    error. The file is read a chunk at a time by the same column builder; where that faults, it is parsed again."""
     return _load_json(path, _trace_columns, InvocationTrace.from_json)
 
 

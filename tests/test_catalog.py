@@ -231,7 +231,7 @@ FAULT_ORDER = [
     ("one-request-price", _entry("storage", write_usd_per_request=None, latency_ms=[5, 1]),
      "storage entry 'object': both read and write request prices are required"),
     ("bad-read-price-before-missing-class", _entry("storage", read_usd_per_request="x", **{"class": None}),
-     "storage entry 'object': Invalid literal for Fraction: 'x'"),
+     "storage entry 'object': expected a JSON number, not 'x'"),
     ("latency-three-items", _entry("storage", latency_ms=[1, 2, 3], capacity_usd_per_gb_month=[2, 1]),
      "storage entry 'object': a range must be [low, high]"),
     ("latency-low-above-high", _entry("storage", latency_ms=[5, 1]), "range low 5 exceeds high 1"),
@@ -240,7 +240,7 @@ FAULT_ORDER = [
     ("unknown-class-before-accessible", _entry("storage", function_accessible="no", **{"class": "tape"}),
      "storage entry 'object': unknown class 'tape'"),
     ("run-time-before-fee", _entry("compute", max_run_time_s="x", request_fee_usd_per_invocation="y"),
-     "compute entry 'serverless': Invalid literal for Fraction: 'x'"),
+     "compute entry 'serverless': expected a JSON number, not 'x'"),
     ("missing-kind-before-bad-memory", _entry("compute", kind=None, memory_min_gib=[1]),
      "compute entry 'serverless': missing required field 'kind'"),
     ("kind-list", _entry("compute", kind=["x"]), "compute entry 'serverless': unhashable type: 'list'"),
@@ -250,7 +250,7 @@ FAULT_ORDER = [
      "compute entry 'serverless': accounting unit must be positive"),
     ("null-run-time-is-no-limit", _entry("compute", kind="serverful-vm", request_fee_usd_per_invocation="y")
      .replace('"max_run_time_s": 900', '"max_run_time_s": null'),
-     "compute entry 'serverless': Invalid literal for Fraction: 'y'"),
+     "compute entry 'serverless': expected a JSON number, not 'y'"),
 ]
 
 
@@ -271,6 +271,12 @@ SCHEMA_BOUNDS = [
      "storage entry 'object': function_accessible must be true or false"),
     ("function-accessible-number", _entry("storage", function_accessible=1),
      "storage entry 'object': function_accessible must be true or false"),
+    ("price-bool", _entry("compute", price_usd_per_unit_at_base_memory=True),
+     "compute entry 'serverless': expected a JSON number, not True"),
+    ("memory-string", _entry("compute", memory_max_gib="4"),
+     "compute entry 'serverless': expected a JSON number, not '4'"),
+    ("range-end-string", _entry("storage", latency_ms=[1, "2"]),
+     "storage entry 'object': expected a JSON number, not '2'"),
 ]
 
 

@@ -87,6 +87,11 @@ def test_catalog_show_table_runs():
     code, out, _ = run("catalog", "show", "--format", "table")
     assert code == 0
     assert "object" in out and "elastic-db" in out
+    # $/unit is written in plain decimals in both grids, never in exponent form
+    assert re.search(r"^serverless +serverless-function +0\.125-3 +0\.1 +0\.0000002 +900$", out, re.M)
+    code, out, _ = run("catalog", "show", "--format", "csv")
+    assert code == 0
+    assert "serverless,serverless-function,0.125-3,0.1,0.0000002,900" in out.splitlines()
 
 
 def test_catalog_show_empty(tmp_path):
@@ -781,11 +786,14 @@ CHUNK_SIZES = (*range(1, 17), jsonchunks.CHUNK)
     ("trace", [{**ENTRY, "memory_gb": 0.25, "x": None}, {"arrival_s": "1.5", "duration_s": 2}]),
     ("graph", VALID_GRAPH),
     ("graph", json.loads(jsontext.dumps(wl.gen_cholesky_dag(3).to_json_dict()))),
+    ("graph", {"tasks": [{**TASKS[0], "id": 1}, {**TASKS[1], "id": 2}],
+               "edges": [{"src": 1, "dst": 2, "bytes": 8}, {"src": 1, "dst": "2", "bytes": 5.0}], "metadata": {}}),
 ])
 @pytest.mark.parametrize("dump", [json.dumps, jsontext.dumps, lambda doc: json.dumps(doc, indent="\t"),
                                   lambda doc: f" \r\n{jsontext.dumps(doc)}\n".replace("\n", "\r\n")])
 def test_chunked_reader_takes_the_files_faasim_writes(tmp_path, kind, doc, dump):
-    """No fallback: the columns come from the chunks at every chunk size, and equal the document reader's."""
+    """No fallback: the columns come from the chunks at every chunk size, and equal the document reader's; so do
+    int ids and edge ends, and integral-float bytes, which the column builder reads as the document reader does."""
     read_columns, from_doc, columns, _ = READERS[kind]
     path = tmp_path / "doc.json"
     path.write_bytes(dump(doc).encode("utf-8"))
@@ -829,17 +837,25 @@ NESTED_OBJECTS = [{"a": 1}, {"b": 2}]
                  "GraphError", id="bool-bytes-after-an-equal-int"),
     pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "bytes": 5}, {**EDGE, "bytes": 5.0}],
                                       "metadata": {}}), ["a", "b"], id="integral-float-bytes-after-an-equal-int"),
+    # Two faults in different runs at small chunk sizes: the message is the whole document's at every size.
+    pytest.param("trace", json.dumps([{**ENTRY, "duration_s": "x"}, ENTRY, {"duration_s": 1}]),
+                 ("GraphError", "malformed trace document: 'arrival_s'"), id="bad-duration-then-missing-arrival"),
+    pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "dst": "c"}, EDGE, {**EDGE, "bytes": 1.5}],
+                                      "metadata": {}}),
+                 ("GraphError", NOT_INTEGER_BYTES + "1.5"), id="unknown-end-then-fraction-bytes"),
+    pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "dst": "c"}], "metadata": 5}),
+                 ("GraphError", "edge 'a'->'c' references unknown task"), id="unknown-end-then-metadata-not-an-object"),
 ])
 def test_chunked_reader_agrees_on_each_case(doc_path, kind, text, expected):
-    """`expected` is the error's type, the trace's columns or the graph's ids."""
+    """`expected` is the error's type, or its type and message, the trace's columns or the graph's ids."""
     for chunk in CHUNK_SIZES:
         chunked, whole = read_chunked_and_whole(text, doc_path, chunk, kind)
         assert chunked == whole
     if isinstance(expected, str):
         assert whole[0] == expected
-    elif kind == "graph":
+    elif kind == "graph" and isinstance(expected, list):
         assert whole[0] == [*map(repr, expected)]
-    else:
+    else:  # the trace's columns, or the error's type and message
         assert whole == expected
 
 
