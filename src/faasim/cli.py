@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, jsontext
-from .money import FULL_PRECISION_PLACES, report_float, usd, usd_decimal, usd_json, usd_str
+from .money import report_float, usd, usd_json, usd_str
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
 
@@ -157,7 +157,7 @@ def _cmd_catalog_show(args, out) -> int:
                 spec.name, spec.kind,
                 f"{float(spec.memory_min_gib):g}-{float(spec.memory_max_gib):g}",
                 f"{float(spec.accounting_unit_s):g}",
-                f"{usd_decimal(spec.price_usd_per_unit, FULL_PRECISION_PLACES):f}".rstrip("0").rstrip("."),
+                usd_str(spec.price_usd_per_unit, None).rstrip("0").rstrip("."),
                 "none" if spec.max_run_time_s is None else f"{float(spec.max_run_time_s):g}",
             ])
         _render_grid(headers, rows, out, args.format)

@@ -74,7 +74,7 @@ class Table:
 class Coded:
     """A column as a table of values and one code per row (dictionary encoding): row i is `values[codes[i]]`,
     or `values[i]` without codes. `texts[k]`, if given, is the JSON text `Table` writes for `values[k]`; else
-    it encodes the values once. A read-only sequence of the row values (`len`, indexing, iteration)."""
+    it encodes the values once. A read-only sequence of the row values (`len`, iteration)."""
 
     __slots__ = ("values", "codes", "texts")
 
@@ -83,9 +83,6 @@ class Coded:
 
     def __len__(self) -> int:
         return len(self.values if self.codes is None else self.codes)
-
-    def __getitem__(self, i):
-        return self.values[i if self.codes is None else self.codes[i]]
 
     def __iter__(self):
         return iter(self.values) if self.codes is None else map(self.values.__getitem__, self.codes)
@@ -209,7 +206,8 @@ def _parts(obj, level: int, sort_keys: bool):
 
 
 def dumps(obj, sort_keys: bool = False) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=sort_keys)`, byte-identical."""
+    """`json.dumps(obj, indent=2, sort_keys=sort_keys)`, byte-identical. No command calls it (they all
+    `write`); it is kept as the tests' text of what `write` writes."""
     return "".join(_parts(obj, 0, sort_keys))
 
 

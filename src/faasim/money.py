@@ -88,7 +88,7 @@ def report_float(value: Fraction | float, what: str) -> float:
 
 
 def usd_str(amount: Fraction, places: int | None = 2) -> str:
-    """Render dollars for tables: cents by default, 12 places when asked."""
+    """Render dollars in plain decimals: cents by default, 12 places when asked."""
     if places is None:
         places = FULL_PRECISION_PLACES
-    return f"{usd_decimal(amount, places)}"
+    return f"{usd_decimal(amount, places):f}"

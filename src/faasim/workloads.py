@@ -542,6 +542,7 @@ class SplitMix64:
         self._state = seed & self._MASK
 
     def next_u64(self) -> int:
+        """The next 64-bit output; no command calls it, it is kept as the tests' oracle for `uniforms`."""
         self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
@@ -549,7 +550,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
+        """Uniform double in [0, 1) from the top 53 bits; kept, like `next_u64`, as a test oracle."""
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, count: int) -> list[float]:

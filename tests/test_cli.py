@@ -200,19 +200,6 @@ def test_repro_passes():
     assert all(c["actual"] == "not checked" for c in external)
 
 
-def test_readme_cli_block_runs_in_order(tmp_path, monkeypatch):
-    """Each line of README's CLI block, in order and in one directory, exits 0."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]  # without "faasim"
-    assert len(commands) > 10
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("FAASIM_CATALOG", raising=False)
-    for argv in commands:
-        code, _, err = run(*argv)
-        assert code == 0, (argv, err)
-
-
 # --- formats, manifests, exit codes ---------------------------------------------
 
 
@@ -494,6 +481,11 @@ BAD_INPUTS = [
     ("gradient-bytes-huge-exponent", None, ("workload", "gen", "--kind", "paramserver", "--gradient", "1e999999TB")),
     ("catalog-price-huge-exponent", cat.default_catalog_path().read_text(encoding="utf-8").replace(
         "2e-07", "2e-9999999"), SHOW_CATALOG),
+    ("trace-duration-list", '[{"arrival_s": 0, "duration_s": [1]}]', SIMULATE),
+    ("graph-metadata-number", '{"tasks": [], "edges": [], "metadata": 5}',
+     ("workload", "profile", "--graph", "input.json")),
+    ("catalog-price-bool", _catalog_text(_set_compute("price_usd_per_unit_at_base_memory", True)), SHOW_CATALOG),
+    ("catalog-memory-string", _catalog_text(_set_compute("memory_max_gib", "4")), SHOW_CATALOG),
     ("trace-output-dir-missing", None, ("workload", "trace", "-o", "/nonexistent/dir/x.json")),
     ("gen-output-dir-missing", None, ("workload", "gen", "--kind", "cholesky", "-o", "/nonexistent/dir/x.json")),
     ("cholesky-block-dim-negative", None, ("workload", "gen", "--kind", "cholesky", "--block-dim", "-3")),
@@ -554,6 +546,53 @@ def test_quantity_beyond_a_double_is_one_error_line(tmp_path, monkeypatch, argv,
     code, out, err = run(*argv)
     assert_one_error_line(code, out, err)
     assert err == f"error: {quantity} is too large to report\n"
+
+
+# --- command lines as a user types them, run in order in one directory ------------
+# CI also runs this suite against the installed package, so these rows check its console commands with the bundled
+# catalog and presets there. Bad input is in BAD_INPUTS, and what another test pins has no row here.
+
+
+def readme_cli_block():
+    """The lines of README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    assert len(lines) > 10
+    return lines
+
+
+def csv_rows(check):
+    return lambda out: check(list(csv.reader(io.StringIO(out))))
+
+
+COST_FULL = "faasim catalog cost --service object --full-precision"
+
+# (id, command lines run in order, and what the last line's stdout must hold: substrings, or a check).
+COMMAND_LINES = [
+    ("readme-cli-block-in-order", readme_cli_block, ['"failed": 0']),
+    ("catalog-show-csv-grids", ["faasim catalog show --format csv"], csv_rows(
+        lambda rows: rows[0][:2] == ["service", "class"] and [] in rows and {*map(len, rows)} == {0, 9, 6})),
+    ("repro-csv-grid", ["faasim repro --format csv"], csv_rows(
+        lambda rows: rows[0] == ["status", "location", "check", "claim"] and len(rows) > 20
+        and {*map(len, rows)} == {4})),
+    # --full-precision amounts are plain decimals, also below 1e-6 and at zero.
+    ("full-precision-below-a-micro-dollar", [f"{COST_FULL} --iops 0.0000001"], ['"total_usd": "0.000000699840"']),
+    ("full-precision-below-a-micro-dollar-table", [f"{COST_FULL} --iops 0.0000001 --format table"],
+     [" 0.000000699840\n"]),
+    ("full-precision-zero", [f"{COST_FULL} --capacity-gb 0"], ['"total_usd": "0.000000000000"']),
+    ("full-precision-zero-table", [f"{COST_FULL} --capacity-gb 0 --format table"], [" 0.000000000000\n"]),
+]
+
+
+@pytest.mark.parametrize("lines,expect", [row[1:] for row in COMMAND_LINES], ids=[row[0] for row in COMMAND_LINES])
+def test_command_lines(tmp_path, monkeypatch, lines, expect):
+    """Each line exits 0 with nothing on stderr, and the last one's stdout holds `expect`."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FAASIM_CATALOG", raising=False)
+    for line in lines() if callable(lines) else lines:
+        code, out, err = run(*shlex.split(line, comments=True)[1:])  # without "faasim"
+        assert (code, err) == (0, ""), (line, err)
+    assert expect(out) if callable(expect) else [text for text in expect if text not in out] == []
 
 
 # --- any JSON document: the documented result or one `error:` line ------------

@@ -1,11 +1,14 @@
-"""The library surface the benchmark's traced pass reads, checked without running the benchmark.
+"""The library surface the benchmark's traced pass reads, and one tiny traced run.
 
 `perfbench/traced.py` wraps faasim calls by name and reads sizes and rows
 from what they return; a rename or a changed return type would only show
-when the benchmark runs. Its files are imported here, not modified.
+when the benchmark runs. Its files are imported and run here, not modified.
 """
 
 import importlib
+import json
+import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +57,17 @@ def test_trace_entries_carry_duration_and_memory(traced, default_catalog, tmp_pa
     tracer = traced.Tracer("view")
     traced._billing_probe(tracer, sim, wl, path, default_catalog.compute_service("serverless"))
     assert [span["name"] for span in tracer.spans] == ["simcore.billing"]
+
+
+def test_tiny_traced_run_reports_a_number_for_every_metric():
+    """A span is timed only where faasim calls a `traced.LAYER_CALLS` function through its module attribute; a
+    call that bypasses it (`place_greedy` scoring without `placement.evaluate`) leaves that metric null."""
+    # -B: no cache files beside the benchmark, as in the fixture above
+    proc = subprocess.run([sys.executable, "-B", "perfbench/run.py", "--workload", "sim-uniform", "--seed", "1",
+                           "--seconds", "1", "--trace", "1", "--tiny"], cwd=PERFBENCH.parent, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"], proc.stdout[-2000:]
+    assert [name for name, metric in result["metrics"].items()
+            if type(metric["value"]) not in (int, float) or not math.isfinite(metric["value"])] == []

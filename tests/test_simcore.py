@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -50,7 +51,7 @@ def trace(*pairs, memory=0.125):
 
 
 def column(table, key):
-    return table.columns[table.keys.index(key)]
+    return list(table.columns[table.keys.index(key)])
 
 
 def max_overlap(entries):
@@ -80,6 +81,16 @@ def test_billing_rejects_over_limit(fn_spec):
     with pytest.raises(sim.BillingError, match="limit"):
         sim.bill_invocation(901, 0.125, fn_spec)
     assert sim.bill_invocation(900, 0.125, fn_spec) == 9000 * usd("2e-7")
+
+
+@pytest.mark.parametrize("duration", [0, 0.0, -0.0])
+@pytest.mark.parametrize("bill", [
+    lambda duration, spec: sim.billed_units(duration, spec),
+    lambda duration, spec: sim.bill_invocation(duration, 0.125, spec),
+], ids=["billed-units", "bill-invocation"])
+def test_billing_refuses_a_zero_duration(fn_spec, bill, duration):
+    with pytest.raises(sim.BillingError, match="duration must be positive"):
+        bill(duration, fn_spec)
 
 
 def test_billing_rejects_memory_out_of_range(fn_spec):
@@ -564,6 +575,8 @@ def test_cli_cold_start_latency_is_exact_sum(tmp_path, t_app, prestarted, latenc
     assert [r["start_latency_s"] for r in json.loads(out)["result"]["invocations"]] == latencies
 
 
+EDGE_TRACE = ('[{"arrival_s": -0.0, "duration_s": 1}, {"arrival_s": 5e-05, "duration_s": 0.5}, '
+              '{"arrival_s": 1e16, "duration_s": 0.25}]')
 EDGE_ROWS = ('{"arrival_s": -0.0, "start_latency_s": 0.5, "duration_s": 1.0, "cold": true, "billed_units": 10, '
              '"cost_usd": 2e-06}, {"arrival_s": 5e-05, "start_latency_s": 0.5, "duration_s": 0.5, "cold": true, '
              '"billed_units": 5, "cost_usd": 1e-06}, {"arrival_s": 1e+16, "start_latency_s": 0.5, "duration_s": 0.25, '
@@ -583,11 +596,19 @@ def test_cli_rows_print_arrivals_in_every_notation(tmp_path, fmt, expected):
     # repr writes -0.0 with its sign, 5e-05 and 1e+16 in exponent form; the clock reads the
     # exponent texts as Decimals and the plain ones by string passes.
     path = tmp_path / "trace.json"
-    path.write_text('[{"arrival_s": -0.0, "duration_s": 1}, {"arrival_s": 5e-05, "duration_s": 0.5}, '
-                    '{"arrival_s": 1e16, "duration_s": 0.25}]')
+    path.write_text(EDGE_TRACE)
     code, out, err = run_cli("simulate", "--trace", str(path), "--format", fmt)
     assert (code, err) == (0, "")
     assert out == expected
+
+
+def test_cli_json_writes_each_arrival_as_its_repr(tmp_path):
+    """The JSON report writes the arrival texts the clock read, not texts of the floats."""
+    path = tmp_path / "trace.json"
+    path.write_text(EDGE_TRACE)
+    code, out, err = run_cli("simulate", "--trace", str(path))
+    assert (code, err) == (0, "")
+    assert re.findall(r'"arrival_s": (.*),', out) == ["-0.0", "5e-05", "1e+16"]
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf"])
