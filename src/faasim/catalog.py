@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .money import usd
@@ -309,7 +308,7 @@ def catalog_json_dict(catalog: ServiceCatalog) -> dict:
 
 
 def default_catalog_path() -> Path:
-    return Path(resources.files("faasim") / "data" / "default_catalog.json")
+    return Path(__file__).parent / "data" / "default_catalog.json"
 
 
 # ---------------------------------------------------------------------------

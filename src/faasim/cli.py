@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Every subcommand emits a report in one of three formats: `json` (an
-envelope with a run manifest and the result), `table` (aligned
-key/value or grid output), or `csv`. Any bad input (an invalid value, a
-malformed or unreadable file, an unwritable output path) prints a single
-`error: ...` line and exits with status 2. Exit status 1 means a bug.
+Every handler returns a `Report`, and `Report.emit` alone renders it, in
+one of three formats: `json` (an envelope with a run manifest and the
+result), `table` (aligned key/value or grid output), or `csv`. `main`
+alone picks the exit status: 0, or 1 for a bug or a failed `repro` check,
+or 2 for bad input (an invalid value, a malformed or unreadable file, an
+unwritable output path), which prints a single `error: ...` line. The
+program ends by SIGPIPE, as `cat` does, when its stdout is closed.
 
 The catalog is resolved from --catalog, then the FAASIM_CATALOG
 environment variable, then the bundled default, which the manifest
@@ -12,9 +14,9 @@ records as `bundled:default_catalog.json`.
 
 Each handler imports the modules it runs, so a command compiles only those.
 
-`main` pauses cyclic garbage collection while a handler runs, then restores
-the caller's setting, so that no collection rescans the many tuples and lists
-the graph commands keep alive. This relies on command data holding no
+`main` pauses cyclic garbage collection while a handler runs and its report
+renders, then restores the caller's setting, so that no collection rescans
+the many tuples and lists the graph commands keep alive. This relies on command data holding no
 reference cycles, which only a collection would free.
 """
 
@@ -71,9 +73,12 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 
 
 class Report:
-    """A run manifest plus a result payload, renderable in any format."""
+    """A run manifest plus a result payload, rendered once, in any format. In table and csv format, `grids` (an
+    iterable of (headers, rows), read only there) stand in for the result's key/value rows, and in table format
+    `footer` follows them. `failed` marks a result that reports a failure, a repro check's."""
 
-    def __init__(self, subcommand: str, parameters: dict, result, inputs=(), catalog_sha256=None, seed=None):
+    def __init__(self, subcommand: str, parameters: dict, result, inputs=(), catalog_sha256=None, seed=None,
+                 grids=None, footer="", failed=False):
         self.manifest = {
             "subcommand": subcommand,
             "version": __version__,
@@ -83,17 +88,24 @@ class Report:
             "seed": seed,
         }
         self.result = result
+        self.grids, self.footer, self.failed = grids, footer, failed
 
     def emit(self, fmt: str, out) -> None:
         if fmt == "json":
             jsontext.write(out, {"manifest": self.manifest, "result": self.result}, sort_keys=True)
-            return
-        rows: list[tuple[str, str]] = []
-        _flatten("", self.result, rows)
-        if fmt == "table":
-            _render_table(rows, out)
+        elif self.grids is not None:
+            for at, (headers, rows) in enumerate(self.grids):
+                out.write("\n" if at else "")
+                _render_grid(headers, rows, out, fmt)
+            if fmt == "table":
+                out.write(self.footer)
         else:
-            _render_grid(["key", "value"], rows, out, "csv")
+            rows: list[tuple[str, str]] = []
+            _flatten("", self.result, rows)
+            if fmt == "table":
+                _render_table(rows, out)
+            else:
+                _render_grid(["key", "value"], rows, out, "csv")
 
 
 def _money_out(amount: Fraction, args) -> float | str:
@@ -128,28 +140,23 @@ def _parse_bytes(text: str, args) -> int:
 # Subcommand handlers
 
 
-def _cmd_catalog_show(args, out) -> int:
+def _catalog_grids(catalog):
+    """The storage grid, then the compute grid if there is compute; a generator, so a json report makes neither."""
     from . import catalog as cat
-    catalog, source, digest = _load_catalog(args)
-    if args.format == "json":
-        Report("catalog show", {}, cat.catalog_json_dict(catalog), [source], digest).emit("json", out)
-        return EXIT_OK
     headers = ["service", "class", "fn access", "provisioning", "persistence",
                "latency ms", "$/GB-mo", "$/MBps-mo", "$/IOPS-mo"]
     rows = []
     for spec in catalog.storage.values():
-        iops = cat.iops_month_cost(spec, 1)
         rows.append([
             spec.name, spec.storage_class, "yes" if spec.function_accessible else "no",
             spec.provisioning, spec.persistence,
             f"{float(spec.latency_ms.low):g}-{float(spec.latency_ms.high):g}",
             usd_str(spec.capacity_usd_per_gb_month.mid, 4),
             usd_str(spec.throughput_usd_per_mbps_month.mid, 4),
-            usd_str(iops, 4),
+            usd_str(cat.iops_month_cost(spec, 1), 4),
         ])
-    _render_grid(headers, rows, out, args.format)
+    yield headers, rows
     if catalog.compute:
-        out.write("\n")
         headers = ["service", "kind", "memory GiB", "unit s", "$/unit", "max run s"]
         rows = []
         for spec in catalog.compute.values():
@@ -160,15 +167,19 @@ def _cmd_catalog_show(args, out) -> int:
                 usd_str(spec.price_usd_per_unit, None).rstrip("0").rstrip("."),
                 "none" if spec.max_run_time_s is None else f"{float(spec.max_run_time_s):g}",
             ])
-        _render_grid(headers, rows, out, args.format)
-    return EXIT_OK
+        yield headers, rows
 
 
-def _cmd_catalog_cost(args, out) -> int:
+def _cmd_catalog_show(args) -> Report:
+    from . import catalog as cat
+    catalog, source, digest = _load_catalog(args)
+    return Report("catalog show", {}, cat.catalog_json_dict(catalog), [source], digest, grids=_catalog_grids(catalog))
+
+
+def _cmd_catalog_cost(args) -> Report:
     from . import catalog as cat
     catalog, source, digest = _load_catalog(args)
     service = catalog.storage_service(args.service)
-    result: dict = {"service": args.service}
     params: dict = {"service": args.service}
     costs: dict[str, Fraction] = {}
     if args.capacity_gb is not None:
@@ -185,14 +196,12 @@ def _cmd_catalog_cost(args, out) -> int:
             costs["iops_usd_per_month"] = cat.iops_month_cost(service, args.iops)
     if not costs:
         raise ValueError("nothing to price: give --capacity-gb, --iops, or --reads/--writes")
-    total = sum(costs.values(), Fraction(0))
-    result |= {key: _money_out(value, args) for key, value in costs.items()}
-    result["total_usd"] = _money_out(total, args)
-    Report("catalog cost", params, result, [source], digest).emit(args.format, out)
-    return EXIT_OK
+    costs["total_usd"] = sum(costs.values(), Fraction(0))
+    result = {"service": args.service} | {key: _money_out(value, args) for key, value in costs.items()}
+    return Report("catalog cost", params, result, [source], digest)
 
 
-def _cmd_comm(args, out) -> int:
+def _cmd_comm(args) -> Report:
     from . import commpatterns as comm
     granularity = {"vm": "vm-grouped", "function": "function-grained"}.get(args.granularity, args.granularity)
     payload = _parse_bytes(args.payload, args)
@@ -205,8 +214,7 @@ def _cmd_comm(args, out) -> int:
     result["overhead_ratio_vs_grouped"] = comm.traffic_overhead_ratio(args.pattern, args.k)
     params = {"pattern": args.pattern, "n": args.n, "k": args.k,
               "granularity": granularity, "payload_bytes": payload}
-    Report("comm", params, result).emit(args.format, out)
-    return EXIT_OK
+    return Report("comm", params, result)
 
 
 def _plan_result(plan) -> dict:
@@ -223,14 +231,13 @@ def _plan_result(plan) -> dict:
     }
 
 
-def _cmd_shuffle_plan(args, out) -> int:
+def _cmd_shuffle_plan(args) -> Report:
     from . import shuffleplan as shp
     data = _parse_bytes(args.data, args)
     block = _parse_bytes(args.block, args)
     plan = shp.plan(shp.ShuffleProblem(data, block, args.stages))
     params = {"data_bytes": data, "block_bytes": block, "stages": args.stages}
-    Report("shuffle plan", params, _plan_result(plan)).emit(args.format, out)
-    return EXIT_OK
+    return Report("shuffle plan", params, _plan_result(plan))
 
 
 def _breakdown_result(breakdown, args) -> dict:
@@ -243,7 +250,7 @@ def _breakdown_result(breakdown, args) -> dict:
     }
 
 
-def _cmd_shuffle_price(args, out) -> int:
+def _cmd_shuffle_price(args) -> Report:
     from . import shuffleplan as shp
     catalog, source, digest = _load_catalog(args)
     if args.preset:
@@ -273,21 +280,18 @@ def _cmd_shuffle_price(args, out) -> int:
                   "gb_seconds": args.gb_seconds, "gb_hours": args.gb_hours,
                   "write_fraction": args.write_fraction, "slow_ops": args.slow_ops}
         result = {"plan": _plan_result(plan), "cost": _breakdown_result(breakdown, args)}
-    Report("shuffle price", params, result, [source], digest).emit(args.format, out)
-    return EXIT_OK
+    return Report("shuffle price", params, result, [source], digest)
 
 
-def _write_or_print(doc, args, out, subcommand, params, seed=None) -> None:
+def _write_or_print(doc, args, subcommand, params, seed=None) -> Report:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as file:
             jsontext.write(file, doc)
-        result = {"written": args.output}
-    else:
-        result = doc
-    Report(subcommand, params, result, seed=seed).emit(args.format, out)
+        doc = {"written": args.output}
+    return Report(subcommand, params, doc, seed=seed)
 
 
-def _cmd_workload_gen(args, out) -> int:
+def _cmd_workload_gen(args) -> Report:
     from . import commpatterns as comm, workloads as wl
     if args.kind == "shuffle":
         graph = wl.gen_shuffle_dag(args.mappers, args.reducers, _parse_bytes(args.bytes, args))
@@ -297,8 +301,7 @@ def _cmd_workload_gen(args, out) -> int:
                 wl.check_budget(graph.edge_count, "shuffle edges")
             result = {"implicit": True, "task_count": graph.task_count, "edge_count": graph.edge_count,
                       "total_edge_bytes": graph.total_edge_bytes}
-            Report("workload gen", params, result).emit(args.format, out)
-            return EXIT_OK
+            return Report("workload gen", params, result)
         doc = graph.to_json_dict()
     elif args.kind == "cholesky":
         graph = wl.gen_cholesky_dag(args.blocks, block_dim=args.block_dim)
@@ -308,31 +311,28 @@ def _cmd_workload_gen(args, out) -> int:
         scenarios = wl.gen_paramserver(args.workers, args.rounds, _parse_bytes(args.gradient, args))
         params = {"kind": "paramserver", "workers": args.workers, "rounds": args.rounds}
         doc = [comm.scenario_report(s) for s in scenarios]
-    _write_or_print(doc, args, out, "workload gen", params)
-    return EXIT_OK
+    return _write_or_print(doc, args, "workload gen", params)
 
 
-def _cmd_workload_profile(args, out) -> int:
+def _cmd_workload_profile(args) -> Report:
     from . import workloads as wl
     graph = wl.load_task_graph(args.graph)
     profile = wl.parallelism_profile(graph)
     params = {"graph": args.graph}
-    Report("workload profile", params, profile.to_json_dict(), [args.graph]).emit(args.format, out)
-    return EXIT_OK
+    return Report("workload profile", params, profile.to_json_dict(), [args.graph])
 
 
-def _cmd_workload_trace(args, out) -> int:
+def _cmd_workload_trace(args) -> Report:
     from . import workloads as wl
     if args.arrivals == "poisson":
         trace = wl.poisson_trace(args.count, args.rate, args.duration, args.memory, args.seed)
     else:
         trace = wl.fixed_interval_trace(args.count, args.interval, args.duration, args.memory)
     params = dict(trace.metadata)
-    _write_or_print(trace.to_json_list(), args, out, "workload trace", params, seed=args.seed)
-    return EXIT_OK
+    return _write_or_print(trace.to_json_list(), args, "workload trace", params, seed=args.seed)
 
 
-def _cmd_simulate(args, out) -> int:
+def _cmd_simulate(args) -> Report:
     from . import simcore as sim, workloads as wl
     catalog, source, digest = _load_catalog(args)
     trace = wl.load_trace(args.trace)
@@ -345,33 +345,27 @@ def _cmd_simulate(args, out) -> int:
     result = sim.simulate(trace, platform)
     params = {"service": args.service, "t_schedule": args.t_schedule, "t_env": args.t_env,
               "t_app": args.t_app, "keep_alive": args.keep_alive, "prestarted": args.prestarted}
-    Report("simulate", params, result.to_json_dict(), [args.trace, source], digest).emit(args.format, out)
-    return EXIT_OK
+    return Report("simulate", params, result.to_json_dict(), [args.trace, source], digest)
 
 
-def _cmd_place(args, out) -> int:
+def _comm_counts(placed) -> dict:
+    return {"cross_instance_bytes": placed.cross_instance_bytes, "remote_message_count": placed.remote_message_count}
+
+
+def _cmd_place(args) -> Report:
     from . import placement as plc, workloads as wl
     graph = wl.load_task_graph(args.graph)
     problem = plc.PlacementProblem(graph, args.instances, args.slots)
     greedy = plc.place_greedy(problem)
-    singleton = plc.singleton_placement(graph)
-    comparison = {
-        "greedy": {"cross_instance_bytes": greedy.cross_instance_bytes,
-                   "remote_message_count": greedy.remote_message_count},
-        "singleton_baseline": {"cross_instance_bytes": singleton.cross_instance_bytes,
-                               "remote_message_count": singleton.remote_message_count},
-    }
+    comparison = {"greedy": _comm_counts(greedy), "singleton_baseline": _comm_counts(plc.singleton_placement(graph))}
     if graph.task_count <= plc.EXHAUSTIVE_TASK_LIMIT:
-        best = plc.place_exhaustive(problem)
-        comparison["exhaustive_optimum"] = {"cross_instance_bytes": best.cross_instance_bytes,
-                                            "remote_message_count": best.remote_message_count}
+        comparison["exhaustive_optimum"] = _comm_counts(plc.place_exhaustive(problem))
     result = {"placement": greedy.to_json_dict(), "comparison": comparison}
     params = {"graph": args.graph, "instances": args.instances, "slots": args.slots}
-    Report("place", params, result, [args.graph]).emit(args.format, out)
-    return EXIT_OK
+    return Report("place", params, result, [args.graph])
 
 
-def _cmd_breakeven(args, out) -> int:
+def _cmd_breakeven(args) -> Report:
     from . import simcore as sim
     ratio = sim.FALLACY_COST_RATIO if args.ratio is None else args.ratio
     duty = report_float(sim.breakeven_duty_cycle(ratio), "breakeven_duty_cycle")
@@ -380,25 +374,19 @@ def _cmd_breakeven(args, out) -> int:
         "breakeven_duty_cycle": round(duty, 6),
         "breakeven_percent": f"{report_float(duty * 100, 'breakeven_percent'):.2f}%",
     }
-    Report("breakeven", {"ratio": ratio}, result).emit(args.format, out)
-    return EXIT_OK
+    return Report("breakeven", {"ratio": ratio}, result)
 
 
-def _cmd_repro(args, out) -> int:
+def _cmd_repro(args) -> Report:
     from . import repro as rp
     catalog, source, digest = _load_catalog(args)
     checks = rp.run_all(catalog)
     passed, failed, external = (sum(c.status == status for c in checks) for status in (rp.PASS, rp.FAIL, rp.EXTERNAL))
-    if args.format == "json":
-        result = {"checks": [c.to_json_dict() for c in checks], "passed": passed, "failed": failed,
-                  "external": external}
-        Report("repro", {}, result, [source], digest).emit("json", out)
-    else:
-        rows = [[c.status.upper(), c.location, c.check_id, c.claim] for c in checks]
-        _render_grid(["status", "location", "check", "claim"], rows, out, args.format)
-        if args.format == "table":
-            out.write(f"\n{passed} passed, {failed} failed, {external} external (not checked)\n")
-    return EXIT_INTERNAL if failed else EXIT_OK
+    result = {"checks": [c.to_json_dict() for c in checks], "passed": passed, "failed": failed, "external": external}
+    rows = [[c.status.upper(), c.location, c.check_id, c.claim] for c in checks]
+    return Report("repro", {}, result, [source], digest, grids=[(["status", "location", "check", "claim"], rows)],
+                  footer=f"\n{passed} passed, {failed} failed, {external} external (not checked)\n",
+                  failed=failed > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +518,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args, out)
+        report = args.handler(args)
+        report.emit(args.format, out)
+        return EXIT_INTERNAL if report.failed else EXIT_OK
     # Every domain error subclasses ValueError, as do JSON and UTF-8 decode
     # errors; OSError messages name the file.
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         err.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
     finally:
@@ -550,4 +539,9 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def entrypoint() -> None:
+    # A closed stdout ends the program as it ends `cat`, by SIGPIPE's default action, not as bad input. Set here
+    # only: `main` also runs inside other programs, whose signal handling is theirs.
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

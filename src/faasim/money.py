@@ -56,6 +56,16 @@ def usd(value) -> Fraction:
     return Fraction(literal)
 
 
+def json_integer(value, message: str) -> int:
+    """A JSON Schema integer: an int, or a float or Decimal without a fraction, so 5.0 reads as 5. Anything else,
+    a bool or a string among them, raises ValueError: `message`, then the value."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is Decimal and (number := usd(value)).denominator == 1:
+        return number.numerator
+    raise ValueError(f"{message}, not {value if type(value) is Decimal else repr(value)}")
+
+
 def usd_decimal(amount: Fraction, places: int = 6) -> Decimal:
     """Round an exact dollar amount to `places` decimals, ties away from zero.
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .catalog import HOURS_PER_MONTH, ServiceCatalog, request_cost
-from .money import usd
+from .money import json_integer, report_float, usd
 from .record import Record
 
 DEFAULT_FUNCTION_MEMORY_CAP = 3 * 10**9  # largest function memory today
@@ -163,7 +162,7 @@ class ShufflePreset(Record):
 
 
 def _preset_dir() -> Path:
-    return Path(resources.files("faasim") / "data" / "presets")
+    return Path(__file__).parent / "data" / "presets"
 
 
 def load_preset(name_or_path: str | Path) -> ShufflePreset:
@@ -177,20 +176,21 @@ def load_preset(name_or_path: str | Path) -> ShufflePreset:
     try:
         prob = doc["problem"]
         ex = doc["exec"]
-        duration = ex.get("duration_s")
+        duration, ops = ex.get("duration_s"), ex.get("slow_store_ops")
         return ShufflePreset(
             name=doc.get("name", path.stem),
             problem=ShuffleProblem(
-                data_bytes=int(prob["data_bytes"]),
-                function_memory_cap=int(prob.get("function_memory_cap_bytes", DEFAULT_FUNCTION_MEMORY_CAP)),
-                stages=int(prob.get("stages", 1)),
+                data_bytes=json_integer(prob["data_bytes"], "data_bytes must be an integer"),
+                function_memory_cap=json_integer(prob.get("function_memory_cap_bytes", DEFAULT_FUNCTION_MEMORY_CAP),
+                                                 "function_memory_cap_bytes must be an integer"),
+                stages=json_integer(prob.get("stages", 1), "stages must be an integer"),
             ),
             exec_inputs=ShuffleExec(
                 function_gb_seconds=usd(ex.get("function_gb_seconds", 0)),
                 fast_store_gb_hours=usd(ex.get("fast_store_gb_hours", 0)),
                 slow_store_write_fraction=usd(ex.get("slow_store_write_fraction", "1/2")),
-                slow_store_ops=None if ex.get("slow_store_ops") is None else int(ex["slow_store_ops"]),
-                duration_s=None if duration is None else float(duration),
+                slow_store_ops=None if ops is None else json_integer(ops, "slow_store_ops must be an integer"),
+                duration_s=None if duration is None else report_float(usd(duration), "duration_s"),
                 compute_service=ex.get("compute_service", "serverless"),
                 slow_store_service=ex.get("slow_store_service", "object"),
                 fast_store_service=ex.get("fast_store_service", "memory"),
@@ -200,7 +200,7 @@ def load_preset(name_or_path: str | Path) -> ShufflePreset:
         )
     except KeyError as exc:
         raise PlanError(f"preset {str(path)!r} is missing field {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValueError) as exc:
         raise PlanError(f"malformed preset {str(path)!r}: {exc}") from None
 
 

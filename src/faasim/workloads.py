@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .commpatterns import CommScenario, Deployment
 from .jsonchunks import CHUNK, Chunks
 from .jsontext import Coded, Table, column_texts
+from .money import json_integer
 from .record import Record
 
 # Above this many edges a shuffle graph is returned in implicit form; no
@@ -134,13 +135,6 @@ class TaskGraph(_Columns):
             raise GraphError(f"malformed task graph document: {exc}") from exc
 
 
-def _json_integer(value) -> int:
-    """A JSON Schema integer: 5.0 reads as 5."""
-    if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
-    raise ValueError(f"edge bytes must be integers, not {value!r}")
-
-
 def _graph_builder():
     """The task graph format's column builder: `add_tasks` takes each run of parsed tasks, then `add_edges` each
     run of edges, and `graph(metadata)` is the graph built. A task is an object with `id`, `duration_s` and, by
@@ -163,7 +157,8 @@ def _graph_builder():
         ends = [*map(itemgetter("src"), edges)], [*map(itemgetter("dst"), edges)]
         nbytes = [*map(itemgetter("bytes"), edges)]
         # Read before they are shared: 1.0 and True are dict keys equal to 1.
-        nbytes = nbytes if set(map(type, nbytes)) <= {int} else [*map(_json_integer, nbytes)]
+        if not set(map(type, nbytes)) <= {int}:
+            nbytes = [json_integer(n, "edge bytes must be integers") for n in nbytes]
         try:  # ends that are all task ids as they stand: no pass through str
             at = [[*map(position.__getitem__, run)] for run in ends]
         except (KeyError, TypeError):  # ends that are not all strings, or an unknown end

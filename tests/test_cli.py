@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -115,6 +116,26 @@ def test_shuffle_price_preset():
     assert cost["compute_usd"] == 117.0
     assert cost["slow_store_request_usd"] == 14.0
     assert cost["fast_store_usd"] == 32.0
+
+
+def test_shuffle_price_from_options_reproduces_the_preset():
+    """The preset's plan and execution inputs, given as options, price to its $117 + $14 + $32 = $163."""
+    preset = run_json("shuffle", "price", "--preset", "cloudsort100tb")["result"]
+    doc = run_json("shuffle", "price", "--data", "100TB", "--block", "3GB", "--stages", "50",
+                   "--gb-seconds", "7312500", "--gb-hours", "2304000/187", "--write-fraction", "1",
+                   "--slow-ops", "2800000")
+    assert doc["result"] == {"plan": preset["plan"], "cost": {**preset["cost"], "duration_s": None}}
+    assert [doc["result"]["cost"][key] for key in ("compute_usd", "slow_store_request_usd", "fast_store_usd",
+                                                    "total_usd")] == [117.0, 14.0, 32.0, 163.0]
+
+
+def test_shuffle_plan_with_binary_suffixes():
+    assert run_json("shuffle", "plan", "--data", "3GiB", "--block", "1GiB")["result"]["mappers"] == 3
+
+
+def test_catalog_cost_of_requests():
+    doc = run_json("catalog", "cost", "--service", "object", "--reads", "1000000", "--writes", "1000000")
+    assert doc["result"]["request_usd"] == doc["result"]["total_usd"] == 5.4
 
 
 def test_workload_gen_and_profile(tmp_path):
@@ -422,13 +443,14 @@ def _set_storage(field, value):
     return lambda doc: doc["storage"][0].__setitem__(field, value)
 
 
-def _preset_with(field, value=None):
-    """The bundled preset with `field` set to `value`, or removed when `value` is None."""
+def _preset_with(field, value=None, section=None):
+    """The bundled preset with `field` (of `section`, if given) set to `value`, or removed when `value` is None."""
     doc = json.loads((resources.files("faasim") / "data" / "presets" / "cloudsort100tb.json").read_text())
+    fields = doc if section is None else doc[section]
     if value is None:
-        del doc[field]
+        del fields[field]
     else:
-        doc[field] = value
+        fields[field] = value
     return json.dumps(doc)
 
 
@@ -466,6 +488,13 @@ BAD_INPUTS = [
     ("preset-without-exec", _preset_with("exec"), PRICE_PRESET),
     ("preset-without-problem", _preset_with("problem"), PRICE_PRESET),
     ("preset-exec-list", _preset_with("exec", []), PRICE_PRESET),
+    # Counts are JSON integers and the duration a finite number, not truncated or passed through.
+    ("preset-duration-nan-string", _preset_with("duration_s", "nan", "exec"), PRICE_PRESET),
+    ("preset-duration-nan", _preset_with("duration_s", float("nan"), "exec"), PRICE_PRESET),
+    ("preset-stages-fraction", _preset_with("stages", 2.7, "problem"), PRICE_PRESET),
+    ("preset-data-bytes-string", _preset_with("data_bytes", "100000000000000", "problem"), PRICE_PRESET),
+    ("preset-memory-cap-bool", _preset_with("function_memory_cap_bytes", True, "problem"), PRICE_PRESET),
+    ("preset-slow-ops-negative-fraction", _preset_with("slow_store_ops", -0.5, "exec"), PRICE_PRESET),
     ("capacity-inf", None, COST + ("--capacity-gb", "inf")),
     ("months-inf", None, COST + ("--capacity-gb", "1", "--months", "inf")),
     ("mix-inf", None, COST + ("--iops", "1", "--per", "minute", "--mix", "inf")),
@@ -506,6 +535,58 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, contents, argv):
         data = contents if isinstance(contents, bytes) else contents.encode("utf-8")
         (tmp_path / "input.json").write_bytes(data)
     assert_one_error_line(*run(*argv))
+
+
+def test_preset_error_names_the_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.json").write_text(_preset_with("stages", 2.7, "problem"), encoding="utf-8")
+    assert run(*PRICE_PRESET) == (2, "", "error: malformed preset 'input.json': stages must be an integer, not 2.7\n")
+
+
+def test_preset_integers_may_be_written_as_integral_floats(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.json").write_text(_preset_with("stages", 50.0, "problem"), encoding="utf-8")
+    assert run_json(*PRICE_PRESET)["result"]["plan"] == run_json(
+        "shuffle", "price", "--preset", "cloudsort100tb")["result"]["plan"]
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("a bug")
+
+
+# (id, argv, whether the handler raises RuntimeError, exit status, whether a report is written, stderr)
+EXIT_STATUSES = [
+    ("success", ("breakeven",), False, 0, True, ""),
+    ("failed-repro-check", ("repro", "--catalog", "catalog.json"), False, 1, True, ""),
+    ("internal-error", ("breakeven",), True, 1, False, "internal error: a bug\n"),
+    ("bad-input", ("simulate", "--trace", "missing.json"), False, 2, False,
+     "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("argv,raises,status,writes,err", [case[1:] for case in EXIT_STATUSES],
+                         ids=[case[0] for case in EXIT_STATUSES])
+def test_exit_status(tmp_path, monkeypatch, fmt, argv, raises, status, writes, err):
+    monkeypatch.chdir(tmp_path)
+    # A serverless price the published function costs do not reproduce.
+    (tmp_path / "catalog.json").write_text(_catalog_text(_set_compute("price_usd_per_unit_at_base_memory", 3e-07)),
+                                           encoding="utf-8")
+    if raises:
+        monkeypatch.setattr(cli, "_cmd_breakeven", _raise_runtime_error)
+    code, out, error = run(*argv, "--format", fmt)
+    assert (code, bool(out), error) == (status, writes, err)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_program_by_sigpipe():
+    """As `faasim workload trace --count 100000 | head -c 100` does: no `error:` line, no bad-input status."""
+    proc = subprocess.Popen([sys.executable, "-m", "faasim", "workload", "trace", "--count", "100000", "--seed", "1"],
+                            env=faasim_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (-signal.SIGPIPE, b"")
 
 
 def test_catalog_error_names_the_entry(tmp_path, monkeypatch):
@@ -965,12 +1046,16 @@ def test_place_caps_instances_and_slots_at_the_task_count(tmp_path, instances, s
     (("place", "--graph", "missing.json", "--instances", "1", "--slots", "1"), 2),
 ])
 def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled, argv, status):
+    """The handler and the rendering of its report both run while collection is paused."""
     monkeypatch.chdir(tmp_path)
     paused = []
     for name in ("_cmd_breakeven", "_cmd_place"):
         handler = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda args, out, handler=handler: paused.append(not gc.isenabled())
-                            or handler(args, out))
+        monkeypatch.setattr(cli, name, lambda args, handler=handler: paused.append(("handler", not gc.isenabled()))
+                            or handler(args))
+    emit = cli.Report.emit
+    monkeypatch.setattr(cli.Report, "emit", lambda report, fmt, out: paused.append(("emit", not gc.isenabled()))
+                        or emit(report, fmt, out))
     caller = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -978,7 +1063,9 @@ def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled, ar
         after = gc.isenabled()
     finally:
         (gc.enable if caller else gc.disable)()
-    assert (code, after, paused) == (status, enabled, [True])
+    # A bad --graph fails in the handler, so no report is rendered.
+    steps = [("handler", True), ("emit", True)] if status == 0 else [("handler", True)]
+    assert (code, after, paused) == (status, enabled, steps)
 
 
 def test_graph_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
@@ -1029,6 +1116,7 @@ def test_desk_command_loads_only_what_it_runs(name):
     status, loaded = json.loads(proc.stdout)
     assert status == 0, proc.stderr
     assert "dataclasses" not in loaded
+    assert "importlib.resources" not in loaded  # bundled data is found beside the modules
     if name in LIGHT_COMMANDS:
         assert not {"faasim.workloads", "faasim.placement", "faasim.repro"} & set(loaded)
     if name == "breakeven":
