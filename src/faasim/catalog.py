@@ -25,7 +25,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .money import usd
+from .money import report_float, usd
 from .record import Record
 
 SECONDS_PER_MONTH = 2_592_000  # 30 days
@@ -172,10 +172,11 @@ def _name(value) -> str:
 
 
 def _number(value) -> Fraction:
-    """A catalog number, exact: a JSON number, not a boolean or a string."""
+    """A catalog number, exact: a JSON number, not a boolean or a string, within a double's range (reports print it)."""
     if isinstance(value, (bool, str)):
         raise TypeError(f"expected a JSON number, not {value!r}")
-    return usd(value)
+    report_float(number := usd(value), str(value))
+    return number
 
 
 def _band(value) -> Band:

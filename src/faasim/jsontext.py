@@ -183,12 +183,15 @@ def _parts(obj, level: int, sort_keys: bool):
         text = json.dumps(obj, separators=("," + inner, ": "), sort_keys=sort_keys)
         yield text[0] + inner + text[1:-1] + outer + text[-1]
     elif kind is dict and set(map(type, members)) == {list} and all(members) and _flat(chain.from_iterable(members)):
-        # A newline in the key separator marks where each list opens;
-        # "],<newline>" can only end a list that is not the last one.
+        # A newline in the key separator marks where each list opens; "],<newline>" can only end a list
+        # that is not the last one. Members go a chunk at a time: no text the size of the dict is made.
         deeper = inner + _INDENT
-        text = json.dumps(obj, separators=("," + deeper, ":\n"), sort_keys=sort_keys)
-        body = text[1:-2].replace("]," + deeper, inner + "]," + inner).replace(":\n[", ": [" + deeper)
-        yield "{" + inner + body + inner + "]" + outer + "}"
+        keys, head = sorted(obj) if sort_keys else [*obj], "{" + inner
+        for at in range(0, len(keys), _CHUNK_ROWS):
+            text = json.dumps({key: obj[key] for key in keys[at:at + _CHUNK_ROWS]}, separators=("," + deeper, ":\n"))
+            yield head + text[1:-2].replace("]," + deeper, inner + "]," + inner).replace(":\n[", ": [" + deeper)
+            head = inner + "]," + inner
+        yield inner + "]" + outer + "}"
     elif kind is dict:
         head = "{" + inner
         for key, value in sorted(obj.items()) if sort_keys else obj.items():

@@ -17,12 +17,13 @@ task positions and name tasks by id only in the `Placement` they return.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, islice, repeat
-from operator import add, eq, mul, ne
+from functools import partial
+from itertools import compress, islice
+from operator import ne
 from typing import NamedTuple
 
 from .record import Record
-from .workloads import TaskGraph, asap_levels  # noqa: F401  (asap_levels is re-exported)
+from .workloads import TaskGraph, asap_levels, out_edges  # noqa: F401  (asap_levels is re-exported)
 
 EXHAUSTIVE_TASK_LIMIT = 10
 
@@ -60,13 +61,12 @@ class Placement(Record):
     remote_message_count: int
 
     def __post_init__(self):
-        seats = list(self.assignment.values())
-        if len(set(seats)) != len(seats):
+        if len(set(self.assignment.values())) != len(self.assignment):
             raise PlacementError("slot double-booked")
 
     def to_json_dict(self) -> dict:
         return {
-            "assignment": {tid: list(seat) for tid, seat in sorted(self.assignment.items())},
+            "assignment": {tid: list(self.assignment[tid]) for tid in sorted(self.assignment)},
             "cross_instance_bytes": self.cross_instance_bytes,
             "remote_message_count": self.remote_message_count,
         }
@@ -84,18 +84,14 @@ def evaluate(assignment: dict[str, tuple[int, int]], graph: TaskGraph) -> CommCo
 
 
 def _score(instance: list[int], graph: TaskGraph) -> CommCost:
-    """Communication cost when task i (by position) runs on `instance[i]`."""
-    levels = graph.levels
-    src_inst = [instance[i] for i in graph.src]
-    dst_inst = [instance[i] for i in graph.dst]
-    cross_bytes = sum(compress(graph.edge_bytes, map(ne, src_inst, dst_inst)))
-    # A message (src instance, dst instance, src level) as one int, in mixed radix:
-    # instances offset from the least one, then the level.
-    low, depth = min(instance, default=0), max(levels, default=0) + 1
-    width = (max(instance, default=0) - low + 1) * depth
-    head = [(seat - low) * width + level for seat, level in zip(instance, levels)]
-    tail = [(seat - low) * depth for seat in instance]
-    return CommCost(cross_bytes, len({head[a] + tail[b] for a, b in zip(graph.src, graph.dst)}))
+    """Communication cost when task i (by position) runs on `instance[i]`. A message (src instance, src level, dst
+    instance) is the int (src * depth + level) * span + dst, one per message as instances differ by less than `span`;
+    made an edge at a time, the set holds one int per message, not per edge."""
+    levels, at = graph.levels, instance.__getitem__
+    cross_bytes = sum(compress(graph.edge_bytes, map(ne, [*map(at, graph.src)], [*map(at, graph.dst)])))
+    depth, span = max(levels, default=0) + 1, max(instance, default=0) - min(instance, default=0) + 1
+    messages = {(instance[a] * depth + levels[a]) * span + instance[b] for a, b in zip(graph.src, graph.dst)}
+    return CommCost(cross_bytes, len(messages))
 
 
 def _seat(groups: list[list[int]], n_instances: int, slots: int) -> list[tuple[int, int]]:
@@ -149,18 +145,27 @@ def place_greedy(problem: PlacementProblem) -> Placement:
     longer fits falls back to task-at-a-time first fit.
     """
     graph, slots = problem.graph, problem.slots_per_instance
-    ids, src, dst = graph.ids, graph.src, graph.dst
-    by_id = sorted(range(graph.task_count), key=ids.__getitem__)
-    rank = [0] * graph.task_count
-    for position, i in enumerate(by_id):
-        rank[i] = position
-    # Stable sorts, least significant key first: (-bytes, rank[src], rank[dst]).
-    order = sorted(range(graph.edge_count), key=list(map(rank.__getitem__, dst)).__getitem__)
-    order.sort(key=list(map(rank.__getitem__, src)).__getitem__)
-    order.sort(key=graph.edge_bytes.__getitem__, reverse=True)
+    assignment = dict(zip(graph.ids, _seat(_merged(graph, slots), problem.n_instances, slots)))
+    cost = evaluate(assignment, graph)
+    return Placement(assignment, cost.cross_instance_bytes, cost.remote_message_count)
 
-    parent = list(range(graph.task_count))
-    size = [1] * graph.task_count
+
+def _merged(graph: TaskGraph, slots: int) -> list[list[int]]:
+    """`place_greedy`'s merged groups of task positions, largest first (ties by least id), each in id order. Ranks are
+    the shared `positions` ints; an edge's source key, its source's rank plus n times the bytes it carries below the
+    heaviest edge, sorts by bytes, then source, and each key's bucket of destination ranks is sorted in its turn."""
+    n = graph.task_count
+    positions = list(range(n))
+    by_id = sorted(positions, key=graph.ids.__getitem__)
+    rank = [0] * n
+    for position, i in zip(positions, by_id):
+        rank[i] = position
+    top = max(graph.edge_bytes, default=0)
+    sources = [r if nbytes == top else (top - nbytes) * n + r
+               for nbytes, r in zip(graph.edge_bytes, map(rank.__getitem__, graph.src))]
+    heads = sorted(map(rank.__getitem__, graph.dst), key=partial(next, iter(sources)))  # grouped as `out_edges` does
+    sources.sort()
+    parent, size = positions[:], [1] * n
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -168,21 +173,21 @@ def place_greedy(problem: PlacementProblem) -> Placement:
             x = parent[x]
         return x
 
-    for a, b in zip(map(src.__getitem__, order), map(dst.__getitem__, order)):
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b and size[root_a] + size[root_b] <= slots:
-            parent[root_b] = root_a
-            size[root_a] += size[root_b]
+    lo = 0
+    for key, count in Counter(sources).items():  # the sorted keys, in order
+        root_a = find(key % n)  # stays a root while its bucket merges into it
+        for b in sorted(heads[lo:lo + count]):
+            root_b = find(b)
+            if root_a != root_b and size[root_a] + size[root_b] <= slots:
+                parent[root_b] = root_a
+                size[root_a] += size[root_b]
+        lo += count
 
     # Members are collected in id order, so each group is sorted and starts with its least id.
     members: dict[int, list[int]] = {}
-    for i in by_id:
-        members.setdefault(find(i), []).append(i)
-    groups = sorted(members.values(), key=lambda g: (-len(g), rank[g[0]]))
-
-    assignment = dict(zip(ids, _seat(groups, problem.n_instances, slots)))
-    cost = evaluate(assignment, graph)
-    return Placement(assignment, cost.cross_instance_bytes, cost.remote_message_count)
+    for r in positions:
+        members.setdefault(find(r), []).append(by_id[r])
+    return sorted(members.values(), key=lambda g: (-len(g), rank[g[0]]))
 
 
 def place_exhaustive(problem: PlacementProblem) -> Placement:
@@ -251,8 +256,8 @@ def place_exhaustive(problem: PlacementProblem) -> Placement:
 
 def singleton_placement(graph: TaskGraph) -> CommCost:
     """The cost of every task on its own instance: the no-co-location baseline. Every edge crosses (a
-    DAG has no self-loop), and each distinct (src, dst) pair is one message (a task fixes its level).
-    Pairs are counted in one sorted list of ints, where each repeat follows its pair: a list slot per
-    edge instead of a set's table."""
-    pairs = sorted(map(add, map(mul, graph.src, repeat(graph.task_count)), graph.dst))  # (src, dst) as one int
-    return CommCost(graph.total_edge_bytes, len(pairs) - sum(map(eq, pairs, islice(pairs, 1, None))))
+    DAG has no self-loop), and each distinct (src, dst) pair is one message (a task fixes its level):
+    the distinct destinations in each source's bucket of `dst` ints (`out_edges`)."""
+    start, heads = out_edges(graph)
+    pairs = sum(map(len, map(set, map(heads.__getitem__, map(slice, start, islice(start, 1, None))))))
+    return CommCost(graph.total_edge_bytes, pairs)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le
 from pathlib import Path
@@ -60,9 +62,9 @@ class TaskGraph(_Columns):
     with `durations[i]`, `memory[i]` and `kinds[i]`; edge j runs from task
     `src[j]` to task `dst[j]` and carries `edge_bytes[j]`. `levels[i]` is
     the ASAP level of task i, computed once when the graph is built. The
-    columns are tuples and cannot be reassigned, so the levels always match
-    them. `from_json_dict` reads a parsed document and `load_task_graph` a
-    graph file, both through the format's one column builder, `_graph_builder`.
+    columns are tuples (a tuple is kept, not copied) and cannot be reassigned,
+    so the levels always match them. `from_json_dict` reads a parsed document
+    and `load_task_graph` a graph file, both through `_graph_builder`.
     """
 
     _FIELDS = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
@@ -151,7 +153,7 @@ def _graph_builder():
         ids.extend(run)
         durations.extend(map(share, map(float, map(itemgetter("duration_s"), tasks))))
         memory.extend(map(share, map(float, map(dict.get, tasks, repeat("memory_gb"), repeat(0.0)))))
-        kinds.extend(map(str, map(dict.get, tasks, repeat("kind"), repeat("task"))))
+        kinds.extend(map(share, map(str, map(dict.get, tasks, repeat("kind"), repeat("task")))))
 
     def add_edges(edges):
         ends = [*map(itemgetter("src"), edges)], [*map(itemgetter("dst"), edges)]
@@ -174,10 +176,15 @@ def _graph_builder():
     def graph(metadata) -> TaskGraph:
         if type(metadata) is not dict:
             raise TypeError("metadata must be an object")
-        position.clear()  # free before the constructor copies the columns
-        return TaskGraph(*columns, dict(metadata))
+        position.clear()
+        return TaskGraph(*map(_handed_over, columns), dict(metadata))
 
     return add_tasks, add_edges, graph
+
+
+def _handed_over(column: list) -> tuple:
+    """The column as a tuple, its list emptied: mapped over a builder's columns, each is held once, never twice."""
+    return (tuple(column), column.clear())[0]
 
 
 def _graph_columns(chunks: Chunks) -> TaskGraph:
@@ -200,28 +207,30 @@ def load_task_graph(path: str | Path) -> TaskGraph:
     return _load_json(path, _graph_columns, TaskGraph.from_json_dict)
 
 
+def out_edges(graph: TaskGraph) -> tuple[list[int], list[int]]:
+    """(start, succs): each edge's `dst` grouped by source task, by a stable sort keyed by the edge's source (a sort
+    calls its key once per value, in order). Task i's successors are succs[start[i]:start[i + 1]]."""
+    start = [0, *accumulate(map(Counter(graph.src).__getitem__, range(graph.task_count)))]
+    return start, sorted(graph.dst, key=partial(next, iter(graph.src)))
+
+
 def asap_levels(graph: TaskGraph) -> list[int]:
-    """Earliest level of each task, by position (Kahn order); raises GraphError on cycles."""
-    n = graph.task_count
-    indegree = [0] * n
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for src, dst in zip(graph.src, graph.dst):
-        indegree[dst] += 1
-        succs[src].append(dst)
-    level = [0] * n
-    ready = [i for i in range(n) if not indegree[i]]
-    seen = 0
+    """Earliest level of each task, by position (Kahn order, a level at a time); raises GraphError on cycles."""
+    indegree = [0] * graph.task_count
+    for j in graph.dst:
+        indegree[j] += 1
+    start, succs = out_edges(graph)
+    level, ready, depth = [0] * graph.task_count, [i for i, count in enumerate(indegree) if not count], 0
     while ready:
-        i = ready.pop()
-        seen += 1
-        after = level[i] + 1
-        for j in succs[i]:
-            if level[j] < after:
-                level[j] = after
-            indegree[j] -= 1
-            if not indegree[j]:
-                ready.append(j)
-    if seen != n:
+        later = []
+        for i in ready:
+            level[i] = depth
+            for j in succs[start[i]:start[i + 1]]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    later.append(j)
+        ready, depth = later, depth + 1
+    if any(indegree):  # a task on a cycle is never ready
         raise GraphError("cycle detected in task graph")
     return level
 
@@ -288,10 +297,10 @@ def gen_shuffle_dag(mappers: int, reducers: int, bytes_per_transfer: int) -> Tas
     if m * r > MATERIALIZE_EDGE_LIMIT:
         return ShuffleDagSpec(m, r, nbytes)
     width = max(len(str(m - 1)), len(str(r - 1)))
-    ids = [f"m{i:0{width}d}" for i in range(m)] + [f"r{j:0{width}d}" for j in range(r)]
+    ids = (*(f"m{i:0{width}d}" for i in range(m)), *(f"r{j:0{width}d}" for j in range(r)))
     return TaskGraph(
-        ids, [TASK_DURATION_S] * (m + r), [TASK_MEMORY_GB] * (m + r), ["map"] * m + ["reduce"] * r,
-        [i for i in range(m) for _ in range(r)], list(range(m, m + r)) * m, [nbytes] * (m * r),
+        ids, (TASK_DURATION_S,) * (m + r), (TASK_MEMORY_GB,) * (m + r), ("map",) * m + ("reduce",) * r,
+        tuple(chain.from_iterable(map(repeat, range(m), repeat(r)))), tuple(range(m, m + r)) * m, (nbytes,) * (m * r),
         {"generator": "shuffle", "mappers": m, "reducers": r, "bytes_per_transfer": nbytes},
     )
 
@@ -339,8 +348,9 @@ def gen_cholesky_dag(blocks: int, block_dim: int = 256) -> TaskGraph:
             dst += row_dst
             update += row
         first += 1 + m + updates
+    ids, kinds, src, dst = map(_handed_over, (ids, kinds, src, dst))
     return TaskGraph(
-        ids, [TASK_DURATION_S] * len(ids), [TASK_MEMORY_GB] * len(ids), kinds, src, dst, [tile_bytes] * len(src),
+        ids, (TASK_DURATION_S,) * len(ids), (TASK_MEMORY_GB,) * len(ids), kinds, src, dst, (tile_bytes,) * len(src),
         {"generator": "cholesky", "blocks": blocks, "block_dim": block_dim},
     )
 
@@ -353,11 +363,7 @@ def parallelism_profile(graph: TaskGraph) -> ParallelismProfile:
     """
     levels = graph.levels
     n_levels = max(levels, default=-1) + 1
-    if n_levels == 0:
-        return ParallelismProfile((), ())
-    widths = [0] * n_levels
-    for lvl in levels:
-        widths[lvl] += 1
+    widths = tuple(map(Counter(levels).__getitem__, range(n_levels)))
     # An edge crosses levels level[src]+1 through level[dst]: add its bytes
     # where that run starts and take them off just after it ends.
     change = [0] * (n_levels + 1)
@@ -365,7 +371,7 @@ def parallelism_profile(graph: TaskGraph) -> ParallelismProfile:
                                   graph.edge_bytes):
         change[start + 1] += nbytes
         change[end + 1] -= nbytes
-    return ParallelismProfile(tuple(widths), tuple(accumulate(change[:n_levels])))
+    return ParallelismProfile(widths, tuple(accumulate(change[:n_levels])))
 
 
 def cholesky_task_count(blocks: int) -> int:
@@ -472,7 +478,7 @@ _ENTRY_FAULTS = (KeyError, TypeError, ValueError, OverflowError)
 
 
 class _Floats(dict):
-    """A float -> one float object per distinct nonzero value; no zero is stored, so each keeps its sign."""
+    """A float (or a task kind) -> one object per distinct value; no zero is stored, so each keeps its sign."""
 
     __slots__ = ()
 

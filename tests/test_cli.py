@@ -514,6 +514,12 @@ BAD_INPUTS = [
     ("graph-metadata-number", '{"tasks": [], "edges": [], "metadata": 5}',
      ("workload", "profile", "--graph", "input.json")),
     ("catalog-price-bool", _catalog_text(_set_compute("price_usd_per_unit_at_base_memory", True)), SHOW_CATALOG),
+    # Beyond a double, which every format of `catalog show` would print: refused at load, whatever the format.
+    *((f"catalog-latency-beyond-double-{fmt}", cat.default_catalog_path().read_text(encoding="utf-8").replace(
+        '"latency_ms": [0, 1]', '"latency_ms": [0, 1e400]'), SHOW_CATALOG + ("--format", fmt))
+      for fmt in ("json", "table", "csv")),
+    ("catalog-memory-beyond-double", _catalog_text(_set_compute("memory_max_gib", 10**400)), SHOW_CATALOG + (
+        "--format", "csv")),
     ("catalog-memory-string", _catalog_text(_set_compute("memory_max_gib", "4")), SHOW_CATALOG),
     ("trace-output-dir-missing", None, ("workload", "trace", "-o", "/nonexistent/dir/x.json")),
     ("gen-output-dir-missing", None, ("workload", "gen", "--kind", "cholesky", "-o", "/nonexistent/dir/x.json")),

@@ -146,6 +146,23 @@ def test_table_in_pieces_matches_stdlib(count):
         assert_same_text(jsontext.dumps(doc, sort_keys=sort_keys), expected)
 
 
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_dict_of_lists_in_pieces_matches_stdlib(count):
+    """A dict of flat lists longer than one piece of members, as `place` writes its assignment: keys out of
+    order, and lists that hold the separators the writer rewrites."""
+    rng = random.Random(count)
+    keys = [f"t{i}" for i in range(count)]
+    rng.shuffle(keys)
+    doc = {"assignment": {key: [rng.randrange(5), TRICKY[i % len(TRICKY)]][:1 + i % 2] for i, key in enumerate(keys)},
+           "n": count}
+    for sort_keys in (True, False):
+        expected = json.dumps(doc, indent=2, sort_keys=sort_keys)
+        out = io.StringIO()
+        jsontext.write(out, doc, sort_keys=sort_keys)
+        assert_same_text(out.getvalue(), expected + "\n")
+        assert_same_text(jsontext.dumps(doc, sort_keys=sort_keys), expected)
+
+
 @pytest.mark.parametrize("column,memoized", [
     ([0.0, 1.5, 0.0, 0.0, 2.5] * CHUNK, True),  # only 0.0: the memo holds one zero text
     ([0.0, -0.0, 1.5, 0.0, -0.0, 0.0], False),  # both zeros in one chunk
