@@ -12,22 +12,26 @@ separator. Other dicts and lists are rendered member by member.
 The input contract: a document is a scalar (`str`, `int`, `float`, `bool`
 or None), a `Table`, a dict with `str` keys, or a list, nested freely. A
 `Table` has `str` keys, and each column holds only strings or only other
-scalars; a `Coded` column that carries its texts is written as given.
-Anything else (a tuple, a key that is not a `str`, any other type such as
-`Fraction`, a non-scalar column or one that mixes `str` with other types)
-raises `TypeError`. Each kind of value has one path, and every report is
-built of these kinds, so such an input is a bug.
+scalars. A `Coded` column that carries its texts is written as given: a
+coded column's texts are one per value, an uncoded column's are runs, the
+texts of each `_CHUNK_ROWS` rows joined by ", " as `json.dumps(rows)[1:-1]`
+writes numbers (so no text may hold ", "); the writer splits one run per
+chunk. Anything else (a tuple, a key that is not a `str`, any other type
+such as `Fraction`, a non-scalar column or one that mixes `str` with other
+types) raises `TypeError`. Each kind of value has one path, and every
+report is built of these kinds, so such an input is a bug.
 
 A `Table`, a list of flat records held as columns, renders as its list of
 row dicts would, without building them. Each column's encoding is chosen
-once, over the whole column: a column of one type with fewer distinct
-values than half its length encodes each distinct value once (unless a
-float column holds both 0.0 and -0.0), any other takes one encoder call
-per chunk of rows. A `Coded` column writes its codes looked up in its
-values' texts, made once or given (so a caller that made them pays nothing
-more). Each chunk of rows is one join of the key labels
-interleaved with the value texts, and `write` sends the text to a stream
-a piece at a time, so no string the size of the document is ever built.
+once, over the whole column: a column of one type whose first chunk
+repeats a value and that has fewer distinct values than half its length
+encodes each distinct value once (unless a float column holds both 0.0
+and -0.0), any other takes one encoder call per chunk of rows. A `Coded`
+column writes its codes looked up in its values' texts, made once or
+given, or its given runs (so a caller that made them pays nothing more).
+Each chunk of rows is one join of the key labels interleaved with the
+value texts, and `write` sends the text to a stream a piece at a time, so
+no string the size of the document is ever built.
 
 Python 3.13 renders `indent=` in C; once `requires-python` reaches 3.13,
 measure that against this writer and delete the writer if the standard
@@ -73,8 +77,9 @@ class Table:
 
 class Coded:
     """A column as a table of values and one code per row (dictionary encoding): row i is `values[codes[i]]`,
-    or `values[i]` without codes. `texts[k]`, if given, is the JSON text `Table` writes for `values[k]`; else
-    it encodes the values once. A read-only sequence of the row values (`len`, iteration)."""
+    or `values[i]` without codes. `texts`, if given, is what `Table` writes: with codes, `texts[k]` is the JSON
+    text of `values[k]`; without, `texts[k]` is the run of rows k * `_CHUNK_ROWS` onward (see the module
+    docstring). Else the values are encoded once. A read-only sequence of the row values (`len`, iteration)."""
 
     __slots__ = ("values", "codes", "texts")
 
@@ -103,7 +108,9 @@ def _encoder(values):
     if not kinds <= _SCALARS or str in kinds and len(kinds) > 1:
         names = ", ".join(sorted(kind.__name__ for kind in kinds))
         raise TypeError(f"a Table column must hold only str or only other scalars, not {names}")
-    if len(kinds) == 1:
+    # The memo only saves work, so the whole column's distinct set is built only if its first chunk repeats.
+    head = values[:_CHUNK_ROWS]
+    if len(kinds) == 1 and len(set(head)) < len(head):
         distinct = set(values)
         # 0.0 == -0.0, so the memo would print one zero's text for both.
         if len(distinct) * 2 < len(values) and not (kinds == {float} and 0.0 in distinct and len(
@@ -121,14 +128,22 @@ def column_texts(values) -> list[str]:
     return [*_encoder(values)(values)]
 
 
-def _source(column):
-    """(encoder, what it reads): the encoder makes a chunk's texts from a slice of what it reads."""
-    if type(column) is not Coded:
-        return _encoder(column), column
-    texts = column.texts
-    if texts is None:
-        texts = column_texts(column.values)
-    return (list, texts) if column.codes is None else (partial(map, texts.__getitem__), column.codes)
+def column_runs(numbers) -> list[str]:
+    """The `texts` of an uncoded `Coded` column of numbers: the runs, each made by one `json.dumps` call."""
+    return [json.dumps(numbers[at:at + _CHUNK_ROWS])[1:-1] for at in range(0, len(numbers), _CHUNK_ROWS)]
+
+
+def _chunks(column):
+    """The texts of `column`'s rows, `_CHUNK_ROWS` at a time."""
+    if type(column) is Coded and column.codes is None:
+        if column.texts is not None:
+            return map(str.split, column.texts, repeat(", "))  # an uncoded column's texts are runs
+        column = column.values
+    if type(column) is Coded:
+        encode, column = partial(map, (column.texts or column_texts(column.values)).__getitem__), column.codes
+    else:
+        encode = _encoder(column)
+    return map(encode, (column[at:at + _CHUNK_ROWS] for at in range(0, len(column), _CHUNK_ROWS)))
 
 
 def _table(table: Table, level: int, sort_keys: bool):
@@ -140,7 +155,7 @@ def _table(table: Table, level: int, sort_keys: bool):
         return
     if sort_keys:
         keys, columns = zip(*sorted(zip(keys, columns), key=itemgetter(0)))
-    encoders, columns = zip(*map(_source, columns))
+    chunks = [*map(_chunks, columns)]
     outer = "\n" + _INDENT * level
     inner = outer + _INDENT
     deeper = inner + _INDENT
@@ -149,11 +164,10 @@ def _table(table: Table, level: int, sort_keys: bool):
     labels = ["," + deeper + json.dumps(key) + ": " for key in keys]
     first = "{" + labels[0][1:]
     row = [piece for label in (inner + "}," + inner + first, *labels[1:]) for piece in (label, "")]
-    for start in range(0, len(table), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        pieces = row * (min(stop, len(table)) - start)
-        for at, encode, column in zip(count(1, 2), encoders, columns):
-            pieces[at::len(row)] = encode(column[start:stop])
+    for start, *texts in zip(range(0, len(table), _CHUNK_ROWS), *chunks):
+        pieces = row * (min(start + _CHUNK_ROWS, len(table)) - start)
+        for at, column in zip(count(1, 2), texts):
+            pieces[at::len(row)] = column
         if not start:
             pieces[0] = "[" + inner + first
         yield "".join(pieces)

@@ -116,7 +116,7 @@ class TaskGraph(_Columns):
         texts = column_texts(ids)  # each id is encoded once, for its task and every edge end
         return {
             "tasks": Table(("id", "duration_s", "memory_gb", "kind"),
-                           (Coded(ids, texts=texts), self.durations, self.memory, self.kinds)),
+                           (Coded(ids, range(len(ids)), texts), self.durations, self.memory, self.kinds)),
             # Edge ends are coded by task position.
             "edges": Table(("src", "dst", "bytes"),
                            (Coded(ids, self.src, texts), Coded(ids, self.dst, texts), self.edge_bytes)),

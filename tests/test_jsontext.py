@@ -175,15 +175,29 @@ def test_zero_float_columns_skip_the_memo_only_with_both_zeros(column, memoized)
     assert_same_text(jsontext.dumps(jsontext.Table(["z"], [column])), json.dumps(rows, indent=2))
 
 
+@pytest.mark.parametrize("column,memoized", [
+    ([i / 7 for i in range(CHUNK)] + [0.5] * (3 * CHUNK), False),  # no repeat in the first chunk: no distinct set
+    ([0.5, 0.5] + [i / 7 for i in range(CHUNK)] + [0.5] * (3 * CHUNK), True),
+])
+def test_memo_is_weighed_only_when_the_first_chunk_repeats(column, memoized):
+    # The memo only saves work: a float column that skips it writes the same text.
+    assert isinstance(jsontext._encoder(column), partial) == memoized
+    rows = [{"v": value} for value in column]
+    assert_same_text(jsontext.dumps(jsontext.Table(["v"], [column])), json.dumps(rows, indent=2))
+
+
+def runs(numbers):
+    """An uncoded column's texts: the numbers' reprs joined by ", ", one run per chunk of rows."""
+    return [", ".join(map(repr, numbers[at:at + CHUNK])) for at in range(0, len(numbers), CHUNK)]
+
+
 def test_rendered_column_writes_its_texts():
     """An uncoded column that carries its texts writes the bytes of its plain float column; all else sees the floats."""
     numbers = [-0.0, 5e-05, 1e16, 0.1 + 0.2] + [(-1) ** i * i / 7 for i in range(3 * CHUNK + 5)]
-    texts = list(map(repr, numbers))
     kept = [i % 3 != 1 for i in range(len(numbers))]  # as `simulate` drops rejected entries
-    for floats, column in ((numbers, jsontext.Coded(numbers, texts=texts)),
-                           ([*compress(numbers, kept)], jsontext.Coded([*compress(numbers, kept)],
-                                                                       texts=[*compress(texts, kept)]))):
-        assert len(column) > 2 * CHUNK and tuple(column) == tuple(floats) and column.texts == list(map(repr, floats))
+    for floats in (numbers, [*compress(numbers, kept)]):
+        column = jsontext.Coded(floats, texts=runs(floats))
+        assert len(column) > 2 * CHUNK and tuple(column) == tuple(floats)
         other = [i % 4 == 0 for i in range(len(floats))]
         table, plain = jsontext.Table(["t", "cold"], [column, other]), jsontext.Table(["t", "cold"], [floats, other])
         rows = [{"t": value, "cold": flag} for value, flag in zip(floats, other)]
@@ -199,10 +213,10 @@ def test_rendered_column_writes_its_texts():
 
 def test_rendered_column_texts_are_written_as_given():
     # The writer takes the texts, not the numbers: a text that differs from the repr shows through,
-    # in an uncoded column and in a coded one (one text per value, whatever the rows).
+    # in an uncoded column (its runs) and in a coded one (one text per value, whatever the rows).
     expected = json.dumps([{"t": 1.0, "n": 1}, {"t": 2.5, "n": 2}], indent=2).replace("1.0,", "1.00,").replace(
         "2.5,", "2.50,")
-    for column in (jsontext.Coded([1.0, 2.5], texts=["1.00", "2.50"]),
+    for column in (jsontext.Coded([1.0, 2.5], texts=["1.00, 2.50"]),
                    jsontext.Coded([2.5, 7.0, 1.0], [2, 0], ["2.50", "7.00", "1.00"])):
         table = jsontext.Table(["t", "n"], [column, [1, 2]])
         assert jsontext.dumps(table) == expected
@@ -238,7 +252,7 @@ def test_coded_column_matches_stdlib_rows(values, rows, seed, with_texts, keys, 
     columns = {"coded": jsontext.Coded(values, codes, [*map(json.dumps, values)] if with_texts else None),
                "same codes": jsontext.Coded(values[::-1], codes),  # texts made by the writer
                "plain": decoded["plain"],
-               "uncoded": jsontext.Coded(numbers, texts=[*map(repr, numbers)] if with_texts else None)}
+               "uncoded": jsontext.Coded(numbers, texts=runs(numbers) if with_texts else None)}
     table = jsontext.Table(keys, [columns[key] for key in keys])
     plain = [dict(zip(keys, row)) for row in zip(*(decoded[key] for key in keys))]
     assert len(columns["coded"]) == rows and all(a is b for a, b in zip(columns["coded"], decoded["coded"]))
