@@ -1,0 +1,54 @@
+"""`faasim workload gen`, `profile` and `trace`: each handler imports the modules it runs."""
+
+from __future__ import annotations
+
+from . import jsontext
+from .cli import Report, _parse_bytes
+
+
+def _write_or_print(doc, args, subcommand, params, seed=None) -> Report:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as file:
+            jsontext.write(file, doc)
+        doc = {"written": args.output}
+    return Report(subcommand, params, doc, seed=seed)
+
+
+def workload_gen(args) -> Report:
+    if args.kind == "paramserver":  # communication scenarios: no graph code
+        from . import commpatterns as comm
+        scenarios = comm.gen_paramserver(args.workers, args.rounds, _parse_bytes(args.gradient, args))
+        params = {"kind": "paramserver", "workers": args.workers, "rounds": args.rounds}
+        return _write_or_print([comm.scenario_report(s) for s in scenarios], args, "workload gen", params)
+    from . import workloads as wl
+    if args.kind == "shuffle":
+        graph = wl.gen_shuffle_dag(args.mappers, args.reducers, _parse_bytes(args.bytes, args))
+        params = {"kind": "shuffle", "mappers": args.mappers, "reducers": args.reducers}
+        if isinstance(graph, wl.ShuffleDagSpec):
+            if args.output:  # only a graph within the limit can be written
+                wl.check_budget(graph.edge_count, "shuffle edges")
+            result = {"implicit": True, "task_count": graph.task_count, "edge_count": graph.edge_count,
+                      "total_edge_bytes": graph.total_edge_bytes}
+            return Report("workload gen", params, result)
+    else:
+        graph = wl.gen_cholesky_dag(args.blocks, block_dim=args.block_dim)
+        params = {"kind": "cholesky", "blocks": args.blocks, "block_dim": args.block_dim}
+    return _write_or_print(graph.to_json_dict(), args, "workload gen", params)
+
+
+def workload_profile(args) -> Report:
+    from . import workloads as wl
+    graph = wl.load_task_graph(args.graph)
+    profile = wl.parallelism_profile(graph)
+    params = {"graph": args.graph}
+    return Report("workload profile", params, profile.to_json_dict(), [args.graph])
+
+
+def workload_trace(args) -> Report:
+    from . import workloads as wl
+    if args.arrivals == "poisson":
+        trace = wl.poisson_trace(args.count, args.rate, args.duration, args.memory, args.seed)
+    else:
+        trace = wl.fixed_interval_trace(args.count, args.interval, args.duration, args.memory)
+    params = dict(trace.metadata)
+    return _write_or_print(trace.to_json_list(), args, "workload trace", params, seed=args.seed)

@@ -18,12 +18,21 @@ from __future__ import annotations
 
 from .record import Record
 
+# No generator, here or in `workloads`, makes more tasks, edges, trace entries or scenarios than this; a shuffle
+# graph with more edges is returned in implicit form.
+MATERIALIZE_EDGE_LIMIT = 10**7
+
 PATTERNS = frozenset({"broadcast", "aggregation", "shuffle"})
 GRANULARITIES = frozenset({"vm-grouped", "function-grained"})
 
 
 class ScenarioError(ValueError):
     pass
+
+
+def check_budget(elements: int, what: str) -> None:
+    if elements > MATERIALIZE_EDGE_LIMIT:
+        raise ValueError(f"{elements} {what} exceed the generator limit of {MATERIALIZE_EDGE_LIMIT} elements")
 
 
 class Deployment(Record):
@@ -94,3 +103,21 @@ def scenario_report(scenario: CommScenario) -> dict:
         "messages": remote_messages(scenario),
         "bytes": remote_traffic_bytes(scenario),
     }
+
+
+def gen_paramserver(workers: int, rounds: int, gradient_bytes: int) -> list[CommScenario]:
+    """Training rounds as alternating aggregation/broadcast scenarios.
+
+    Each round aggregates gradients from all workers into the parameter
+    server, then broadcasts the updated model back out. Every worker is its
+    own single-core function.
+    """
+    if workers < 1 or rounds < 1:
+        raise ScenarioError("need at least one worker and one round")
+    if gradient_bytes < 0:
+        raise ScenarioError("gradient size must be non-negative")
+    check_budget(2 * rounds, "parameter-server scenarios")
+    deployment = Deployment(n_instances=workers, functions_per_instance=1, granularity="function-grained")
+    # Every round is the same two immutable scenarios.
+    return [CommScenario("aggregation", deployment, gradient_bytes),
+            CommScenario("broadcast", deployment, gradient_bytes)] * rounds

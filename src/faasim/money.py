@@ -17,6 +17,11 @@ from fractions import Fraction
 # whose decimal expansion does not terminate.
 FULL_PRECISION_PLACES = 12
 
+# Published price multiple of a function instance versus an always-on VM
+# of equal memory; not derivable from list prices, so it is an input with
+# this value as the conventional default.
+FALLACY_COST_RATIO = 7.5
+
 # Largest decimal exponent `usd` reads. Fraction expands 10**exponent in
 # full, so "1e9999999" would cost seconds of CPU; prices and quantities sit
 # far inside this bound.
@@ -102,3 +107,11 @@ def usd_str(amount: Fraction, places: int | None = 2) -> str:
     if places is None:
         places = FULL_PRECISION_PLACES
     return f"{usd_decimal(amount, places):f}"
+
+
+def breakeven_duty_cycle(per_minute_cost_ratio) -> Fraction:
+    """Busy fraction below which functions beat an equal-memory VM: 1/ratio."""
+    ratio = usd(per_minute_cost_ratio)
+    if ratio <= 0:
+        raise ValueError("cost ratio must be positive")
+    return 1 / ratio

@@ -17,7 +17,7 @@ from . import placement as plc
 from . import shuffleplan as shp
 from . import simcore as sim
 from . import workloads as wl
-from .money import usd, usd_json
+from .money import FALLACY_COST_RATIO, breakeven_duty_cycle, usd, usd_json
 from .record import Record
 
 PASS, FAIL, EXTERNAL = "pass", "fail", "external"
@@ -154,13 +154,13 @@ def run_all(catalog: cat.ServiceCatalog) -> list[CheckResult]:
     ))
 
     # --- breakeven -----------------------------------------------------------
-    duty = sim.breakeven_duty_cycle(sim.FALLACY_COST_RATIO)
+    duty = breakeven_duty_cycle(FALLACY_COST_RATIO)
     checks.append(_check(
         "breakeven", "Section 5", "a 7.5x per-minute premium breaks even at a 13.33% duty cycle",
         "0.1333 +/- 0.0001", f"{float(duty):.4f}", abs(duty - Fraction(2, 15)) <= Fraction(1, 10000),
     ))
     vm = catalog.compute_service("serverful")
-    ratio = usd(sim.FALLACY_COST_RATIO)
+    ratio = usd(FALLACY_COST_RATIO)
     fn_price = ratio * vm.price_usd_per_unit / 600  # per 0.1 s unit at VM memory
     fn_spec = cat.ComputeServiceSpec(
         name="ratio-scaled-function", kind="serverless-function",
@@ -212,7 +212,7 @@ def run_all(catalog: cat.ServiceCatalog) -> list[CheckResult]:
         "O(n^3) compute over O(n^2) communication: ratio n/3 at n=256K",
         "85333.33", f"{ratio_val:.2f}", abs(ratio_val - 256_000 / 3) < 1e-9,
     ))
-    rounds = wl.gen_paramserver(10, 2, 4_000_000)
+    rounds = comm.gen_paramserver(10, 2, 4_000_000)
     kinds = tuple(s.pattern for s in rounds)
     grouped = comm.Deployment(1, 10, "vm-grouped")
     spread = comm.Deployment(1, 10, "function-grained")

@@ -20,10 +20,13 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .catalog import HOURS_PER_MONTH, ServiceCatalog, request_cost
 from .money import json_integer, report_float, usd
 from .record import Record
+
+if TYPE_CHECKING:
+    from .catalog import ServiceCatalog
 
 DEFAULT_FUNCTION_MEMORY_CAP = 3 * 10**9  # largest function memory today
 
@@ -124,6 +127,7 @@ def per_gib_second_rate(compute_spec) -> Fraction:
 
 def price_plan(shuffle_plan: ShufflePlan, catalog: ServiceCatalog, exec_inputs: ShuffleExec) -> ShuffleCostBreakdown:
     """Price a shuffle plan: function time + slow-store requests + fast capacity."""
+    from .catalog import HOURS_PER_MONTH, request_cost  # here, so that `shuffle plan` loads no catalog code
     compute = catalog.compute_service(exec_inputs.compute_service)
     slow = catalog.storage_service(exec_inputs.slow_store_service)
     fast = catalog.storage_service(exec_inputs.fast_store_service)

@@ -69,12 +69,6 @@ if TYPE_CHECKING:
     from .catalog import ComputeServiceSpec
     from .workloads import InvocationTrace
 
-# Published price multiple of a function instance versus an always-on VM
-# of equal memory; not derivable from list prices, so it is an input with
-# this value as the conventional default.
-FALLACY_COST_RATIO = 7.5
-
-
 class SimulationError(ValueError):
     pass
 
@@ -359,14 +353,6 @@ def serverful_cost(span_s, spec: ComputeServiceSpec) -> Fraction:
     if span < 0:
         raise BillingError("span must be non-negative")
     return _units(span.numerator, span.denominator, spec) * spec.price_usd_per_unit
-
-
-def breakeven_duty_cycle(per_minute_cost_ratio) -> Fraction:
-    """Busy fraction below which functions beat an equal-memory VM: 1/ratio."""
-    ratio = usd(per_minute_cost_ratio)
-    if ratio <= 0:
-        raise ValueError("cost ratio must be positive")
-    return 1 / ratio
 
 
 def duty_cycle_costs(

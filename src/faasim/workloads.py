@@ -1,10 +1,10 @@
 """Workload generators: task DAGs, parallelism profiles, invocation traces.
 
-Three generator families cover the application studies this library
-models: bipartite map/reduce shuffle graphs, blocked right-looking
+Two graph generator families cover the application studies this library
+models: bipartite map/reduce shuffle graphs and blocked right-looking
 Cholesky factorization graphs (the canonical "parallelism varies wildly"
-workload), and parameter-server training rounds expressed as alternating
-aggregation/broadcast communication scenarios.
+workload). Parameter-server training rounds are communication scenarios,
+generated in `commpatterns`.
 
 Trace generators use an explicitly specified 64-bit PRNG (splitmix64)
 and inverse-CDF sampling so that identical seeds reproduce identical
@@ -22,15 +22,11 @@ from operator import itemgetter, le
 from pathlib import Path
 from typing import NamedTuple
 
-from .commpatterns import CommScenario, Deployment
+from .commpatterns import MATERIALIZE_EDGE_LIMIT, check_budget
 from .jsonchunks import CHUNK, Chunks
 from .jsontext import Coded, Table, column_texts
 from .money import json_integer
 from .record import Record
-
-# Above this many edges a shuffle graph is returned in implicit form; no
-# other generator makes more tasks, trace entries or scenarios than this.
-MATERIALIZE_EDGE_LIMIT = 10**7
 
 BYTES_PER_ELEMENT = 8  # dense double precision
 
@@ -40,11 +36,6 @@ TASK_DURATION_S, TASK_MEMORY_GB = 1.0, 0.125
 
 class GraphError(ValueError):
     pass
-
-
-def check_budget(elements: int, what: str) -> None:
-    if elements > MATERIALIZE_EDGE_LIMIT:
-        raise GraphError(f"{elements} {what} exceed the generator limit of {MATERIALIZE_EDGE_LIMIT} elements")
 
 
 class _Columns(Record):
@@ -210,8 +201,10 @@ def load_task_graph(path: str | Path) -> TaskGraph:
 def out_edges(graph: TaskGraph) -> tuple[list[int], list[int]]:
     """(start, succs): each edge's `dst` grouped by source task, by a stable sort keyed by the edge's source (a sort
     calls its key once per value, in order). Task i's successors are succs[start[i]:start[i + 1]]."""
-    start = [0, *accumulate(map(Counter(graph.src).__getitem__, range(graph.task_count)))]
-    return start, sorted(graph.dst, key=partial(next, iter(graph.src)))
+    start = [0] * (graph.task_count + 1)
+    for i in graph.src:
+        start[i + 1] += 1
+    return list(accumulate(start)), sorted(graph.dst, key=partial(next, iter(graph.src)))
 
 
 def asap_levels(graph: TaskGraph) -> list[int]:
@@ -387,24 +380,6 @@ def cholesky_edge_count(blocks: int) -> int:
     return (n - 1) * n * (n + 1) // 2
 
 
-def gen_paramserver(workers: int, rounds: int, gradient_bytes: int) -> list[CommScenario]:
-    """Training rounds as alternating aggregation/broadcast scenarios.
-
-    Each round aggregates gradients from all workers into the parameter
-    server, then broadcasts the updated model back out. Every worker is its
-    own single-core function.
-    """
-    if workers < 1 or rounds < 1:
-        raise GraphError("need at least one worker and one round")
-    if gradient_bytes < 0:
-        raise GraphError("gradient size must be non-negative")
-    check_budget(2 * rounds, "parameter-server scenarios")
-    deployment = Deployment(n_instances=workers, functions_per_instance=1, granularity="function-grained")
-    # Every round is the same two immutable scenarios.
-    return [CommScenario("aggregation", deployment, gradient_bytes),
-            CommScenario("broadcast", deployment, gradient_bytes)] * rounds
-
-
 def flops_comm_ratio(n: int) -> float:
     """Compute-to-communication ratio of dense factorization: (n^3/3)/n^2."""
     if n < 1:
@@ -571,6 +546,8 @@ def fixed_interval_trace(count: int, interval_s: float, duration_s: float, memor
     if count < 0:
         raise GraphError("count must be non-negative")
     check_budget(count, "trace entries")
+    if memory_gb <= 0:  # a trace file may hold such entries, which simulate rejects; a generator writes none
+        raise GraphError("memory must be positive")
     # Adding to 0.0 writes a zero arrival as 0.0, never -0.0.
     return InvocationTrace(
         [0.0 + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
@@ -596,6 +573,8 @@ def poisson_trace(
     check_budget(count, "trace entries")
     if rate_per_s <= 0:
         raise GraphError("arrival rate must be positive")
+    if memory_gb <= 0:
+        raise GraphError("memory must be positive")
     rng = SplitMix64(seed)
     gaps = (-math.log(1.0 - u) / rate_per_s for u in rng.uniforms(count))
     return InvocationTrace(

@@ -16,7 +16,7 @@ from faasim import repro
 from faasim import shuffleplan as shp
 from faasim import simcore as sim
 from faasim import workloads as wl
-from faasim.money import usd
+from faasim.money import breakeven_duty_cycle, usd
 
 TB = 10**12
 GB = 10**9
@@ -98,7 +98,7 @@ def test_criterion_05_communication_formulas():
 
 
 def test_criterion_06_breakeven(default_catalog):
-    duty = sim.breakeven_duty_cycle(7.5)
+    duty = breakeven_duty_cycle(7.5)
     assert duty == Fraction(2, 15)
     assert abs(float(duty) - 0.1333) <= 0.0001
     vm = default_catalog.compute_service("serverful")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, manifests, schemas."""
 
+import argparse
 import copy
 import csv
 import gc
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import faasim
 from faasim import catalog as cat
-from faasim import cli
+from faasim import cli, cli_breakeven, cli_place
 from faasim import commpatterns as comm
 from faasim import jsonchunks, jsontext
 from faasim import workloads as wl
@@ -337,12 +338,65 @@ def test_shared_options_are_set_only_where_read():
 def test_shared_option_accepted_only_where_read(capsys, argv, option, read):
     argv = [*argv, *SHARED[option]]
     if read:
-        assert cli.build_parser().parse_args(argv).handler
+        parser, path = cli.command_parser(argv)
+        assert parser.parse_args(argv) and path in {command[0] for command in cli.COMMANDS}
         return
     with pytest.raises(SystemExit) as exc:
         cli.main(argv, out=io.StringIO(), err=io.StringIO())
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(SHARED[option])}" in capsys.readouterr().err
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """Every command's parser in one tree, built from `cli.COMMANDS`: the oracle for the one path `main` builds."""
+    parser = argparse.ArgumentParser(
+        prog="faasim", description="Cost and performance modeling for serverless versus serverful deployments.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {faasim.__version__}")
+    levels = {(): [parser, None]}  # path -> [its parser, its subparsers action once it has one]
+    for path, text, arguments in cli.COMMANDS:
+        level = levels[path[:-1]]
+        if level[1] is None:
+            level[1] = level[0].add_subparsers(dest=f"{path[-2]}_command" if path[:-1] else "command", required=True)
+        child = level[1].add_parser(path[-1], help=text)
+        child.set_defaults(path=path)
+        for flags, settings in arguments:
+            child.add_argument(*flags, **settings)
+        levels[path] = [child, None]
+    return parser
+
+
+# Every path's help, then argv that is missing, unknown or misplaced at each path, and the shared option cases.
+PARSER_CASES = [(*path, *extra) for path in [(), *(command[0] for command in cli.COMMANDS)] for extra in [
+    ("--help",), (), ("--bogus",), ("bogus",), ("--version",), ("--format", "xml"), ("--trace", "t.json"),
+    ("--ratio", "2"), ("--graph",), ("-1",), ("--", "show")]] + [
+    ("--vers",), ("-x", "catalog", "show"), ("catalog", "-x", "show"), ("catalog", "--catalog", "c", "show"),
+    ("--format", "json", "catalog", "show"), ("catalog", "sh"), ("comm", "--pattern", "gossip", "--n", "1"),
+    ("comm", "--n", "x"), ("simulate", "--tr", "t.json", "--t-s", "1"), ("breakeven", "7.5"),
+    *(argv + SHARED[option] for argv, option, _ in SHARED_CASES)]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return full_parser()
+
+
+def _parsed(parser, argv, capsys):
+    """(parsed arguments, exit status, stdout, stderr) of one parse."""
+    try:
+        parsed, status = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        parsed, status = None, exc.code
+    return (parsed, status, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=[" ".join(argv) or "(none)" for argv in PARSER_CASES])
+def test_parser_of_one_path_reads_as_the_full_parser(oracle, capsys, argv):
+    """Help, usage errors and parsed arguments are those of a parser with every path, on this interpreter."""
+    parser, path = cli.command_parser(list(argv))
+    expected = _parsed(oracle, list(argv), capsys)
+    if expected[0] is not None:
+        assert expected[0].pop("path") == path
+    assert _parsed(parser, list(argv), capsys) == expected
 
 
 def test_pattern_choices_are_the_modelled_patterns(capsys):
@@ -524,6 +578,9 @@ BAD_INPUTS = [
     ("trace-output-dir-missing", None, ("workload", "trace", "-o", "/nonexistent/dir/x.json")),
     ("gen-output-dir-missing", None, ("workload", "gen", "--kind", "cholesky", "-o", "/nonexistent/dir/x.json")),
     ("cholesky-block-dim-negative", None, ("workload", "gen", "--kind", "cholesky", "--block-dim", "-3")),
+    # trace.schema.json has memory_gb > 0; a generator writes no entry that simulate would reject.
+    ("trace-memory-zero", None, ("workload", "trace", "--memory", "0")),
+    ("trace-memory-negative-fixed", None, ("workload", "trace", "--arrivals", "fixed", "--memory", "-1")),
 ]
 
 
@@ -579,7 +636,7 @@ def test_exit_status(tmp_path, monkeypatch, fmt, argv, raises, status, writes, e
     (tmp_path / "catalog.json").write_text(_catalog_text(_set_compute("price_usd_per_unit_at_base_memory", 3e-07)),
                                            encoding="utf-8")
     if raises:
-        monkeypatch.setattr(cli, "_cmd_breakeven", _raise_runtime_error)
+        monkeypatch.setattr(cli_breakeven, "breakeven", _raise_runtime_error)
     code, out, error = run(*argv, "--format", fmt)
     assert (code, bool(out), error) == (status, writes, err)
 
@@ -1055,9 +1112,9 @@ def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled, ar
     """The handler and the rendering of its report both run while collection is paused."""
     monkeypatch.chdir(tmp_path)
     paused = []
-    for name in ("_cmd_breakeven", "_cmd_place"):
-        handler = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda args, handler=handler: paused.append(("handler", not gc.isenabled()))
+    for module, name in ((cli_breakeven, "breakeven"), (cli_place, "place")):
+        handler = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda args, handler=handler: paused.append(("handler", not gc.isenabled()))
                             or handler(args))
     emit = cli.Report.emit
     monkeypatch.setattr(cli.Report, "emit", lambda report, fmt, out: paused.append(("emit", not gc.isenabled()))
@@ -1074,8 +1131,17 @@ def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled, ar
     assert (code, after, paused) == (status, enabled, steps)
 
 
+def _parser_garbage(argv) -> int:
+    """The cyclic garbage of building and using the parser of `argv` alone."""
+    gc.collect()
+    parser, _ = cli.command_parser(list(argv))
+    parser.parse_args(list(argv))
+    del parser
+    return gc.collect()
+
+
 def test_graph_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
-    """The pause is sound while command data hold no reference cycles: each command leaves only the parser's."""
+    """The pause is sound while command data hold no reference cycles: each command leaves only its parser's."""
     monkeypatch.chdir(tmp_path)
     commands = [("breakeven",), ("workload", "gen", "--kind", "cholesky", "--blocks", "3", "-o", "g.json"),
                 ("workload", "profile", "--graph", "g.json"),
@@ -1089,24 +1155,35 @@ def test_graph_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
             gc.collect()
             run(*argv)
             collected.append(gc.collect())
+        parsers = [_parser_garbage(argv) for argv in commands]
     finally:
         (gc.enable if caller else gc.disable)()
-    assert collected[len(commands):] == [collected[len(commands)]] * len(commands)
+    assert collected[len(commands):] == parsers
 
 
-# --- import-light: each subcommand loads only the modules it runs --------------
+# --- import-light: each command loads only its handler module and the modules that handler runs ---------
 
+# The desk-queries command lines of the benchmark.
 DESK_COMMANDS = {
     "catalog show": ("catalog", "show"),
     "catalog cost": ("catalog", "cost", "--service", "object", "--capacity-gb", "1"),
+    "catalog cost iops": ("catalog", "cost", "--service", "object", "--iops", "100000", "--per", "minute", "--mix",
+                          "1.0"),
     "comm": ("comm", "--pattern", "shuffle", "--n", "2", "--k", "2", "--granularity", "function"),
-    "shuffle plan": ("shuffle", "plan", "--data", "100TB", "--stages", "50"),
-    "breakeven": ("breakeven", "--ratio", "7.5"),
+    "shuffle plan": ("shuffle", "plan", "--data", "100TB", "--block", "3GB", "--stages", "50"),
     "shuffle price": ("shuffle", "price", "--preset", "cloudsort100tb"),
+    "breakeven": ("breakeven", "--ratio", "7.5"),
+    "repro json": ("repro",),
     "repro": ("repro", "--format", "table"),
     "workload gen": ("workload", "gen", "--kind", "paramserver"),
 }
-LIGHT_COMMANDS = {"catalog show", "catalog cost", "comm", "shuffle plan", "breakeven"}
+LIGHT_COMMANDS = {"catalog show", "catalog cost", "catalog cost iops", "comm", "shuffle plan", "breakeven"}
+# What a command must not load: code it never runs.
+NOT_LOADED = {
+    "shuffle plan": {"faasim.catalog"},
+    "workload gen": {"faasim.workloads", "faasim.jsonchunks"},
+    "repro": {"hashlib"},  # a table prints no manifest, so no catalog digest
+}
 LOADED = """import io, json, sys
 before = set(sys.modules)
 from faasim import cli
@@ -1123,8 +1200,10 @@ def test_desk_command_loads_only_what_it_runs(name):
     assert status == 0, proc.stderr
     assert "dataclasses" not in loaded
     assert "importlib.resources" not in loaded  # bundled data is found beside the modules
+    assert {m for m in loaded if m.startswith("faasim.cli_")} == {f"faasim.cli_{DESK_COMMANDS[name][0]}"}
+    assert not NOT_LOADED.get(name, set()) & set(loaded)
     if name in LIGHT_COMMANDS:
         assert not {"faasim.workloads", "faasim.placement", "faasim.repro"} & set(loaded)
     if name == "breakeven":
-        assert {m for m in loaded if m.startswith("faasim.")} == {
-            "faasim.cli", "faasim.jsontext", "faasim.money", "faasim.record", "faasim.simcore"}
+        assert {m for m in loaded if m.startswith("faasim.")} == {"faasim.cli", "faasim.cli_breakeven",
+                                                                   "faasim.jsontext", "faasim.money"}

@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import faasim
-from faasim.money import MAX_EXPONENT, usd, usd_decimal, usd_json
+from faasim.money import MAX_EXPONENT, breakeven_duty_cycle, usd, usd_decimal, usd_json
 
 HALF_MICRO = Fraction(5, 10**7)
 TINY = Fraction(1, 10**40)
@@ -96,3 +96,12 @@ def test_leaf_module_imports_no_other_faasim_module(module, below):
     code = f"import sys, {module}; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'faasim')))"
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert loaded.stdout.split() == sorted(["faasim", module, *below])
+
+
+def test_breakeven_duty_cycle():
+    duty = breakeven_duty_cycle(7.5)
+    assert duty == Fraction(2, 15)
+    assert abs(float(duty) - 0.1333) < 1e-3
+    assert breakeven_duty_cycle(1) == 1
+    with pytest.raises(ValueError):
+        breakeven_duty_cycle(0)

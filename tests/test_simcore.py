@@ -20,7 +20,7 @@ from faasim import catalog as cat
 from faasim import jsontext
 from faasim import simcore as sim
 from faasim import workloads as wl
-from faasim.money import decimal_literal, usd, usd_json
+from faasim.money import FALLACY_COST_RATIO, decimal_literal, usd, usd_json
 from test_cli import run as run_cli
 
 
@@ -696,17 +696,8 @@ def test_serverful_cost_examples(vm_spec):
     assert sim.serverful_cost(90, vm_spec) == 2 * usd("0.0000867")
 
 
-def test_breakeven_duty_cycle():
-    duty = sim.breakeven_duty_cycle(7.5)
-    assert duty == Fraction(2, 15)
-    assert abs(float(duty) - 0.1333) < 1e-3
-    assert sim.breakeven_duty_cycle(1) == 1
-    with pytest.raises(ValueError):
-        sim.breakeven_duty_cycle(0)
-
-
 def test_breakeven_simulation_cross_check(vm_spec):
-    ratio = usd(sim.FALLACY_COST_RATIO)
+    ratio = usd(FALLACY_COST_RATIO)
     fn_price = ratio * vm_spec.price_usd_per_unit / 600
     fn = cat.ComputeServiceSpec(
         name="scaled", kind="serverless-function",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from faasim import jsonchunks, jsontext
 from faasim import workloads as wl
-from faasim.commpatterns import CommScenario, Deployment, remote_traffic_bytes
+from faasim.commpatterns import CommScenario, Deployment, gen_paramserver, remote_traffic_bytes
 from faasim.placement import singleton_placement
 
 # Task totals for small tile counts, worked out by hand: step k of a
@@ -349,14 +349,14 @@ def test_graph_json_round_trip():
 def test_generators_deterministic():
     assert wl.gen_cholesky_dag(5) == wl.gen_cholesky_dag(5)
     assert wl.gen_shuffle_dag(3, 4, 9) == wl.gen_shuffle_dag(3, 4, 9)
-    assert wl.gen_paramserver(4, 2, 100) == wl.gen_paramserver(4, 2, 100)
+    assert gen_paramserver(4, 2, 100) == gen_paramserver(4, 2, 100)
 
 
 # --- parameter server --------------------------------------------------------
 
 
 def test_paramserver_structure():
-    scenarios = wl.gen_paramserver(10, 2, 4_000_000)
+    scenarios = gen_paramserver(10, 2, 4_000_000)
     assert len(scenarios) == 4
     assert [s.pattern for s in scenarios] == ["aggregation", "broadcast", "aggregation", "broadcast"]
     assert all(s.payload_bytes == 4_000_000 for s in scenarios)
@@ -364,14 +364,14 @@ def test_paramserver_structure():
 
 
 def test_paramserver_degenerate():
-    scenarios = wl.gen_paramserver(1, 1, 8)
+    scenarios = gen_paramserver(1, 1, 8)
     assert len(scenarios) == 2
     assert all(s.deployment.n_instances * s.deployment.functions_per_instance == 1 for s in scenarios)
 
 
 def test_paramserver_grouped_traffic_ratio():
     # The generator's rounds run one worker per function: K times the traffic of grouping all K on one VM.
-    fine = wl.gen_paramserver(10, 1, 4_000_000)
+    fine = gen_paramserver(10, 1, 4_000_000)
     grouped = CommScenario("broadcast", Deployment(1, 10, "vm-grouped"), 4_000_000)
     ratio = remote_traffic_bytes(fine[1]) / remote_traffic_bytes(grouped)
     assert ratio == 10
