@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from .record import Record
 
-# No generator, here or in `workloads`, makes more tasks, edges, trace entries or scenarios than this; a shuffle
-# graph with more edges is returned in implicit form.
+# No generator, here or in `workloads`, makes more tasks, edges, trace entries or scenarios than this; each refuses
+# a larger output with `check_budget`.
 MATERIALIZE_EDGE_LIMIT = 10**7
 
 PATTERNS = frozenset({"broadcast", "aggregation", "shuffle"})

@@ -364,10 +364,12 @@ def duty_cycle_costs(
     """(serverless, serverful) cost of a span busy for the given fraction.
 
     Busy time is billed as whole 60 s invocations at the function's base
-    memory, as many as fill the fraction; the VM is billed for the span.
+    memory, as many as fill the fraction: busy_fraction * span_s / 60 of
+    the decimal values, exactly, rounded half to even (16.5 bills 16). The
+    VM is billed for the span.
     """
     if not 0 <= busy_fraction <= 1:
         raise ValueError("busy fraction must be in [0, 1]")
-    slots = round(busy_fraction * span_s / 60.0)
-    serverless = slots * bill_invocation(60.0, float(serverless_spec.base_memory_gib), serverless_spec)
+    slots = round(usd(busy_fraction) * usd(span_s) / 60)
+    serverless = slots * bill_invocation(60, serverless_spec.base_memory_gib, serverless_spec)
     return serverless, serverful_cost(span_s, serverful_spec)

@@ -255,40 +255,14 @@ class ParallelismProfile(Record):
         }
 
 
-class ShuffleDagSpec(Record):
-    """Implicit form of a bipartite shuffle graph too large to materialize."""
-
-    mappers: int
-    reducers: int
-    bytes_per_transfer: int
-
-    @property
-    def task_count(self) -> int:
-        return self.mappers + self.reducers
-
-    @property
-    def edge_count(self) -> int:
-        return self.mappers * self.reducers
-
-    @property
-    def total_edge_bytes(self) -> int:
-        return self.edge_count * self.bytes_per_transfer
-
-
-def gen_shuffle_dag(mappers: int, reducers: int, bytes_per_transfer: int) -> TaskGraph | ShuffleDagSpec:
-    """Bipartite M-mapper, R-reducer shuffle graph with M*R edges.
-
-    Graphs beyond MATERIALIZE_EDGE_LIMIT edges come back in implicit
-    counting form (the 100 TB case has 1.1e9 edges), which has the same
-    count accessors.
-    """
+def gen_shuffle_dag(mappers: int, reducers: int, bytes_per_transfer: int) -> TaskGraph:
+    """Bipartite M-mapper, R-reducer shuffle graph with M*R edges, refused past MATERIALIZE_EDGE_LIMIT of them."""
     if mappers < 1 or reducers < 1:
         raise GraphError("need at least one mapper and one reducer")
     if bytes_per_transfer < 0:
         raise GraphError("bytes per transfer must be non-negative")
     m, r, nbytes = mappers, reducers, bytes_per_transfer
-    if m * r > MATERIALIZE_EDGE_LIMIT:
-        return ShuffleDagSpec(m, r, nbytes)
+    check_budget(m * r, "shuffle edges")
     width = max(len(str(m - 1)), len(str(r - 1)))
     ids = (*(f"m{i:0{width}d}" for i in range(m)), *(f"r{j:0{width}d}" for j in range(r)))
     return TaskGraph(
@@ -541,13 +515,23 @@ class SplitMix64:
         return draws
 
 
-def fixed_interval_trace(count: int, interval_s: float, duration_s: float, memory_gb: float = 0.125) -> InvocationTrace:
-    """Evenly spaced arrivals from time 0."""
+def _check_trace(count: int, *params: tuple[float, str, bool]) -> None:
+    """A trace generator's checks, before it allocates: the count, then each (value, name, zero allowed) in turn
+    must be finite and positive, or non-negative where zero is allowed. A trace file may hold an entry that
+    simulate rejects, such as memory 0; a generator writes none."""
     if count < 0:
         raise GraphError("count must be non-negative")
     check_budget(count, "trace entries")
-    if memory_gb <= 0:  # a trace file may hold such entries, which simulate rejects; a generator writes none
-        raise GraphError("memory must be positive")
+    for value, what, zero_ok in params:
+        if value < 0 or value == 0 and not zero_ok:
+            raise GraphError(f"{what} must be {'non-negative' if zero_ok else 'positive'}")
+        if not math.isfinite(value):
+            raise GraphError(f"{what} must be finite")
+
+
+def fixed_interval_trace(count: int, interval_s: float, duration_s: float, memory_gb: float = 0.125) -> InvocationTrace:
+    """Evenly spaced arrivals from time 0."""
+    _check_trace(count, (memory_gb, "memory", False), (interval_s, "interval", True), (duration_s, "duration", False))
     # Adding to 0.0 writes a zero arrival as 0.0, never -0.0.
     return InvocationTrace(
         [0.0 + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
@@ -568,13 +552,8 @@ def poisson_trace(
     gap_i = -ln(1 - u_i) / rate with u_i the i-th uniform draw, so a
     given seed yields the identical trace everywhere.
     """
-    if count < 0:
-        raise GraphError("count must be non-negative")
-    check_budget(count, "trace entries")
-    if rate_per_s <= 0:
-        raise GraphError("arrival rate must be positive")
-    if memory_gb <= 0:
-        raise GraphError("memory must be positive")
+    _check_trace(count, (rate_per_s, "arrival rate", False), (memory_gb, "memory", False),
+                 (duration_s, "duration", False))
     rng = SplitMix64(seed)
     gaps = (-math.log(1.0 - u) / rate_per_s for u in rng.uniforms(count))
     return InvocationTrace(

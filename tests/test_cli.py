@@ -34,10 +34,19 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    """Parse a report as RFC 8259 JSON: NaN, Infinity and -Infinity are refused, not read as floats."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run_json(*argv):
     code, out, err = run(*argv, "--format", "json")
     assert code == 0, err
-    return json.loads(out)
+    return strict_json(out)
 
 
 def load_schema(name):
@@ -581,6 +590,13 @@ BAD_INPUTS = [
     # trace.schema.json has memory_gb > 0; a generator writes no entry that simulate would reject.
     ("trace-memory-zero", None, ("workload", "trace", "--memory", "0")),
     ("trace-memory-negative-fixed", None, ("workload", "trace", "--arrivals", "fixed", "--memory", "-1")),
+    # Generator parameters are checked whatever the count: none reaches the manifest as NaN, Infinity or -1.
+    ("trace-rate-nan-no-entries", None, ("workload", "trace", "--count", "0", "--rate", "nan")),
+    ("trace-rate-inf", None, ("workload", "trace", "--count", "3", "--rate", "inf")),
+    ("trace-duration-negative-no-entries", None, ("workload", "trace", "--count", "0", "--duration", "-1")),
+    ("trace-memory-inf-no-entries", None, ("workload", "trace", "--count", "0", "--memory", "inf")),
+    ("trace-interval-nan-no-entries", None, ("workload", "trace", "--arrivals", "fixed", "--count", "0",
+                                             "--interval", "nan")),
 ]
 
 
@@ -780,6 +796,7 @@ def assert_result_or_error(doc, path, *commands):
         code, out, err = run(*argv)
         if code == 0:
             assert err == ""
+            strict_json(out)
         else:
             assert_one_error_line(code, out, err)
 

@@ -5,11 +5,14 @@ runs its validation, refuses assignment and deletion, and compares and
 hashes by its fields in order.
 """
 
+import importlib
 import math
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
+import faasim
 from faasim import catalog as cat
 from faasim import commpatterns as comm
 from faasim import jsontext
@@ -32,7 +35,6 @@ EXEC_DEFAULTS = {"function_gb_seconds": F(0), "fast_store_gb_hours": F(0), "slow
 # defaults, one field change its validation refuses or None).
 CASES = [
     (wl.ParallelismProfile, "widths working_set_bytes", ((1, 2), (0, 8)), {}, None),
-    (wl.ShuffleDagSpec, "mappers reducers bytes_per_transfer", (2, 3, 8), {}, None),
     (cat.Band, "low high", (F(1), F(2)), {}, {"low": F(3)}),
     (cat.ComputeServiceSpec,
      "name kind memory_min_gib memory_max_gib max_local_storage_gib accounting_unit_s price_usd_per_unit "
@@ -80,11 +82,18 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_cases_cover_every_record():
-    modules = (cat, comm, plc, rp, shp, sim, wl)
-    records = {value for module in modules for value in vars(module).values()
-               if isinstance(value, type) and issubclass(value, Record) and value.__module__ == module.__name__}
+    """Every Record subclass any faasim module defines has a case, but the column types."""
+    for module in pkgutil.iter_modules(faasim.__path__):
+        if module.name != "__main__":  # which would run the CLI
+            importlib.import_module(f"faasim.{module.name}")
+    records, unseen = set(), [Record]
+    while unseen:
+        subclasses = [sub for sub in unseen.pop().__subclasses__() if sub.__module__.startswith("faasim.")]
+        records.update(subclasses)
+        unseen += subclasses
     columns = {wl.TaskGraph, wl.InvocationTrace, wl._Columns}  # own constructors, tested with workloads
     assert records - columns == {case[0] for case in CASES}
+    assert len(CASES) == len(records - columns)
 
 
 @pytest.mark.parametrize("record,names,values,defaults,refused", CASES, ids=IDS)

@@ -722,6 +722,15 @@ def test_duty_cycle_costs_match_simulating_the_busy_calls(fn_spec, vm_spec, busy
     assert sim.duty_cycle_costs(busy, span, fn_spec, vm_spec) == (simulated, sim.serverful_cost(span, vm_spec))
 
 
+@pytest.mark.parametrize("busy,span,slots",
+                         [(0.275, 3600, 16), (0.55, 1800, 16), (0.10, 3600, 6), (0.20, 3600, 12)])
+def test_duty_cycle_costs_count_slots_exactly(fn_spec, vm_spec, busy, span, slots):
+    """Slots are busy * span / 60 of the decimal values, rounded half to even: 16.5 is 16 slots, where the float
+    product 16.500000000000004 would bill 17."""
+    one_call = sim.bill_invocation(60, fn_spec.base_memory_gib, fn_spec)
+    assert sim.duty_cycle_costs(busy, span, fn_spec, vm_spec)[0] == slots * one_call
+
+
 def test_duty_cycle_costs_refuse_a_spec_that_cannot_run_a_60s_call(fn_spec, vm_spec):
     short = cat.ComputeServiceSpec(**{name: getattr(fn_spec, name) for name in fn_spec._FIELDS} | {"max_run_time_s": 30})
     with pytest.raises(sim.BillingError, match="run-time limit"):

@@ -1,5 +1,6 @@
 """Workload generators: DAG structure, profiles, traces."""
 
+import io
 import json
 import math
 import tracemalloc
@@ -66,20 +67,29 @@ def test_shuffle_dag_trivial():
     assert graph.edge_count == 1
 
 
-def test_shuffle_dag_large_is_implicit():
-    graph = wl.gen_shuffle_dag(33_334, 33_334, 89_964)
-    assert isinstance(graph, wl.ShuffleDagSpec)
-    assert graph.edge_count == 33_334**2
-    assert 1_100_000_000 <= graph.edge_count <= 1_120_000_000
+def test_shuffle_dag_large_is_refused():
+    """The 100 TB case's 1.1e9 edges are past the generator limit, as every oversized generator output is."""
+    with pytest.raises(ValueError, match=f"^{33_334**2} shuffle edges exceed the generator limit"):
+        wl.gen_shuffle_dag(33_334, 33_334, 89_964)
+
+
+def shuffle_edge_count(m: int) -> int:
+    """An m x m shuffle's edges: the built graph's within the generator limit, the CLI's closed form past it."""
+    if m * m <= wl.MATERIALIZE_EDGE_LIMIT:
+        return wl.gen_shuffle_dag(m, m, 1).edge_count
+    from faasim import cli
+
+    out = io.StringIO()
+    argv = ["workload", "gen", "--kind", "shuffle", "--mappers", str(m), "--reducers", str(m)]
+    assert cli.main(argv, out=out, err=io.StringIO()) == 0
+    return json.loads(out.getvalue())["result"]["edge_count"]
 
 
 def test_shuffle_dag_edges_match_planner_transfers():
     from faasim import shuffleplan as shp
 
     for m in (1, 4, 33_334):
-        graph = wl.gen_shuffle_dag(m, m, 1)
-        plan = shp.plan(shp.ShuffleProblem(m * 10**9, 10**9))
-        assert graph.edge_count == plan.transfers
+        assert shuffle_edge_count(m) == shp.plan(shp.ShuffleProblem(m * 10**9, 10**9)).transfers
 
 
 # --- Cholesky DAGs -----------------------------------------------------------
