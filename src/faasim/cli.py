@@ -10,7 +10,8 @@ program ends by SIGPIPE, as `cat` does, when its stdout is closed.
 
 The catalog is resolved from --catalog, then the FAASIM_CATALOG
 environment variable, then the bundled default, which the manifest
-records as `bundled:default_catalog.json`.
+records as `bundled:default_catalog.json`. Its sha256 is computed by
+CPython's own SHA-256, so that no command loads `hashlib` and OpenSSL.
 
 The commands are declared once, in `COMMANDS`. A command builds only its
 own path of parsers and loads only its handler module (`cli_<command>`)
@@ -123,19 +124,22 @@ def _money_out(amount: Fraction, args) -> float | str:
 
 
 def _load_catalog(args):
-    """The catalog, the name the manifest records for it, and its sha256: None for table and csv, which print no
-    manifest, so that they load no `hashlib`."""
+    """The catalog, the name the manifest records for it, and its sha256, by CPython's own SHA-256, as `hashlib`
+    falls back to: `hashlib` loads OpenSSL's libcrypto, several MB of RSS, to hash a few KB."""
     from . import catalog as cat
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256  # a build without CPython's own
     source = args.catalog or os.environ.get("FAASIM_CATALOG")
     if source:
         name, data = str(Path(source)), Path(source).read_bytes()
     else:
         name, data = BUNDLED_CATALOG, cat.default_catalog_path().read_bytes()
-    catalog = cat.loads_catalog(data.decode("utf-8"))
-    if args.format != "json":
-        return catalog, name, None
-    import hashlib
-    return catalog, name, hashlib.sha256(data).hexdigest()
+    return cat.loads_catalog(data.decode("utf-8")), name, sha256(data).hexdigest()
 
 
 def _parse_bytes(text: str, args) -> int:
@@ -302,7 +306,7 @@ def main(argv=None, out=None, err=None) -> int:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:
-        err.write(f"internal error: {exc}\n")
+        err.write(f"internal error: {str(exc) or type(exc).__name__}\n")  # a bare MemoryError has no message
         return EXIT_INTERNAL
     finally:
         if collecting:

@@ -4,6 +4,7 @@ import argparse
 import copy
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -190,7 +191,40 @@ def test_workload_trace_simulate_roundtrip(tmp_path):
     doc = run_json("simulate", "--trace", str(trace_path), "--keep-alive", "1", "--t-env", "1")
     assert doc["result"]["cold_starts"] >= 1
     assert doc["manifest"]["parameters"]["keep_alive"] == 1.0
-    assert doc["manifest"]["catalog_sha256"]
+
+
+# Every command whose manifest names a catalog; paths are relative to tmp_path.
+CATALOG_COMMANDS = {
+    "catalog show": ("catalog", "show"),
+    "catalog cost": ("catalog", "cost", "--service", "object", "--capacity-gb", "1"),
+    "shuffle price": ("shuffle", "price", "--preset", "cloudsort100tb"),
+    "simulate": ("simulate", "--trace", "trace.json"),
+    "repro": ("repro",),
+}
+
+
+@pytest.mark.parametrize("source", ["bundled", "option", "environment"])
+@pytest.mark.parametrize("name", CATALOG_COMMANDS)
+def test_manifest_digest_is_the_sha256_of_the_catalog_file(tmp_path, monkeypatch, source, name):
+    """The digest is hashlib's SHA-256 of the bytes read: a catalog given by path is the bundled one re-serialized,
+    the same prices in other bytes, so a digest of the wrong file would not match."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FAASIM_CATALOG", raising=False)
+    (tmp_path / "trace.json").write_text('[{"arrival_s": 0, "duration_s": 1}, {"arrival_s": 0.5, "duration_s": 1},'
+                                         ' {"arrival_s": 3, "duration_s": 2}]', encoding="utf-8")
+    argv = CATALOG_COMMANDS[name]
+    if source == "bundled":
+        data = cat.default_catalog_path().read_bytes()
+    else:
+        data = _catalog_text(lambda doc: None).encode("utf-8")
+        (tmp_path / "catalog.json").write_bytes(data)
+        if source == "option":
+            argv += ("--catalog", "catalog.json")
+        else:
+            monkeypatch.setenv("FAASIM_CATALOG", "catalog.json")
+    doc = run_json(*argv)
+    assert doc["manifest"]["catalog_sha256"] == hashlib.sha256(data).hexdigest()
+    assert doc["manifest"]["inputs"][-1] == ("bundled:default_catalog.json" if source == "bundled" else "catalog.json")
 
 
 def test_place_compares_planners(tmp_path):
@@ -629,16 +663,14 @@ def test_preset_integers_may_be_written_as_integral_floats(tmp_path, monkeypatch
         "shuffle", "price", "--preset", "cloudsort100tb")["result"]["plan"]
 
 
-def _raise_runtime_error(args):
-    raise RuntimeError("a bug")
-
-
-# (id, argv, whether the handler raises RuntimeError, exit status, whether a report is written, stderr)
+# (id, argv, what the handler raises or None, exit status, whether a report is written, stderr)
 EXIT_STATUSES = [
-    ("success", ("breakeven",), False, 0, True, ""),
-    ("failed-repro-check", ("repro", "--catalog", "catalog.json"), False, 1, True, ""),
-    ("internal-error", ("breakeven",), True, 1, False, "internal error: a bug\n"),
-    ("bad-input", ("simulate", "--trace", "missing.json"), False, 2, False,
+    ("success", ("breakeven",), None, 0, True, ""),
+    ("failed-repro-check", ("repro", "--catalog", "catalog.json"), None, 1, True, ""),
+    ("internal-error", ("breakeven",), RuntimeError("a bug"), 1, False, "internal error: a bug\n"),
+    # Running out of memory raises a MemoryError with no message: the line names its type.
+    ("message-less-internal-error", ("breakeven",), MemoryError(), 1, False, "internal error: MemoryError\n"),
+    ("bad-input", ("simulate", "--trace", "missing.json"), None, 2, False,
      "error: [Errno 2] No such file or directory: 'missing.json'\n"),
 ]
 
@@ -651,8 +683,10 @@ def test_exit_status(tmp_path, monkeypatch, fmt, argv, raises, status, writes, e
     # A serverless price the published function costs do not reproduce.
     (tmp_path / "catalog.json").write_text(_catalog_text(_set_compute("price_usd_per_unit_at_base_memory", 3e-07)),
                                            encoding="utf-8")
-    if raises:
-        monkeypatch.setattr(cli_breakeven, "breakeven", _raise_runtime_error)
+    if raises is not None:
+        def handler(args):
+            raise raises
+        monkeypatch.setattr(cli_breakeven, "breakeven", handler)
     code, out, error = run(*argv, "--format", fmt)
     assert (code, bool(out), error) == (status, writes, err)
 
@@ -1199,8 +1233,9 @@ LIGHT_COMMANDS = {"catalog show", "catalog cost", "catalog cost iops", "comm", "
 NOT_LOADED = {
     "shuffle plan": {"faasim.catalog"},
     "workload gen": {"faasim.workloads", "faasim.jsonchunks"},
-    "repro": {"hashlib"},  # a table prints no manifest, so no catalog digest
 }
+# What no command loads: `hashlib` loads OpenSSL's libcrypto, several MB, and the catalog digest needs none of it.
+OPENSSL = {"hashlib", "_hashlib"}
 LOADED = """import io, json, sys
 before = set(sys.modules)
 from faasim import cli
@@ -1218,9 +1253,28 @@ def test_desk_command_loads_only_what_it_runs(name):
     assert "dataclasses" not in loaded
     assert "importlib.resources" not in loaded  # bundled data is found beside the modules
     assert {m for m in loaded if m.startswith("faasim.cli_")} == {f"faasim.cli_{DESK_COMMANDS[name][0]}"}
-    assert not NOT_LOADED.get(name, set()) & set(loaded)
+    assert not (NOT_LOADED.get(name, set()) | OPENSSL) & set(loaded)
     if name in LIGHT_COMMANDS:
         assert not {"faasim.workloads", "faasim.placement", "faasim.repro"} & set(loaded)
     if name == "breakeven":
         assert {m for m in loaded if m.startswith("faasim.")} == {"faasim.cli", "faasim.cli_breakeven",
                                                                    "faasim.jsontext", "faasim.money"}
+
+
+# Tiny command lines of the other workloads, run in order: each reads what the ones before it wrote.
+FILE_COMMANDS = (
+    ("workload", "trace", "--count", "3", "--seed", "1", "-o", "trace.json"),
+    ("simulate", "--trace", "trace.json"),
+    ("workload", "gen", "--kind", "cholesky", "--blocks", "3", "-o", "graph.json"),
+    ("workload", "profile", "--graph", "graph.json"),
+    ("place", "--graph", "graph.json", "--instances", "3", "--slots", "4"),
+)
+
+
+def test_no_command_loads_openssl(tmp_path):
+    for argv in FILE_COMMANDS:
+        proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=faasim_env(), cwd=tmp_path,
+                              capture_output=True, text=True, check=True)
+        status, loaded = json.loads(proc.stdout)
+        assert status == 0, proc.stderr
+        assert not OPENSSL & set(loaded), argv
