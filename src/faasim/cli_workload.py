@@ -46,8 +46,7 @@ def workload_profile(args) -> Report:
 def workload_trace(args) -> Report:
     from . import workloads as wl
     if args.arrivals == "poisson":
-        trace = wl.poisson_trace(args.count, args.rate, args.duration, args.memory, args.seed)
+        table, params = wl.poisson_trace(args.count, args.rate, args.duration, args.memory, args.seed)
     else:
-        trace = wl.fixed_interval_trace(args.count, args.interval, args.duration, args.memory)
-    params = dict(trace.metadata)
-    return _write_or_print(trace.to_json_list(), args, "workload trace", params, seed=args.seed)
+        table, params = wl.fixed_interval_trace(args.count, args.interval, args.duration, args.memory)
+    return _write_or_print(table, args, "workload trace", params, seed=args.seed)

@@ -16,10 +16,11 @@ scalars. A `Coded` column that carries its texts is written as given: a
 coded column's texts are one per value, an uncoded column's are runs, the
 texts of each `_CHUNK_ROWS` rows joined by ", " as `json.dumps(rows)[1:-1]`
 writes numbers (so no text may hold ", "); the writer splits one run per
-chunk. Anything else (a tuple, a key that is not a `str`, any other type
-such as `Fraction`, a non-scalar column or one that mixes `str` with other
-types) raises `TypeError`. Each kind of value has one path, and every
-report is built of these kinds, so such an input is a bug.
+chunk. A `Lazy` column holds only numbers, bools or None, unchecked.
+Anything else (a tuple, a key that is not a `str`, any other type such as
+`Fraction`, a non-scalar column or one that mixes `str` with other types)
+raises `TypeError`. Each kind of value has one path, and every report is
+built of these kinds, so such an input is a bug.
 
 A `Table`, a list of flat records held as columns, renders as its list of
 row dicts would, without building them. Each column's encoding is chosen
@@ -29,9 +30,10 @@ encodes each distinct value once (unless a float column holds both 0.0
 and -0.0), any other takes one encoder call per chunk of rows. A `Coded`
 column writes its codes looked up in its values' texts, made once or
 given, or its given runs (so a caller that made them pays nothing more).
-Each chunk of rows is one join of the key labels interleaved with the
-value texts, and `write` sends the text to a stream a piece at a time, so
-no string the size of the document is ever built.
+A `Lazy` column, or `Lazy` codes, is made a chunk at a time as it is
+written. Each chunk of rows is one join of the key labels interleaved with
+the value texts, and `write` sends the text to a stream a piece at a time,
+so no string the size of the document is ever built.
 
 Python 3.13 renders `indent=` in C; once `requires-python` reaches 3.13,
 measure that against this writer and delete the writer if the standard
@@ -57,9 +59,9 @@ _CHUNK_ROWS = 2048
 class Table:
     """A list of flat records as columns: row i maps `keys[k]` to `columns[k][i]`.
 
-    Keys are distinct and columns equal-length lists or tuples. A read-only
-    sequence of the row dicts (`len`, iteration); `json.dumps` serializes it
-    with `default=list`.
+    Keys are distinct and columns equal-length lists, tuples or `Lazy` columns.
+    A read-only sequence of the row dicts (`len`, iteration; only once where a
+    column is `Lazy`); `json.dumps` serializes it with `default=list`.
     """
 
     __slots__ = ("keys", "columns")
@@ -93,12 +95,38 @@ class Coded:
         return iter(self.values) if self.codes is None else map(self.values.__getitem__, self.codes)
 
 
+class Lazy:
+    """A column of `length` rows made as it is read, and read once (written or iterated): `chunks` yields its rows
+    `_CHUNK_ROWS` at a time, each chunk a sequence of values."""
+
+    __slots__ = ("length", "chunks")
+
+    def __init__(self, length: int, chunks):
+        self.length, self.chunks = length, chunks
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self):
+        return chain.from_iterable(self.chunks)
+
+
+def chunk_rows(length: int):
+    """The row numbers of each chunk of a `length`-row column, as ranges."""
+    return (range(at, min(at + _CHUNK_ROWS, length)) for at in range(0, length, _CHUNK_ROWS))
+
+
 def _flat(items) -> bool:
     return set(map(type, items)) <= _SCALARS
 
 
 def _str_keys(keys) -> bool:
     return set(map(type, keys)) <= {str}
+
+
+def _number_texts(chunk) -> list[str]:
+    """The texts of a chunk of numbers, bools or None: one encoder call."""
+    return json.dumps(chunk)[1:-1].split(", ")
 
 
 def _encoder(values):
@@ -119,7 +147,7 @@ def _encoder(values):
             return partial(map, dict(zip(distinct, _encoder(distinct)(distinct))).__getitem__)
     if kinds == {str}:
         return partial(map, encode_basestring_ascii)
-    return lambda chunk: json.dumps(chunk)[1:-1].split(", ")
+    return _number_texts
 
 
 def column_texts(values) -> list[str]:
@@ -142,8 +170,9 @@ def _chunks(column):
     if type(column) is Coded:
         encode, column = partial(map, (column.texts or column_texts(column.values)).__getitem__), column.codes
     else:
-        encode = _encoder(column)
-    return map(encode, (column[at:at + _CHUNK_ROWS] for at in range(0, len(column), _CHUNK_ROWS)))
+        encode = _number_texts if type(column) is Lazy else _encoder(column)
+    return map(encode, column.chunks if type(column) is Lazy else (
+        column[at:at + _CHUNK_ROWS] for at in range(0, len(column), _CHUNK_ROWS)))
 
 
 def _table(table: Table, level: int, sort_keys: bool):

@@ -8,14 +8,14 @@ generated in `commpatterns`.
 
 Trace generators use an explicitly specified 64-bit PRNG (splitmix64)
 and inverse-CDF sampling so that identical seeds reproduce identical
-traces on any platform or language.
+traces on any platform or language, a chunk of entries at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .commpatterns import MATERIALIZE_EDGE_LIMIT, check_budget
 from .jsonchunks import CHUNK, Chunks
-from .jsontext import Coded, Table, column_texts
+from .jsontext import Coded, Lazy, Table, chunk_rows, column_texts
 from .money import json_integer
 from .record import Record
 
@@ -478,41 +478,19 @@ def load_trace(path: str | Path) -> InvocationTrace:
     return _load_json(path, _trace_columns, InvocationTrace.from_json)
 
 
-class SplitMix64:
-    """splitmix64: the 64-bit mixing PRNG, reproducible in any language.
-
-    state += 0x9E3779B97F4A7C15
-    z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-    z = (z ^ z>>27) * 0x94D049BB133111EB; output z ^ z>>31
-    """
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self._state = seed & self._MASK
-
-    def next_u64(self) -> int:
-        """The next 64-bit output; no command calls it, it is kept as the tests' oracle for `uniforms`."""
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits; kept, like `next_u64`, as a test oracle."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniforms(self, count: int) -> list[float]:
-        """The next `count` `uniform()` draws, in one frame."""
-        state, mask, draws = self._state, self._MASK, []
-        for _ in range(count):
+def uniform_chunks(seed: int, count: int):
+    """The first `count` uniform doubles in [0, 1) of splitmix64 from `seed`, a list per `jsontext` chunk: each the
+    top 53 bits of one output of `state += 0x9E3779B97F4A7C15; z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
+    z = (z ^ z>>27) * 0x94D049BB133111EB; output z ^ z>>31` in 64 bits, reproducible in any language."""
+    state, mask = seed, (1 << 64) - 1
+    for rows in chunk_rows(count):
+        draws = []
+        for _ in rows:
             state = (state + 0x9E3779B97F4A7C15) & mask
             z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
             draws.append(((z ^ (z >> 31)) >> 11) * 2.0**-53)
-        self._state = state
-        return draws
+        yield draws
 
 
 def _check_trace(count: int, *params: tuple[float, str, bool]) -> None:
@@ -529,35 +507,47 @@ def _check_trace(count: int, *params: tuple[float, str, bool]) -> None:
             raise GraphError(f"{what} must be finite")
 
 
-def fixed_interval_trace(count: int, interval_s: float, duration_s: float, memory_gb: float = 0.125) -> InvocationTrace:
-    """Evenly spaced arrivals from time 0."""
+def _generated(count: int, arrivals, last: float, duration_s: float, memory_gb: float, metadata: dict):
+    """The table of `arrivals`, made a chunk at a time as it is written, and its metadata, if `last` is finite."""
+    if not math.isfinite(last):
+        raise GraphError("trace arrivals, durations and memory must be finite numbers")
+
+    def coded(value):  # its codes made a chunk at a time
+        return Coded((float(value),), Lazy(count, (bytes(len(rows)) for rows in chunk_rows(count))))
+
+    columns = Lazy(count, arrivals), coded(duration_s), coded(memory_gb)
+    return Table(("arrival_s", "duration_s", "memory_gb"), columns), metadata
+
+
+def fixed_interval_trace(count: int, interval_s: float, duration_s: float, memory_gb: float = 0.125):
+    """Evenly spaced arrivals from time 0, as the trace table and its metadata."""
     _check_trace(count, (memory_gb, "memory", False), (interval_s, "interval", True), (duration_s, "duration", False))
     # Adding to 0.0 writes a zero arrival as 0.0, never -0.0.
-    return InvocationTrace(
-        [0.0 + i * interval_s for i in range(count)], [duration_s] * count, [memory_gb] * count,
-        metadata={"generator": "fixed-interval", "count": count, "interval_s": interval_s,
-                  "duration_s": duration_s, "memory_gb": memory_gb},
-    )
+    arrivals = ([0.0 + i * interval_s for i in rows] for rows in chunk_rows(count))
+    return _generated(count, arrivals, 0.0 + (count - 1) * interval_s, duration_s, memory_gb, {
+        "generator": "fixed-interval", "count": count, "interval_s": interval_s, "duration_s": duration_s,
+        "memory_gb": memory_gb})
 
 
-def poisson_trace(
-    count: int,
-    rate_per_s: float,
-    duration_s: float,
-    memory_gb: float = 0.125,
-    seed: int = 0,
-) -> InvocationTrace:
-    """Poisson arrivals: exponential gaps by inverse CDF over splitmix64.
+def poisson_trace(count: int, rate_per_s: float, duration_s: float, memory_gb: float = 0.125, seed: int = 0):
+    """Poisson arrivals: exponential gaps by inverse CDF over splitmix64, as the trace table and its metadata.
 
-    gap_i = -ln(1 - u_i) / rate with u_i the i-th uniform draw, so a
-    given seed yields the identical trace everywhere.
+    gap_i = -ln(1 - u_i) / rate with u_i the i-th uniform draw, and arrival_i the sum of the first i gaps, so a
+    given seed yields the identical trace everywhere. A gap is at most 53 ln 2 / rate (1 - u is at least 2**-53),
+    and 37 / rate covers rounding too: only where `count` such gaps pass a double's range are the arrivals run
+    once first, unwritten, to find the last.
     """
     _check_trace(count, (rate_per_s, "arrival rate", False), (memory_gb, "memory", False),
                  (duration_s, "duration", False))
-    rng = SplitMix64(seed)
-    gaps = (-math.log(1.0 - u) / rate_per_s for u in rng.uniforms(count))
-    return InvocationTrace(
-        list(accumulate(gaps, initial=0.0))[1:], [duration_s] * count, [memory_gb] * count,
-        metadata={"generator": "poisson", "count": count, "rate_per_s": rate_per_s,
-                  "duration_s": duration_s, "memory_gb": memory_gb, "seed": seed},
-    )
+
+    def arrivals():
+        now, log = 0.0, math.log
+        for draws in uniform_chunks(seed, count):
+            yield [now := now + -log(1.0 - u) / rate_per_s for u in draws]
+
+    last = count * 37.0 / rate_per_s
+    if not math.isfinite(last):
+        last = deque(arrivals(), 1)[0][-1]
+    return _generated(count, arrivals(), last, duration_s, memory_gb, {
+        "generator": "poisson", "count": count, "rate_per_s": rate_per_s, "duration_s": duration_s,
+        "memory_gb": memory_gb, "seed": seed})

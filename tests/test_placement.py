@@ -14,6 +14,7 @@ from faasim import workloads as wl
 from faasim.workloads import TaskGraph
 import graph_core_reference as reference
 from test_workloads import graph_of, named_edges
+from trace_reference import SplitMix64
 
 
 def tasks_named(*ids):
@@ -31,7 +32,7 @@ def star_graph(targets=4, nbytes=10):
 
 def random_graph(seed: int, n_tasks: int = 6) -> TaskGraph:
     """Random DAG via the library PRNG: edges only from lower to higher ids."""
-    rng = wl.SplitMix64(seed)
+    rng = SplitMix64(seed)
     edges = []
     for i in range(n_tasks):
         for j in range(i + 1, n_tasks):
@@ -69,7 +70,7 @@ def bundled_fixtures():
 
 
 def random_assignment(graph: TaskGraph, n: int, k: int, seed: int) -> dict:
-    rng = wl.SplitMix64(seed)
+    rng = SplitMix64(seed)
     free = {i: k for i in range(n)}
     assignment = {}
     for tid in sorted(graph.ids):
@@ -329,7 +330,7 @@ def test_seat_matches_naive_first_fit(n_instances, slots, sizes, random):
 
 def random_multigraph(seed: int, n_tasks: int = 8):
     """Random DAG with parallel edges: up to three edges per ordered pair, from lower to higher ids."""
-    rng = wl.SplitMix64(seed)
+    rng = SplitMix64(seed)
     edges = [(f"t{i}", f"t{j}", rng.next_u64() % 1000) for i in range(n_tasks) for j in range(i + 1, n_tasks)
              for _ in range(rng.next_u64() % 4)]
     return graph_of(tasks_named(*(f"t{i}" for i in range(n_tasks))), edges)

@@ -22,6 +22,7 @@ from faasim import simcore as sim
 from faasim import workloads as wl
 from faasim.money import FALLACY_COST_RATIO, decimal_literal, usd, usd_json
 from test_cli import run as run_cli
+from trace_reference import SplitMix64, fixed_interval_trace, poisson_trace
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +121,7 @@ def test_billing_memory_scaling(fn_spec):
 
 def test_billing_ceil_against_integer_oracle(fn_spec):
     """1,000 pseudo-random durations vs pure integer-ms arithmetic."""
-    rng = wl.SplitMix64(2024)
+    rng = SplitMix64(2024)
     unit_ms = 100
     for _ in range(1000):
         duration_ms = 1 + rng.next_u64() % 900_000
@@ -201,7 +202,7 @@ def test_completion_at_arrival_instant_allows_reuse(fn_spec):
 
 
 def test_determinism_byte_identical(fn_spec):
-    poisson = wl.poisson_trace(60, 2.0, 0.4, seed=11)
+    poisson = poisson_trace(60, 2.0, 0.4, seed=11)
     config = platform(fn_spec, cold=(0.5, 1.0, 0.25), keep_alive=2.0)
     first = sim.simulate(poisson, config)
     second = sim.simulate(poisson, config)
@@ -210,7 +211,7 @@ def test_determinism_byte_identical(fn_spec):
 
 
 def test_conservation_and_utilization(fn_spec):
-    poisson = wl.poisson_trace(40, 1.5, 0.7, seed=5)
+    poisson = poisson_trace(40, 1.5, 0.7, seed=5)
     result = sim.simulate(poisson, platform(fn_spec, cold=(0.3, 0.2, 0.1), keep_alive=3.0))
     assert sum(column(result.invocations, "billed_units")) == result.billed_units
     assert sum(column(result.invocations, "cost_usd"), Fraction(0)) == result.cost_usd
@@ -229,14 +230,14 @@ def test_cost_identity_uniform_memory(fn_spec):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_peak_concurrency_matches_overlap_oracle(fn_spec, seed):
-    poisson = wl.poisson_trace(30, 4.0, 0.5, seed=seed)
+    poisson = poisson_trace(30, 4.0, 0.5, seed=seed)
     result = sim.simulate(poisson, platform(fn_spec, cold=(0, 0, 0), keep_alive=1.0))
     assert result.peak_concurrency == max_overlap(poisson.entries)
 
 
 def test_keep_alive_monotone_cold_starts(fn_spec):
     for seed in range(20):
-        poisson = wl.poisson_trace(40, 1.0, 0.3, seed=seed)
+        poisson = poisson_trace(40, 1.0, 0.3, seed=seed)
         cold_counts = [
             sim.simulate(poisson, platform(fn_spec, cold=(0.5, 0.5, 0), keep_alive=ka)).cold_starts
             for ka in (0.0, 0.5, 1.0, 5.0, 50.0)
@@ -575,7 +576,7 @@ SIMULATE_BYTES_PER_ENTRY = 64
 
 def test_simulate_peak_above_its_trace_follows_the_entries(fn_spec):
     count = 50_000
-    poisson = wl.poisson_trace(count, 50.0, 0.25, seed=3)
+    poisson = poisson_trace(count, 50.0, 0.25, seed=3)
     durations = [*poisson.durations]
     durations[count // 3] = durations[2 * count // 3] = 1000.0  # over the run-time limit
     trace = wl.InvocationTrace(poisson.arrivals, durations, poisson.memory)
@@ -717,7 +718,7 @@ def test_breakeven_simulation_cross_check(vm_spec):
 def test_duty_cycle_costs_match_simulating_the_busy_calls(fn_spec, vm_spec, busy, span):
     """Oracle: the busy time as evenly spaced 60 s calls through `simulate`, no cold start or keep-alive."""
     slots = round(busy * span / 60.0)
-    trace = wl.fixed_interval_trace(slots, span / max(slots, 1), 60.0, memory_gb=float(fn_spec.base_memory_gib))
+    trace = fixed_interval_trace(slots, span / max(slots, 1), 60.0, memory_gb=float(fn_spec.base_memory_gib))
     simulated = sim.simulate(trace, platform(fn_spec, keep_alive=0.0)).cost_usd
     assert sim.duty_cycle_costs(busy, span, fn_spec, vm_spec) == (simulated, sim.serverful_cost(span, vm_spec))
 

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from faasim import jsonchunks, jsontext
 from faasim import workloads as wl
 from faasim.commpatterns import CommScenario, Deployment, gen_paramserver, remote_traffic_bytes
 from faasim.placement import singleton_placement
+from trace_reference import SplitMix64, fixed_interval_trace, poisson_trace
 
 # Task totals for small tile counts, worked out by hand: step k of a
 # T-tile factorization runs 1 diagonal task, T-k-1 solves and
@@ -402,13 +404,24 @@ SPLITMIX_SEED0 = [16294208416658607535, 7960286522194355700, 487617019471545679]
 
 
 def test_splitmix_reference_vectors():
-    rng = wl.SplitMix64(0)
+    rng = SplitMix64(0)
     assert [rng.next_u64() for _ in range(3)] == SPLITMIX_SEED0
+    assert [*wl.uniform_chunks(0, 3)] == [[(value >> 11) * 2.0**-53 for value in SPLITMIX_SEED0]]
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2047, 2048, 2049, 4097])
+def test_uniform_chunks_are_the_oracle_draws_a_chunk_at_a_time(seed, count):
+    rng = SplitMix64(seed)
+    chunks = [*wl.uniform_chunks(seed, count)]
+    size = jsontext._CHUNK_ROWS
+    assert [*map(len, chunks)] == [min(size, count - at) for at in range(0, count, size)]
+    assert [*chain.from_iterable(chunks)] == [rng.uniform() for _ in range(count)]
 
 
 def test_poisson_trace_matches_inline_reimplementation():
     seed, rate = 42, 2.0
-    trace = wl.poisson_trace(5, rate, 0.5, seed=seed)
+    trace = poisson_trace(5, rate, 0.5, seed=seed)
 
     state, mask = seed, (1 << 64) - 1
     arrivals, now = [], 0.0
@@ -424,16 +437,46 @@ def test_poisson_trace_matches_inline_reimplementation():
 
 
 def test_poisson_trace_is_deterministic_and_sorted():
-    a = wl.poisson_trace(50, 3.0, 0.2, seed=9)
-    b = wl.poisson_trace(50, 3.0, 0.2, seed=9)
+    a = poisson_trace(50, 3.0, 0.2, seed=9)
+    b = poisson_trace(50, 3.0, 0.2, seed=9)
     assert a == b
     assert list(a.arrivals) == sorted(a.arrivals)
-    assert wl.poisson_trace(50, 3.0, 0.2, seed=10) != a
+    assert poisson_trace(50, 3.0, 0.2, seed=10) != a
 
 
 def test_fixed_interval_trace():
-    trace = wl.fixed_interval_trace(4, 10.0, 1.0)
+    trace = fixed_interval_trace(4, 10.0, 1.0)
     assert trace.arrivals == (0.0, 10.0, 20.0, 30.0)
+
+
+class Discard:
+    """A text stream that keeps nothing of what is written to it."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, texts):
+        for _ in texts:
+            pass
+
+
+# A generated trace is made a chunk at a time as it is written, so writing it peaks at a chunk's worth, whatever
+# the count. On Python 3.11.7 the two counts below peaked within 12 KiB of each other (the larger count's arrivals
+# print longer); a list of the arrivals alone holds about 3 MiB per 10**5 entries.
+@pytest.mark.parametrize("generate", [lambda count: wl.poisson_trace(count, 50.0, 0.25, seed=5),
+                                      lambda count: wl.fixed_interval_trace(count, 0.02, 0.25)],
+                         ids=["poisson", "fixed"])
+def test_writing_a_generated_trace_peaks_at_a_chunk_whatever_the_count(generate):
+    jsontext.write(Discard(), generate(10)[0])  # first use allocates nothing that is counted below
+    peaks = []
+    for count in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            jsontext.write(Discard(), generate(count)[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
 
 
 def test_trace_validation():
@@ -473,7 +516,7 @@ def test_trace_document_columns_are_floats():
 
 @pytest.mark.parametrize("name", ["arrivals", "durations", "memory", "metadata", "entries"])
 def test_trace_columns_cannot_be_replaced(name):
-    trace = wl.poisson_trace(5, 1.0, 0.5, seed=1)
+    trace = poisson_trace(5, 1.0, 0.5, seed=1)
     with pytest.raises(AttributeError):
         setattr(trace, name, ())
     assert trace == wl.InvocationTrace(trace.arrivals, trace.durations, trace.memory)
@@ -481,7 +524,7 @@ def test_trace_columns_cannot_be_replaced(name):
 
 
 def test_trace_json_round_trip(tmp_path):
-    trace = wl.poisson_trace(10, 1.0, 0.5, seed=3)
+    trace = poisson_trace(10, 1.0, 0.5, seed=3)
     path = tmp_path / "trace.json"
     path.write_text(jsontext.dumps(trace.to_json_list()), encoding="utf-8")
     again = wl.load_trace(path)
@@ -496,7 +539,7 @@ def test_load_trace_peak_is_below_the_file_size(tmp_path):
     count = 20_000
     path = tmp_path / "trace.json"
     with path.open("w", encoding="utf-8") as out:
-        jsontext.write(out, wl.fixed_interval_trace(count, 0.5, 0.25).to_json_list())
+        jsontext.write(out, wl.fixed_interval_trace(count, 0.5, 0.25)[0])
     wl.load_trace(path)  # first use allocates nothing that is counted below
     tracemalloc.start()
     try:
@@ -580,7 +623,7 @@ def test_a_long_stretch_with_no_cut_is_read_in_linear_time(tmp_path, text, read_
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_uniform_in_unit_interval(seed):
-    value = wl.SplitMix64(seed).uniform()
+    [[value]] = wl.uniform_chunks(seed, 1)
     assert 0.0 <= value < 1.0
 
 
