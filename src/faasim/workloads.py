@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from collections import Counter, deque
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 from .commpatterns import MATERIALIZE_EDGE_LIMIT, check_budget
 from .jsonchunks import CHUNK, Chunks
-from .jsontext import Coded, Lazy, Table, chunk_rows, column_texts
+from .jsontext import _CHUNK_ROWS, Coded, Lazy, Table, chunk_rows, column_texts
 from .money import json_integer
 from .record import Record
 
@@ -478,19 +479,33 @@ def load_trace(path: str | Path) -> InvocationTrace:
     return _load_json(path, _trace_columns, InvocationTrace.from_json)
 
 
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """For a chunk's 128-bit lanes, lane i being bits 128i up: 1, (i + 1) * 0x9E3779B97F4A7C15 and 2**64 - 1 in each."""
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * _CHUNK_ROWS, "little")
+    steps = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(1, _CHUNK_ROWS + 1)), "little")
+    return ones, steps * 0x9E3779B97F4A7C15, ones * ((1 << 64) - 1)
+
+
+def _low_words(lanes: int, n: int) -> tuple[int, ...]:
+    """The low 64 bits of each of the first n 128-bit lanes of `lanes`, lane 0 first, the same on any host."""
+    return struct.unpack("<" + "Q8x" * n, (lanes & ((1 << 128 * n) - 1)).to_bytes(16 * n, "little"))
+
+
 def uniform_chunks(seed: int, count: int):
     """The first `count` uniform doubles in [0, 1) of splitmix64 from `seed`, a list per `jsontext` chunk: each the
     top 53 bits of one output of `state += 0x9E3779B97F4A7C15; z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
-    z = (z ^ z>>27) * 0x94D049BB133111EB; output z ^ z>>31` in 64 bits, reproducible in any language."""
-    state, mask = seed, (1 << 64) - 1
+    z = (z ^ z>>27) * 0x94D049BB133111EB; output z ^ z>>31` in 64 bits, reproducible in any language.
+    A chunk's draws are mixed together, its i-th state (`seed + (start + i + 1) * 0x9E3779B97F4A7C15` mod 2**64,
+    from the chunk's first row `start`) in lane i of `_lanes`, each shift and product masked to 64 bits a lane. No
+    lane reaches the next: a state lane is below 2049 * 2**64 < 2**76 before its mask, and a masked lane times a
+    64-bit constant is below 2**128. Reading each lane's low 64 bits masks the last `>> 11`."""
+    ones, steps, mask = _lanes()
     for rows in chunk_rows(count):
-        draws = []
-        for _ in rows:
-            state = (state + 0x9E3779B97F4A7C15) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            draws.append(((z ^ (z >> 31)) >> 11) * 2.0**-53)
-        yield draws
+        z = ((seed + rows.start * 0x9E3779B97F4A7C15) % 2**64 * ones + steps) & mask
+        z = ((z ^ (z >> 30) & mask) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27) & mask) * 0x94D049BB133111EB) & mask
+        yield [u * 2.0**-53 for u in _low_words((z ^ (z >> 31) & mask) >> 11, len(rows))]
 
 
 def _check_trace(count: int, *params: tuple[float, str, bool]) -> None:

@@ -29,6 +29,7 @@ from faasim import cli, cli_breakeven, cli_place
 from faasim import commpatterns as comm
 from faasim import jsonchunks, jsontext
 from faasim import workloads as wl
+from test_jsontext import assert_same_text
 from trace_reference import fixed_interval_trace, reference_fixed_interval_trace, reference_poisson_trace
 
 
@@ -1163,6 +1164,17 @@ def test_workload_trace_writes_the_reference_bytes(fixed, count, rate, interval,
         if to_file:
             with open(path, encoding="utf-8") as file:
                 assert file.read() == jsontext.dumps(reference.to_json_list()) + "\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**30, -10**30])
+def test_workload_trace_with_an_extreme_seed_writes_the_reference_trace(tmp_path, seed):
+    """A seed is taken mod 2**64 for the draws and recorded in the manifest as given."""
+    path = tmp_path / "t.json"
+    doc = run_json("workload", "trace", "--arrivals", "poisson", "--count", "2049", "--rate", "5", "--seed", str(seed),
+                   "-o", str(path))
+    assert doc["manifest"]["seed"] == seed
+    reference = reference_poisson_trace(2049, 5.0, 0.5, 0.125, seed)
+    assert_same_text(path.read_text(encoding="utf-8"), jsontext.dumps(reference.to_json_list()) + "\n")
 
 
 # --- generator sizes: refused before anything is allocated ---------------------

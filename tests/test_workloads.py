@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faasim import jsonchunks, jsontext
@@ -417,6 +417,30 @@ def test_uniform_chunks_are_the_oracle_draws_a_chunk_at_a_time(seed, count):
     size = jsontext._CHUNK_ROWS
     assert [*map(len, chunks)] == [min(size, count - at) for at in range(0, count, size)]
     assert [*chain.from_iterable(chunks)] == [rng.uniform() for _ in range(count)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(-2**70, 2**70), count=st.integers(0, 5000))
+@example(seed=-2**70, count=2049)  # states below zero before they are taken mod 2**64
+@example(seed=2**70, count=5000)
+def test_uniform_chunks_equal_the_oracle_for_any_seed_and_count(seed, count):
+    rng = SplitMix64(seed)
+    chunks = [*wl.uniform_chunks(seed, count)]
+    assert [*map(len, chunks)] == [*map(len, jsontext.chunk_rows(count))]
+    assert [*chain.from_iterable(chunks)] == [rng.uniform() for _ in range(count)]
+
+
+def test_lanes_are_128_bit_little_endian_and_read_by_their_low_64_bits():
+    """Lane i is bits 128i to 128i + 127 of one int, on any host: `_low_words` reads lane values that have junk above
+    bit 64 in lane order, and `_lanes` puts 1, (i + 1) * gamma and the 64-bit mask in each lane i of a chunk."""
+    values, junk = [0, 1, 2**53 - 1, 2**64 - 1], [2**64 - 1, 1, 2**63, 0x0123456789ABCDEF]
+    lanes = sum((value | above << 64) << 128 * i for i, (value, above) in enumerate(zip(values, junk)))
+    assert wl._low_words(lanes, 4) == tuple(values)
+    assert wl._low_words(lanes, 2) == tuple(values[:2])
+    rows = range(jsontext._CHUNK_ROWS)
+    assert wl._lanes() == (sum(1 << 128 * i for i in rows),
+                           sum((i + 1) * 0x9E3779B97F4A7C15 << 128 * i for i in rows),
+                           sum((2**64 - 1) << 128 * i for i in rows))
 
 
 def test_poisson_trace_matches_inline_reimplementation():
