@@ -23,16 +23,22 @@ before the clock starts and take no part in the pass.
 
 Time is an exact integer clock: arrivals, durations, the cold-start
 components and the keep-alive are read as their decimal literals and
-scaled by one power of ten per simulation, so 0.1 + 0.2 s ends exactly at
-0.3 s and cold-start latencies, busy and instance seconds are exact sums
-rounded once. A float's literal is its shortest repr, made once per served
-arrival by `jsontext.column_runs`, a run of rows at a time, and held in
-one ", "-joined run (about 20 bytes an entry) that the report writes as
-the `arrival_s` texts. The clock reads the runs twice: a first pass finds
-the power of ten, and the event loop takes its ticks from a second that
-splits one run at a time. So `simulate` peaks at 3.0 MiB above a loaded
-100k-entry Poisson trace and at 100.5 MB RSS on a 1M-entry one (12.8 MiB
-and 227.0 MB with a text and a tick held per arrival; Python 3.11.7).
+scaled by one power of ten per simulation, 10**d for the longest fraction
+of d digits, so 0.1 + 0.2 s ends exactly at 0.3 s and cold-start
+latencies, busy and instance seconds are exact sums rounded once. A
+float's literal is its shortest repr, made once per served arrival by
+`jsontext.column_runs`, a run of rows at a time, and held in one ", "-joined
+run (about 20 bytes an entry) that the report writes as the `arrival_s`
+texts. A first pass over the runs finds d. The ticks are then made as the
+event loop reads them, one of two ways (see `_ticks`). Where d <= 22 and
+the group's largest magnitude times 10**d is below 2**50, as in traces
+rounded to the ms or µs (the benchmark's bursty trace has d = 6), each
+tick is one multiply-and-round of the float, which is exact. Otherwise, as
+for a Poisson trace whose arrivals print 17 significant digits (d = 18),
+the ticks are read from the texts, one run split at a time. So `simulate`
+peaks at 3.0 MiB above a loaded 100k-entry Poisson trace and at 100.5 MB
+RSS on a 1M-entry one (12.8 MiB and 227.0 MB with a text and a tick held
+per arrival; Python 3.11.7).
 Every other number (durations and memory to bill, spans, cost ratios) is
 read by `money.usd`.
 
@@ -58,7 +64,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
-from operator import add
+from operator import add, floordiv, gt, mul, neg, not_
 from typing import TYPE_CHECKING
 
 from .jsontext import Coded, Table, column_runs
@@ -148,15 +154,18 @@ class SimResult(Record):
         }
 
 
-def _units(ticks: int, scale: int, spec: ComputeServiceSpec) -> int:
-    """Whole accounting units covering ticks / scale seconds, exactly."""
+def _units(ticks, scale: int, spec: ComputeServiceSpec) -> map:
+    """Whole accounting units covering each of `ticks` / scale seconds, exactly."""
     unit = spec.accounting_unit_s
-    return -(-ticks * unit.denominator // (scale * unit.numerator))
+    return map(neg, map(floordiv, map(mul, ticks, repeat(-unit.denominator)), repeat(scale * unit.numerator)))
 
 
-def _over_limit(ticks: int, scale: int, spec: ComputeServiceSpec) -> bool:
+def _over_limit(ticks, scale: int, spec: ComputeServiceSpec) -> map:
+    """Whether each of `ticks` / scale seconds exceeds the run-time limit, exactly; with no limit none does."""
     limit = spec.max_run_time_s
-    return limit is not None and ticks * limit.denominator > limit.numerator * scale
+    if limit is None:
+        return map(gt, ticks, repeat(math.inf))
+    return map(gt, map(mul, ticks, repeat(limit.denominator)), repeat(limit.numerator * scale))
 
 
 def _rate(memory_gb, spec: ComputeServiceSpec) -> Fraction | None:
@@ -176,13 +185,13 @@ def billed_units(duration_s, spec: ComputeServiceSpec) -> int:
     duration = usd(duration_s)
     if duration <= 0:
         raise BillingError("duration must be positive")
-    return _units(duration.numerator, duration.denominator, spec)
+    return next(_units((duration.numerator,), duration.denominator, spec))
 
 
 def bill_invocation(duration_s, memory_gb, spec: ComputeServiceSpec) -> Fraction:
     """Dollar cost of one invocation at the given memory configuration."""
     duration = usd(duration_s)
-    if _over_limit(duration.numerator, duration.denominator, spec):
+    if any(_over_limit((duration.numerator,), duration.denominator, spec)):
         raise BillingError(f"duration {duration_s}s exceeds the {spec.max_run_time_s}s run-time limit")
     rate = _rate(memory_gb, spec)
     if rate is None:
@@ -215,14 +224,24 @@ def _scaled(digits: int, run):
 
 
 def _ticks(*groups) -> tuple[int, list]:
-    """(scale, each group's times as integer ticks, lazily) on one exact decimal clock: a group is a list of runs
-    (see `_plain`), and a time is its decimal literal times `scale`, the least power of ten that makes all of them
-    whole, so 0.1 + 0.2 ticks equal 0.3. A first pass finds the longest fraction, reading only fractions longer
-    than the longest so far; the ticks are made a run at a time as they are read."""
+    """(scale, each group's times as integer ticks, lazily) on one exact decimal clock: a time is its decimal
+    literal V times `scale`, the least power of ten 10**d that makes all of them whole, so 0.1 + 0.2 ticks equal
+    0.3. A group is (runs, floats, largest): its times as a list of runs (see `_plain`), then the same times as
+    floats and the largest of their magnitudes, or None twice. A first pass finds d from the runs, reading only
+    fractions longer than the longest so far; the ticks are made as they are read.
+
+    A group with floats takes each tick from one multiply-and-round, round(x * float(10**d)), when d <= 22 and
+    largest * float(10**d) < 2**50. That is V * 10**d exactly: |x - V| <= ulp(x)/2 <= 2**-53 |x|, because V
+    rounds to x; 10**d is exact as a double for d <= 22; and p = fl(x * 10**d) < 2**50, so ulp(p) <= 2**-3.
+    So |p - V * 10**d| < 2**-3 + 2**-4 = 3/16, and the rounding meets no tie. Every other group's ticks are
+    read from its texts, a run at a time."""
     digits = 0
-    for run in chain.from_iterable(groups):
+    for run in chain.from_iterable(runs for runs, _, _ in groups):
         digits = max(map(len, re.findall(r"\.(\d{%d,})" % (digits + 1), _plain(run))), default=digits)
-    return 10**digits, [chain.from_iterable(map(_scaled, repeat(digits), group)) for group in groups]
+    scale = 10**digits
+    return scale, [map(round, map(mul, floats, repeat(float(scale))))
+                   if floats is not None and digits <= 22 and largest * float(scale) < 2.0**50
+                   else chain.from_iterable(map(_scaled, repeat(digits), runs)) for runs, floats, largest in groups]
 
 
 class _Codes(dict):
@@ -246,14 +265,16 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     keys = _Codes()  # billing keys in order of first use
     codes = [*map(keys.__getitem__, zip(trace.durations, trace.memory))]  # each entry's key
     counts = dict(zip(keys, Counter(codes).values()))  # entries per billing key
-    duration_texts = [repr(duration) for duration, _ in counts]  # each read by the clock and written by the report
+    durations_s, memories = [duration for duration, _ in counts], [memory for _, memory in counts]  # by key
+    duration_texts = [*map(repr, durations_s)]  # each read by the clock and written by the report
     duration_runs = [", ".join(duration_texts)] if counts else []
+    longest = max(durations_s, default=0.0)  # durations are positive
 
     # An entry is rejected by its key: the limit is checked on the durations' own clock.
-    rates = {memory: _rate(memory, spec) for memory in {memory for _, memory in counts}}
-    limit_scale, (limit_ticks,) = _ticks(duration_runs)
-    reasons = [_OVER_LIMIT if _over_limit(ticks, limit_scale, spec) else _BAD_MEMORY if rates[memory] is None else None
-               for ticks, (_, memory) in zip(limit_ticks, counts)]  # ticks first: zip ends them, freeing their run
+    rates = {memory: _rate(memory, spec) for memory in set(memories)}
+    limit_scale, (limit_ticks,) = _ticks((duration_runs, durations_s, longest))
+    reasons = [_OVER_LIMIT if over else _BAD_MEMORY if rates[memory] is None else None
+               for over, memory in zip(_over_limit(limit_ticks, limit_scale, spec), memories)]
     rejected = [*compress(count(), map(reasons.__getitem__, codes))] if any(reasons) else []  # trace positions
     arrivals_s, served_codes = trace.arrivals, codes
     if rejected:
@@ -265,29 +286,25 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     del codes
     runs = column_runs(arrivals_s)  # the served arrivals' texts, made once: read by the clock and the report
     scale, (arrivals, durations, fixed) = _ticks(
-        runs, duration_runs, [[cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s]])
+        (runs, arrivals_s, max(abs(arrivals_s[0]), abs(arrivals_s[-1])) if arrivals_s else 0.0),  # sorted
+        (duration_runs, durations_s, longest),
+        ([[cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s]], None, None))
     t_schedule, t_env, t_app, keep_alive = fixed
 
-    # Price each (duration, memory) key once; its cost is shared by every
-    # key with the same (units, memory).
-    pools = {memory: deque() for memory in rates}  # idle-since ticks per memory class, oldest first
-    costs: dict[tuple[int, float], Fraction] = {}
+    # Bill every key at once; a rejected key has no units or cost, as no served entry has its code. Each
+    # (units, memory) is priced once, its cost shared by every key with the same (units, memory).
+    durations, billed = [*durations], [*map(not_, reasons)]  # by key: ticks; served
+    key_units = [*_units(durations, scale, spec)]
+    for key in compress(count(), reasons):
+        key_units[key] = None
     tally: Counter = Counter()  # invocations per (units, memory)
-    bills, key_units, key_costs = [], [], []  # by key: (duration ticks, idle pool); units; cost
-    busy_total = 0  # ticks
-    for ticks, (key, n), reason in zip(durations, counts.items(), reasons):
-        memory = key[1]
-        units = cost = None  # a rejected key's: no served entry has its code
-        if reason is None:
-            units = _units(ticks, scale, spec)
-            if (units, memory) not in costs:
-                costs[units, memory] = units * rates[memory] + spec.request_fee_usd
-            cost = costs[units, memory]
-            tally[units, memory] += n
-            busy_total += n * ticks
-        bills.append((ticks, pools[memory]))
-        key_units.append(units)
-        key_costs.append(cost)
+    for key, n in compress(zip(zip(key_units, memories), counts.values()), billed):
+        tally[key] += n
+    costs = {(units, memory): units * rates[memory] + spec.request_fee_usd for units, memory in tally}
+    key_costs = [*map(costs.get, zip(key_units, memories))]
+    busy_total = sum(map(mul, compress(durations, billed), compress(counts.values(), billed)))  # ticks
+    pools = {memory: deque() for memory in rates}  # idle-since ticks per memory class, oldest first
+    bills = [*zip(durations, map(pools.__getitem__, memories))]  # by key: (duration ticks, idle pool)
 
     events: list[tuple[int, int, deque]] = []  # running invocations: (end tick, seq, idle pool)
     kinds = bytearray(len(served_codes))  # by served entry: 0 warm, 1 pre-started, 2 full cold start
@@ -332,7 +349,7 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
         invocations=Table(("arrival_s", "start_latency_s", "duration_s", "cold", "billed_units", "cost_usd"), (
             Coded(arrivals_s, texts=runs),
             Coded((0.0, t_app / scale, report_float(Fraction(full_ticks, scale), "start_latency_s")), kinds),
-            Coded([duration for duration, _ in counts], served_codes, duration_texts),
+            Coded(durations_s, served_codes, duration_texts),
             Coded((False, True, True), kinds), Coded(key_units, served_codes), Coded(key_costs, served_codes))),
         rejected=Table(("index", "arrival_s", "duration_s", "reason"), [rejected, *(
             [*map(column.__getitem__, rejected)] for column in (trace.arrivals, trace.durations)),
@@ -352,7 +369,7 @@ def serverful_cost(span_s, spec: ComputeServiceSpec) -> Fraction:
     span = usd(span_s)
     if span < 0:
         raise BillingError("span must be non-negative")
-    return _units(span.numerator, span.denominator, spec) * spec.price_usd_per_unit
+    return next(_units((span.numerator,), span.denominator, spec)) * spec.price_usd_per_unit
 
 
 def duty_cycle_costs(

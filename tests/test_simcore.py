@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from faasim import catalog as cat
@@ -286,20 +286,37 @@ finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
                              st.floats(-10, 10, allow_nan=False), st.integers(-300, 300)))
 other_numbers = st.integers(-10**20, 10**20) | st.builds(
     lambda digits, exponent: Decimal(f"{digits}E{exponent}"), st.integers(-10**12, 10**12), st.integers(-40, 40))
+# Decimals of at most 9 fraction digits, as traces rounded to the ms or µs hold. Two examples in three draw every
+# number from these and small integers, so their float groups take `_ticks`' kernel; the rest draw from anything.
+short_decimals = st.builds(lambda n, k: n / 10**k, st.integers(-10**14, 10**14), st.integers(0, 9))
+short_clock = st.shared(st.sampled_from((True, True, False)), key="short clock")
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(finite_floats, max_size=8), max_size=3),
-       st.lists(finite_floats | other_numbers, min_size=1, max_size=5), st.integers(min_value=1, max_value=3))
+@given(short_clock.flatmap(lambda short: st.lists(st.lists(
+           short_decimals if short else finite_floats | short_decimals, max_size=8), max_size=3)),
+       short_clock.flatmap(lambda short: st.lists(
+           short_decimals | st.integers(-10**6, 10**6) if short else finite_floats | other_numbers,
+           min_size=1, max_size=5)),
+       st.integers(min_value=1, max_value=3))
 @example([[-0.0, 5e-05, 1e16]], [0, Decimal("0.10")], 3)
 @example([[0.1, 0.2, 5e-05, 0.25], [5e-324]], [600], 2)
 @example([[1e16, 2e16]], [0], 1)
+@example([[1125899906842.623, -1.5, 0.0]], [0.5, 600], 2)  # 10**3 x the largest is just under 2**50: the kernel
+@example([[1125899906842.625, 7.0]], [0.5], 1)  # and just over: the texts
+@example([[1e-22, -0.0, 7e-22]], [0], 3)  # 10**22, the largest power of ten a double holds exactly: the kernel
+@example([[1e-23, -0.0, 7e-22]], [0], 3)  # 10**23: the texts
+@example([[-0.0, -2.5, 4.0, -7.0, 12345678.0]], [0, 1], 2)  # negative and integer-valued floats
+@example([[5e-05, 0.25], [1e16]], [0.3], 1)  # an exponent text on the kernel; 1e16 x 10**5 puts its group on the texts
 def test_ticks_match_the_decimal_reference(float_groups, numbers, run_length):
     # `simulate` hands the clock its arrivals and durations as runs of repr texts, each the text json.dumps
-    # writes of a list of floats, and the platform's four numbers as one run.
-    groups = [[json.dumps(group[at:at + run_length])[1:-1] for at in range(0, len(group), run_length)]
-              for group in float_groups]
-    scale, ticks = sim._ticks(*groups, [numbers])
+    # writes of a list of floats, with the floats and their largest magnitude, and the platform's four numbers as
+    # one run alone.
+    groups = [([json.dumps(group[at:at + run_length])[1:-1] for at in range(0, len(group), run_length)],
+               group, max(map(abs, group), default=0.0)) for group in float_groups]
+    scale, ticks = sim._ticks(*groups, ([numbers], None, None))
+    for group in ticks[:-1]:
+        event("float group: " + ("kernel" if type(group) is map else "texts"))
     assert (scale, [*map(list, ticks)]) == reference_ticks(*float_groups, numbers)
 
 
@@ -318,18 +335,22 @@ def test_bad_memory_rejected_without_aborting(fn_spec):
 _MEMORIES = (0.125, 0.25, 0.5, 1.0, 3.0, 0.2, 0.05, 4.0, 0.0, -1.0)
 
 
-@given(st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=5_000),
-        st.one_of(st.integers(min_value=1, max_value=3_000), st.sampled_from([900_000, 900_001, 1_000_000])),
-        st.sampled_from(_MEMORIES),
-    ),
-    max_size=40,
-))
+# Durations to the ms beside full-precision ones such as 0.1 + 0.2, and keys just under, at and just over the 900 s
+# limit. The explicit example has 244 distinct keys: 1-240 ms and four more, over every memory class in turn.
+billing_durations = (st.integers(min_value=1, max_value=3_000).map(lambda ms: ms / 1000)
+                     | st.sampled_from([899.999, 900.0, 900.001, 1000.0, 0.1 + 0.2, 0.7 + 0.1, 1 / 3])
+                     | st.floats(min_value=1e-3, max_value=1000))
+MANY_KEYS = [(at, duration, _MEMORIES[at % len(_MEMORIES)]) for at, duration in enumerate(
+    [*(ms / 1000 for ms in range(1, 241)), 0.1 + 0.2, 899.999, 900.0, 900.001])]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=5_000), billing_durations, st.sampled_from(_MEMORIES)),
+                max_size=40))
+@example(MANY_KEYS)
 def test_grouped_billing_matches_per_invocation(fn_spec, rows):
     """Per-key totals equal the per-invocation sum of bill_invocation."""
-    rows.sort(key=lambda row: row[0])
-    entries = tuple(wl.Invocation(a / 1000, d / 1000, m) for a, d, m in rows)
+    rows = sorted(rows, key=lambda row: row[0])
+    entries = tuple(wl.Invocation(a / 1000, d, m) for a, d, m in rows)
     result = sim.simulate(trace_of(entries), platform(fn_spec, cold=(0.25, 0.0, 0.1), keep_alive=0.5))
     expected_rejected = [
         (i, "duration exceeds max run time" if inv.duration_s > 900 else "memory outside the configurable range")
@@ -342,7 +363,9 @@ def test_grouped_billing_matches_per_invocation(fn_spec, rows):
     assert len(result.invocations) == len(kept)
     costs = [sim.bill_invocation(inv.duration_s, inv.memory_gb, fn_spec) for inv in kept]
     assert result.cost_usd == sum(costs, Fraction(0))
-    assert result.billed_units == sum(sim.billed_units(inv.duration_s, fn_spec) for inv in kept)
+    units = [sim.billed_units(inv.duration_s, fn_spec) for inv in kept]
+    assert result.billed_units == sum(units)
+    assert list(column(result.invocations, "billed_units")) == units
     assert list(column(result.invocations, "cost_usd")) == costs
     assert [r["cost_usd"] for r in result.to_json_dict()["invocations"]] == [usd_json(c) for c in costs]
 
@@ -470,6 +493,17 @@ REJECTED_AT_EDGES = [(0.0, 0.25, 0.125), (0.1, 0.5, 0.25), (0.2, 0.3, 0.125), (0
                      (0.4, 0.25, 0.125), (0.5, 0.25, 4.0), (0.6, 0.1, 0.125)]
 RUN_OF_REJECTED = [(0.0, 0.25, 0.125), (0.1, 0.5, 0.125), (0.2, 1000.0, 0.125), (0.3, 0.25, 4.0),
                    (0.35, 0.25, 0.125)]
+# Arrivals to the µs, the last one's ticks just under 2**50: the clock's float kernel makes every tick. One arrival
+# of 0.30000000000000004 moves the clock to 17 digits and both groups to the texts. At 13 digits, 450.3599624370523 s
+# alone puts the durations past the bound, where a product would make it one tick short; the arrivals stay on the
+# kernel.
+NEAR_BOUND = [(1e-06, 0.25, 0.125), (1.5, 0.001, 0.125), (1.75, 0.25, 0.125), (1125899906.842623, 0.1, 0.25)]
+ONE_LONG_TEXT = [NEAR_BOUND[0], (0.30000000000000004, 0.25, 0.125), *NEAR_BOUND[1:]]
+LONG_DURATION = [(0.0, 0.25, 0.125), (0.1234567890123, 450.3599624370523, 0.25), (0.2, 0.5, 0.125), (2.5, 0.1, 0.125)]
+# One end of the arrivals past the bound, the other not: a product would round -4503599624.370497 s to one tick
+# late and 4503599624.370497 s to one tick early, and the entry arriving as another ends would miss its warm instance.
+FAR_FIRST = [(-4503599624.370497, 0.250001, 0.125), (-4503599624.120496, 0.25, 0.125), (0.5, 0.25, 0.125)]
+FAR_LAST = [(0.5, 0.25, 0.125), (4503599624.120496, 0.250001, 0.125), (4503599624.370497, 0.25, 0.125)]
 
 
 @ORACLE_SETTINGS
@@ -481,6 +515,11 @@ RUN_OF_REJECTED = [(0.0, 0.25, 0.125), (0.1, 0.5, 0.125), (0.2, 1000.0, 0.125), 
 @example(trace_of(LATE_EXPONENTS), ((0.5, 0.0, 0.0), 0.5, 0), 2)
 @example(trace_of(REJECTED_AT_EDGES), ((0.1, 0.0, 0.2), 0.2, 1), 3)
 @example(trace_of(RUN_OF_REJECTED), ((0.1, 0.0, 0.2), 600.0, 0), 2)
+@example(trace_of(NEAR_BOUND), ((0.5, 0.0, 0.3), 10.0, 1), 2)
+@example(trace_of(ONE_LONG_TEXT), ((0.5, 0.0, 0.3), 10.0, 1), 2)
+@example(trace_of(LONG_DURATION), ((0.5, 0.2, 0.1), 600.0, 0), jsontext._CHUNK_ROWS)
+@example(trace_of(FAR_FIRST), ((0.0, 0.0, 0.0), 600.0, 0), 2)
+@example(trace_of(FAR_LAST), ((0.0, 0.0, 0.0), 600.0, 0), 1)
 def test_simulate_matches_naive_reference(fn_spec, trace, params, rows):
     cold, keep_alive, prestarted = params
     config = platform(fn_spec, cold=cold, keep_alive=keep_alive, prestarted=prestarted)
