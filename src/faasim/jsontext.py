@@ -44,6 +44,7 @@ row dicts.
 from __future__ import annotations
 
 import json
+from array import array
 from functools import partial
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
@@ -59,7 +60,8 @@ _CHUNK_ROWS = 2048
 class Table:
     """A list of flat records as columns: row i maps `keys[k]` to `columns[k][i]`.
 
-    Keys are distinct and columns equal-length lists, tuples or `Lazy` columns.
+    Keys are distinct and columns equal-length lists, tuples, `array`s of numbers
+    (read a chunk at a time) or `Lazy` columns.
     A read-only sequence of the row dicts (`len`, iteration; only once where a
     column is `Lazy`); `json.dumps` serializes it with `default=list`.
     """
@@ -156,9 +158,15 @@ def column_texts(values) -> list[str]:
     return [*_encoder(values)(values)]
 
 
+def _slices(column):
+    """`column`'s rows `_CHUNK_ROWS` at a time; a packed `array` column's as lists, which the encoder takes."""
+    slices = (column[at:at + _CHUNK_ROWS] for at in range(0, len(column), _CHUNK_ROWS))
+    return map(array.tolist, slices) if type(column) is array else slices
+
+
 def column_runs(numbers) -> list[str]:
     """The `texts` of an uncoded `Coded` column of numbers: the runs, each made by one `json.dumps` call."""
-    return [json.dumps(numbers[at:at + _CHUNK_ROWS])[1:-1] for at in range(0, len(numbers), _CHUNK_ROWS)]
+    return [json.dumps(rows)[1:-1] for rows in _slices(numbers)]
 
 
 def _chunks(column):
@@ -171,8 +179,7 @@ def _chunks(column):
         encode, column = partial(map, (column.texts or column_texts(column.values)).__getitem__), column.codes
     else:
         encode = _number_texts if type(column) is Lazy else _encoder(column)
-    return map(encode, column.chunks if type(column) is Lazy else (
-        column[at:at + _CHUNK_ROWS] for at in range(0, len(column), _CHUNK_ROWS)))
+    return map(encode, column.chunks if type(column) is Lazy else _slices(column))
 
 
 def _table(table: Table, level: int, sort_keys: bool):

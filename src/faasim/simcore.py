@@ -16,9 +16,11 @@ request fee. Units are an integer ceiling on the run's tick clock; the
 memory range check and the per-unit rate are worked out once per memory
 class and the cost once per (units, memory), and totals are count x
 price, exactly. `bill_invocation` and `billed_units` use the same
-helpers. An entry over the run-time limit or outside the memory range
-goes to `rejected` with its reason, and the rest of the trace runs; both
-are properties of its billing key, so rejected entries are set aside
+helpers. The trace comes coded by billing key, a table of distinct
+(duration, memory) pairs and one code per entry, and `simulate` takes the
+codes as they are. An entry over the run-time limit or outside the memory
+range goes to `rejected` with its reason, and the rest of the trace runs;
+both are properties of its billing key, so rejected entries are set aside
 before the clock starts and take no part in the pass.
 
 Time is an exact integer clock: arrivals, durations, the cold-start
@@ -36,9 +38,10 @@ rounded to the ms or µs (the benchmark's bursty trace has d = 6), each
 tick is one multiply-and-round of the float, which is exact. Otherwise, as
 for a Poisson trace whose arrivals print 17 significant digits (d = 18),
 the ticks are read from the texts, one run split at a time. So `simulate`
-peaks at 3.0 MiB above a loaded 100k-entry Poisson trace and at 100.5 MB
-RSS on a 1M-entry one (12.8 MiB and 227.0 MB with a text and a tick held
-per arrival; Python 3.11.7).
+peaks at 2.3 MiB above a loaded 100k-entry Poisson trace and the command
+at 52.3 MB RSS on a 1M-entry one (3.0 MiB and 96.9 MB while `simulate`
+coded the keys itself beside a trace of float columns; 12.8 MiB and 227.0
+MB with a text and a tick held per arrival; Python 3.11.7).
 Every other number (durations and memory to bill, spans, cost ratios) is
 read by `money.usd`.
 
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter, deque
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -244,16 +248,6 @@ def _ticks(*groups) -> tuple[int, list]:
                    else chain.from_iterable(map(_scaled, repeat(digits), runs)) for runs, floats, largest in groups]
 
 
-class _Codes(dict):
-    """A key -> its code: 0, 1, 2, ... in order of first lookup."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        code = self[key] = len(self)
-        return code
-
-
 def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     """Run an invocation trace against the platform model.
 
@@ -262,12 +256,11 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     memory range are reported in `rejected` rather than silently dropped.
     """
     spec, cold = platform.compute, platform.cold_start
-    keys = _Codes()  # billing keys in order of first use
-    codes = [*map(keys.__getitem__, zip(trace.durations, trace.memory))]  # each entry's key
-    counts = dict(zip(keys, Counter(codes).values()))  # entries per billing key
-    durations_s, memories = [duration for duration, _ in counts], [memory for _, memory in counts]  # by key
+    codes = trace.codes  # each entry's billing key, coded in order of first use
+    counts = Counter(codes).values()  # entries per billing key
+    durations_s, memories = trace.key_columns  # by key
     duration_texts = [*map(repr, durations_s)]  # each read by the clock and written by the report
-    duration_runs = [", ".join(duration_texts)] if counts else []
+    duration_runs = [", ".join(duration_texts)] if durations_s else []
     longest = max(durations_s, default=0.0)  # durations are positive
 
     # An entry is rejected by its key: the limit is checked on the durations' own clock.
@@ -281,9 +274,8 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
         served = bytearray(b"\1") * len(codes)
         for seq in rejected:
             served[seq] = 0
-        arrivals_s, served_codes = [*compress(arrivals_s, served)], [*compress(codes, served)]
-    rejected_reasons = [reasons[codes[seq]] for seq in rejected]
-    del codes
+        arrivals_s, served_codes = array("d", compress(arrivals_s, served)), [*compress(codes, served)]
+    rejected_codes = [*map(codes.__getitem__, rejected)]
     runs = column_runs(arrivals_s)  # the served arrivals' texts, made once: read by the clock and the report
     scale, (arrivals, durations, fixed) = _ticks(
         (runs, arrivals_s, max(abs(arrivals_s[0]), abs(arrivals_s[-1])) if arrivals_s else 0.0),  # sorted
@@ -298,11 +290,11 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     for key in compress(count(), reasons):
         key_units[key] = None
     tally: Counter = Counter()  # invocations per (units, memory)
-    for key, n in compress(zip(zip(key_units, memories), counts.values()), billed):
+    for key, n in compress(zip(zip(key_units, memories), counts), billed):
         tally[key] += n
     costs = {(units, memory): units * rates[memory] + spec.request_fee_usd for units, memory in tally}
     key_costs = [*map(costs.get, zip(key_units, memories))]
-    busy_total = sum(map(mul, compress(durations, billed), compress(counts.values(), billed)))  # ticks
+    busy_total = sum(map(mul, compress(durations, billed), compress(counts, billed)))  # ticks
     pools = {memory: deque() for memory in rates}  # idle-since ticks per memory class, oldest first
     bills = [*zip(durations, map(pools.__getitem__, memories))]  # by key: (duration ticks, idle pool)
 
@@ -351,9 +343,9 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
             Coded((0.0, t_app / scale, report_float(Fraction(full_ticks, scale), "start_latency_s")), kinds),
             Coded(durations_s, served_codes, duration_texts),
             Coded((False, True, True), kinds), Coded(key_units, served_codes), Coded(key_costs, served_codes))),
-        rejected=Table(("index", "arrival_s", "duration_s", "reason"), [rejected, *(
-            [*map(column.__getitem__, rejected)] for column in (trace.arrivals, trace.durations)),
-            rejected_reasons]),
+        rejected=Table(("index", "arrival_s", "duration_s", "reason"), [
+            rejected, [*map(trace.arrivals.__getitem__, rejected)], [*map(durations_s.__getitem__, rejected_codes)],
+            [*map(reasons.__getitem__, rejected_codes)]]),
         billed_units=sum(n * units for (units, _), n in tally.items()),
         cost_usd=sum((n * costs[key] for key, n in tally.items()), Fraction(0)),
         cold_starts=cold_starts,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from array import array
 from collections import Counter, deque
 from functools import cache, partial
 from itertools import accumulate, chain, islice, repeat
@@ -373,30 +374,49 @@ class Invocation(NamedTuple):
 
 
 class InvocationTrace(_Columns):
-    """A validated invocation trace held as three float columns.
+    """A validated invocation trace held as packed columns.
 
-    Entry i arrives at `arrivals[i]`, runs `durations[i]` seconds and is
-    configured with `memory[i]` GB. Arrivals are finite and non-decreasing,
-    durations finite and positive, memory finite. `entries` is a read-only
-    view of the rows; equality compares the columns, not `metadata`.
+    Entry i arrives at `arrivals[i]`, an `array('d')` of 8 bytes an entry, and
+    has the billing key `keys[codes[i]]`: its (duration, memory) pair, run time
+    in seconds and configured memory in GB. `keys` holds each distinct pair
+    once, in order of first use, and `codes` one int per entry, so equal keys
+    share one code object. Arrivals are finite and non-decreasing, durations
+    finite and positive, memory finite; arrivals are checked once and the rest
+    once per key. `durations`, `memory` and `entries` are read-only views of
+    the rows, made when read; equality compares the columns, not `metadata`.
+
+    A zero memory is keyed with its sign, as 0.0 == -0.0: (d, 0.0) and
+    (d, -0.0) are two keys, so each entry keeps its own zero. They are equal
+    as pairs, and `simulate` rejects both alike.
 
     `from_json` reads a parsed trace document and `load_trace` a trace file,
     both through one column builder, `_trace_builder`, which holds the entry
-    rule. Equal nonzero durations, and equal nonzero memory sizes, are one
-    float object in the columns.
+    rule and codes the keys a run of entries at a time.
     """
 
-    _FIELDS = ("arrivals", "durations", "memory")
+    _FIELDS = ("arrivals", "keys", "codes")
     __slots__ = _FIELDS + ("metadata",)
 
     def __init__(self, arrivals, durations, memory, metadata: dict | None = None):
-        for name, column in zip(self._FIELDS, (arrivals, durations, memory)):
-            object.__setattr__(self, name, tuple(map(float, column)))
+        keys = _Keys()
+        codes = [*keys.code([*map(float, durations)], [*map(float, memory)])]
+        self._hold(array("d", map(float, arrivals)), keys, codes, metadata)
+
+    def _hold(self, arrivals: array, keys: _Keys, codes: list, metadata: dict | None) -> None:
+        """Take the columns as they are, then validate them."""
+        for name, column in zip(self._FIELDS, (arrivals, tuple(key[:2] for key in keys), codes)):
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "metadata", {} if metadata is None else metadata)
-        arrivals, durations = self.arrivals, self.durations
-        if not all(map(math.isfinite, chain(arrivals, durations, self.memory))):
+        if len(arrivals) != len(codes):
+            raise GraphError("trace columns must have equal lengths")
+        durations, memory = self.key_columns
+        isfinite = math.isfinite
+        ordered = all(map(le, arrivals, islice(arrivals, 1, None)))  # False past a NaN
+        # Ordered arrivals lie between the first and the last, so those two are all the finite check needs.
+        if not (all(map(isfinite, chain(durations, memory))) and all(map(isfinite, (
+                arrivals[:1] + arrivals[-1:]) if ordered else arrivals))):
             raise GraphError("trace arrivals, durations and memory must be finite numbers")
-        if not all(map(le, arrivals, islice(arrivals, 1, None))):
+        if not ordered:
             raise GraphError("trace arrivals must be sorted non-decreasing")
         if durations and min(durations) <= 0:
             raise GraphError("trace durations must be positive")
@@ -405,11 +425,26 @@ class InvocationTrace(_Columns):
         return len(self.arrivals)
 
     @property
+    def key_columns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The keys' durations and their memory sizes, two columns by code."""
+        return (*zip(*self.keys),) or ((), ())
+
+    @property
+    def durations(self) -> tuple[float, ...]:
+        return tuple(map(itemgetter(0), map(self.keys.__getitem__, self.codes)))
+
+    @property
+    def memory(self) -> tuple[float, ...]:
+        return tuple(map(itemgetter(1), map(self.keys.__getitem__, self.codes)))
+
+    @property
     def entries(self) -> tuple[Invocation, ...]:
         return tuple(map(Invocation, self.arrivals, self.durations, self.memory))
 
     def to_json_list(self) -> Table:
-        return Table(("arrival_s", "duration_s", "memory_gb"), (self.arrivals, self.durations, self.memory))
+        durations, memory = self.key_columns
+        return Table(("arrival_s", "duration_s", "memory_gb"),
+                     (self.arrivals, Coded(durations, self.codes), Coded(memory, self.codes)))
 
     @classmethod
     def from_json(cls, doc: list) -> "InvocationTrace":
@@ -438,19 +473,52 @@ class _Floats(dict):
         return number
 
 
+class _Keys(dict):
+    """Billing keys, (duration, memory) -> code, 0, 1, 2, ... in order of first use. A zero memory is looked up
+    with its sign as a third item, as 0.0 == -0.0."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
+
+    def code(self, durations: list, memory: list):
+        """The codes of a run of entries' float durations and memory sizes."""
+        keys = zip(durations, memory)
+        if 0.0 in memory:
+            keys = ((duration, gb) if gb else (duration, gb, math.copysign(1.0, gb)) for duration, gb in keys)
+        return map(self.__getitem__, keys)
+
+
+def _as_floats(run: list, name: str) -> list:
+    """A run of one field's values as floats: each a number or a numeric string, which `float` reads (and whose
+    refusal it words), but not a boolean, which JSON does not count as a number."""
+    kinds = set(map(type, run))
+    if kinds <= {float}:
+        return run
+    if bool in kinds:
+        raise TypeError(f"{name} must be a number, not a boolean")
+    return [*map(float, run)]
+
+
 def _trace_builder():
     """The trace format's column builder: `add` takes each run of parsed entries, and `trace()` is the trace built.
     An entry is an object with `arrival_s`, `duration_s` and, by default 0.125, `memory_gb`, each a number or a
     numeric string; other keys are ignored. A fault raises one of `_ENTRY_FAULTS`."""
-    arrivals, durations, memory = [], [], []
-    share = _Floats().__getitem__  # after float(), which words the refusal of a list or an object
+    arrivals, keys, codes = array("d"), _Keys(), []
 
     def add(entries):
-        arrivals.extend(map(float, map(itemgetter("arrival_s"), entries)))
-        durations.extend(map(share, map(float, map(itemgetter("duration_s"), entries))))
-        memory.extend(map(share, map(float, map(dict.get, entries, repeat("memory_gb"), repeat(0.125)))))
+        arrivals.fromlist(_as_floats([*map(itemgetter("arrival_s"), entries)], "arrival_s"))
+        codes.extend(keys.code(_as_floats([*map(itemgetter("duration_s"), entries)], "duration_s"),
+                               _as_floats([*map(dict.get, entries, repeat("memory_gb"), repeat(0.125))], "memory_gb")))
 
-    return add, lambda: InvocationTrace(arrivals, durations, memory)
+    def trace() -> InvocationTrace:
+        built = InvocationTrace.__new__(InvocationTrace)
+        built._hold(arrivals, keys, codes, None)
+        return built
+
+    return add, trace
 
 
 def _trace_columns(chunks: Chunks) -> InvocationTrace:

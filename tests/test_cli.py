@@ -569,6 +569,10 @@ BAD_INPUTS = [
     ("trace-metadata-list", '{"entries": %s, "metadata": [1]}' % TRACE, SIMULATE),
     ("trace-huge-arrival", '[{"arrival_s": 1%s, "duration_s": 1}]' % ("0" * 400), SIMULATE),
     ("trace-not-json", "[{", SIMULATE),
+    # trace.schema.json says number: JSON's true and false are not read as 1.0 and 0.0.
+    ("trace-bool-arrival", '[{"arrival_s": true, "duration_s": 1}]', SIMULATE),
+    ("trace-bool-duration", '[{"arrival_s": 0, "duration_s": 2}, {"arrival_s": 1, "duration_s": true}]', SIMULATE),
+    ("trace-bool-memory", '[{"arrival_s": 0, "duration_s": 1, "memory_gb": false}]', SIMULATE),
     ("trace-not-utf8", b"\xff\xfe[]", SIMULATE),
     ("trace-missing", None, ("simulate", "--trace", "missing.json")),
     ("graph-missing", None, ("place", "--graph", "missing.json", "--instances", "1", "--slots", "1")),
@@ -911,8 +915,8 @@ ONE_ENTRY = [["0.0"], ["1.0"], ["0.125"]]
     pytest.param([{**ENTRY, "x": {"arrival_s": 5, "duration_s": 2}}], ONE_ENTRY, id="entry-under-an-extra-key"),
     pytest.param([{"arrival_s": "0.5", "duration_s": "2", "memory_gb": "0.25"}], [["0.5"], ["2.0"], ["0.25"]],
                  id="strings"),
-    pytest.param([{"arrival_s": False, "duration_s": True, "memory_gb": True}], [["0.0"], ["1.0"], ["1.0"]],
-                 id="bools"),
+    pytest.param([{"arrival_s": False, "duration_s": True, "memory_gb": True}],
+                 "malformed trace document: arrival_s must be a number, not a boolean", id="bools"),
     pytest.param([{**ENTRY, "memory_gb": 0.0}, {**ENTRY, "memory_gb": -0.0}],
                  [["0.0", "0.0"], ["1.0", "1.0"], ["0.0", "-0.0"]], id="signed-zero-memory"),
     pytest.param([{**ENTRY, "duration_s": "x"}], "malformed trace document: could not convert string to float: 'x'",

@@ -607,9 +607,9 @@ def check_report_rows(fn_spec, rows, prestarted, keep_alive, cold):
 
 
 # Bytes `simulate` may allocate per entry above its input trace. On Python 3.11.7 the trace below peaked at 45
-# per entry: its code and its served copy (8 bytes each), its arrival in the served column (8), about 20 bytes of
-# arrival text in a run, and a byte each for the served mask and its start kind. One repr text and one tick int
-# per arrival held for the run came to 138.
+# per entry: its served code (8 bytes), its arrival in the packed served column (8), about 20 bytes of arrival
+# text in a run, a byte each for the served mask and its start kind, and one run's tick texts. One repr text and
+# one tick int per arrival held for the run came to 138.
 SIMULATE_BYTES_PER_ENTRY = 64
 
 
@@ -629,6 +629,92 @@ def test_simulate_peak_above_its_trace_follows_the_entries(fn_spec):
         tracemalloc.stop()
     assert (len(result.invocations), len(result.rejected)) == (count - 2, 2)
     assert peak < SIMULATE_BYTES_PER_ENTRY * count
+
+
+# With nothing rejected, `simulate` takes the trace's packed arrivals and billing codes as they are: on Python
+# 3.11.7 the trace below peaked at 36.5 bytes per entry above it, about 20 of them the arrival texts it keeps and
+# 16 one run's tick texts. Coding each entry's key again, a list of 8 bytes per entry, came to 45.0.
+def test_simulate_adds_no_per_entry_column_to_a_loaded_trace(fn_spec, tmp_path):
+    count = 20_000
+    path = tmp_path / "trace.json"
+    with path.open("w", encoding="utf-8") as out:
+        jsontext.write(out, wl.poisson_trace(count, 50.0, 0.25, seed=3)[0])
+    trace = wl.load_trace(path)
+    config = platform(fn_spec, cold=(0.5, 2.0, 0.3), keep_alive=10.0, prestarted=20)
+    sim.simulate(trace_of([(0.0, 1000.0, 0.125), (0.5, 1.0, 0.125)]), config)  # first use allocates nothing counted
+    tracemalloc.start()
+    try:
+        result = sim.simulate(trace, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(result.invocations), len(result.rejected)) == (count, 0)
+    assert peak < 40 * count
+
+
+# Trace documents for the coded reader: entries repeat a (duration, memory) pair or not, and each number is written
+# as a JSON float (repr: -0.0, and 5e-05 and 1e+16 in exponent form), an int where it is whole, or a numeric
+# string. Durations of 900.1 and 1000 s are over the run-time limit; memory of 4, 0.05, 0.0 and -0.0 GiB is outside
+# the range, and a missing memory reads as 0.125.
+coded_arrivals = st.sampled_from((-0.0, 0.0, 5e-05, 0.1, 0.25, 1.0, 2.0, 3.5, 1e16)) | st.floats(0, 60)
+coded_durations = st.sampled_from((0.25, 0.5, 1.0, 1.35, 900.1, 1000.0))
+coded_memory = st.sampled_from((0.125, 0.25, 1.0, 4.0, 0.05, 0.0, -0.0))
+
+
+def spelled(value, how):
+    """`value` as a trace file may write it: a float, its repr text, or an int where it is whole."""
+    if how == "text":
+        return repr(value)
+    return int(value) if how == "int" and value.is_integer() and abs(value) < 2**53 else value
+
+
+@st.composite
+def trace_documents(draw):
+    count = draw(st.integers(min_value=0, max_value=34))
+    arrivals = sorted(draw(st.lists(coded_arrivals, min_size=count, max_size=count)))
+    spellings = st.sampled_from(("float", "text", "int"))
+    doc = []
+    for arrival in arrivals:
+        entry = {"arrival_s": spelled(arrival, draw(spellings)),
+                 "duration_s": spelled(draw(coded_durations), draw(spellings))}
+        memory = draw(st.none() | coded_memory)
+        if memory is not None:
+            entry["memory_gb"] = spelled(memory, draw(spellings))
+        doc.append(entry)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_documents(), platforms, st.sampled_from((16, 64, 1 << 16)), run_lengths)
+@example([{"arrival_s": -0.0, "duration_s": 1, "memory_gb": 0.0}, {"arrival_s": "5e-05", "duration_s": 1.0,
+          "memory_gb": -0.0}, {"arrival_s": 1e16, "duration_s": "1000.0"}, {"arrival_s": 1e16, "duration_s": 1.0}],
+         ((0.5, 0.0, 0.0), 600.0, 1), 16, 1)
+def test_coded_trace_reads_the_rows_of_its_document(fn_spec, doc, params, chunk, run_length):
+    """Every reader of a trace file or document gives its rows read field by field with `float` (zero signs
+    count), and `simulate` of the coded trace writes what the naive reference gives for those rows."""
+    rows = [(float(entry["arrival_s"]), float(entry["duration_s"]), float(entry.get("memory_gb", 0.125)))
+            for entry in doc]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "trace.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        traces = [wl.load_trace(path), wl._load_json(path, wl._trace_columns, wl.InvocationTrace.from_json, chunk),
+                  wl.InvocationTrace.from_json(doc)]
+    for trace in traces:
+        assert [[*map(repr, entry)] for entry in trace.entries] == [[*map(repr, row)] for row in rows]
+        assert trace == trace_of(rows)
+    if len(rows) > 30:  # beyond what the reference simulates in good time
+        return
+    cold, keep_alive, prestarted = params
+    config = platform(fn_spec, cold=cold, keep_alive=keep_alive, prestarted=prestarted)
+    expected, _ = reference_simulate([*map(wl.Invocation._make, rows)], config)
+    with patch.object(jsontext, "_CHUNK_ROWS", run_length):
+        result = sim.simulate(traces[0], config)
+        report = result.to_json_dict()
+        texts = [jsontext.dumps(report[name]) for name in ("invocations", "rejected")]
+    assert texts == [json.dumps(expected["invocations"], indent=2, default=usd_json),
+                     json.dumps(expected["rejected"], indent=2)]
+    assert {name: getattr(result, name) for name in expected if name not in ("invocations", "rejected")} == {
+        name: value for name, value in expected.items() if name not in ("invocations", "rejected")}
 
 
 # --- command line: non-finite input --------------------------------------------

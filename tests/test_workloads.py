@@ -470,7 +470,7 @@ def test_poisson_trace_is_deterministic_and_sorted():
 
 def test_fixed_interval_trace():
     trace = fixed_interval_trace(4, 10.0, 1.0)
-    assert trace.arrivals == (0.0, 10.0, 20.0, 30.0)
+    assert tuple(trace.arrivals) == (0.0, 10.0, 20.0, 30.0)
 
 
 class Discard:
@@ -532,10 +532,14 @@ def test_trace_document_errors_keep_their_messages(tmp_path, doc, message):
 
 
 def test_trace_document_columns_are_floats():
-    trace = wl.InvocationTrace.from_json([{"arrival_s": 0, "duration_s": "1.5"}, {"arrival_s": True, "duration_s": 2,
+    trace = wl.InvocationTrace.from_json([{"arrival_s": 0, "duration_s": "1.5"}, {"arrival_s": 1, "duration_s": 2,
                                                                                   "memory_gb": 1}])
-    assert (trace.arrivals, trace.durations, trace.memory) == ((0.0, 1.0), (1.5, 2.0), (0.125, 1.0))
+    assert (tuple(trace.arrivals), trace.durations, trace.memory) == ((0.0, 1.0), (1.5, 2.0), (0.125, 1.0))
     assert {type(value) for value in (*trace.arrivals, *trace.durations, *trace.memory)} == {float}
+    # JSON's true and false are not numbers: `float` would read them as 1.0 and 0.0.
+    for field in ("arrival_s", "duration_s", "memory_gb"):
+        with pytest.raises(wl.GraphError, match=f"^malformed trace document: {field} must be a number, not a boolean$"):
+            wl.InvocationTrace.from_json([{"arrival_s": 0, "duration_s": 1, field: True}])
 
 
 @pytest.mark.parametrize("name", ["arrivals", "durations", "memory", "metadata", "entries"])
@@ -556,9 +560,10 @@ def test_trace_json_round_trip(tmp_path):
 
 
 # The loaders read a file a chunk at a time, so a load holds the columns it builds and one run of parsed items,
-# never the file's text: each load peaks below the file's size. On Python 3.10-3.13 the trace below peaked at
-# 95% of its file (arrival floats and the column lists beside the tuples the constructor makes) and the graph at
-# 78%; reading the whole text first came to twice the file.
+# never the file's text: each load peaks below the file's size. A trace is packed, 8 bytes an arrival and a code
+# per entry: on Python 3.11.7 the trace below peaked at 48% of its file, about 320 KB of it the run of parsed
+# entries. With an arrival float, three column lists and the three tuples the constructor made, it came to 95%
+# on Python 3.10-3.13. The graph peaks at 78%; reading the whole text first came to twice the file.
 def test_load_trace_peak_is_below_the_file_size(tmp_path):
     count = 20_000
     path = tmp_path / "trace.json"
@@ -571,8 +576,9 @@ def test_load_trace_peak_is_below_the_file_size(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size
+    assert peak < 0.6 * path.stat().st_size
     assert len(trace) == count
+    assert trace.keys == ((0.25, 0.125),) and len({*map(id, trace.codes)}) == 1
     assert len({*map(id, trace.durations)}) == 1 and len({*map(id, trace.memory)}) == 1
 
 
