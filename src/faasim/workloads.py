@@ -13,14 +13,13 @@ traces on any platform or language, a chunk of entries at a time.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from array import array
 from collections import Counter, deque
 from functools import cache, partial
-from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter, le
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import gt, itemgetter, le
 from pathlib import Path
 from typing import NamedTuple
 
@@ -119,22 +118,14 @@ class TaskGraph(_Columns):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TaskGraph":
         """The graph in a parsed task graph document: its tasks, then its edges, each one run of `_graph_builder`."""
-        add_tasks, add_edges, graph = _graph_builder()
-        try:
-            add_tasks(doc["tasks"])
-            add_edges(doc.get("edges", []))
-            return graph(doc.get("metadata", {}))
-        except GraphError:
-            raise
-        except _ENTRY_FAULTS as exc:
-            raise GraphError(f"malformed task graph document: {exc}") from exc
+        return _graph_builder()[2](doc)
 
 
 def _graph_builder():
-    """The task graph format's column builder: `add_tasks` takes each run of parsed tasks, then `add_edges` each
-    run of edges, and `graph(metadata)` is the graph built. A task is an object with `id`, `duration_s` and, by
-    default 0.0 and "task", `memory_gb` and `kind`; an edge has `src`, `dst` and integer `bytes`; other keys are
-    ignored. Ids and ends read as strings. An unknown end raises GraphError; any other fault one of `_ENTRY_FAULTS`."""
+    """The task graph format's column builder: `add_tasks` takes each run of parsed tasks, then `add_edges` each run
+    of edges, and `graph(doc)` is the graph of a document whose arrays that read as [] went to them. A task is an
+    object with `id`, `duration_s` and, by default 0.0 and "task", `memory_gb` and `kind`; an edge has `src`, `dst`
+    and integer `bytes`; other keys are ignored. Ids and ends read as strings. A fault raises GraphError."""
     ids, durations, memory, kinds, src, dst, edge_bytes = columns = [], [], [], [], [], [], []
     share, position, counts = _Floats().__getitem__, {}, {}  # counts: one int object per distinct byte count
 
@@ -166,12 +157,20 @@ def _graph_builder():
         dst.extend(at[1])
         edge_bytes.extend(map(counts.setdefault, nbytes, nbytes))
 
-    def graph(metadata) -> TaskGraph:
-        if type(metadata) is not dict:
-            raise TypeError("metadata must be an object")
+    def graph(doc) -> TaskGraph:
+        try:
+            add_tasks(doc["tasks"])
+            add_edges(doc.get("edges", []))
+            if type(metadata := doc.get("metadata", {})) is not dict:
+                raise TypeError("metadata must be an object")
+        except GraphError:
+            raise
+        except _ENTRY_FAULTS as exc:
+            raise GraphError(f"malformed task graph document: {exc}") from exc
         position.clear()
         return TaskGraph(*map(_handed_over, columns), dict(metadata))
 
+    add_tasks, add_edges = _numbered(add_tasks, "task graph", "task"), _numbered(add_edges, "task graph", "edge")
     return add_tasks, add_edges, graph
 
 
@@ -180,24 +179,13 @@ def _handed_over(column: list) -> tuple:
     return (tuple(column), column.clear())[0]
 
 
-def _graph_columns(chunks: Chunks) -> TaskGraph:
-    """The graph in a file laid out as `to_json_dict` writes it, `tasks` then `edges` then `metadata`, read by
-    `_graph_builder` a run of tasks or edges at a time. Anything else raises one of `_ENTRY_FAULTS`."""
-    add_tasks, add_edges, graph = _graph_builder()
-    chunks.skip("{", '"tasks"', ":", "[")
-    chunks.array(add_tasks)
-    chunks.skip(",", '"edges"', ":", "[")
-    chunks.array(add_edges)
-    chunks.skip(",", '"metadata"', ":")
-    metadata = chunks.value()
-    chunks.close("}")
-    return graph(metadata)
-
-
 def load_task_graph(path: str | Path) -> TaskGraph:
     """The graph in a JSON task graph file: `TaskGraph.from_json_dict` of the parsed document, with the same result
-    or error. The file is read a chunk at a time by the same column builder; where that faults, it is parsed again."""
-    return _load_json(path, _graph_columns, TaskGraph.from_json_dict)
+    or error, the file read once: its `tasks`, then its `edges`, a run at a time (edges before the tasks are read
+    whole and added after them). A `tasks` or `edges` member named twice is refused."""
+    add_tasks, add_edges, graph = _graph_builder()
+    with open(path, "rb") as file:
+        return graph(Chunks(file, CHUNK).document({"tasks": add_tasks, "edges": add_edges}))
 
 
 def out_edges(graph: TaskGraph) -> tuple[list[int], list[int]]:
@@ -416,8 +404,10 @@ class InvocationTrace(_Columns):
         if not (all(map(isfinite, chain(durations, memory))) and all(map(isfinite, (
                 arrivals[:1] + arrivals[-1:]) if ordered else arrivals))):
             raise GraphError("trace arrivals, durations and memory must be finite numbers")
-        if not ordered:
-            raise GraphError("trace arrivals must be sorted non-decreasing")
+        if not ordered:  # the first entry out of order, found only here
+            i = next(compress(count(1), map(gt, arrivals, islice(arrivals, 1, None))))
+            raise GraphError(f"trace arrivals must be sorted non-decreasing: entry {i} arrives at {arrivals[i]!r}, "
+                             f"before entry {i - 1} at {arrivals[i - 1]!r}")
         if durations and min(durations) <= 0:
             raise GraphError("trace durations must be positive")
 
@@ -449,17 +439,32 @@ class InvocationTrace(_Columns):
     @classmethod
     def from_json(cls, doc: list) -> "InvocationTrace":
         """The trace in a parsed trace document: its entries as one run for `_trace_builder`."""
-        if not isinstance(doc, list):
-            raise GraphError("malformed trace document: the top level must be a list of entries")
-        add, trace = _trace_builder()
-        try:
-            add(doc)
-        except _ENTRY_FAULTS as exc:
-            raise GraphError(f"malformed trace document: {exc}") from exc
-        return trace()
+        return _trace_builder()[1](doc)
 
 
 _ENTRY_FAULTS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _numbered(add, document: str, item: str):
+    """`add` over runs of items numbered from 0 across runs: a run that faults is added again an item at a time, to
+    name the first faulty one, `malformed <document> document: <item> <i>: <fault>` (a GraphError as it is)."""
+    added = [0]
+
+    def add_run(run):
+        try:
+            add(run)
+        except _ENTRY_FAULTS:
+            for i, one in enumerate(run if isinstance(run, list) else (), added[0]):
+                try:
+                    add([one])
+                except GraphError:
+                    raise
+                except _ENTRY_FAULTS as exc:
+                    raise GraphError(f"malformed {document} document: {item} {i}: {exc}") from exc
+            raise
+        added[0] += len(run)
+
+    return add_run
 
 
 class _Floats(dict):
@@ -503,9 +508,9 @@ def _as_floats(run: list, name: str) -> list:
 
 
 def _trace_builder():
-    """The trace format's column builder: `add` takes each run of parsed entries, and `trace()` is the trace built.
-    An entry is an object with `arrival_s`, `duration_s` and, by default 0.125, `memory_gb`, each a number or a
-    numeric string; other keys are ignored. A fault raises one of `_ENTRY_FAULTS`."""
+    """The trace format's column builder: `add` takes each run of parsed entries, and `trace(doc)` is the trace of a
+    document whose entries, if it reads as [], went to `add`. An entry is an object with `arrival_s`, `duration_s`
+    and, by default 0.125, `memory_gb`, each a number or a numeric string; other keys are ignored."""
     arrivals, keys, codes = array("d"), _Keys(), []
 
     def add(entries):
@@ -513,38 +518,24 @@ def _trace_builder():
         codes.extend(keys.code(_as_floats([*map(itemgetter("duration_s"), entries)], "duration_s"),
                                _as_floats([*map(dict.get, entries, repeat("memory_gb"), repeat(0.125))], "memory_gb")))
 
-    def trace() -> InvocationTrace:
+    def trace(doc) -> InvocationTrace:
+        if not isinstance(doc, list):
+            raise GraphError("malformed trace document: the top level must be a list of entries")
+        add(doc)
         built = InvocationTrace.__new__(InvocationTrace)
         built._hold(arrivals, keys, codes, None)
         return built
 
+    add = _numbered(add, "trace", "entry")
     return add, trace
-
-
-def _trace_columns(chunks: Chunks) -> InvocationTrace:
-    """The trace in a file holding one list of entries, read by `_trace_builder` a run of entries at a time."""
-    add, trace = _trace_builder()
-    chunks.skip("[")
-    chunks.array(add)
-    chunks.close()
-    return trace()
-
-
-def _load_json(path: str | Path, read_columns, read_doc, chunk: int = CHUNK):
-    """`read_doc` of the JSON document in a file, which `read_columns` reads from the file a chunk at a time. Where
-    `read_columns` faults, the whole file is parsed for `read_doc`, which names the document's first fault."""
-    try:
-        with open(path, encoding="utf-8") as file:
-            return read_columns(Chunks(file, chunk))
-    except _ENTRY_FAULTS:
-        pass
-    return read_doc(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def load_trace(path: str | Path) -> InvocationTrace:
     """The trace in a JSON trace file: `InvocationTrace.from_json` of the parsed document, with the same result or
-    error. The file is read a chunk at a time by the same column builder; where that faults, it is parsed again."""
-    return _load_json(path, _trace_columns, InvocationTrace.from_json)
+    error, the file read once, a run of entries at a time."""
+    add, trace = _trace_builder()
+    with open(path, "rb") as file:
+        return trace(Chunks(file, CHUNK).document({None: add}))
 
 
 @cache

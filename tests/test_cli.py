@@ -17,6 +17,7 @@ import tempfile
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from unittest.mock import patch
 
 import jsonschema
 import pytest
@@ -903,7 +904,7 @@ def test_trace_readers_agree(doc_path, doc):
 
 
 ENTRY = {"arrival_s": 0, "duration_s": 1}
-NOT_A_NUMBER = "malformed trace document: float() argument must be a string or a real number, not "
+NOT_A_NUMBER = "malformed trace document: entry 0: float() argument must be a string or a real number, not "
 
 
 ONE_ENTRY = [["0.0"], ["1.0"], ["0.125"]]
@@ -916,20 +917,22 @@ ONE_ENTRY = [["0.0"], ["1.0"], ["0.125"]]
     pytest.param([{"arrival_s": "0.5", "duration_s": "2", "memory_gb": "0.25"}], [["0.5"], ["2.0"], ["0.25"]],
                  id="strings"),
     pytest.param([{"arrival_s": False, "duration_s": True, "memory_gb": True}],
-                 "malformed trace document: arrival_s must be a number, not a boolean", id="bools"),
+                 "malformed trace document: entry 0: arrival_s must be a number, not a boolean", id="bools"),
     pytest.param([{**ENTRY, "memory_gb": 0.0}, {**ENTRY, "memory_gb": -0.0}],
                  [["0.0", "0.0"], ["1.0", "1.0"], ["0.0", "-0.0"]], id="signed-zero-memory"),
-    pytest.param([{**ENTRY, "duration_s": "x"}], "malformed trace document: could not convert string to float: 'x'",
-                 id="string-value"),
+    pytest.param([{**ENTRY, "duration_s": "x"}],
+                 "malformed trace document: entry 0: could not convert string to float: 'x'", id="string-value"),
     pytest.param([{**ENTRY, "duration_s": [1]}], NOT_A_NUMBER + "'list'", id="unhashable-value"),
     pytest.param([{**ENTRY, "memory_gb": {}}], NOT_A_NUMBER + "'dict'", id="nested-empty-object"),
     pytest.param([{**ENTRY, "duration_s": dict(ENTRY)}], NOT_A_NUMBER + "'dict'", id="nested-entry"),
     pytest.param([{**ENTRY, "arrival_s": {"y": []}}], NOT_A_NUMBER + "'dict'", id="nested-object"),
-    pytest.param([ENTRY, [ENTRY]], "malformed trace document: list indices must be integers or slices, not str",
+    pytest.param([ENTRY, [ENTRY]],
+                 "malformed trace document: entry 1: list indices must be integers or slices, not str",
                  id="entry-in-a-list"),
-    pytest.param([None, {**ENTRY, "x": ENTRY}], "malformed trace document: 'NoneType' object is not subscriptable",
+    pytest.param([None, {**ENTRY, "x": ENTRY}],
+                 "malformed trace document: entry 0: 'NoneType' object is not subscriptable",
                  id="null-beside-nested-entry"),
-    pytest.param([{"duration_s": 1, "x": {}}], "malformed trace document: 'arrival_s'", id="missing-key"),
+    pytest.param([{"duration_s": 1, "x": {}}], "malformed trace document: entry 0: 'arrival_s'", id="missing-key"),
     pytest.param(ENTRY, "malformed trace document: the top level must be a list of entries", id="top-level-entry"),
     pytest.param({"entries": [ENTRY]}, "malformed trace document: the top level must be a list of entries",
                  id="top-level-object"),
@@ -948,8 +951,8 @@ def test_graph_readers_agree(doc_path, doc):
 
 TASKS = [{"id": "a", "duration_s": 1}, {"id": "b", "duration_s": 2}]
 EDGE = {"src": "a", "dst": "b", "bytes": 8}
-NOT_INTEGER_BYTES = "malformed task graph document: edge bytes must be integers, not "
-NOT_SUBSCRIPTABLE = "malformed task graph document: 'NoneType' object is not subscriptable"
+NOT_INTEGER_BYTES = "malformed task graph document: edge 0: edge bytes must be integers, not "
+NOT_SUBSCRIPTABLE = "'NoneType' object is not subscriptable"
 
 
 @pytest.mark.parametrize("doc,expected", [
@@ -964,9 +967,11 @@ NOT_SUBSCRIPTABLE = "malformed task graph document: 'NoneType' object is not sub
     pytest.param({"tasks": [{**TASKS[0], "x": {"id": "c", "duration_s": 1}}, TASKS[1]], "edges": [EDGE]}, ["a", "b"],
                  id="task-under-a-task"),
     pytest.param({"tasks": TASKS, "edges": [EDGE], "metadata": {"x": {"id": "c"}}}, ["a", "b"], id="id-in-metadata"),
-    pytest.param({"tasks": [TASKS[0], None], "edges": [], "metadata": {"x": TASKS[1]}}, NOT_SUBSCRIPTABLE,
+    pytest.param({"tasks": [TASKS[0], None], "edges": [], "metadata": {"x": TASKS[1]}},
+                 "malformed task graph document: task 1: " + NOT_SUBSCRIPTABLE,
                  id="null-task-beside-a-task-in-metadata"),
-    pytest.param({"tasks": TASKS, "edges": [None], "metadata": {"x": EDGE}}, NOT_SUBSCRIPTABLE,
+    pytest.param({"tasks": TASKS, "edges": [None], "metadata": {"x": EDGE}},
+                 "malformed task graph document: edge 0: " + NOT_SUBSCRIPTABLE,
                  id="null-edge-beside-an-edge-in-metadata"),
     pytest.param(EDGE, "malformed task graph document: 'tasks'", id="top-level-edge"),
     pytest.param({"tasks": TASKS, "edges": [{**EDGE, "bytes": 5.0}]}, ["a", "b"], id="integral-float-bytes"),
@@ -987,19 +992,25 @@ def test_graph_readers_agree_on_each_case(doc_path, doc, expected):
 # --- the chunked reader: a file read a few characters at a time gives what the whole document gives ---
 
 READERS = {
-    "trace": (wl._trace_columns, wl.InvocationTrace.from_json, trace_columns, VALID_TRACE),
-    "graph": (wl._graph_columns, wl.TaskGraph.from_json_dict, graph_columns, VALID_GRAPH),
+    "trace": (wl.load_trace, wl.InvocationTrace.from_json, trace_columns, VALID_TRACE),
+    "graph": (wl.load_task_graph, wl.TaskGraph.from_json_dict, graph_columns, VALID_GRAPH),
 }
 
 
+def load_in_chunks(load, path, chunk):
+    """`load(path)` with the file read `chunk` bytes at a time, at least."""
+    with patch.object(wl, "CHUNK", chunk):
+        return load(path)
+
+
 def read_chunked_and_whole(text, path, chunk, kind):
-    """What the file reader of `kind` makes of a file holding `text`, read `chunk` characters at a time, and what
-    the document reader makes of the whole file parsed at once: the columns as repr texts, or the type and
-    message of the error (a `GraphError`, or a `JSONDecodeError` for text that is not JSON)."""
-    read_columns, from_doc, columns, _ = READERS[kind]
+    """What the file reader of `kind` makes of a file holding `text`, read `chunk` bytes at a time, and what the
+    document reader makes of the whole file parsed at once: the columns as repr texts, or the type and message of
+    the error (a `GraphError`, or a `JSONDecodeError` for text that is not JSON)."""
+    load, from_doc, columns, _ = READERS[kind]
     path.write_bytes(text.encode("utf-8"))  # as it is: no newline translation on the way out
     outcomes = []
-    for read in (lambda: wl._load_json(path, read_columns, from_doc, chunk),
+    for read in (lambda: load_in_chunks(load, path, chunk),
                  lambda: from_doc(json.loads(path.read_text(encoding="utf-8")))):
         try:
             outcomes.append(columns(read()))
@@ -1038,6 +1049,50 @@ def test_chunked_reader_agrees_with_the_document_reader(doc_path, data, kind, ch
 CHUNK_SIZES = (*range(1, 17), jsonchunks.CHUNK)
 
 
+def _with(key, value):
+    return lambda item, at: {**item, key: value}
+
+
+def _without(key):
+    return lambda item, at: {name: value for name, value in item.items() if name != key}
+
+
+# What makes an item of each kind faulty: a boolean, a missing key, a list value or an unknown end. `float` reads a
+# task's boolean duration as a number, and `str` a list id, so a task has no boolean fault.
+ITEM_FAULTS = {
+    "entry": [_with("arrival_s", True), _with("memory_gb", False), _without("arrival_s"), _without("duration_s"),
+              _with("duration_s", [1])],
+    "task": [_without("id"), _without("duration_s"), _with("duration_s", [1]), _with("memory_gb", [0.5])],
+    "edge": [_with("bytes", True), _without("src"), _without("bytes"), _with("bytes", [8]),
+             lambda edge, at: {**edge, "dst": f"nowhere-{at}"}],
+}
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), kind=st.sampled_from(sorted(READERS)))
+def test_the_first_faulty_item_is_named_at_every_chunk_size(doc_path, data, kind):
+    """1-3 items replaced by faulty ones: the error names the first in the file, by its kind and its position
+    among the items of its array, whatever the layout and the chunk size. The oracle is where the faults were put."""
+    load, from_doc, _, valid = READERS[kind]
+    doc = copy.deepcopy(valid)
+    arrays = [("entry", doc)] if kind == "trace" else [("task", doc["tasks"]), ("edge", doc["edges"])]
+    slots = [(item, items, i) for item, items in arrays for i in range(len(items))]  # in file order
+    faulty = data.draw(st.lists(st.sampled_from(range(len(slots))), min_size=1, max_size=3, unique=True))
+    for slot in faulty:
+        item, items, i = slots[slot]
+        items[i] = data.draw(st.sampled_from(ITEM_FAULTS[item]))(items[i], i)
+    item, items, i = slots[min(faulty)]
+    if items[i].get("dst") == f"nowhere-{i}":
+        expected = f"edge {items[i]['src']!r}->'nowhere-{i}' references unknown task"
+    else:
+        expected = f"malformed {'trace' if kind == 'trace' else 'task graph'} document: {item} {i}: "
+    doc_path.write_bytes(data.draw(layouts(doc)).encode("utf-8"))
+    for read in (*(partial(load_in_chunks, load, doc_path, chunk) for chunk in range(1, 17)), partial(from_doc, doc)):
+        with pytest.raises(wl.GraphError) as refusal:
+            read()
+        assert str(refusal.value).startswith(expected)
+
+
 @pytest.mark.parametrize("kind,doc", [
     ("trace", VALID_TRACE),
     ("trace", [{**ENTRY, "memory_gb": 0.25, "x": None}, {"arrival_s": "1.5", "duration_s": 2}]),
@@ -1048,15 +1103,22 @@ CHUNK_SIZES = (*range(1, 17), jsonchunks.CHUNK)
 ])
 @pytest.mark.parametrize("dump", [json.dumps, jsontext.dumps, lambda doc: json.dumps(doc, indent="\t"),
                                   lambda doc: f" \r\n{jsontext.dumps(doc)}\n".replace("\n", "\r\n")])
-def test_chunked_reader_takes_the_files_faasim_writes(tmp_path, kind, doc, dump):
-    """No fallback: the columns come from the chunks at every chunk size, and equal the document reader's; so do
-    int ids and edge ends, and integral-float bytes, which the column builder reads as the document reader does."""
-    read_columns, from_doc, columns, _ = READERS[kind]
+def test_chunked_reader_takes_the_files_faasim_writes(tmp_path, monkeypatch, kind, doc, dump):
+    """The columns come from the chunks at every chunk size, with no parse of the whole file, and equal the document
+    reader's; so do int ids and edge ends, and integral-float bytes, which the column builder reads as the document
+    reader does."""
+    load, from_doc, columns, _ = READERS[kind]
     path = tmp_path / "doc.json"
     path.write_bytes(dump(doc).encode("utf-8"))
+    expected = columns(from_doc(doc))
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole file was parsed")
+
+    monkeypatch.setattr(json, "loads", whole)
+    monkeypatch.setattr(json, "load", whole)
     for chunk in CHUNK_SIZES:
-        with path.open(encoding="utf-8") as file:
-            assert columns(read_columns(jsonchunks.Chunks(file, chunk))) == columns(from_doc(doc))
+        assert columns(load_in_chunks(load, path, chunk)) == expected
 
 
 NESTED_OBJECTS = [{"a": 1}, {"b": 2}]
@@ -1074,9 +1136,12 @@ NESTED_OBJECTS = [{"a": 1}, {"b": 2}]
                  id="task-with-a-list-of-objects"),
     pytest.param("trace", "\ufeff" + json.dumps([ENTRY]), "JSONDecodeError", id="bom"),
     pytest.param("graph", "\ufeff" + json.dumps(VALID_GRAPH), "JSONDecodeError", id="graph-bom"),
+    # json.loads keeps the last copy of a repeated member; the file reader has streamed the first, and refuses.
     pytest.param("graph", '{"tasks": [%s], "edges": [], "metadata": {}, "tasks": %s}' % (
-        json.dumps(TASKS[0]), json.dumps(TASKS)), ["a", "b"], id="duplicate-tasks-key"),
-    pytest.param("graph", '{"tasks": %s, "tasks": [], "edges": [], "metadata": {}}' % json.dumps(TASKS), [],
+        json.dumps(TASKS[0]), json.dumps(TASKS)),
+        ("JSONDecodeError", "'tasks' is named twice: line 1 column 79 (char 78)"), id="duplicate-tasks-key"),
+    pytest.param("graph", '{"tasks": %s, "tasks": [], "edges": [], "metadata": {}}' % json.dumps(TASKS),
+                 ("JSONDecodeError", "'tasks' is named twice: line 1 column 80 (char 79)"),
                  id="duplicate-tasks-key-first"),
     pytest.param("trace", json.dumps([ENTRY]) + " x", "JSONDecodeError", id="text-after-the-list"),
     pytest.param("trace", json.dumps([ENTRY]) + "]", "JSONDecodeError", id="bracket-after-the-list"),
@@ -1085,6 +1150,20 @@ NESTED_OBJECTS = [{"a": 1}, {"b": 2}]
     pytest.param("graph", '{"tasks": [], "edges": [], "metadata": {}}', [], id="empty-arrays"),
     pytest.param("graph", json.dumps({"edges": [EDGE], "tasks": TASKS, "metadata": {}}), ["a", "b"],
                  id="edges-before-tasks"),
+    # Edges read before the tasks are numbered once, from 0, as they are added after the tasks.
+    pytest.param("graph", json.dumps({"edges": [EDGE, {**EDGE, "bytes": 1.5}], "tasks": TASKS}),
+                 ("GraphError", "malformed task graph document: edge 1: edge bytes must be integers, not 1.5"),
+                 id="edges-before-tasks-with-a-bad-edge"),
+    # Numbers cut by a chunk's end after `.`, `e` or a sign read on; so does an empty name.
+    pytest.param("graph", '{"": [null], "x": 0.5, "tasks": %s, "y": 1e-3, "edges": [], "z": -12.25E+2}'
+                 % json.dumps(TASKS), ["a", "b"], id="numbers-and-an-empty-name-beside-the-arrays"),
+    pytest.param("trace", '{"": [null]}', ("GraphError", "malformed trace document: the top level must be a list of "
+                                                         "entries"), id="array-under-an-empty-name"),
+    pytest.param("trace", "-12.5e-3", ("GraphError", "malformed trace document: the top level must be a list of "
+                                                     "entries"), id="top-level-number"),
+    # A cut after an object that is a member's value: the run's parse fails at the `]` put after the cut.
+    pytest.param("trace", '[{"arrival_s": 0, "duration_s": {"b": 1}, {"c": 2}}]', "JSONDecodeError",
+                 id="object-after-a-comma-in-an-entry"),
     pytest.param("trace", json.dumps([ENTRY, ENTRY])[:-1], "JSONDecodeError", id="unterminated-list"),
     pytest.param("trace", "[%s,\f%s]" % (json.dumps(ENTRY), json.dumps(ENTRY)), "JSONDecodeError",
                  id="form-feed-between-entries"),
@@ -1094,12 +1173,13 @@ NESTED_OBJECTS = [{"a": 1}, {"b": 2}]
                  "GraphError", id="bool-bytes-after-an-equal-int"),
     pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "bytes": 5}, {**EDGE, "bytes": 5.0}],
                                       "metadata": {}}), ["a", "b"], id="integral-float-bytes-after-an-equal-int"),
-    # Two faults in different runs at small chunk sizes: the message is the whole document's at every size.
+    # Two faults, in one run or in two: the first in the file is named at every size.
     pytest.param("trace", json.dumps([{**ENTRY, "duration_s": "x"}, ENTRY, {"duration_s": 1}]),
-                 ("GraphError", "malformed trace document: 'arrival_s'"), id="bad-duration-then-missing-arrival"),
+                 ("GraphError", "malformed trace document: entry 0: could not convert string to float: 'x'"),
+                 id="bad-duration-then-missing-arrival"),
     pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "dst": "c"}, EDGE, {**EDGE, "bytes": 1.5}],
                                       "metadata": {}}),
-                 ("GraphError", NOT_INTEGER_BYTES + "1.5"), id="unknown-end-then-fraction-bytes"),
+                 ("GraphError", "edge 'a'->'c' references unknown task"), id="unknown-end-then-fraction-bytes"),
     pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "dst": "c"}], "metadata": 5}),
                  ("GraphError", "edge 'a'->'c' references unknown task"), id="unknown-end-then-metadata-not-an-object"),
 ])
@@ -1107,13 +1187,14 @@ def test_chunked_reader_agrees_on_each_case(doc_path, kind, text, expected):
     """`expected` is the error's type, or its type and message, the trace's columns or the graph's ids."""
     for chunk in CHUNK_SIZES:
         chunked, whole = read_chunked_and_whole(text, doc_path, chunk, kind)
-        assert chunked == whole
-    if isinstance(expected, str):
-        assert whole[0] == expected
-    elif kind == "graph" and isinstance(expected, list):
-        assert whole[0] == [*map(repr, expected)]
-    else:  # the trace's columns, or the error's type and message
-        assert whole == expected
+        if "named twice" not in str(expected):  # json.loads keeps a repeated member's last copy
+            assert chunked == whole
+        if isinstance(expected, str):
+            assert chunked[0] == expected
+        elif kind == "graph" and isinstance(expected, list):
+            assert chunked[0] == [*map(repr, expected)]
+        else:  # the trace's columns, or the error's type and message
+            assert chunked == expected
 
 
 @PROPERTY_SETTINGS

@@ -697,8 +697,9 @@ def test_coded_trace_reads_the_rows_of_its_document(fn_spec, doc, params, chunk,
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "trace.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        traces = [wl.load_trace(path), wl._load_json(path, wl._trace_columns, wl.InvocationTrace.from_json, chunk),
-                  wl.InvocationTrace.from_json(doc)]
+        with patch.object(wl, "CHUNK", chunk):
+            chunked = wl.load_trace(path)
+        traces = [wl.load_trace(path), chunked, wl.InvocationTrace.from_json(doc)]
     for trace in traces:
         assert [[*map(repr, entry)] for entry in trace.entries] == [[*map(repr, row)] for row in rows]
         assert trace == trace_of(rows)

@@ -266,7 +266,8 @@ def test_non_finite_task_rejected(field, value):
 def test_non_finite_or_non_integer_edge_bytes_rejected(nbytes):
     doc = json.loads(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()))
     doc["edges"][0]["bytes"] = nbytes
-    with pytest.raises(wl.GraphError, match="^malformed task graph document: edge bytes must be integers, not "):
+    with pytest.raises(wl.GraphError,
+                       match="^malformed task graph document: edge 0: edge bytes must be integers, not "):
         wl.TaskGraph.from_json_dict(doc)
     with pytest.raises(wl.GraphError):
         graph_of([("a", 1, 0), ("b", 1, 0)], [("a", "b", nbytes)])
@@ -511,18 +512,24 @@ def test_trace_validation():
 
 
 @pytest.mark.parametrize("doc,message", [
-    ([{"arrival_s": 5, "duration_s": 1}, {"arrival_s": 1, "duration_s": 1}], "^trace arrivals must be sorted"),
+    ([{"arrival_s": 5, "duration_s": 1}, {"arrival_s": 1, "duration_s": 1}],
+     r"^trace arrivals must be sorted non-decreasing: entry 1 arrives at 1\.0, before entry 0 at 5\.0$"),
     ([{"arrival_s": 0, "duration_s": 0}], "^trace durations must be positive"),
     ([{"arrival_s": 0, "duration_s": 1, "memory_gb": float("nan")}], "^trace arrivals, durations and memory must"),
-    ([{"arrival_s": 0, "duration_s": "x"}], "^malformed trace document: could not convert"),
-    ([{"arrival_s": 0, "duration_s": 1, "memory_gb": None}], "^malformed trace document: float"),
-    ([{"arrival_s": 10**400, "duration_s": 1}], "^malformed trace document: int too large"),
-    ([{"duration_s": 1}], "^malformed trace document: 'arrival_s'"),
-    ([[0, 1]], "^malformed trace document: list indices"),
+    ([{"arrival_s": 0, "duration_s": 1}, {"arrival_s": 0, "duration_s": "x"}],
+     "^malformed trace document: entry 1: could not convert string to float: 'x'$"),
+    ([{"arrival_s": 0, "duration_s": 1, "memory_gb": None}],
+     r"^malformed trace document: entry 0: float\(\) argument must be a string or a real number, not 'NoneType'$"),
+    ([{"arrival_s": 10**400, "duration_s": 1}],
+     r"^malformed trace document: entry 0: int too large to convert to float$"),
+    ([{"duration_s": 1}], "^malformed trace document: entry 0: 'arrival_s'$"),
+    ([[0, 1]], "^malformed trace document: entry 0: list indices must be integers or slices, not str$"),
+    ([{"arrival_s": i, "duration_s": 1} for i in (0, 1, 1, 2.5, 2, 3, 0)],
+     r"^trace arrivals must be sorted non-decreasing: entry 4 arrives at 2\.0, before entry 3 at 2\.5$"),
 ])
 def test_trace_document_errors_keep_their_messages(tmp_path, doc, message):
     # A validation error keeps its own message; only an entry the reader cannot convert to floats is
-    # reported as a malformed document. The file reader gives the same errors.
+    # reported as a malformed document, naming the entry. The file reader gives the same errors.
     with pytest.raises(wl.GraphError, match=message):
         wl.InvocationTrace.from_json(doc)
     path = tmp_path / "trace.json"
@@ -538,7 +545,8 @@ def test_trace_document_columns_are_floats():
     assert {type(value) for value in (*trace.arrivals, *trace.durations, *trace.memory)} == {float}
     # JSON's true and false are not numbers: `float` would read them as 1.0 and 0.0.
     for field in ("arrival_s", "duration_s", "memory_gb"):
-        with pytest.raises(wl.GraphError, match=f"^malformed trace document: {field} must be a number, not a boolean$"):
+        with pytest.raises(wl.GraphError,
+                           match=f"^malformed trace document: entry 0: {field} must be a number, not a boolean$"):
             wl.InvocationTrace.from_json([{"arrival_s": 0, "duration_s": 1, field: True}])
 
 
@@ -559,27 +567,51 @@ def test_trace_json_round_trip(tmp_path):
     assert again.entries == trace.entries
 
 
-# The loaders read a file a chunk at a time, so a load holds the columns it builds and one run of parsed items,
-# never the file's text: each load peaks below the file's size. A trace is packed, 8 bytes an arrival and a code
-# per entry: on Python 3.11.7 the trace below peaked at 48% of its file, about 320 KB of it the run of parsed
-# entries. With an arrival float, three column lists and the three tuples the constructor made, it came to 95%
-# on Python 3.10-3.13. The graph peaks at 78%; reading the whole text first came to twice the file.
+def peak_of(load, path):
+    """What `load(path)` returns, or the GraphError it raises, and the peak of memory it traced."""
+    tracemalloc.start()
+    try:
+        try:
+            found = load(path)
+        except wl.GraphError as exc:
+            found = exc
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return found, peak
+
+
+def bad_twin(path, last, fault):
+    """A copy of the file at `path` with the last `last` in its text replaced by `fault`."""
+    text = path.read_text(encoding="utf-8")
+    at = text.rindex(last)
+    twin = path.with_name("bad-" + path.name)
+    twin.write_text(text[:at] + fault + text[at + len(last):], encoding="utf-8")
+    return twin
+
+
+# The loaders read a file once, a chunk at a time, so a load holds the columns it builds and one run of parsed
+# items, never the file's text: each load peaks below the file's size, and so does refusing a file whose last
+# item is bad. A trace is packed, 8 bytes an arrival and a code per entry: on Python 3.11.7 the trace below
+# peaked at 48% of its file, about 320 KB of it the run of parsed entries. With an arrival float, three column
+# lists and the three tuples the constructor made, it came to 95% on Python 3.10-3.13. The graph peaks at 78%;
+# reading the whole text first came to twice the file, as did parsing a bad file again whole to name its fault.
 def test_load_trace_peak_is_below_the_file_size(tmp_path):
     count = 20_000
     path = tmp_path / "trace.json"
     with path.open("w", encoding="utf-8") as out:
         jsontext.write(out, wl.fixed_interval_trace(count, 0.5, 0.25)[0])
     wl.load_trace(path)  # first use allocates nothing that is counted below
-    tracemalloc.start()
-    try:
-        trace = wl.load_trace(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    trace, peak = peak_of(wl.load_trace, path)
     assert peak < 0.6 * path.stat().st_size
     assert len(trace) == count
     assert trace.keys == ((0.25, 0.125),) and len({*map(id, trace.codes)}) == 1
     assert len({*map(id, trace.durations)}) == 1 and len({*map(id, trace.memory)}) == 1
+    bad = bad_twin(path, '"duration_s": 0.25', '"duration_s": [1]')
+    refusal, peak = peak_of(wl.load_trace, bad)
+    assert str(refusal) == (f"malformed trace document: entry {count - 1}: "
+                            "float() argument must be a string or a real number, not 'list'")
+    assert peak < 0.6 * bad.stat().st_size
 
 
 # Bytes `singleton_placement` may allocate per edge: each source's bucket of `dst` ints (`out_edges`) came to 17
@@ -606,49 +638,120 @@ def test_load_task_graph_peak_is_below_the_file_size_and_singleton_counting_a_li
     assert load_peak < path.stat().st_size
     assert len({*map(id, graph.edge_bytes)}) == 1  # one int object for every edge's bytes, as generated
     assert singleton_peak - held < SINGLETON_BYTES_PER_EDGE * graph.edge_count
+    bad = bad_twin(path, f'"bytes": {1 << 20}', '"bytes": 1.5')
+    refusal, bad_peak = peak_of(wl.load_task_graph, bad)
+    assert str(refusal) == "malformed task graph document: edge 39999: edge bytes must be integers, not 1.5"
+    assert bad_peak < bad.stat().st_size
 
 
 class CountingFile:
-    """A text file that counts the characters it hands out (`read`), and the characters copied (`copied`) by a
-    reader that joins each read to all it already holds, as `Chunks` does while it finds no item to cut."""
+    """A file that counts the bytes it hands out (`read_chars`) and the characters its reader, a `Chunks`, copies
+    as it joins each read to the text it holds (`copied`)."""
 
     def __init__(self, file):
-        self.file, self.read_chars, self.copied = file, 0, 0
+        self.file, self.read_chars, self.copied, self.reader = file, 0, 0, None
 
     def read(self, size=-1):
-        text = self.file.read(size)
-        if text:  # joining an empty read copies nothing
-            self.read_chars += len(text)
-            self.copied += self.read_chars  # what was held, and what was just read
-        return text
+        data = self.file.read(size)
+        if data:  # joining an empty read copies nothing
+            self.read_chars += len(data)
+            self.copied += len(self.reader.text) + len(data)
+        return data
+
+
+def read_counted(monkeypatch, load, path):
+    """What `load(path)` returns, or the error it raises, and the `CountingFile` its reader read."""
+    counted = []
+
+    def counting_reader(file, chunk):
+        counted.append(CountingFile(file))
+        counted[0].reader = jsonchunks.Chunks(counted[0], chunk)
+        return counted[0].reader
+
+    monkeypatch.setattr(wl, "Chunks", counting_reader)
+    try:
+        found = load(path)
+    except ValueError as exc:
+        found = exc
+    return found, counted[0]
 
 
 LONG = 4 * 10**6  # characters with no item to cut
 
 
-@pytest.mark.parametrize("text,read_columns,fault", [
-    pytest.param(json.dumps([{"arrival_s": 0, "duration_s": 1, "note": "x" * LONG}]), wl._trace_columns, None,
+@pytest.mark.parametrize("text,load,fault", [
+    pytest.param(json.dumps([{"arrival_s": 0, "duration_s": 1, "note": "x" * LONG}]), wl.load_trace, None,
                  id="long-string"),
     pytest.param('{"tasks": [%s], "edges": [], "metadata": {}}' % ", ".join(["0"] * (LONG // 3)),
-                 wl._graph_columns, TypeError, id="tasks-not-objects"),
+                 wl.load_task_graph, wl.GraphError, id="tasks-not-objects"),
 ])
-def test_a_long_stretch_with_no_cut_is_read_in_linear_time(tmp_path, text, read_columns, fault):
+def test_a_long_stretch_with_no_cut_is_read_in_linear_time(tmp_path, monkeypatch, text, load, fault):
     """Fixed-size reads would copy what is held once per read: about 30 times this document, growing with its
     square. Each read asks for as much again as is held, so the copies stay within a few times the document."""
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
-    with path.open(encoding="utf-8") as file:
-        counted = CountingFile(file)
-        try:
-            found = read_columns(jsonchunks.Chunks(counted, jsonchunks.CHUNK))
-        except TypeError as exc:
-            found = exc
+    found, counted = read_counted(monkeypatch, load, path)
     assert counted.read_chars == len(text)
     assert counted.copied < 4 * len(text)
     if fault is None:
         assert len(found) == 1
     else:
         assert isinstance(found, fault)
+
+
+GOOD_TRACE = json.dumps([{"arrival_s": i, "duration_s": 1} for i in range(20_000)])
+EDGES_FIRST = json.dumps({"edges": [{"src": "m0", "dst": f"r{j}", "bytes": 8} for j in range(5_000)],
+                          "tasks": [{"id": "m0", "duration_s": 1}, *({"id": f"r{j}", "duration_s": 1}
+                                                                     for j in range(5_000))], "metadata": {}})
+
+
+@pytest.mark.parametrize("text,load,outcome", [
+    pytest.param(GOOD_TRACE, wl.load_trace, 20_000, id="good-trace"),
+    pytest.param(GOOD_TRACE[:-3] + "true}]", wl.load_trace,
+                 "malformed trace document: entry 19999: duration_s must be a number, not a boolean",
+                 id="bad-last-entry"),
+    pytest.param(GOOD_TRACE[:-3] + "1 x}]", wl.load_trace,
+                 f"Expecting ',' delimiter: line 1 column {len(GOOD_TRACE)} (char {len(GOOD_TRACE) - 1})",
+                 id="decode-error-near-the-end"),
+    pytest.param(EDGES_FIRST, wl.load_task_graph, 5_001, id="edges-before-tasks"),
+])
+def test_each_file_is_read_once_and_refusing_it_is_linear(tmp_path, monkeypatch, text, load, outcome):
+    """Read once, with no parse of the whole file again, whether the file is taken or refused: the copies stay
+    within a few times the file, each run being dropped once it is added."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole file was parsed")
+
+    monkeypatch.setattr(json, "loads", whole)
+    monkeypatch.setattr(json, "load", whole)
+    found, counted = read_counted(monkeypatch, load, path)
+    assert counted.read_chars == len(text)
+    assert counted.copied < 3 * len(text)
+    if isinstance(found, ValueError):
+        assert str(found) == outcome
+    else:
+        assert (len(found) if load is wl.load_trace else found.task_count) == outcome
+
+
+def test_bytes_that_are_not_utf8_are_placed_in_the_file(tmp_path):
+    """The offset and the message are those of decoding the whole file, past the first chunk and in it."""
+    data = GOOD_TRACE.encode("utf-8")
+    for at in (3, jsonchunks.CHUNK + 1000, len(data) - 3):
+        path = tmp_path / "trace.json"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as read:
+            wl.load_trace(path)
+        assert (read.value.start, read.value.end, str(read.value)) == (at, at + 1, str(whole.value))
+    path.write_bytes(data[:-2] + "\u20ac".encode("utf-8")[:2])  # a character cut short by the end of the file
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError) as read:
+        wl.load_trace(path)
+    assert str(read.value) == str(whole.value)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
