@@ -4,7 +4,8 @@ Trace entries and graph tasks and edges are long arrays of small objects. `Chunk
 items of such an array, parsed in one `raw_decode` call, to the array's `add`, so its caller holds one run of parsed
 items beside what it builds from them, never the file's text. A run is cut after a `}` followed by a comma and a `{`;
 a cut inside a string or a nested value makes the run's parse fail at its end or in its last string, and the run is
-cut again further on. Text that is not JSON raises json's own error at the file's line, column and character.
+cut again further on. Text that is not JSON raises json's own error at the file's line, column and character, once
+the run's whole items before it have gone to `add`, so a faulty item before the error is named first.
 """
 
 from __future__ import annotations
@@ -30,6 +31,20 @@ def _cut(text: str) -> tuple[int, int] | None:
         if gap := _GAP.match(text, end + 1):
             return end + 1, gap.end() - 1
     return None
+
+
+def _whole_items(run: str, stop: int) -> list:
+    """The items of the array that opens `run` that end, and their comma, before `stop`, where its parse failed."""
+    items, at = [], 1
+    while True:
+        try:
+            item, end = _decode(run, _SPACE.match(run, at).end())
+        except json.JSONDecodeError:
+            return items
+        if (at := _SPACE.match(run, end).end()) >= stop or run[at] != ",":
+            return items
+        items.append(item)
+        at += 1
 
 
 class _FileDecodeError(UnicodeDecodeError):
@@ -117,6 +132,7 @@ class Chunks:
             except json.JSONDecodeError as exc:
                 if not ended and (exc.pos >= len(run) - 1 or exc.msg.startswith("Unterminated string")):
                     continue  # cut inside a string or a nested value
+                add(_whole_items(run, exc.pos))  # a faulty item before the error comes first in the file
                 raise self._error(exc.msg, exc.pos - 1) from None
             add(items)
             del items  # before the next run is parsed

@@ -258,13 +258,8 @@ def _parts(obj, level: int, sort_keys: bool):
         yield outer + "]"
 
 
-def dumps(obj, sort_keys: bool = False) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=sort_keys)`, byte-identical. No command calls it (they all
-    `write`); it is kept as the tests' text of what `write` writes."""
-    return "".join(_parts(obj, 0, sort_keys))
-
-
 def write(out, obj, sort_keys: bool = False) -> None:
-    """Write `dumps(obj, sort_keys)` and a newline to the text stream `out`, a piece at a time."""
+    """Write `json.dumps(obj, indent=2, sort_keys=sort_keys)`, byte-identical, and a newline to the text stream
+    `out`, a piece at a time."""
     out.writelines(_parts(obj, 0, sort_keys))
     out.write("\n")

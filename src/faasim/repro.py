@@ -180,14 +180,14 @@ def run_all(catalog: cat.ServiceCatalog) -> list[CheckResult]:
     ))
 
     # --- simulator behaviors --------------------------------------------------
-    empty = sim.simulate(wl.InvocationTrace((), (), ()), sim.PlatformConfig(compute=fn))
+    empty = sim.simulate(wl.InvocationTrace.from_json([]), sim.PlatformConfig(compute=fn))
     checks.append(_check(
         "scale-to-zero", "Section 2.1", "no demand scales to zero resources and zero cost",
         "cost 0, instances 0", f"cost {usd_json(empty.cost_usd)}, instances {empty.instances_created}",
         empty.cost_usd == 0 and empty.instances_created == 0,
     ))
     one = sim.simulate(
-        wl.InvocationTrace([0.0], [2.0], [0.125]),
+        wl.InvocationTrace.from_json([{"arrival_s": 0.0, "duration_s": 2.0, "memory_gb": 0.125}]),
         sim.PlatformConfig(compute=fn, cold_start=sim.ColdStartModel(0.5, 10.0, 2.0)),
     )
     (invocation,) = one.invocations

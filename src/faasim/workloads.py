@@ -55,8 +55,8 @@ class TaskGraph(_Columns):
     `src[j]` to task `dst[j]` and carries `edge_bytes[j]`. `levels[i]` is
     the ASAP level of task i, computed once when the graph is built. The
     columns are tuples (a tuple is kept, not copied) and cannot be reassigned,
-    so the levels always match them. `from_json_dict` reads a parsed document
-    and `load_task_graph` a graph file, both through `_graph_builder`.
+    so the levels always match them. `load_task_graph` reads a graph file
+    through `_graph_builder`.
     """
 
     _FIELDS = ("ids", "durations", "memory", "kinds", "src", "dst", "edge_bytes")
@@ -115,17 +115,13 @@ class TaskGraph(_Columns):
             "metadata": self.metadata,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TaskGraph":
-        """The graph in a parsed task graph document: its tasks, then its edges, each one run of `_graph_builder`."""
-        return _graph_builder()[2](doc)
-
 
 def _graph_builder():
     """The task graph format's column builder: `add_tasks` takes each run of parsed tasks, then `add_edges` each run
     of edges, and `graph(doc)` is the graph of a document whose arrays that read as [] went to them. A task is an
-    object with `id`, `duration_s` and, by default 0.0 and "task", `memory_gb` and `kind`; an edge has `src`, `dst`
-    and integer `bytes`; other keys are ignored. Ids and ends read as strings. A fault raises GraphError."""
+    object with `id`, `duration_s` and, by default 0.0 and "task", `memory_gb` and `kind`, its numbers read as
+    `_as_floats` reads them; an edge has `src`, `dst` and integer `bytes`; other keys are ignored. Ids and ends read
+    as strings. A fault raises GraphError."""
     ids, durations, memory, kinds, src, dst, edge_bytes = columns = [], [], [], [], [], [], []
     share, position, counts = _Floats().__getitem__, {}, {}  # counts: one int object per distinct byte count
 
@@ -135,8 +131,8 @@ def _graph_builder():
         # Made with the tasks: made beside a run of edges, these ints would pin pools that the run frees.
         position.update(zip(run, range(len(ids), len(ids) + len(run))))
         ids.extend(run)
-        durations.extend(map(share, map(float, map(itemgetter("duration_s"), tasks))))
-        memory.extend(map(share, map(float, map(dict.get, tasks, repeat("memory_gb"), repeat(0.0)))))
+        durations.extend(map(share, _as_floats([*map(itemgetter("duration_s"), tasks)], "duration_s")))
+        memory.extend(map(share, _as_floats([*map(dict.get, tasks, repeat("memory_gb"), repeat(0.0))], "memory_gb")))
         kinds.extend(map(share, map(str, map(dict.get, tasks, repeat("kind"), repeat("task")))))
 
     def add_edges(edges):
@@ -180,9 +176,8 @@ def _handed_over(column: list) -> tuple:
 
 
 def load_task_graph(path: str | Path) -> TaskGraph:
-    """The graph in a JSON task graph file: `TaskGraph.from_json_dict` of the parsed document, with the same result
-    or error, the file read once: its `tasks`, then its `edges`, a run at a time (edges before the tasks are read
-    whole and added after them). A `tasks` or `edges` member named twice is refused."""
+    """The graph in a JSON task graph file, read once: its `tasks`, then its `edges`, a run at a time (edges before
+    the tasks are read whole and added after them). A `tasks` or `edges` member named twice is refused."""
     add_tasks, add_edges, graph = _graph_builder()
     with open(path, "rb") as file:
         return graph(Chunks(file, CHUNK).document({"tasks": add_tasks, "edges": add_edges}))
@@ -370,46 +365,40 @@ class InvocationTrace(_Columns):
     once, in order of first use, and `codes` one int per entry, so equal keys
     share one code object. Arrivals are finite and non-decreasing, durations
     finite and positive, memory finite; arrivals are checked once and the rest
-    once per key. `durations`, `memory` and `entries` are read-only views of
-    the rows, made when read; equality compares the columns, not `metadata`.
+    once per key. `entries` is a read-only view of the rows, made when read.
 
     A zero memory is keyed with its sign, as 0.0 == -0.0: (d, 0.0) and
     (d, -0.0) are two keys, so each entry keeps its own zero. They are equal
     as pairs, and `simulate` rejects both alike.
 
-    `from_json` reads a parsed trace document and `load_trace` a trace file,
-    both through one column builder, `_trace_builder`, which holds the entry
-    rule and codes the keys a run of entries at a time.
+    A trace is built only by the trace format's column builder, `_trace_builder`:
+    `from_json` reads a parsed trace document and `load_trace` a trace file.
     """
 
     _FIELDS = ("arrivals", "keys", "codes")
-    __slots__ = _FIELDS + ("metadata",)
+    __slots__ = _FIELDS
 
-    def __init__(self, arrivals, durations, memory, metadata: dict | None = None):
-        keys = _Keys()
-        codes = [*keys.code([*map(float, durations)], [*map(float, memory)])]
-        self._hold(array("d", map(float, arrivals)), keys, codes, metadata)
-
-    def _hold(self, arrivals: array, keys: _Keys, codes: list, metadata: dict | None) -> None:
-        """Take the columns as they are, then validate them."""
+    def __init__(self, arrivals: array, keys: _Keys, codes: list):
+        """Take the builder's columns as they are, then validate them; a faulty value names its first entry."""
         for name, column in zip(self._FIELDS, (arrivals, tuple(key[:2] for key in keys), codes)):
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
-        if len(arrivals) != len(codes):
-            raise GraphError("trace columns must have equal lengths")
         durations, memory = self.key_columns
         isfinite = math.isfinite
         ordered = all(map(le, arrivals, islice(arrivals, 1, None)))  # False past a NaN
         # Ordered arrivals lie between the first and the last, so those two are all the finite check needs.
         if not (all(map(isfinite, chain(durations, memory))) and all(map(isfinite, (
                 arrivals[:1] + arrivals[-1:]) if ordered else arrivals))):
-            raise GraphError("trace arrivals, durations and memory must be finite numbers")
+            i, field, value = next((i, field, value) for i, entry in enumerate(self.entries)
+                                   for field, value in zip(Invocation._fields, entry) if not isfinite(value))
+            raise GraphError(f"malformed trace document: entry {i}: {field} must be a finite number, not {value!r}")
         if not ordered:  # the first entry out of order, found only here
             i = next(compress(count(1), map(gt, arrivals, islice(arrivals, 1, None))))
             raise GraphError(f"trace arrivals must be sorted non-decreasing: entry {i} arrives at {arrivals[i]!r}, "
                              f"before entry {i - 1} at {arrivals[i - 1]!r}")
         if durations and min(durations) <= 0:
-            raise GraphError("trace durations must be positive")
+            i, entry = next((i, entry) for i, entry in enumerate(self.entries) if entry.duration_s <= 0)
+            raise GraphError(f"malformed trace document: entry {i}: duration_s must be positive, "
+                             f"not {entry.duration_s!r}")
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -420,21 +409,8 @@ class InvocationTrace(_Columns):
         return (*zip(*self.keys),) or ((), ())
 
     @property
-    def durations(self) -> tuple[float, ...]:
-        return tuple(map(itemgetter(0), map(self.keys.__getitem__, self.codes)))
-
-    @property
-    def memory(self) -> tuple[float, ...]:
-        return tuple(map(itemgetter(1), map(self.keys.__getitem__, self.codes)))
-
-    @property
     def entries(self) -> tuple[Invocation, ...]:
-        return tuple(map(Invocation, self.arrivals, self.durations, self.memory))
-
-    def to_json_list(self) -> Table:
-        durations, memory = self.key_columns
-        return Table(("arrival_s", "duration_s", "memory_gb"),
-                     (self.arrivals, Coded(durations, self.codes), Coded(memory, self.codes)))
+        return tuple(Invocation(arrival, *self.keys[code]) for arrival, code in zip(self.arrivals, self.codes))
 
     @classmethod
     def from_json(cls, doc: list) -> "InvocationTrace":
@@ -522,9 +498,7 @@ def _trace_builder():
         if not isinstance(doc, list):
             raise GraphError("malformed trace document: the top level must be a list of entries")
         add(doc)
-        built = InvocationTrace.__new__(InvocationTrace)
-        built._hold(arrivals, keys, codes, None)
-        return built
+        return InvocationTrace(arrivals, keys, codes)
 
     add = _numbered(add, "trace", "entry")
     return add, trace

@@ -10,13 +10,13 @@ import pytest
 
 from faasim import catalog as cat
 from faasim import commpatterns as comm
-from faasim import jsontext
 from faasim import placement as plc
 from faasim import repro
 from faasim import shuffleplan as shp
 from faasim import simcore as sim
 from faasim import workloads as wl
 from faasim.money import breakeven_duty_cycle, usd
+from documents import dumps
 from trace_reference import SplitMix64, poisson_trace
 
 TB = 10**12
@@ -120,14 +120,13 @@ def test_criterion_06_breakeven(default_catalog):
 def test_criterion_07_simulator_properties(default_catalog):
     fn = default_catalog.compute_service("serverless")
 
-    empty = sim.simulate(wl.InvocationTrace((), (), ()), sim.PlatformConfig(compute=fn))
+    empty = sim.simulate(wl.InvocationTrace.from_json([]), sim.PlatformConfig(compute=fn))
     assert empty.cost_usd == 0 and empty.instances_created == 0
 
     poisson = poisson_trace(50, 2.0, 0.4, seed=123)
     config = sim.PlatformConfig(compute=fn, cold_start=sim.ColdStartModel(0.4, 0.8, 0.2), keep_alive_s=2.0)
     first, second = sim.simulate(poisson, config), sim.simulate(poisson, config)
-    assert jsontext.dumps(first.to_json_dict(), sort_keys=True) == jsontext.dumps(second.to_json_dict(),
-                                                                                 sort_keys=True)
+    assert dumps(first.to_json_dict(), sort_keys=True) == dumps(second.to_json_dict(), sort_keys=True)
 
     from test_simcore import max_overlap
 

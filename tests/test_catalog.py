@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faasim import catalog as cat
-from faasim import jsontext
 from faasim.money import usd
+from documents import dumps
 
 # Strategy for non-negative quantities with exact arithmetic.
 quantities = st.fractions(min_value=0, max_value=10**9)
@@ -171,13 +171,13 @@ def test_negative_quantities_rejected(default_catalog):
 
 
 def test_round_trip(default_catalog):
-    text = jsontext.dumps(cat.catalog_json_dict(default_catalog))
+    text = dumps(cat.catalog_json_dict(default_catalog))
     assert cat.loads_catalog(text) == default_catalog
 
 
 def test_round_trip_file(tmp_path, default_catalog):
     path = tmp_path / "catalog.json"
-    path.write_text(jsontext.dumps(cat.catalog_json_dict(default_catalog)), encoding="utf-8")
+    path.write_text(dumps(cat.catalog_json_dict(default_catalog)), encoding="utf-8")
     assert cat.load_catalog(path) == default_catalog
 
 
@@ -360,4 +360,4 @@ def catalog_documents(draw):
 @given(doc=catalog_documents())
 def test_generated_catalogs_round_trip(doc):
     catalog = cat.loads_catalog(json.dumps(doc))
-    assert cat.loads_catalog(jsontext.dumps(cat.catalog_json_dict(catalog))) == catalog
+    assert cat.loads_catalog(dumps(cat.catalog_json_dict(catalog))) == catalog

@@ -28,10 +28,11 @@ import faasim
 from faasim import catalog as cat
 from faasim import cli, cli_breakeven, cli_place
 from faasim import commpatterns as comm
-from faasim import jsonchunks, jsontext
+from faasim import jsonchunks
 from faasim import workloads as wl
+from documents import dumps, graph_from_doc
 from test_jsontext import assert_same_text
-from trace_reference import fixed_interval_trace, reference_fixed_interval_trace, reference_poisson_trace
+from trace_reference import reference_fixed_interval_trace, reference_poisson_trace
 
 
 def run(*argv):
@@ -619,6 +620,9 @@ BAD_INPUTS = [
     ("trace-duration-list", '[{"arrival_s": 0, "duration_s": [1]}]', SIMULATE),
     ("graph-metadata-number", '{"tasks": [], "edges": [], "metadata": 5}',
      ("workload", "profile", "--graph", "input.json")),
+    # taskgraph.schema.json says number: a task's true and false are not read as 1.0 and 0.0.
+    ("graph-bool-duration", '{"tasks": [{"id": "a", "duration_s": true, "memory_gb": false}]}',
+     ("workload", "profile", "--graph", "input.json")),
     ("catalog-price-bool", _catalog_text(_set_compute("price_usd_per_unit_at_base_memory", True)), SHOW_CATALOG),
     # Beyond a double, which every format of `catalog show` would print: refused at load, whatever the format.
     *((f"catalog-latency-beyond-double-{fmt}", cat.default_catalog_path().read_text(encoding="utf-8").replace(
@@ -722,7 +726,8 @@ def test_closed_stdout_ends_the_program_by_sigpipe():
                             env=faasim_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
-    stderr = proc.stderr.read()
+    with proc.stderr:
+        stderr = proc.stderr.read()
     assert (proc.wait(timeout=60), stderr) == (-signal.SIGPIPE, b"")
 
 
@@ -821,8 +826,8 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
-VALID_TRACE = json.loads(jsontext.dumps(fixed_interval_trace(3, 1.0, 0.5).to_json_list()))
-VALID_GRAPH = json.loads(jsontext.dumps(wl.gen_shuffle_dag(2, 3, 100).to_json_dict()))
+VALID_TRACE = json.loads(dumps(wl.fixed_interval_trace(3, 1.0, 0.5)[0]))
+VALID_GRAPH = json.loads(dumps(wl.gen_shuffle_dag(2, 3, 100).to_json_dict()))
 
 
 @st.composite
@@ -869,7 +874,8 @@ def test_any_trace_document_runs_or_errors(doc_path, doc):
 
 
 def trace_columns(trace):
-    return [[*map(repr, column)] for column in (trace.arrivals, trace.durations, trace.memory)]
+    entries = trace.entries
+    return [[repr(entry[field]) for entry in entries] for field in range(3)]
 
 
 def graph_columns(graph):
@@ -893,7 +899,7 @@ def read_both_ways(doc, path, load=wl.load_trace, from_doc=wl.InvocationTrace.fr
 
 
 def read_graph_both_ways(doc, path):
-    return read_both_ways(doc, path, wl.load_task_graph, wl.TaskGraph.from_json_dict, graph_columns)
+    return read_both_ways(doc, path, wl.load_task_graph, graph_from_doc, graph_columns)
 
 
 @PROPERTY_SETTINGS
@@ -993,7 +999,7 @@ def test_graph_readers_agree_on_each_case(doc_path, doc, expected):
 
 READERS = {
     "trace": (wl.load_trace, wl.InvocationTrace.from_json, trace_columns, VALID_TRACE),
-    "graph": (wl.load_task_graph, wl.TaskGraph.from_json_dict, graph_columns, VALID_GRAPH),
+    "graph": (wl.load_task_graph, graph_from_doc, graph_columns, VALID_GRAPH),
 }
 
 
@@ -1030,7 +1036,7 @@ def layouts(draw, doc):
     if layout == "json.dumps":
         text = json.dumps(doc)
     elif layout == "jsontext":
-        text = jsontext.dumps(doc)
+        text = dumps(doc)
     else:
         separators = (draw(WHITESPACE) + "," + draw(WHITESPACE), draw(WHITESPACE) + ":" + draw(WHITESPACE))
         text = json.dumps(doc, indent=draw(st.none() | WHITESPACE), separators=separators)
@@ -1057,12 +1063,13 @@ def _without(key):
     return lambda item, at: {name: value for name, value in item.items() if name != key}
 
 
-# What makes an item of each kind faulty: a boolean, a missing key, a list value or an unknown end. `float` reads a
-# task's boolean duration as a number, and `str` a list id, so a task has no boolean fault.
+# What makes an item of each kind faulty: a boolean, a missing key, a list value or an unknown end. `str` reads a
+# list id, so a task's id has no such fault.
 ITEM_FAULTS = {
     "entry": [_with("arrival_s", True), _with("memory_gb", False), _without("arrival_s"), _without("duration_s"),
               _with("duration_s", [1])],
-    "task": [_without("id"), _without("duration_s"), _with("duration_s", [1]), _with("memory_gb", [0.5])],
+    "task": [_without("id"), _without("duration_s"), _with("duration_s", [1]), _with("memory_gb", [0.5]),
+             _with("duration_s", True), _with("memory_gb", False)],
     "edge": [_with("bytes", True), _without("src"), _without("bytes"), _with("bytes", [8]),
              lambda edge, at: {**edge, "dst": f"nowhere-{at}"}],
 }
@@ -1097,12 +1104,12 @@ def test_the_first_faulty_item_is_named_at_every_chunk_size(doc_path, data, kind
     ("trace", VALID_TRACE),
     ("trace", [{**ENTRY, "memory_gb": 0.25, "x": None}, {"arrival_s": "1.5", "duration_s": 2}]),
     ("graph", VALID_GRAPH),
-    ("graph", json.loads(jsontext.dumps(wl.gen_cholesky_dag(3).to_json_dict()))),
+    ("graph", json.loads(dumps(wl.gen_cholesky_dag(3).to_json_dict()))),
     ("graph", {"tasks": [{**TASKS[0], "id": 1}, {**TASKS[1], "id": 2}],
                "edges": [{"src": 1, "dst": 2, "bytes": 8}, {"src": 1, "dst": "2", "bytes": 5.0}], "metadata": {}}),
 ])
-@pytest.mark.parametrize("dump", [json.dumps, jsontext.dumps, lambda doc: json.dumps(doc, indent="\t"),
-                                  lambda doc: f" \r\n{jsontext.dumps(doc)}\n".replace("\n", "\r\n")])
+@pytest.mark.parametrize("dump", [json.dumps, dumps, lambda doc: json.dumps(doc, indent="\t"),
+                                  lambda doc: f" \r\n{dumps(doc)}\n".replace("\n", "\r\n")])
 def test_chunked_reader_takes_the_files_faasim_writes(tmp_path, monkeypatch, kind, doc, dump):
     """The columns come from the chunks at every chunk size, with no parse of the whole file, and equal the document
     reader's; so do int ids and edge ends, and integral-float bytes, which the column builder reads as the document
@@ -1182,6 +1189,22 @@ NESTED_OBJECTS = [{"a": 1}, {"b": 2}]
                  ("GraphError", "edge 'a'->'c' references unknown task"), id="unknown-end-then-fraction-bytes"),
     pytest.param("graph", json.dumps({"tasks": TASKS, "edges": [{**EDGE, "dst": "c"}], "metadata": 5}),
                  ("GraphError", "edge 'a'->'c' references unknown task"), id="unknown-end-then-metadata-not-an-object"),
+    pytest.param("graph", '{"tasks": [{"id": "a", "duration_s": true, "memory_gb": false}]}',
+                 ("GraphError", "malformed task graph document: task 0: duration_s must be a number, not a boolean"),
+                 id="bool-task-duration"),
+    # Text that is not JSON after whole items that are good, or in the item it cuts short, is json's own error.
+    pytest.param("trace", '[%s, {"arrival_s": 1, x}]' % json.dumps(ENTRY), "JSONDecodeError",
+                 id="good-entry-then-text-that-is-not-json"),
+    pytest.param("trace", '[%s, 12x]' % json.dumps(ENTRY), "JSONDecodeError", id="number-cut-short-by-the-error"),
+    pytest.param("trace", '[{"arrival_s": 0, "duration_s": "x", x}]', "JSONDecodeError",
+                 id="text-that-is-not-json-in-a-faulty-entry"),
+    # The walk of the object around the streamed arrays: a missing `:` or `,`, a name that is not a string, and a
+    # trailing comma.
+    pytest.param("graph", '{"tasks" []}', "JSONDecodeError", id="missing-colon"),
+    pytest.param("graph", '{"tasks": [] "edges": []}', "JSONDecodeError", id="missing-comma-after-an-array"),
+    pytest.param("graph", '{1: 2}', "JSONDecodeError", id="number-name"),
+    pytest.param("graph", '{"tasks": [], }', "JSONDecodeError", id="trailing-comma"),
+    pytest.param("graph", '{"metadata": {} "tasks": []}', "JSONDecodeError", id="missing-comma-after-an-object"),
 ])
 def test_chunked_reader_agrees_on_each_case(doc_path, kind, text, expected):
     """`expected` is the error's type, or its type and message, the trace's columns or the graph's ids."""
@@ -1195,6 +1218,21 @@ def test_chunked_reader_agrees_on_each_case(doc_path, kind, text, expected):
             assert chunked[0] == [*map(repr, expected)]
         else:  # the trace's columns, or the error's type and message
             assert chunked == expected
+
+
+@pytest.mark.parametrize("kind,text,expected", [
+    pytest.param("trace", '[{"arrival_s": 0, "duration_s": "x"}, {"arrival_s": 1, x}]',
+                 "malformed trace document: entry 0: could not convert string to float: 'x'", id="trace"),
+    pytest.param("graph", '{"tasks": [{"id": "a", "duration_s": "x"}, {"id": "b", x}]}',
+                 "malformed task graph document: task 0: could not convert string to float: 'x'", id="graph"),
+])
+def test_a_faulty_item_before_text_that_is_not_json_is_named_at_every_chunk_size(doc_path, kind, text, expected):
+    """The first fault in the file wins: the items before the error in its run are added before it is raised."""
+    doc_path.write_text(text, encoding="utf-8")
+    for chunk in CHUNK_SIZES:
+        with pytest.raises(wl.GraphError) as refusal:
+            load_in_chunks(READERS[kind][0], doc_path, chunk)
+        assert str(refusal.value) == expected
 
 
 @PROPERTY_SETTINGS
@@ -1226,29 +1264,26 @@ POSITIVE = st.floats(1e-3, 1e3) | st.floats(min_value=0, exclude_min=True, allow
          to_file=True)
 def test_workload_trace_writes_the_reference_bytes(fixed, count, rate, interval, duration, memory, seed, fmt,
                                                    to_file):
-    """Every format, on stdout or with -o, against `jsontext` writing the trace held whole as an `InvocationTrace`
-    and the report of it: the output the generators gave when they returned one."""
+    """Every format, on stdout or with -o, against `jsontext` writing the reference trace, its columns held whole as
+    lists, and the report of it: the output the generators gave when they returned one."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "t.json")
         argv = ("workload", "trace", "--arrivals", "fixed" if fixed else "poisson", "--count", str(count),
                 "--rate", repr(rate), "--interval", repr(interval), "--duration", repr(duration),
                 "--memory", repr(memory), "--seed", str(seed), "--format", fmt, *(("-o", path) if to_file else ()))
         try:
-            reference = (reference_fixed_interval_trace(count, interval, duration, memory) if fixed
-                         else reference_poisson_trace(count, rate, duration, memory, seed))
+            table, metadata = (reference_fixed_interval_trace(count, interval, duration, memory) if fixed
+                               else reference_poisson_trace(count, rate, duration, memory, seed))
         except wl.GraphError as exc:
             assert run(*argv) == (2, "", f"error: {exc}\n")
             assert not os.listdir(directory)
             return
-        result = reference.to_json_list()
-        if to_file:
-            result = {"written": path}
         expected = io.StringIO()
-        cli.Report("workload trace", reference.metadata, result, seed=seed).emit(fmt, expected)
+        cli.Report("workload trace", metadata, {"written": path} if to_file else table, seed=seed).emit(fmt, expected)
         assert run(*argv) == (0, expected.getvalue(), "")
         if to_file:
             with open(path, encoding="utf-8") as file:
-                assert file.read() == jsontext.dumps(reference.to_json_list()) + "\n"
+                assert file.read() == dumps(table) + "\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 10**30, -10**30])
@@ -1258,8 +1293,8 @@ def test_workload_trace_with_an_extreme_seed_writes_the_reference_trace(tmp_path
     doc = run_json("workload", "trace", "--arrivals", "poisson", "--count", "2049", "--rate", "5", "--seed", str(seed),
                    "-o", str(path))
     assert doc["manifest"]["seed"] == seed
-    reference = reference_poisson_trace(2049, 5.0, 0.5, 0.125, seed)
-    assert_same_text(path.read_text(encoding="utf-8"), jsontext.dumps(reference.to_json_list()) + "\n")
+    table, _ = reference_poisson_trace(2049, 5.0, 0.5, 0.125, seed)
+    assert_same_text(path.read_text(encoding="utf-8"), dumps(table) + "\n")
 
 
 # --- generator sizes: refused before anything is allocated ---------------------
@@ -1314,7 +1349,7 @@ def test_place_caps_instances_and_slots_at_the_task_count(tmp_path, instances, s
     """Seating allocates per instance and per slot; with 1 GiB of address space, uncapped counts end in an
     internal error instead."""
     graph = tmp_path / "graph.json"
-    graph.write_text(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()), encoding="utf-8")
+    graph.write_text(dumps(wl.gen_cholesky_dag(2).to_json_dict()), encoding="utf-8")
     proc = subprocess.run([sys.executable, "-m", "faasim", "place", "--graph", str(graph), "--instances",
                            str(instances), "--slots", str(slots)], env=faasim_env(), capture_output=True, text=True,
                           preexec_fn=limit_address_space, timeout=60)

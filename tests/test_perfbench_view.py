@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from faasim import jsontext
 from faasim import simcore as sim
 from faasim import workloads as wl
-from trace_reference import poisson_trace
+from documents import dumps
+from trace_reference import poisson_trace, trace_of
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,11 +40,11 @@ def test_every_layer_call_resolves(traced):
 
 def test_counted_results_have_a_length(traced, default_catalog, tmp_path):
     spec = default_catalog.compute_service("serverless")
-    trace = wl.InvocationTrace([0.0, 1.0, 2.0], [1.0, 1000.0, 0.5], [0.125, 0.125, 0.25])
+    trace = trace_of([(0.0, 1.0, 0.125), (1.0, 1000.0, 0.125), (2.0, 0.5, 0.25)])
     result = sim.simulate(trace, sim.PlatformConfig(spec))
     assert (len(result.invocations), len(result.rejected)) == (2, 1)
     path = tmp_path / "trace.json"
-    path.write_text(jsontext.dumps(trace.to_json_list()), encoding="utf-8")
+    path.write_text(dumps([entry._asdict() for entry in trace.entries]), encoding="utf-8")
     counts = traced._sim_counts(result, path)
     assert (counts["simcore.invocations"], counts["simcore.rejected"], counts["workloads.billing_keys"]) == (2, 1, 3)
     assert len(wl.parallelism_profile(wl.gen_cholesky_dag(3)).levels) == 7  # 3T - 2 levels
@@ -54,7 +54,7 @@ def test_trace_entries_carry_duration_and_memory(traced, default_catalog, tmp_pa
     trace = poisson_trace(4, 1.0, 0.25, memory_gb=0.5, seed=3)
     assert [(e.duration_s, e.memory_gb) for e in trace.entries] == [(0.25, 0.5)] * 4
     path = tmp_path / "trace.json"
-    path.write_text(jsontext.dumps(trace.to_json_list()), encoding="utf-8")
+    path.write_text(dumps([entry._asdict() for entry in trace.entries]), encoding="utf-8")
     tracer = traced.Tracer("view")
     traced._billing_probe(tracer, sim, wl, path, default_catalog.compute_service("serverless"))
     assert [span["name"] for span in tracer.spans] == ["simcore.billing"]

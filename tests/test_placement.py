@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faasim import jsontext
 from faasim import placement as plc
 from faasim import workloads as wl
 from faasim.workloads import TaskGraph
+from documents import dumps
 import graph_core_reference as reference
 from test_workloads import graph_of, named_edges
 from trace_reference import SplitMix64
@@ -409,7 +409,7 @@ def test_greedy_assignments_match_string_id_reference():
 
 def test_levels_computed_once_per_graph(tmp_path, monkeypatch):
     path = tmp_path / "graph.json"
-    path.write_text(jsontext.dumps(wl.gen_cholesky_dag(4).to_json_dict()), encoding="utf-8")
+    path.write_text(dumps(wl.gen_cholesky_dag(4).to_json_dict()), encoding="utf-8")
     calls = []
     original = wl.asap_levels
     monkeypatch.setattr(wl, "asap_levels", lambda graph: calls.append(graph) or original(graph))

@@ -22,7 +22,8 @@ from faasim import simcore as sim
 from faasim import workloads as wl
 from faasim.money import FALLACY_COST_RATIO, decimal_literal, usd, usd_json
 from test_cli import run as run_cli
-from trace_reference import SplitMix64, fixed_interval_trace, poisson_trace
+from documents import dumps
+from trace_reference import SplitMix64, fixed_interval_trace, poisson_trace, trace_of
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +43,6 @@ def platform(fn_spec, cold=(0.0, 0.0, 0.0), keep_alive=600.0, prestarted=0):
         keep_alive_s=keep_alive,
         warm_pool_prestarted=prestarted,
     )
-
-
-def trace_of(rows):
-    """A trace from (arrival_s, duration_s, memory_gb) rows."""
-    return wl.InvocationTrace([row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows])
 
 
 def trace(*pairs, memory=0.125):
@@ -206,8 +202,7 @@ def test_determinism_byte_identical(fn_spec):
     config = platform(fn_spec, cold=(0.5, 1.0, 0.25), keep_alive=2.0)
     first = sim.simulate(poisson, config)
     second = sim.simulate(poisson, config)
-    assert jsontext.dumps(first.to_json_dict(), sort_keys=True) == jsontext.dumps(second.to_json_dict(),
-                                                                                 sort_keys=True)
+    assert dumps(first.to_json_dict(), sort_keys=True) == dumps(second.to_json_dict(), sort_keys=True)
 
 
 def test_conservation_and_utilization(fn_spec):
@@ -246,7 +241,7 @@ def test_keep_alive_monotone_cold_starts(fn_spec):
 
 
 def test_warm_reuse_requires_matching_memory(fn_spec):
-    entries = wl.InvocationTrace([0.0, 2.0], [1.0, 1.0], [0.125, 0.25])
+    entries = trace_of([(0.0, 1.0, 0.125), (2.0, 1.0, 0.25)])
     result = sim.simulate(entries, platform(fn_spec, cold=(0.5, 0, 0)))
     assert result.cold_starts == 2
 
@@ -527,7 +522,7 @@ def test_simulate_matches_naive_reference(fn_spec, trace, params, rows):
     assert all(inst.retired is not None for inst in instances)  # the reference scales to zero too
     with patch.object(jsontext, "_CHUNK_ROWS", rows):
         result = sim.simulate(trace, config)
-        texts = jsontext.dumps(result.to_json_dict()["invocations"])
+        texts = dumps(result.to_json_dict()["invocations"])
     assert {name: getattr(result, name) for name in expected} | {
         "invocations": [*result.invocations], "rejected": [*result.rejected]} == expected
     assert texts == json.dumps(expected["invocations"], indent=2, default=usd_json)
@@ -615,10 +610,9 @@ SIMULATE_BYTES_PER_ENTRY = 64
 
 def test_simulate_peak_above_its_trace_follows_the_entries(fn_spec):
     count = 50_000
-    poisson = poisson_trace(count, 50.0, 0.25, seed=3)
-    durations = [*poisson.durations]
-    durations[count // 3] = durations[2 * count // 3] = 1000.0  # over the run-time limit
-    trace = wl.InvocationTrace(poisson.arrivals, durations, poisson.memory)
+    entries = [*wl.poisson_trace(count, 50.0, 0.25, seed=3)[0]]
+    entries[count // 3]["duration_s"] = entries[2 * count // 3]["duration_s"] = 1000.0  # over the run-time limit
+    trace = wl.InvocationTrace.from_json(entries)
     config = platform(fn_spec, cold=(0.5, 2.0, 0.3), keep_alive=10.0, prestarted=20)
     sim.simulate(trace_of([(0.0, 1000.0, 0.125), (0.5, 1.0, 0.125)]), config)  # first use allocates nothing counted
     tracemalloc.start()
@@ -711,7 +705,7 @@ def test_coded_trace_reads_the_rows_of_its_document(fn_spec, doc, params, chunk,
     with patch.object(jsontext, "_CHUNK_ROWS", run_length):
         result = sim.simulate(traces[0], config)
         report = result.to_json_dict()
-        texts = [jsontext.dumps(report[name]) for name in ("invocations", "rejected")]
+        texts = [dumps(report[name]) for name in ("invocations", "rejected")]
     assert texts == [json.dumps(expected["invocations"], indent=2, default=usd_json),
                      json.dumps(expected["rejected"], indent=2)]
     assert {name: getattr(result, name) for name in expected if name not in ("invocations", "rejected")} == {

@@ -15,7 +15,8 @@ from faasim import jsonchunks, jsontext
 from faasim import workloads as wl
 from faasim.commpatterns import CommScenario, Deployment, gen_paramserver, remote_traffic_bytes
 from faasim.placement import singleton_placement
-from trace_reference import SplitMix64, fixed_interval_trace, poisson_trace
+from documents import dumps, graph_from_doc
+from trace_reference import SplitMix64, fixed_interval_trace, poisson_trace, trace_of
 
 # Task totals for small tile counts, worked out by hand: step k of a
 # T-tile factorization runs 1 diagonal task, T-k-1 solves and
@@ -235,7 +236,7 @@ def test_cycle_detected():
 def test_graph_validation():
     doc = {"tasks": [{"id": "a", "duration_s": 1}], "edges": [{"src": "a", "dst": "zzz", "bytes": 1}]}
     with pytest.raises(wl.GraphError, match="unknown task"):
-        wl.TaskGraph.from_json_dict(doc)
+        graph_from_doc(doc)
     with pytest.raises(wl.GraphError, match="duration"):
         graph_of([("a", 0, 0)])
     with pytest.raises(wl.GraphError, match="negative bytes"):
@@ -256,38 +257,38 @@ def test_graph_validation():
     ("memory_gb", float("nan")), ("memory_gb", float("-inf")),
 ])
 def test_non_finite_task_rejected(field, value):
-    doc = json.loads(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()))
+    doc = json.loads(dumps(wl.gen_cholesky_dag(2).to_json_dict()))
     doc["tasks"][1][field] = value
     with pytest.raises(wl.GraphError, match="non-finite"):
-        wl.TaskGraph.from_json_dict(doc)
+        graph_from_doc(doc)
 
 
 @pytest.mark.parametrize("nbytes", [1e400, float("nan"), "many", 1.9, True, "12"])
 def test_non_finite_or_non_integer_edge_bytes_rejected(nbytes):
-    doc = json.loads(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()))
+    doc = json.loads(dumps(wl.gen_cholesky_dag(2).to_json_dict()))
     doc["edges"][0]["bytes"] = nbytes
     with pytest.raises(wl.GraphError,
                        match="^malformed task graph document: edge 0: edge bytes must be integers, not "):
-        wl.TaskGraph.from_json_dict(doc)
+        graph_from_doc(doc)
     with pytest.raises(wl.GraphError):
         graph_of([("a", 1, 0), ("b", 1, 0)], [("a", "b", nbytes)])
 
 
 def test_integral_float_edge_bytes_read_as_integers():
     # JSON Schema's `integer` admits 5.0.
-    doc = json.loads(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()))
+    doc = json.loads(dumps(wl.gen_cholesky_dag(2).to_json_dict()))
     doc["edges"][0]["bytes"] = 5.0
-    graph = wl.TaskGraph.from_json_dict(doc)
+    graph = graph_from_doc(doc)
     assert graph.edge_bytes[0] == 5 and type(graph.edge_bytes[0]) is int
 
 
 def test_malformed_metadata_rejected(tmp_path):
     # The schema's metadata is an object; a list of pairs is not read as one.
-    doc = json.loads(jsontext.dumps(wl.gen_cholesky_dag(2).to_json_dict()))
+    doc = json.loads(dumps(wl.gen_cholesky_dag(2).to_json_dict()))
     path = tmp_path / "graph.json"
     for doc["metadata"] in (5, [["k", 1]], "k", None):
         path.write_text(json.dumps(doc), encoding="utf-8")
-        for read in (lambda: wl.TaskGraph.from_json_dict(doc), lambda: wl.load_task_graph(path)):
+        for read in (lambda: graph_from_doc(doc), lambda: wl.load_task_graph(path)):
             with pytest.raises(wl.GraphError, match="^malformed task graph document: metadata must be an object$"):
                 read()
 
@@ -297,7 +298,7 @@ def test_columns_round_trip_through_the_constructor():
     again = wl.TaskGraph(*(getattr(graph, name) for name in wl.TaskGraph._FIELDS), graph.metadata)
     assert again == graph
     assert again.levels == graph.levels
-    assert wl.TaskGraph.from_json_dict(json.loads(jsontext.dumps(graph.to_json_dict()))) == graph
+    assert graph_from_doc(json.loads(dumps(graph.to_json_dict()))) == graph
     assert wl.asap_levels(graph) == list(graph.levels)
 
 
@@ -352,11 +353,11 @@ def test_profile_of_chain_with_skip_edges(length):
     assert [*zip(profile.widths, profile.working_set_bytes)] == naive_profile(graph)
 
 
-def test_graph_json_round_trip():
+def test_graph_json_round_trip(tmp_path):
     graph = wl.gen_cholesky_dag(3)
-    doc = graph.to_json_dict()
-    again = wl.TaskGraph.from_json_dict(doc)
-    assert again == graph
+    path = tmp_path / "graph.json"
+    path.write_text(dumps(graph.to_json_dict()), encoding="utf-8")
+    assert wl.load_task_graph(path) == graph
 
 
 def test_generators_deterministic():
@@ -506,16 +507,18 @@ def test_writing_a_generated_trace_peaks_at_a_chunk_whatever_the_count(generate)
 
 def test_trace_validation():
     with pytest.raises(wl.GraphError, match="sorted"):
-        wl.InvocationTrace([5, 1], [1, 1], [0.1, 0.1])
+        trace_of([(5, 1, 0.1), (1, 1, 0.1)])
     with pytest.raises(wl.GraphError, match="positive"):
-        wl.InvocationTrace([0], [0], [0.1])
+        trace_of([(0, 0, 0.1)])
 
 
 @pytest.mark.parametrize("doc,message", [
     ([{"arrival_s": 5, "duration_s": 1}, {"arrival_s": 1, "duration_s": 1}],
      r"^trace arrivals must be sorted non-decreasing: entry 1 arrives at 1\.0, before entry 0 at 5\.0$"),
-    ([{"arrival_s": 0, "duration_s": 0}], "^trace durations must be positive"),
-    ([{"arrival_s": 0, "duration_s": 1, "memory_gb": float("nan")}], "^trace arrivals, durations and memory must"),
+    ([{"arrival_s": 0, "duration_s": 0}],
+     r"^malformed trace document: entry 0: duration_s must be positive, not 0\.0$"),
+    ([{"arrival_s": 0, "duration_s": 1, "memory_gb": float("nan")}],
+     "^malformed trace document: entry 0: memory_gb must be a finite number, not nan$"),
     ([{"arrival_s": 0, "duration_s": 1}, {"arrival_s": 0, "duration_s": "x"}],
      "^malformed trace document: entry 1: could not convert string to float: 'x'$"),
     ([{"arrival_s": 0, "duration_s": 1, "memory_gb": None}],
@@ -528,8 +531,8 @@ def test_trace_validation():
      r"^trace arrivals must be sorted non-decreasing: entry 4 arrives at 2\.0, before entry 3 at 2\.5$"),
 ])
 def test_trace_document_errors_keep_their_messages(tmp_path, doc, message):
-    # A validation error keeps its own message; only an entry the reader cannot convert to floats is
-    # reported as a malformed document, naming the entry. The file reader gives the same errors.
+    # Every error but an unsorted trace's is a malformed document naming its entry; an unsorted trace names
+    # the two entries out of order. The file reader gives the same errors.
     with pytest.raises(wl.GraphError, match=message):
         wl.InvocationTrace.from_json(doc)
     path = tmp_path / "trace.json"
@@ -541,8 +544,8 @@ def test_trace_document_errors_keep_their_messages(tmp_path, doc, message):
 def test_trace_document_columns_are_floats():
     trace = wl.InvocationTrace.from_json([{"arrival_s": 0, "duration_s": "1.5"}, {"arrival_s": 1, "duration_s": 2,
                                                                                   "memory_gb": 1}])
-    assert (tuple(trace.arrivals), trace.durations, trace.memory) == ((0.0, 1.0), (1.5, 2.0), (0.125, 1.0))
-    assert {type(value) for value in (*trace.arrivals, *trace.durations, *trace.memory)} == {float}
+    assert trace.entries == ((0.0, 1.5, 0.125), (1.0, 2.0, 1.0))
+    assert {type(value) for value in chain.from_iterable(trace.entries)} == {float}
     # JSON's true and false are not numbers: `float` would read them as 1.0 and 0.0.
     for field in ("arrival_s", "duration_s", "memory_gb"):
         with pytest.raises(wl.GraphError,
@@ -550,19 +553,53 @@ def test_trace_document_columns_are_floats():
             wl.InvocationTrace.from_json([{"arrival_s": 0, "duration_s": 1, field: True}])
 
 
-@pytest.mark.parametrize("name", ["arrivals", "durations", "memory", "metadata", "entries"])
+@pytest.mark.parametrize("name", ["arrivals", "keys", "codes", "durations", "memory", "metadata", "entries"])
 def test_trace_columns_cannot_be_replaced(name):
+    """No column or view can be replaced, and no attribute added: a trace has no row views or metadata to set."""
     trace = poisson_trace(5, 1.0, 0.5, seed=1)
     with pytest.raises(AttributeError):
         setattr(trace, name, ())
-    assert trace == wl.InvocationTrace(trace.arrivals, trace.durations, trace.memory)
-    assert trace.entries == tuple(map(wl.Invocation, trace.arrivals, trace.durations, trace.memory))
+    assert trace == trace_of(trace.entries)
+    assert trace.entries == tuple(wl.Invocation(arrival, *trace.keys[code])
+                                  for arrival, code in zip(trace.arrivals, trace.codes))
+
+
+ENTRIES = '{"arrival_s": 0, "duration_s": 1}, {"arrival_s": 1, "duration_s": 2, "memory_gb": 0.5}'
+
+
+@pytest.mark.parametrize("text,fault", [
+    pytest.param('[%s, {"arrival_s": NaN, "duration_s": 1}]' % ENTRIES,
+                 "entry 2: arrival_s must be a finite number, not nan", id="nan-arrival"),
+    pytest.param('[%s, {"arrival_s": 2, "duration_s": Infinity}]' % ENTRIES,
+                 "entry 2: duration_s must be a finite number, not inf", id="infinite-duration"),
+    pytest.param('[%s, {"arrival_s": 2, "duration_s": 1, "memory_gb": -1e999}]' % ENTRIES,
+                 "entry 2: memory_gb must be a finite number, not -inf", id="memory-past-a-double"),
+    pytest.param('[%s, {"arrival_s": 2, "duration_s": 1e999, "memory_gb": NaN}]' % ENTRIES,
+                 "entry 2: duration_s must be a finite number, not inf", id="the-first-field-of-an-entry"),
+    # Finite, then sorted, then positive: an entry that fails an earlier check is named first.
+    pytest.param('[{"arrival_s": 1, "duration_s": 0}, {"arrival_s": 0, "duration_s": 1, "memory_gb": NaN}]',
+                 "entry 1: memory_gb must be a finite number, not nan", id="finite-before-sorted-and-positive"),
+    pytest.param('[%s, {"arrival_s": 2, "duration_s": 2, "memory_gb": 0.5}, {"arrival_s": 3, "duration_s": 0}, '
+                 '{"arrival_s": 4, "duration_s": -0.5}]' % ENTRIES, "entry 3: duration_s must be positive, not 0.0",
+                 id="zero-duration"),
+    pytest.param('[{"arrival_s": 0, "duration_s": 2}, {"arrival_s": 1, "duration_s": -0.5}, '
+                 '{"arrival_s": 2, "duration_s": 0}]', "entry 1: duration_s must be positive, not -0.5",
+                 id="negative-duration"),
+])
+def test_a_faulty_value_names_its_first_entry(tmp_path, text, fault):
+    """The checks run once per key on the good path; only a refusal looks for the first entry at fault."""
+    path = tmp_path / "trace.json"
+    path.write_text(text, encoding="utf-8")
+    for read in (lambda: wl.load_trace(path), lambda: wl.InvocationTrace.from_json(json.loads(text))):
+        with pytest.raises(wl.GraphError) as refusal:
+            read()
+        assert str(refusal.value) == "malformed trace document: " + fault
 
 
 def test_trace_json_round_trip(tmp_path):
     trace = poisson_trace(10, 1.0, 0.5, seed=3)
     path = tmp_path / "trace.json"
-    path.write_text(jsontext.dumps(trace.to_json_list()), encoding="utf-8")
+    path.write_text(dumps([entry._asdict() for entry in trace.entries]), encoding="utf-8")
     again = wl.load_trace(path)
     assert again.entries == trace.entries
 
@@ -606,7 +643,7 @@ def test_load_trace_peak_is_below_the_file_size(tmp_path):
     assert peak < 0.6 * path.stat().st_size
     assert len(trace) == count
     assert trace.keys == ((0.25, 0.125),) and len({*map(id, trace.codes)}) == 1
-    assert len({*map(id, trace.durations)}) == 1 and len({*map(id, trace.memory)}) == 1
+    assert len({(id(entry.duration_s), id(entry.memory_gb)) for entry in trace.entries}) == 1
     bad = bad_twin(path, '"duration_s": 0.25', '"duration_s": [1]')
     refusal, peak = peak_of(wl.load_trace, bad)
     assert str(refusal) == (f"malformed trace document: entry {count - 1}: "
