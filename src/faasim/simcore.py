@@ -12,51 +12,42 @@ absence of demand.
 
 Billing charges execution time only, rounded up to the accounting unit,
 scaled linearly with configured memory, plus an optional per-invocation
-request fee. Units are an integer ceiling on the run's tick clock; the
-memory range check and the per-unit rate are worked out once per memory
-class and the cost once per (units, memory), and totals are count x
-price, exactly. `bill_invocation` and `billed_units` use the same
-helpers. The trace comes coded by billing key, a table of distinct
-(duration, memory) pairs and one code per entry, and `simulate` takes the
-codes as they are. An entry over the run-time limit or outside the memory
-range goes to `rejected` with its reason, and the rest of the trace runs;
-both are properties of its billing key, so rejected entries are set aside
-before the clock starts and take no part in the pass.
+request fee. The trace comes coded by billing key, a table of distinct
+(duration, memory) pairs and one code per entry. Units and the run-time
+limit read each key's duration once, on the durations' own exact decimal
+clock (`_ticks`); the memory range check and the per-unit rate are worked
+out once per memory class, the cost once per (units, memory), and totals
+are count x price, exactly. `bill_invocation` and `billed_units` share
+these helpers. An entry over the run-time limit or outside the memory
+range goes to `rejected` with its reason, and the rest of the trace
+runs: rejected entries are set aside before the clock starts.
 
-Time is an exact integer clock: arrivals, durations, the cold-start
-components and the keep-alive are read as their decimal literals and
-scaled by one power of ten per simulation, 10**d for the longest fraction
-of d digits, so 0.1 + 0.2 s ends exactly at 0.3 s and cold-start
-latencies, busy and instance seconds are exact sums rounded once. A
-float's literal is its shortest repr, made once per served arrival by
-`jsontext.column_runs`, a run of rows at a time, and held in one ", "-joined
-run (about 20 bytes an entry) that the report writes as the `arrival_s`
-texts. A first pass over the runs finds d. The ticks are then made as the
-event loop reads them, one of two ways (see `_ticks`). Where d <= 22 and
-the group's largest magnitude times 10**d is below 2**50, as in traces
-rounded to the ms or µs (the benchmark's bursty trace has d = 6), each
-tick is one multiply-and-round of the float, which is exact. Otherwise, as
-for a Poisson trace whose arrivals print 17 significant digits (d = 18),
-the ticks are read from the texts, one run split at a time. So `simulate`
-peaks at 2.3 MiB above a loaded 100k-entry Poisson trace and the command
-at 52.3 MB RSS on a 1M-entry one (3.0 MiB and 96.9 MB while `simulate`
-coded the keys itself beside a trace of float columns; 12.8 MiB and 227.0
-MB with a text and a tick held per arrival; Python 3.11.7).
-Every other number (durations and memory to bill, spans, cost ratios) is
-read by `money.usd`.
+The event loop's clock is fixed before the run at 1 ns a tick: a time of
+x seconds (an arrival, a served duration, a cold-start part, the
+keep-alive) is round(x * 1e9), one IEEE-754 double product rounded half
+to even. Where x's decimal literal has at most 9 fraction digits and the
+tick is below 2**50 (|x| under about 13 days), that is the literal times
+10**9 exactly (`_ticks` gives the proof), so 0.1 + 0.2 s ends at 0.3 s.
+Beyond, a tick is the product's rounding, the same on every IEEE host;
+from 2**53 ticks (about 104 days) every tick is even. A served duration
+under 0.5 ns occupies no tick. A time whose product is not finite (|x|
+from about 1.8e299 s) is refused before the loop, by its flag or its
+entry's position. Cold-start latencies, busy and instance seconds are
+exact tick sums rounded once. The report writes each served arrival's
+shortest repr, made by `jsontext.column_runs` a run of rows at a time
+and held in one ", "-joined run (about 20 bytes an entry).
 
 A simulation is one pass over the served entries in arrival order. A heap
 holds the running invocations only; each memory class keeps the ticks at
 which its idle instances went idle, oldest first, and reuses the newest.
-An idle instance retires keep-alive after it went idle: retirements are
-applied lazily, oldest first, when its pool is next used, and the rest
-when the simulation ends. Events at equal timestamps thus take effect in a fixed
-order (completions, then retirements, then arrivals in trace order), so
-results are deterministic and serialize byte-identically. The pass records
-only each served entry's start kind. The invocation columns are
-`jsontext.Coded`: duration, units and cost by billing key and latency and
-the cold flag by start kind, so beside its arrival text an entry holds two
-codes and no row object is built.
+An idle instance retires keep-alive after it went idle, applied lazily,
+oldest first, when its pool is next used, and the rest when the run ends.
+Events at equal timestamps thus take effect in a fixed order (completions,
+then retirements, then arrivals in trace order), so results are
+deterministic and serialize byte-identically. The pass records only each
+served entry's start kind. The invocation columns are `jsontext.Coded`:
+duration, units and cost by billing key and latency and the cold flag by
+start kind, so beside its arrival text an entry holds two codes.
 """
 
 from __future__ import annotations
@@ -67,7 +58,7 @@ from array import array
 from collections import Counter, deque
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, repeat, tee
 from operator import add, floordiv, gt, mul, neg, not_
 from typing import TYPE_CHECKING
 
@@ -87,6 +78,21 @@ class BillingError(ValueError):
     pass
 
 
+_NS = 10**9  # event-clock ticks per second
+_CLOCK_RANGE = "the 1 ns event clock's range, |t| below about 1.8e299 s"
+
+
+def _on_clock(seconds) -> bool:
+    return abs(seconds * _NS) < math.inf  # the 1 ns clock ticks it: its product with 10**9 is finite
+
+
+def _check_platform_times(record: Record) -> None:
+    """Refuse a platform time that is negative, not a number or off the clock, naming its command-line flag."""
+    for name, seconds in zip(record._FIELDS, record._values()):
+        if name.endswith("_s") and not (0 <= seconds and _on_clock(seconds)):
+            raise SimulationError(f"--{name[:-2].replace('_', '-')} must be a non-negative time in {_CLOCK_RANGE}")
+
+
 class ColdStartModel(Record):
     """Three additive cold-start components, all in seconds."""
 
@@ -94,9 +100,7 @@ class ColdStartModel(Record):
     t_env_s: float = 0.0
     t_app_s: float = 0.0
 
-    def __post_init__(self):
-        if not all(0 <= part < math.inf for part in (self.t_schedule_s, self.t_env_s, self.t_app_s)):
-            raise SimulationError("cold start components must be finite and non-negative")
+    __post_init__ = _check_platform_times
 
 
 class PlatformConfig(Record):
@@ -108,8 +112,7 @@ class PlatformConfig(Record):
     def __post_init__(self):
         if self.compute.kind != "serverless-function":
             raise SimulationError("platform requires a serverless-function compute spec")
-        if not 0 <= self.keep_alive_s < math.inf:
-            raise SimulationError("keep-alive must be finite and non-negative")
+        _check_platform_times(self)
         if self.warm_pool_prestarted < 0:
             raise SimulationError("prestarted count must be non-negative")
 
@@ -208,44 +211,39 @@ _OVER_LIMIT = "duration exceeds max run time"
 _BAD_MEMORY = "memory outside the configurable range"
 
 
-def _plain(run) -> str:
-    """A run of times in plain notation, each with one point. A run is float repr texts joined by ", " (the
-    text `json.dumps` writes of a list of floats, inside its brackets) or a list of numbers. Exponent texts
-    (repr's form below 1e-4 and from 1e16) and numbers are read by `decimal_literal` and written exactly."""
-    if type(run) is str:
-        if "e" not in run:  # one C-level scan: repr writes every other float in plain notation
-            return run
-        run = run.split(", ")
-    texts = (text if type(text) is str and "e" not in text else format(decimal_literal(text), "f") for text in run)
+def _plain(run: str) -> str:
+    """A run of float repr texts joined by ", " in plain notation, each with one point. Exponent texts (repr's form
+    below 1e-4 and from 1e16) are read by `decimal_literal` and written exactly."""
+    if "e" not in run:  # one C-level scan: repr writes every other float in plain notation
+        return run
+    texts = (text if "e" not in text else format(decimal_literal(text), "f") for text in run.split(", "))
     return ", ".join(text if "." in text else text + "." for text in texts)
 
 
-def _scaled(digits: int, run):
+def _scaled(digits: int, run: str):
     """A run's times as ticks of 10**-digits s: integer and fraction digits alternate once each point is a
     separator too, and each fraction is padded with zeros to the digits, appended and read by `int`."""
     parts = _plain(run).replace(".", ", ").split(", ")
     return map(int, map(add, parts[::2], map(str.ljust, parts[1::2], repeat(digits), repeat("0"))))
 
 
-def _ticks(*groups) -> tuple[int, list]:
-    """(scale, each group's times as integer ticks, lazily) on one exact decimal clock: a time is its decimal
-    literal V times `scale`, the least power of ten 10**d that makes all of them whole, so 0.1 + 0.2 ticks equal
-    0.3. A group is (runs, floats, largest): its times as a list of runs (see `_plain`), then the same times as
-    floats and the largest of their magnitudes, or None twice. A first pass finds d from the runs, reading only
-    fractions longer than the longest so far; the ticks are made as they are read.
+def _ticks(runs: list[str], floats, largest: float) -> tuple[int, map]:
+    """(scale, the times as integer ticks, lazily) on one exact decimal clock: a time is its decimal literal V times
+    `scale`, the least power of ten 10**d that makes all of them whole. The times come as runs of repr texts joined
+    by ", " (as `json.dumps` writes a list of floats), as floats, and as the largest of their magnitudes. A first
+    pass finds d from the runs, reading only fractions longer than the longest so far.
 
-    A group with floats takes each tick from one multiply-and-round, round(x * float(10**d)), when d <= 22 and
-    largest * float(10**d) < 2**50. That is V * 10**d exactly: |x - V| <= ulp(x)/2 <= 2**-53 |x|, because V
-    rounds to x; 10**d is exact as a double for d <= 22; and p = fl(x * 10**d) < 2**50, so ulp(p) <= 2**-3.
-    So |p - V * 10**d| < 2**-3 + 2**-4 = 3/16, and the rounding meets no tie. Every other group's ticks are
-    read from its texts, a run at a time."""
+    Each tick is one multiply-and-round, round(x * float(10**d)), when d <= 22 and largest * float(10**d) < 2**50.
+    That is V * 10**d exactly: |x - V| <= ulp(x)/2 <= 2**-53 |x|, because V rounds to x; 10**d is exact as a double
+    for d <= 22; and p = fl(x * 10**d) < 2**50, so ulp(p) <= 2**-3. So |p - V * 10**d| < 2**-3 + 2**-4 = 3/16, and
+    the rounding meets no tie. Otherwise the ticks are read from the texts, a run at a time."""
     digits = 0
-    for run in chain.from_iterable(runs for runs, _, _ in groups):
+    for run in runs:
         digits = max(map(len, re.findall(r"\.(\d{%d,})" % (digits + 1), _plain(run))), default=digits)
     scale = 10**digits
-    return scale, [map(round, map(mul, floats, repeat(float(scale))))
-                   if floats is not None and digits <= 22 and largest * float(scale) < 2.0**50
-                   else chain.from_iterable(map(_scaled, repeat(digits), runs)) for runs, floats, largest in groups]
+    if digits <= 22 and largest * float(scale) < 2.0**50:
+        return scale, map(round, map(mul, floats, repeat(float(scale))))
+    return scale, chain.from_iterable(map(_scaled, repeat(digits), runs))
 
 
 def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
@@ -259,15 +257,16 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     codes = trace.codes  # each entry's billing key, coded in order of first use
     counts = Counter(codes).values()  # entries per billing key
     durations_s, memories = trace.key_columns  # by key
-    duration_texts = [*map(repr, durations_s)]  # each read by the clock and written by the report
-    duration_runs = [", ".join(duration_texts)] if durations_s else []
-    longest = max(durations_s, default=0.0)  # durations are positive
+    duration_texts = [*map(repr, durations_s)]  # each read by the billing clock and written by the report
 
-    # An entry is rejected by its key: the limit is checked on the durations' own clock.
+    # Reasons and units by key, on the durations' own exact decimal clock, whose ticks are freed before the loop.
     rates = {memory: _rate(memory, spec) for memory in set(memories)}
-    limit_scale, (limit_ticks,) = _ticks((duration_runs, durations_s, longest))
+    scale, ticks = _ticks([", ".join(duration_texts)], durations_s, max(durations_s, default=0.0))
+    ticks, again = tee(ticks)
     reasons = [_OVER_LIMIT if over else _BAD_MEMORY if rates[memory] is None else None
-               for over, memory in zip(_over_limit(limit_ticks, limit_scale, spec), memories)]
+               for over, memory in zip(_over_limit(ticks, scale, spec), memories)]
+    key_units = [None if reason else units for units, reason in zip(_units(again, scale, spec), reasons)]
+    billed = [*map(not_, reasons)]  # by key: served
     rejected = [*compress(count(), map(reasons.__getitem__, codes))] if any(reasons) else []  # trace positions
     arrivals_s, served_codes = trace.arrivals, codes
     if rejected:
@@ -276,27 +275,27 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
             served[seq] = 0
         arrivals_s, served_codes = array("d", compress(arrivals_s, served)), [*compress(codes, served)]
     rejected_codes = [*map(codes.__getitem__, rejected)]
-    runs = column_runs(arrivals_s)  # the served arrivals' texts, made once: read by the clock and the report
-    scale, (arrivals, durations, fixed) = _ticks(
-        (runs, arrivals_s, max(abs(arrivals_s[0]), abs(arrivals_s[-1])) if arrivals_s else 0.0),  # sorted
-        (duration_runs, durations_s, longest),
-        ([[cold.t_schedule_s, cold.t_env_s, cold.t_app_s, platform.keep_alive_s]], None, None))
-    t_schedule, t_env, t_app, keep_alive = fixed
 
-    # Bill every key at once; a rejected key has no units or cost, as no served entry has its code. Each
+    # The loop ticks each served arrival (sorted: the ends are the largest) and duration; refuse any off the clock.
+    if not all(map(_on_clock, chain(arrivals_s[:1], arrivals_s[-1:], compress(durations_s, billed)))):
+        for at, arrival, code in zip(count(), trace.arrivals, codes):
+            for name, seconds in (("arrival_s", arrival), ("duration_s", durations_s[code])):
+                if billed[code] and not _on_clock(seconds):
+                    raise SimulationError(f"entry {at}: {name} {seconds!r} is outside {_CLOCK_RANGE}")
+    arrivals = map(round, map(mul, arrivals_s, repeat(_NS)))
+    t_schedule, t_env, t_app, keep_alive = (round(x * _NS) for x in (*cold._values(), platform.keep_alive_s))
+
+    # Price every key at once; a rejected key has no units or cost, as no served entry has its code. Each
     # (units, memory) is priced once, its cost shared by every key with the same (units, memory).
-    durations, billed = [*durations], [*map(not_, reasons)]  # by key: ticks; served
-    key_units = [*_units(durations, scale, spec)]
-    for key in compress(count(), reasons):
-        key_units[key] = None
     tally: Counter = Counter()  # invocations per (units, memory)
     for key, n in compress(zip(zip(key_units, memories), counts), billed):
         tally[key] += n
     costs = {(units, memory): units * rates[memory] + spec.request_fee_usd for units, memory in tally}
     key_costs = [*map(costs.get, zip(key_units, memories))]
-    busy_total = sum(map(mul, compress(durations, billed), compress(counts, billed)))  # ticks
     pools = {memory: deque() for memory in rates}  # idle-since ticks per memory class, oldest first
-    bills = [*zip(durations, map(pools.__getitem__, memories))]  # by key: (duration ticks, idle pool)
+    bills = [(round(seconds * _NS), pools[memory]) if ok else None  # by key: (duration ticks, idle pool) if served
+             for seconds, memory, ok in zip(durations_s, memories, billed)]
+    busy_total = sum(bill[0] * n for bill, n in compress(zip(bills, counts), billed))
 
     events: list[tuple[int, int, deque]] = []  # running invocations: (end tick, seq, idle pool)
     kinds = bytearray(len(served_codes))  # by served entry: 0 warm, 1 pre-started, 2 full cold start
@@ -339,8 +338,8 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
     # Cold-start latencies are the exact tick sums, rounded once.
     return SimResult(
         invocations=Table(("arrival_s", "start_latency_s", "duration_s", "cold", "billed_units", "cost_usd"), (
-            Coded(arrivals_s, texts=runs),
-            Coded((0.0, t_app / scale, report_float(Fraction(full_ticks, scale), "start_latency_s")), kinds),
+            Coded(arrivals_s, texts=column_runs(arrivals_s)),
+            Coded((0.0, t_app / _NS, report_float(Fraction(full_ticks, _NS), "start_latency_s")), kinds),
             Coded(durations_s, served_codes, duration_texts),
             Coded((False, True, True), kinds), Coded(key_units, served_codes), Coded(key_costs, served_codes))),
         rejected=Table(("index", "arrival_s", "duration_s", "reason"), [
@@ -351,8 +350,8 @@ def simulate(trace: InvocationTrace, platform: PlatformConfig) -> SimResult:
         cold_starts=cold_starts,
         peak_concurrency=peak,
         instances_created=cold_starts,
-        instance_seconds_running=report_float(Fraction(lifetime, scale), "instance_seconds_running"),
-        busy_seconds=busy_total / scale,  # at most the instance seconds
+        instance_seconds_running=report_float(Fraction(lifetime, _NS), "instance_seconds_running"),
+        busy_seconds=busy_total / _NS,  # at most the instance seconds
     )
 
 

@@ -89,7 +89,7 @@ DIGESTS = {
         "f83ea0269e61ea461c49dd4c066075db6f02073686a5510763d2b67a3e869c1a",
     ),
     "simulate": (
-        "9de286cc2fdd33a2f674ee802371ac191c153af4a9b7c1cc7f3068b54dfbd57b",
+        "fadd839a661cdecdf9d11c43d6177d7fcb9c2e9ac3cd5ef4f44accaf714477aa",
         None,
     ),
     "catalog show": (

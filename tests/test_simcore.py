@@ -5,9 +5,9 @@ import math
 import re
 import tempfile
 import tracemalloc
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mul
 from pathlib import Path
 from unittest.mock import patch
@@ -263,14 +263,42 @@ def test_busy_and_lifetime_are_exact(fn_spec):
     assert result.cold_starts == 1
 
 
-def reference_ticks(*groups):
+def test_a_duration_under_half_a_ns_occupies_no_tick(fn_spec):
+    # 1e-10 s rounds to 0 ns: the first call ends as it arrives, so the second, at the same instant, reuses its
+    # instance. Each is still billed on its decimal value, one whole unit.
+    result = sim.simulate(trace((0.0, 1e-10), (0.0, 1e-10)), platform(fn_spec))
+    assert (result.cold_starts, result.instances_created, result.peak_concurrency) == (1, 1, 1)
+    assert column(result.invocations, "billed_units") == [1, 1]
+    assert result.cost_usd == 2 * sim.bill_invocation(1e-10, 0.125, fn_spec)
+    assert result.busy_seconds == 0.0
+
+
+def test_a_time_off_the_clock_is_refused_by_its_entry(fn_spec):
+    """The first served entry whose arrival or duration has no finite ns product is named; a rejected entry's times
+    are never ticked."""
+    roomy = cat.ComputeServiceSpec(**{name: getattr(fn_spec, name) for name in fn_spec._FIELDS}
+                                   | {"max_run_time_s": 10**305})
+    off_clock = "is outside the 1 ns event clock's range, |t| below about 1.8e299 s$"
+    for rows, message in [
+        ([(0.0, 1.0, 0.125), (1.0, 1e300, 4.0), (2.0, 1e300, 0.125)], r"^entry 2: duration_s 1e\+300 "),
+        ([(-1e300, 1.0, 4.0), (-2e299, 1.0, 0.125), (0.0, 1.0, 0.125)], r"^entry 1: arrival_s -2e\+299 "),
+        ([(0.0, 1.0, 0.125), (1.0, 1.0, 0.125), (1.8e299, 1.0, 0.125)], r"^entry 2: arrival_s 1.8e\+299 "),
+    ]:
+        with pytest.raises(sim.SimulationError, match=message + off_clock):
+            sim.simulate(trace_of(rows), platform(roomy))
+    result = sim.simulate(trace_of([(-1e300, 1.0, 4.0), (1.7e299, 1e300, 0.125)]), platform(fn_spec))
+    assert [row["reason"] for row in result.rejected] == ["memory outside the configurable range",
+                                                          "duration exceeds max run time"]
+
+
+def reference_ticks(floats):
     """The all-Decimal clock: every time read by `decimal_literal`, the scale from their exact sum."""
-    literals = [list(map(decimal_literal, group)) for group in groups]
+    literals = [*map(decimal_literal, floats)]
     with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         # An exact sum carries the least exponent of its terms.
-        exponent = sum(chain.from_iterable(literals)).as_tuple().exponent
+        exponent = sum(literals, Decimal(0)).as_tuple().exponent
         scale = 10 ** max(0, -exponent)
-        return scale, [list(map(int, map(mul, group, repeat(scale)))) for group in literals]
+        return scale, [*map(int, map(mul, literals, repeat(scale)))]
 
 
 # Every finite double, with the zeros, subnormals and repr's exponent forms (below 1e-4, from 1e16) drawn often.
@@ -279,40 +307,43 @@ finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
                                     9999999999999998.0, 1e16, -1.5e16, 1e300])
                  | st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
                              st.floats(-10, 10, allow_nan=False), st.integers(-300, 300)))
-other_numbers = st.integers(-10**20, 10**20) | st.builds(
-    lambda digits, exponent: Decimal(f"{digits}E{exponent}"), st.integers(-10**12, 10**12), st.integers(-40, 40))
 # Decimals of at most 9 fraction digits, as traces rounded to the ms or µs hold. Two examples in three draw every
-# number from these and small integers, so their float groups take `_ticks`' kernel; the rest draw from anything.
+# number from these, so their times take `_ticks`' kernel; the rest draw from anything.
 short_decimals = st.builds(lambda n, k: n / 10**k, st.integers(-10**14, 10**14), st.integers(0, 9))
-short_clock = st.shared(st.sampled_from((True, True, False)), key="short clock")
 
 
 @settings(max_examples=300, deadline=None)
-@given(short_clock.flatmap(lambda short: st.lists(st.lists(
-           short_decimals if short else finite_floats | short_decimals, max_size=8), max_size=3)),
-       short_clock.flatmap(lambda short: st.lists(
-           short_decimals | st.integers(-10**6, 10**6) if short else finite_floats | other_numbers,
-           min_size=1, max_size=5)),
+@given(st.sampled_from((True, True, False)).flatmap(lambda short: st.lists(
+           short_decimals if short else finite_floats | short_decimals, max_size=8)),
        st.integers(min_value=1, max_value=3))
-@example([[-0.0, 5e-05, 1e16]], [0, Decimal("0.10")], 3)
-@example([[0.1, 0.2, 5e-05, 0.25], [5e-324]], [600], 2)
-@example([[1e16, 2e16]], [0], 1)
-@example([[1125899906842.623, -1.5, 0.0]], [0.5, 600], 2)  # 10**3 x the largest is just under 2**50: the kernel
-@example([[1125899906842.625, 7.0]], [0.5], 1)  # and just over: the texts
-@example([[1e-22, -0.0, 7e-22]], [0], 3)  # 10**22, the largest power of ten a double holds exactly: the kernel
-@example([[1e-23, -0.0, 7e-22]], [0], 3)  # 10**23: the texts
-@example([[-0.0, -2.5, 4.0, -7.0, 12345678.0]], [0, 1], 2)  # negative and integer-valued floats
-@example([[5e-05, 0.25], [1e16]], [0.3], 1)  # an exponent text on the kernel; 1e16 x 10**5 puts its group on the texts
-def test_ticks_match_the_decimal_reference(float_groups, numbers, run_length):
-    # `simulate` hands the clock its arrivals and durations as runs of repr texts, each the text json.dumps
-    # writes of a list of floats, with the floats and their largest magnitude, and the platform's four numbers as
-    # one run alone.
-    groups = [([json.dumps(group[at:at + run_length])[1:-1] for at in range(0, len(group), run_length)],
-               group, max(map(abs, group), default=0.0)) for group in float_groups]
-    scale, ticks = sim._ticks(*groups, ([numbers], None, None))
-    for group in ticks[:-1]:
-        event("float group: " + ("kernel" if type(group) is map else "texts"))
-    assert (scale, [*map(list, ticks)]) == reference_ticks(*float_groups, numbers)
+@example([-0.0, 5e-05, 1e16], 3)
+@example([0.1, 0.2, 5e-05, 0.25, 5e-324], 2)
+@example([1e16, 2e16], 1)
+@example([1125899906842.623, -1.5, 0.0], 2)  # 10**3 x the largest is just under 2**50: the kernel
+@example([1125899906842.625, 7.0], 1)  # and just over: the texts
+@example([1e-22, -0.0, 7e-22], 3)  # 10**22, the largest power of ten a double holds exactly: the kernel
+@example([1e-23, -0.0, 7e-22], 3)  # 10**23: the texts
+@example([-0.0, -2.5, 4.0, -7.0, 12345678.0], 2)  # negative and integer-valued floats
+@example([5e-05, 0.25], 1)  # an exponent text on the kernel
+@example([5e-05, 0.25, 1e16], 1)  # 1e16 x 10**5 puts the times on the texts
+def test_ticks_match_the_decimal_reference(floats, run_length):
+    # `simulate` hands the billing clock its keys' durations as runs of repr texts, each the text json.dumps
+    # writes of a list of floats, with the floats and their largest magnitude.
+    runs = [json.dumps(floats[at:at + run_length])[1:-1] for at in range(0, len(floats), run_length)]
+    scale, ticks = sim._ticks(runs, floats, max(map(abs, floats), default=0.0))
+    event("kernel" if type(ticks) is map else "texts")
+    assert (scale, [*ticks]) == reference_ticks(floats)
+
+
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=1 - 2**50, max_value=2**50 - 1))
+@example(9, 2**50 - 1)
+@example(9, 1 - 2**50)
+@example(1, 300_000_000)
+def test_a_short_decimal_ticks_exactly_at_1_ns(digits, ticks):
+    """A literal V of at most 9 fraction digits with |V| below 2**50 / 1e9 s: its float x ticks at
+    round(x * 1e9) == V * 10**9, the decimal value, as Decimal reads it."""
+    literal = Decimal(ticks).scaleb(-9).quantize(Decimal(1).scaleb(-digits), rounding=ROUND_DOWN)
+    assert Decimal(round(float(literal) * 1e9)) == literal.scaleb(9)
 
 
 def test_bad_memory_rejected_without_aborting(fn_spec):
@@ -372,6 +403,11 @@ def literal(value) -> Fraction:
     return Fraction(Decimal(repr(float(value))))
 
 
+def tick(value) -> Fraction:
+    """A time on the event clock: seconds rounded to the nearest ns, from the float product."""
+    return Fraction(round(float(value) * 1e9), 10**9)
+
+
 class RefInstance:
     def __init__(self, memory, created):
         self.memory, self.created = memory, created
@@ -379,15 +415,16 @@ class RefInstance:
 
 
 def reference_simulate(entries, config):
-    """Deliberately naive simulator: a Fraction clock, one explicit event list
-    sorted by (time, kind, seq) before every step, instance objects, and a
-    retire event per idle period that fires only if the instance is still
-    idle since then. Returns the SimResult fields, each record list as its
-    row dicts, plus the instances."""
-    spec, cold, keep_alive = config.compute, config.cold_start, literal(config.keep_alive_s)
-    full = literal(cold.t_schedule_s) + literal(cold.t_env_s) + literal(cold.t_app_s)
+    """Deliberately naive simulator: a Fraction clock of the times' `tick`s, one
+    explicit event list sorted by (time, kind, seq) before every step, instance
+    objects, and a retire event per idle period that fires only if the instance
+    is still idle since then. The limit check and the units read each duration's
+    `literal`. Returns the SimResult fields, each record list as its row dicts,
+    plus the instances."""
+    spec, cold, keep_alive = config.compute, config.cold_start, tick(config.keep_alive_s)
+    full = tick(cold.t_schedule_s) + tick(cold.t_env_s) + tick(cold.t_app_s)
     complete, retire, arrive = 0, 1, 2
-    events = [(literal(e.arrival_s), arrive, i, None) for i, e in enumerate(entries)]
+    events = [(tick(e.arrival_s), arrive, i, None) for i, e in enumerate(entries)]
     instances, invocations, rejected = [], [], []
     running = peak = idled = 0
     busy = Fraction(0)
@@ -424,7 +461,7 @@ def reference_simulate(entries, config):
             instances.append(inst)
             if prestarted_left:
                 prestarted_left -= 1
-                latency = literal(cold.t_app_s)
+                latency = tick(cold.t_app_s)
             else:
                 latency = full
         running += 1
@@ -433,8 +470,8 @@ def reference_simulate(entries, config):
         cost = units * spec.price_usd_per_unit * memory / spec.base_memory_gib + spec.request_fee_usd
         invocations.append({"arrival_s": entry.arrival_s, "start_latency_s": float(latency),
                             "duration_s": entry.duration_s, "cold": not idle, "billed_units": units, "cost_usd": cost})
-        busy += latency + duration
-        events.append((now + latency + duration, complete, seq, inst))
+        busy += latency + tick(entry.duration_s)
+        events.append((now + latency + tick(entry.duration_s), complete, seq, inst))
     fields = dict(
         invocations=invocations,
         rejected=rejected,
@@ -477,10 +514,10 @@ MIXED_COLD = [(0.0, 1000.0, 0.125), (0.0, 0.25, 0.125), (0.1, 0.3, 0.05), (0.2, 
               (2.3, 0.1, 0.25), (3.0, 1000.0, 1.0)]
 
 
-# `simulate` reads and writes the arrivals a run of `jsontext._CHUNK_ROWS` at a time. Runs of 1-3 cut a
+# `simulate` writes the arrivals' texts a run of `jsontext._CHUNK_ROWS` at a time. Runs of 1-3 cut a
 # small trace into many, so runs end beside rejected entries and an exponent text lands in any run.
 run_lengths = st.sampled_from((jsontext._CHUNK_ROWS, 1, 2, 3))
-# 0.123456 sets the clock's digits in the first run, 1e16 and 2.5e16 are exponent texts in later ones.
+# 0.123456 s ticks exactly in the first run; 1e16 and 2.5e16 s are exponent texts in later ones, near 2**83 ticks.
 LATE_EXPONENTS = [(0.123456, 0.25, 0.125), (0.5, 1000.0, 0.125), (1e16, 0.25, 0.125), (1e16, 0.1, 4.0),
                   (2.5e16, 0.3, 0.25)]
 # Runs of three: the second one's first and last entries are rejected. Runs of two: the second is all rejected.
@@ -488,15 +525,15 @@ REJECTED_AT_EDGES = [(0.0, 0.25, 0.125), (0.1, 0.5, 0.25), (0.2, 0.3, 0.125), (0
                      (0.4, 0.25, 0.125), (0.5, 0.25, 4.0), (0.6, 0.1, 0.125)]
 RUN_OF_REJECTED = [(0.0, 0.25, 0.125), (0.1, 0.5, 0.125), (0.2, 1000.0, 0.125), (0.3, 0.25, 4.0),
                    (0.35, 0.25, 0.125)]
-# Arrivals to the µs, the last one's ticks just under 2**50: the clock's float kernel makes every tick. One arrival
-# of 0.30000000000000004 moves the clock to 17 digits and both groups to the texts. At 13 digits, 450.3599624370523 s
-# alone puts the durations past the bound, where a product would make it one tick short; the arrivals stay on the
-# kernel.
+# Arrivals to the µs tick exactly at 1 ns, but the last, past 2**60 ticks, is the product's rounding, 24 ns before
+# its literal. An arrival of 0.30000000000000004 s rounds to the nearest ns, 0.3 s. A duration of 450.3599624370523 s
+# occupies 450359962437 ns on the event loop and bills 4504 units on its own clock of 10**13 ticks a second.
 NEAR_BOUND = [(1e-06, 0.25, 0.125), (1.5, 0.001, 0.125), (1.75, 0.25, 0.125), (1125899906.842623, 0.1, 0.25)]
 ONE_LONG_TEXT = [NEAR_BOUND[0], (0.30000000000000004, 0.25, 0.125), *NEAR_BOUND[1:]]
 LONG_DURATION = [(0.0, 0.25, 0.125), (0.1234567890123, 450.3599624370523, 0.25), (0.2, 0.5, 0.125), (2.5, 0.1, 0.125)]
-# One end of the arrivals past the bound, the other not: a product would round -4503599624.370497 s to one tick
-# late and 4503599624.370497 s to one tick early, and the entry arriving as another ends would miss its warm instance.
+# Ticks beyond 2**53, near 2**62, at one end of the arrivals or the other: each arrival is its own product's rounding,
+# so the entry that would end exactly as the next arrives on their decimal values ends 104 ns after it, and the next
+# starts cold.
 FAR_FIRST = [(-4503599624.370497, 0.250001, 0.125), (-4503599624.120496, 0.25, 0.125), (0.5, 0.25, 0.125)]
 FAR_LAST = [(0.5, 0.25, 0.125), (4503599624.120496, 0.250001, 0.125), (4503599624.370497, 0.25, 0.125)]
 
@@ -601,10 +638,10 @@ def check_report_rows(fn_spec, rows, prestarted, keep_alive, cold):
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-# Bytes `simulate` may allocate per entry above its input trace. On Python 3.11.7 the trace below peaked at 45
+# Bytes `simulate` may allocate per entry above its input trace. On Python 3.11.7 the trace below peaked at 43
 # per entry: its served code (8 bytes), its arrival in the packed served column (8), about 20 bytes of arrival
-# text in a run, a byte each for the served mask and its start kind, and one run's tick texts. One repr text and
-# one tick int per arrival held for the run came to 138.
+# text in a run, and a byte each for the served mask and its start kind. Reading the ticks from the arrival texts,
+# a run at a time, came to 45; one repr text and one tick int per arrival held for the run, to 138.
 SIMULATE_BYTES_PER_ENTRY = 64
 
 
@@ -626,8 +663,9 @@ def test_simulate_peak_above_its_trace_follows_the_entries(fn_spec):
 
 
 # With nothing rejected, `simulate` takes the trace's packed arrivals and billing codes as they are: on Python
-# 3.11.7 the trace below peaked at 36.5 bytes per entry above it, about 20 of them the arrival texts it keeps and
-# 16 one run's tick texts. Coding each entry's key again, a list of 8 bytes per entry, came to 45.0.
+# 3.11.7 the trace below peaked at 31.1 bytes per entry above it, about 20 of them the arrival texts it keeps.
+# Reading the ticks from those texts, a run at a time, came to 36.4; coding each entry's key again, a list of 8
+# bytes per entry, to 45.0.
 def test_simulate_adds_no_per_entry_column_to_a_loaded_trace(fn_spec, tmp_path):
     count = 20_000
     path = tmp_path / "trace.json"
@@ -776,8 +814,8 @@ EDGE_TOTALS = [("billed_units", "18"), ("cost_usd", "4e-06"), ("cold_starts", "3
      + "".join(f"{key.ljust(24)}  {value}\n" for key, value in EDGE_TOTALS)),
 ])
 def test_cli_rows_print_arrivals_in_every_notation(tmp_path, fmt, expected):
-    # repr writes -0.0 with its sign, 5e-05 and 1e+16 in exponent form; the clock reads the
-    # exponent texts as Decimals and the plain ones by string passes.
+    # repr writes -0.0 with its sign, 5e-05 and 1e+16 in exponent form; the report writes each
+    # arrival's repr text, whatever its tick on the 1 ns clock.
     path = tmp_path / "trace.json"
     path.write_text(EDGE_TRACE)
     code, out, err = run_cli("simulate", "--trace", str(path), "--format", fmt)
@@ -786,7 +824,7 @@ def test_cli_rows_print_arrivals_in_every_notation(tmp_path, fmt, expected):
 
 
 def test_cli_json_writes_each_arrival_as_its_repr(tmp_path):
-    """The JSON report writes the arrival texts the clock read, not texts of the floats."""
+    """The JSON report writes each arrival's repr text, made once per run of rows by `json.dumps`."""
     path = tmp_path / "trace.json"
     path.write_text(EDGE_TRACE)
     code, out, err = run_cli("simulate", "--trace", str(path))
